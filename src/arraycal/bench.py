@@ -17,6 +17,7 @@ import numpy as np
 
 from . import crb as crb_mod
 from .airlink import (
+    UNIT_PHASE_RANDOM,
     NoncoherentSchedule,
     default_pilots,
     noise_variance_from_snr,
@@ -115,6 +116,26 @@ class ResultTable:
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
+def _tuple_of(conv):
+    return lambda s: tuple(conv(x.strip()) for x in s.split(","))
+
+
+# One converter per ExperimentConfig field; the defaults are the dataclass's.
+_CONVERTERS = {
+    "m": int, "scheme": str, "g": int,
+    "group_sizes": _tuple_of(int), "pilot_lengths": _tuple_of(int),
+    "channel": str, "rows": int, "cols": int, "spacing": float, "delta": float,
+    "snr_db": _tuple_of(float), "trials": int, "estimators": _tuple_of(str),
+    "constraint": str, "seed": int, "pilots": str,
+    "crb": lambda s: _BOOL[s.lower()], "crb_trials": int,
+    "crb_known_h": lambda s: _BOOL[s.lower()],
+    "aml_tol": float, "aml_max_iter": int, "aml_init": str,
+    "noncoherent_slots": lambda s: tuple(tuple(int(x) for x in grp.split())
+                                         for grp in s.split(";")),
+    "timing": lambda s: _BOOL[s.lower()],
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key = value format (',' lists, ';'-separated slot lists)."""
     kv = {}
@@ -127,50 +148,18 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         kv[key.strip()] = value.strip()
 
-    def take(key, conv, default):
-        if key not in kv:
-            return default
-        try:
-            return conv(kv.pop(key))
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"config key {key!r}: {e}") from e
-
-    int_tuple = lambda s: tuple(int(x) for x in s.split(","))
-    float_tuple = lambda s: tuple(float(x) for x in s.split(","))
-    str_tuple = lambda s: tuple(x.strip() for x in s.split(","))
-    boolean = lambda s: _BOOL[s.lower()]
-    slots = lambda s: tuple(tuple(int(x) for x in grp.split()) for grp in s.split(";"))
-
     if "m" not in kv:
         raise ValueError("config must set m")
-    cfg = ExperimentConfig(
-        m=take("m", int, None),
-        scheme=take("scheme", str, "SINGLETON"),
-        g=take("g", int, None),
-        group_sizes=take("group_sizes", int_tuple, None),
-        pilot_lengths=take("pilot_lengths", int_tuple, None),
-        channel=take("channel", str, "iid"),
-        rows=take("rows", int, None),
-        cols=take("cols", int, None),
-        spacing=take("spacing", float, 0.5),
-        delta=take("delta", float, 0.1),
-        snr_db=take("snr_db", float_tuple, (10.0, 20.0, 30.0)),
-        trials=take("trials", int, 50),
-        estimators=take("estimators", str_tuple, ("ls",)),
-        constraint=take("constraint", str, "NPC"),
-        seed=take("seed", int, 0),
-        pilots=take("pilots", str, "UNIT_PHASE_RANDOM"),
-        crb=take("crb", boolean, True),
-        crb_trials=take("crb_trials", int, 50),
-        crb_known_h=take("crb_known_h", boolean, False),
-        aml_tol=take("aml_tol", float, 1e-6),
-        aml_max_iter=take("aml_max_iter", int, 100),
-        aml_init=take("aml_init", str, "ls"),
-        noncoherent_slots=take("noncoherent_slots", slots, None),
-        timing=take("timing", boolean, False),
-    )
-    if kv:
-        raise ValueError(f"unknown config keys: {sorted(kv)}")
+    unknown = sorted(set(kv) - set(_CONVERTERS))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    values = {}
+    for key, raw in kv.items():
+        try:
+            values[key] = _CONVERTERS[key](raw)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"config key {key!r}: {e}") from e
+    cfg = ExperimentConfig(**values)
     if cfg.trials < 1 or not cfg.snr_db:
         raise ValueError("need trials >= 1 and a non-empty snr grid")
     if cfg.channel not in ("iid", "geometric"):
@@ -178,6 +167,10 @@ def parse_config(text: str) -> ExperimentConfig:
     for e in cfg.estimators:
         if e not in KNOWN_ESTIMATORS:
             raise ValueError(f"unknown estimator {e!r}")
+        # ratio estimators read received samples as channel gains
+        if e in ("argos", "daisy") and cfg.pilots == UNIT_PHASE_RANDOM:
+            raise ValueError(f"estimator {e!r} ignores pilots; set pilots = ALL_ONES "
+                             "or IDENTITY")
     return cfg
 
 
@@ -209,7 +202,7 @@ def _estimate_one(est: str, cfg: ExperimentConfig, spec: ConstraintSpec,
     elif est == "avalanche":
         f = avalanche_estimate(ms, pilots, partition).f
     elif est == "rogalin":
-        return rogalin_estimate(ms, partition, spec).f_hat.f
+        return rogalin_estimate(ms, pilots, partition, spec).f_hat.f
     elif est == "aml":
         init = None
         if cfg.aml_init == "ls":
@@ -228,7 +221,8 @@ def _estimate_one(est: str, cfg: ExperimentConfig, spec: ConstraintSpec,
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Per (snr, trial): fresh impairments, channel, pilots and noise; all
     configured estimators see the same measurements.  The CRB is averaged over
-    the first crb_trials realizations of the same stream.
+    the first crb_trials realizations of the same stream; it is not computed
+    for non-coherent schedules (crb_trace is nan).
     """
     scheme = config.resolve_scheme()
     partition = scheme.partition
@@ -354,6 +348,12 @@ def cli_main(argv=None) -> int:
         print(f"rows={ident['rows']} needed={ident['needed']} {state}")
         return 0 if ident["ok"] else 3
 
+    if cfg.noncoherent_slots is not None and (cfg.crb or args.command == "crb"):
+        why = "the CRB is not computed for non-coherent schedules"
+        if args.command == "crb":
+            print(f"error: {why}", file=sys.stderr)
+            return 2
+        print(f"warning: {why}; crb_trace is nan", file=sys.stderr)
     try:
         if args.command == "crb":
             cfg = replace(cfg, estimators=("ls",), trials=cfg.crb_trials, crb=True)

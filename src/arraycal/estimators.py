@@ -3,7 +3,7 @@
 All estimators determine f only up to one complex scale; a ConstraintSpec
 resolves the ambiguity.  FCC pins the first coefficient to 1; NPC pins the
 norm and the phase of f_hat^H f_true; UNIT_NORM takes the smallest
-eigenvector of Y^H Y.
+eigenvector of the Gram matrix Y(P)^H Y(P).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from scipy.linalg import null_space
 
 from .model import AntennaPartition, CalibrationVector
 from . import crb as _crb
-from .stacking import StackedSystem, pair_equation_block
+from .stacking import StackedSystem, build_stacked
 
 FCC = "FCC"
 NPC = "NPC"
@@ -99,40 +99,44 @@ def _smallest_eigvec(a: np.ndarray):
     return v[:, 0], float(w[0].real), tie
 
 
-def _solve_linear_constrained(y_matrix: np.ndarray, g: np.ndarray, c: complex):
-    """min ||Y f||^2 s.t. f^H g = c, robust to a singular Gram matrix.
+def _solve_linear_constrained(sys: StackedSystem, g: np.ndarray, c: complex):
+    """min f^H A f s.t. f^H g = c, robust to a singular Gram matrix A.
 
-    Equivalent to the closed form c / (g^H A^{-1} g) * A^{-1} g whenever
-    A = Y^H Y is invertible, but also exact in the noiseless (singular-A)
-    case, where the closed form degenerates.
+    Equivalent to the closed form c / (g^H A^{-1} g) * A^{-1} g whenever A is
+    invertible, but also exact in the noiseless (singular-A) case.  A solve
+    with A squares cond(Y(P)); two refinement steps, with A f taken from the
+    pair blocks, recover the accuracy of a least-squares solve on Y(P).
     """
     gnorm2 = np.real(g.conj() @ g)
     if gnorm2 == 0:
         raise ValueError("degenerate constraint: g = 0")
-    f_part = np.conj(c) * g / gnorm2          # satisfies f^H g = c
+    f = np.conj(c) * g / gnorm2               # satisfies f^H g = c
     v = null_space(g.conj()[None, :])         # orthonormal complement of g
-    z, *_ = np.linalg.lstsq(y_matrix @ v, -(y_matrix @ f_part), rcond=None)
-    return f_part + v @ z
+    b = v.conj().T @ sys.gram @ v
+    for _ in range(3):
+        z, *_ = np.linalg.lstsq(b, -(v.conj().T @ sys.apply_gram(f)), rcond=None)
+        f = f + v @ z
+    return f
 
 
 def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationReport:
-    """Constrained least-squares over the stacked system.
+    """Constrained least-squares over the stacked system, from its Gram matrix A.
 
     FCC/LINEAR solve the equality-constrained quadratic program; UNIT_NORM
-    takes the smallest eigenvector of Y^H Y; NPC rescales the unit-norm
-    solution in norm and phase against the true f.
+    takes the smallest eigenvector of A; NPC rescales the unit-norm solution
+    in norm and phase against the true f.  The cost is f^H A f = ||Y(P) f||^2.
     """
     m = sys.m
     identifiable = sys.rows >= m - 1
     if constraint.kind in (FCC, LINEAR):
         g, c = constraint.resolved_g_c(m)
-        f = _solve_linear_constrained(sys.y_matrix, g, c)
+        f = _solve_linear_constrained(sys, g, c)
         tie = False
     else:
-        f, _, tie = _smallest_eigvec(sys.gram())
+        f, _, tie = _smallest_eigvec(sys.gram)
         if constraint.kind == NPC:
             f = normalize_for_constraint(f, constraint)
-    cost = float(np.linalg.norm(sys.y_matrix @ f) ** 2)
+    cost = float(np.real(f.conj() @ sys.gram @ f))
     tag = constraint.kind if constraint.kind != LINEAR else "NONE"
     return EstimationReport(CalibrationVector(f, tag), 1, cost,
                             converged=identifiable and not tie)
@@ -163,44 +167,22 @@ def argos_estimate(measurements, partition: AntennaPartition,
     return CalibrationVector(f, "FCC" if ref_value == 1.0 else "NONE")
 
 
-def rogalin_gram(measurements, partition: AntennaPartition) -> np.ndarray:
-    """A = Y(P)^H Y(P) for the all-singleton partition, assembled directly:
+def rogalin_gram(measurements, pilots, partition: AntennaPartition) -> StackedSystem:
+    """The stacked system of the all-singleton partition; with unit pilots its
+    Gram matrix A = Y(P)^H Y(P) has
 
     A[i,i] = sum_{k != i} |y_{k->i}|^2,  A[i,j] = -conj(y_{j->i}) y_{i->j}.
     """
     if any(s != 1 for s in partition.group_sizes):
         raise ValueError("rogalin estimator needs single-antenna groups")
-    m = partition.num_antennas
-    a = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            y_ji = measurements.block(j, i).item()
-            y_ij = measurements.block(i, j).item()
-            a[i, i] += abs(y_ji) ** 2
-            a[i, j] = -np.conj(y_ji) * y_ij
-    return a
+    return build_stacked(measurements, pilots, partition)
 
 
-def rogalin_estimate(measurements, partition: AntennaPartition,
+def rogalin_estimate(measurements, pilots, partition: AntennaPartition,
                      constraint: ConstraintSpec) -> EstimationReport:
-    """Joint estimation from round-robin single-antenna broadcasts."""
-    a = rogalin_gram(measurements, partition)
-    m = partition.num_antennas
-    tie = False
-    if constraint.kind == FCC:
-        # min f^H A f with f_0 = 1: f_rest = -A22^+ a21
-        rest, *_ = np.linalg.lstsq(a[1:, 1:], -a[1:, 0], rcond=None)
-        f = np.concatenate(([1.0 + 0.0j], rest))
-    elif constraint.kind in (UNIT_NORM, NPC):
-        f, _, tie = _smallest_eigvec(a)
-        if constraint.kind == NPC:
-            f = normalize_for_constraint(f, constraint)
-    else:
-        raise ValueError("unsupported constraint for rogalin estimator")
-    cost = float(np.real(f.conj() @ a @ f))
-    return EstimationReport(CalibrationVector(f, constraint.kind), 1, cost, not tie)
+    """Joint estimation from round-robin single-antenna broadcasts: the joint
+    LS of ls_estimate on single-antenna groups."""
+    return ls_estimate(rogalin_gram(measurements, pilots, partition), constraint)
 
 
 def daisy_chain_estimate(measurements, partition: AntennaPartition,

@@ -11,6 +11,7 @@ scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,6 +25,8 @@ class AntennaPartition:
 
     group_sizes: tuple
     pilot_lengths: tuple
+    # start index of each group in the global antenna ordering
+    offsets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.group_sizes)
@@ -36,6 +39,7 @@ class AntennaPartition:
             raise ValueError("need at least two antenna groups")
         if any(s < 1 for s in sizes) or any(l < 1 for l in lens):
             raise ValueError("group sizes and pilot lengths must be positive")
+        object.__setattr__(self, "offsets", tuple(accumulate(sizes[:-1], initial=0)))
 
     @property
     def num_groups(self) -> int:
@@ -44,15 +48,6 @@ class AntennaPartition:
     @property
     def num_antennas(self) -> int:
         return sum(self.group_sizes)
-
-    @property
-    def offsets(self) -> tuple:
-        """Start index of each group in the global antenna ordering."""
-        out, acc = [], 0
-        for s in self.group_sizes:
-            out.append(acc)
-            acc += s
-        return tuple(out)
 
     def antennas_of(self, i: int) -> slice:
         o = self.offsets[i]

@@ -6,7 +6,9 @@ Eliminating the reciprocal channel from the pair (i, j) exchanges gives
 
 (* is the Khatri-Rao, i.e. column-wise Kronecker, product).  Stacking all
 pairs i < j yields Y(P) f = n, a matrix with sum_{i<j} L_i L_j rows whose
-null space is spanned by the true f in the noiseless case.
+null space is spanned by the true f in the noiseless case.  Y(P) is kept
+as its per-pair row blocks and the M x M Gram matrix A = Y(P)^H Y(P), the
+sum of the pairs' contributions; the dense Y(P) is never formed.
 """
 
 from __future__ import annotations
@@ -14,25 +16,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import khatri_rao
 
 from .model import AntennaPartition
 
 
 @dataclass
 class StackedSystem:
-    """The matrix Y(P); pair_index maps each row block to (slot, i, j)."""
+    """Y(P) as per-pair row blocks, with its Gram matrix A = Y(P)^H Y(P).
 
-    y_matrix: np.ndarray
+    blocks batches pairs of equal shape as (cols, w): the rows of Y(P) for
+    pair p are w[p], at the antenna columns cols[p].  pair_index maps each
+    row block of Y(P) to (slot, i, j).
+    """
+
+    gram: np.ndarray          # M x M, Hermitian PSD
+    rows: int                 # rows of Y(P)
     pair_index: list          # [(slot, i, j), ...] in row-block order
     m: int
+    blocks: list              # [(cols (P, k) int, w (P, r, k) complex), ...]
 
-    @property
-    def rows(self) -> int:
-        return self.y_matrix.shape[0]
-
-    def gram(self) -> np.ndarray:
-        return self.y_matrix.conj().T @ self.y_matrix
+    def apply_gram(self, f: np.ndarray) -> np.ndarray:
+        """A f as Y(P)^H (Y(P) f) from the pair blocks: unlike gram @ f, its
+        rounding error does not scale with cond(A) = cond(Y(P))^2."""
+        out = np.zeros(self.m, dtype=complex)
+        for cols, w in self.blocks:
+            r = np.einsum("prk,pk->pr", w, f[cols])
+            np.add.at(out, cols, np.einsum("prk,pr->pk", w.conj(), r))
+        return out
 
 
 def pair_equation_block(y_ji: np.ndarray, y_ij: np.ndarray,
@@ -40,52 +50,63 @@ def pair_equation_block(y_ji: np.ndarray, y_ij: np.ndarray,
     """Khatri-Rao coefficient blocks of the pair equation, for (f_i, f_j).
 
     Rows follow the column-major vectorization of the L_i x L_j residual
-    matrix P_i^T F_i Y_{j->i} - Y_{i->j}^T F_j P_j.
+    matrix P_i^T F_i Y_{j->i} - Y_{i->j}^T F_j P_j.  Leading axes are batch
+    axes: stacked pairs of equal shape give stacked blocks.
     """
-    block_i = khatri_rao(y_ji.T, p_i.T)      # (L_i L_j) x M_i
-    block_j = -khatri_rao(p_j.T, y_ij.T)     # (L_i L_j) x M_j
+    lead = y_ji.shape[:-2]
+    block_i = np.einsum("...ka,...kb->...abk", y_ji, p_i).reshape(
+        lead + (-1, y_ji.shape[-2]))                          # (L_i L_j) x M_i
+    block_j = -np.einsum("...ka,...kb->...abk", p_j, y_ij).reshape(
+        lead + (-1, y_ij.shape[-2]))                          # (L_i L_j) x M_j
     return block_i, block_j
 
 
 def build_stacked(measurements, pilots, partition: AntennaPartition,
                   pairs=None, slot: int = 0) -> StackedSystem:
-    """Assemble Y(P) from one slot's measurements (pairs i<j, lexicographic)."""
+    """Stacked system of one slot's measurements (pairs i<j, lexicographic).
+
+    Pairs of equal block shape are batched; pair (i, j) adds W^H W, with
+    W = [block_i, block_j], to the Gram at the antennas of groups i and j.
+    """
     m = partition.num_antennas
     if pairs is None:
         pairs = partition.pairs()
-    row_blocks = []
-    index = []
+    sizes, lens = partition.group_sizes, partition.pilot_lengths
+    batches = {}
     for (i, j) in pairs:
-        y_ij = measurements.block(i, j)
-        y_ji = measurements.block(j, i)
-        bi, bj = pair_equation_block(y_ji, y_ij, pilots[i], pilots[j])
-        rows = np.zeros((bi.shape[0], m), dtype=complex)
-        rows[:, partition.antennas_of(i)] = bi
-        rows[:, partition.antennas_of(j)] = bj
-        row_blocks.append(rows)
-        index.append((slot, i, j))
-    return StackedSystem(np.vstack(row_blocks), index, m)
+        key = (sizes[i], sizes[j], lens[i], lens[j])
+        batches.setdefault(key, []).append((i, j))
+    offsets = np.asarray(partition.offsets)
+    gram = np.zeros((m, m), dtype=complex)
+    blocks = []
+    for (mi, mj, _, _), batch in batches.items():
+        gi, gj = np.array(batch).T
+        bi, bj = pair_equation_block(
+            np.stack([measurements.block(j, i) for i, j in batch]),
+            np.stack([measurements.block(i, j) for i, j in batch]),
+            np.stack([pilots[i] for i in gi]), np.stack([pilots[j] for j in gj]))
+        w = np.concatenate((bi, bj), axis=2)
+        cols = np.concatenate((offsets[gi, None] + np.arange(mi),
+                               offsets[gj, None] + np.arange(mj)), axis=1)
+        np.add.at(gram, (cols[:, :, None], cols[:, None, :]),
+                  np.einsum("pri,prj->pij", w.conj(), w))
+        blocks.append((cols, w))
+    rows = sum(lens[i] * lens[j] for (i, j) in pairs)
+    return StackedSystem(gram, rows, [(slot, i, j) for (i, j) in pairs], m, blocks)
 
 
 def build_stacked_noncoherent(slot_measurements: list, pilots,
                               partition: AntennaPartition,
                               schedule=None) -> StackedSystem:
-    """Vertically concatenate per-slot stacks, restricted to each slot's active pairs."""
+    """Sum of the per-slot Grams, each restricted to its slot's active pairs."""
     if not slot_measurements:
         raise ValueError("no slots to stack")
-    systems = []
-    for t, ms in enumerate(slot_measurements):
-        if schedule is not None:
-            pairs = schedule.active_pairs(t)
-        elif ms.active_groups is not None:
-            g = ms.active_groups
-            pairs = [(i, j) for a, i in enumerate(g) for j in g[a + 1:]]
-        else:
-            pairs = partition.pairs()
-        systems.append(build_stacked(ms, pilots, partition, pairs=pairs, slot=ms.slot_id))
-    y = np.vstack([s.y_matrix for s in systems])
-    index = [e for s in systems for e in s.pair_index]
-    return StackedSystem(y, index, partition.num_antennas)
+    systems = [build_stacked(ms, pilots, partition, slot=ms.slot_id,
+                             pairs=ms.pairs() if schedule is None else schedule.active_pairs(t))
+               for t, ms in enumerate(slot_measurements)]
+    return StackedSystem(sum(s.gram for s in systems), sum(s.rows for s in systems),
+                         [e for s in systems for e in s.pair_index], partition.num_antennas,
+                         [b for s in systems for b in s.blocks])
 
 
 def check_identifiability(partition: AntennaPartition, schedule=None) -> dict:

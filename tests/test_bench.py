@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,12 @@ def test_parse_config_defaults_and_lists():
     assert cfg.estimators == ("ls",)
     assert cfg.crb is False
     assert cfg.delta == 0.1          # default
+
+
+def test_parse_config_defaults_are_the_dataclass_defaults():
+    assert parse_config("m = 4\n") == ExperimentConfig(m=4)
+    # every field can be set from a config file
+    assert set(bench._CONVERTERS) == {f.name for f in fields(ExperimentConfig)}
 
 
 def test_parse_config_errors():
@@ -214,3 +222,38 @@ def test_cli_schemes_and_crb(tmp_path, capsys):
     assert cli_main(["crb", cfg]) == 0
     out = capsys.readouterr().out
     assert "crb_trace=" in out and "snr_db=20" in out
+
+
+@pytest.mark.parametrize("text", [
+    "m = 8\nestimators = ls, argos\n",
+    "m = 8\nestimators = daisy\nconstraint = FCC\n",
+    "m = 8\nscheme = ARGOS\nestimators = argos\n",
+])
+def test_cli_rejects_ratio_estimators_with_random_pilots(tmp_path, capsys, text):
+    # argos and daisy read samples as channel gains; random pilots make them wrong
+    cfg = _write(tmp_path, "ratio.cfg", text + "snr_db = 40\ntrials = 2\ncrb = false\n")
+    assert cli_main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "ignores pilots" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+NONCOHERENT_CONFIG = ("m = 6\nscheme = SINGLETON\npilots = ALL_ONES\nsnr_db = 20\n"
+                      "trials = 2\nconstraint = FCC\n"
+                      "noncoherent_slots = 0 1 2; 2 3 4; 4 5 0\n")
+
+
+def test_cli_noncoherent_crb_is_not_reported(tmp_path, capsys):
+    with_crb = _write(tmp_path, "nc.cfg", NONCOHERENT_CONFIG + "crb = true\n")
+    assert cli_main(["crb", with_crb]) == 2
+    captured = capsys.readouterr()
+    assert "non-coherent" in captured.err and "crb_trace" not in captured.out
+
+    out_crb, out_plain = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert cli_main(["run", with_crb, "--out", out_crb]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("warning:")
+    without_crb = _write(tmp_path, "nc0.cfg", NONCOHERENT_CONFIG + "crb = false\n")
+    assert cli_main(["run", without_crb, "--out", out_plain]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out_crb, "rb") as a, open(out_plain, "rb") as b:
+        assert a.read() == b.read()

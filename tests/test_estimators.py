@@ -123,28 +123,29 @@ def test_rogalin_gram_entries():
     rng = np.random.default_rng(7)
     part = AntennaPartition.singleton(4)
     pilots, imp, chan, ms = _instance(part, rng, snr=10.0)
-    a = rogalin_gram(ms, part)
+    a = rogalin_gram(ms, pilots, part).gram
     d0 = sum(abs(ms.block(k, 0).item()) ** 2 for k in range(1, 4))
     assert abs(a[0, 0] - d0) < 1e-12
     expect = -np.conj(ms.block(2, 1).item()) * ms.block(1, 2).item()
     assert abs(a[1, 2] - expect) < 1e-12
     # it really is the Gram matrix of the stacked system
     ss = build_stacked(ms, pilots, part)
-    assert np.max(np.abs(a - ss.gram())) < 1e-12
+    assert np.max(np.abs(a - ss.gram)) < 1e-12
 
 
 def test_rogalin_equals_generic_ls():
     rng = np.random.default_rng(8)
     part = AntennaPartition.singleton(6)
-    pilots, imp, chan, ms = _instance(part, rng, snr=20.0)
-    ss = build_stacked(ms, pilots, part)
-    for spec in (ConstraintSpec.fcc(), ConstraintSpec.unit_norm()):
-        f_r = rogalin_estimate(ms, part, spec).f_hat.f
-        f_ls = ls_estimate(ss, spec).f_hat.f
-        # eigenvector sign/phase is arbitrary under UNIT_NORM
-        if spec.kind == "UNIT_NORM":
-            f_ls = f_ls * np.exp(1j * (np.angle(f_r[0]) - np.angle(f_ls[0])))
-        assert np.max(np.abs(f_r - f_ls)) < 1e-10
+    for kind in ("ALL_ONES", "UNIT_PHASE_RANDOM"):
+        pilots, imp, chan, ms = _instance(part, rng, snr=20.0, kind=kind)
+        ss = build_stacked(ms, pilots, part)
+        for spec in (ConstraintSpec.fcc(), ConstraintSpec.unit_norm()):
+            f_r = rogalin_estimate(ms, pilots, part, spec).f_hat.f
+            f_ls = ls_estimate(ss, spec).f_hat.f
+            # eigenvector sign/phase is arbitrary under UNIT_NORM
+            if spec.kind == "UNIT_NORM":
+                f_ls = f_ls * np.exp(1j * (np.angle(f_r[0]) - np.angle(f_ls[0])))
+            assert np.max(np.abs(f_r - f_ls)) < 1e-12
 
 
 def test_daisy_chain_telescopes():
@@ -167,7 +168,8 @@ def test_daisy_chain_noisier_than_rogalin():
         pilots, imp, chan, ms = _instance(part, rng, snr=20.0)
         f_true = calibration_vector(imp).f
         err_d += mse(daisy_chain_estimate(ms, part).f, f_true)
-        err_r += mse(rogalin_estimate(ms, part, ConstraintSpec.fcc()).f_hat.f, f_true)
+        err_r += mse(rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f_hat.f,
+                     f_true)
     assert err_d >= err_r  # error accumulates along the chain
 
 

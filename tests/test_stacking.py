@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import khatri_rao
 
+from dense_oracle import dense_y, dense_y_noncoherent
 from arraycal.airlink import NoncoherentSchedule, default_pilots, simulate_exchange, simulate_noncoherent
 from arraycal.model import (
     AntennaPartition,
@@ -15,6 +18,7 @@ from arraycal.stacking import (
     build_stacked_noncoherent,
     check_identifiability,
     numerical_rank,
+    pair_equation_block,
 )
 
 CFG = ImpairmentConfig(0.5, fix_first_to_one=True)
@@ -33,10 +37,13 @@ def test_two_scalar_groups_single_row():
     part = AntennaPartition.singleton(2)
     pilots, imp, chan, ms = _instance(part, rng, kind="ALL_ONES")
     ss = build_stacked(ms, pilots, part)
-    assert ss.y_matrix.shape == (1, 2)
+    y = dense_y(ms, pilots, part)
+    assert y.shape == (1, 2) and ss.rows == 1
     y21 = ms.block(1, 0).item()
     y12 = ms.block(0, 1).item()
-    assert np.allclose(ss.y_matrix[0], [y21, -y12])
+    row = np.array([y21, -y12])
+    assert np.allclose(y[0], row)
+    assert np.allclose(ss.gram, np.outer(row.conj(), row))
 
 
 def test_null_space_contains_f():
@@ -45,7 +52,9 @@ def test_null_space_contains_f():
     pilots, imp, chan, ms = _instance(part, rng)
     ss = build_stacked(ms, pilots, part)
     f = calibration_vector(imp).f
-    assert np.linalg.norm(ss.y_matrix @ f) / np.linalg.norm(f) < 1e-10
+    assert np.linalg.norm(dense_y(ms, pilots, part) @ f) / np.linalg.norm(f) < 1e-10
+    assert (np.linalg.norm(ss.gram @ f)
+            / (np.linalg.norm(ss.gram, 2) * np.linalg.norm(f))) < 1e-12
     assert ss.pair_index[0] == (0, 0, 1)
 
 
@@ -57,13 +66,13 @@ def test_rank_of_stacked_matrix():
     pilots = default_pilots(part, "ALL_ONES", rng)
     ss = build_stacked(ms, pilots, part)
     assert ss.rows == 10
-    assert numerical_rank(ss.y_matrix) == 4
+    assert numerical_rank(dense_y(ms, pilots, part)) == 4
     # underdetermined: full row rank on a generic draw
     part = AntennaPartition((4, 4), (2, 2))
     pilots, imp, chan, ms = _instance(part, rng)
     ss = build_stacked(ms, pilots, part)
     assert ss.rows == 4
-    assert numerical_rank(ss.y_matrix) == 4
+    assert numerical_rank(dense_y(ms, pilots, part)) == 4
 
 
 def test_gram_matches_matrix():
@@ -71,7 +80,8 @@ def test_gram_matches_matrix():
     part = AntennaPartition.singleton(4)
     pilots, imp, chan, ms = _instance(part, rng, snr=10.0, kind="ALL_ONES")
     ss = build_stacked(ms, pilots, part)
-    assert np.allclose(ss.gram(), ss.y_matrix.conj().T @ ss.y_matrix)
+    y = dense_y(ms, pilots, part)
+    assert np.allclose(ss.gram, y.conj().T @ y)
 
 
 def test_noncoherent_single_slot_equals_coherent():
@@ -83,7 +93,8 @@ def test_noncoherent_single_slot_equals_coherent():
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng)
     ss_nc = build_stacked_noncoherent(slots, pilots, part, sched)
     ss_c = build_stacked(slots[0], pilots, part)
-    assert np.array_equal(ss_nc.y_matrix, ss_c.y_matrix)
+    assert np.array_equal(ss_nc.gram, ss_c.gram)
+    assert ss_nc.rows == ss_c.rows
 
 
 def test_noncoherent_row_counts_add_up():
@@ -109,7 +120,8 @@ def test_noncoherent_pairwise_recovery_matches_ratios():
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng)
     ss = build_stacked_noncoherent(slots, pilots, part, sched)
     f = calibration_vector(imp).f
-    assert np.linalg.norm(ss.y_matrix @ f) < 1e-10
+    assert np.linalg.norm(dense_y_noncoherent(slots, pilots, part, sched) @ f) < 1e-10
+    assert np.linalg.norm(ss.gram @ f) < 1e-10
     y01 = slots[0].block(0, 1).item()
     y10 = slots[0].block(1, 0).item()
     assert abs(f[1] / f[0] - y10 / y01) < 1e-12
@@ -138,3 +150,58 @@ def test_empty_slot_list_rejected():
     pilots = default_pilots(part, "ALL_ONES", None)
     with pytest.raises(ValueError):
         build_stacked_noncoherent([], pilots, part)
+
+
+def test_pair_equation_block_is_khatri_rao():
+    # the documented Khatri-Rao form, pair by pair and for a stacked batch
+    rng = np.random.default_rng(7)
+    cplx = lambda *shp: rng.standard_normal(shp) + 1j * rng.standard_normal(shp)
+    mi, mj, li, lj = 2, 3, 3, 2
+    y_ji, y_ij, p_i, p_j = cplx(4, mi, lj), cplx(4, mj, li), cplx(4, mi, li), cplx(4, mj, lj)
+    bi, bj = pair_equation_block(y_ji, y_ij, p_i, p_j)
+    for k in range(4):
+        ci, cj = pair_equation_block(y_ji[k], y_ij[k], p_i[k], p_j[k])
+        np.testing.assert_allclose(ci, khatri_rao(y_ji[k].T, p_i[k].T), rtol=1e-15)
+        np.testing.assert_allclose(cj, -khatri_rao(p_j[k].T, y_ij[k].T), rtol=1e-15)
+        np.testing.assert_array_equal(bi[k], ci)
+        np.testing.assert_array_equal(bj[k], cj)
+
+
+@st.composite
+def _partitions_and_schedules(draw):
+    g = draw(st.integers(2, 5))
+    sizes = tuple(draw(st.integers(1, 3)) for _ in range(g))
+    lens = tuple(draw(st.integers(1, 3)) for _ in range(g))
+    slots = None
+    if draw(st.booleans()):
+        groups = st.sets(st.integers(0, g - 1), min_size=2)
+        slots = [tuple(s) for s in draw(st.lists(groups, min_size=1, max_size=3))]
+        if not NoncoherentSchedule(slots).covers(g):
+            slots.append(tuple(range(g)))
+        slots = NoncoherentSchedule(tuple(slots))
+    return AntennaPartition(sizes, lens), slots, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partitions_and_schedules())
+def test_gram_equals_dense_oracle(case):
+    # the pair-by-pair Gram and A f equal the products of the dense Y(P)
+    part, sched, seed = case
+    rng = np.random.default_rng(seed)
+    pilots = default_pilots(part, "UNIT_PHASE_RANDOM", rng)
+    imp = gen_impairments(CFG, part.num_antennas, rng)
+    if sched is None:
+        chan = gen_channel(part.num_antennas, IID_RAYLEIGH, rng)
+        ms = simulate_exchange(part, pilots, imp, chan, 10.0, rng)
+        ss = build_stacked(ms, pilots, part)
+        y = dense_y(ms, pilots, part)
+    else:
+        slots = simulate_noncoherent(part, sched, pilots, imp, 10.0, rng)
+        ss = build_stacked_noncoherent(slots, pilots, part, sched)
+        y = dense_y_noncoherent(slots, pilots, part, sched)
+    a = y.conj().T @ y
+    assert ss.rows == y.shape[0] and ss.m == part.num_antennas
+    assert np.max(np.abs(ss.gram - a)) <= 1e-13 * np.max(np.abs(a))
+    x = rng.standard_normal(ss.m) + 1j * rng.standard_normal(ss.m)
+    ax = y.conj().T @ (y @ x)
+    assert np.max(np.abs(ss.apply_gram(x) - ax)) <= 1e-13 * np.max(np.abs(ax))
