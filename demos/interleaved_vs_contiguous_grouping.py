@@ -30,7 +30,7 @@ def run(scheme):
         constraint="NPC",
         seed=5,
         crb=True,
-        crb_trials=20,       # the 64-element bound is expensive per draw
+        crb_trials=100,
     )
     table = run_experiment(cfg)
     return {row.snr_db: (row.mse, row.crb_trace) for row in table.rows}

@@ -1,0 +1,155 @@
+"""A/B benchmark of this working tree against a base revision.
+
+Run from the repository root:
+
+    python3 scripts/ab_bench.py --base HEAD --seed 3 --out BENCH_pair_blocks.json
+
+The base revision is exported with ``git archive``, and the working tree's
+files (tracked and untracked, minus what ``.gitignore`` lists) are copied,
+into two directories side by side under one temporary directory, so both
+sides run from the same kind of location and the repository's git metadata
+stays as it was.  For every workload in ``BENCHMARK.json`` it runs
+``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
+both copies, in ten pairs that alternate which side runs first, then
+one ``--trace 1`` run per side.  T is the benchmark's ``run_seconds`` on both
+sides, and each side runs its own ``perfbench`` on its own sources.
+
+The JSON written to ``--out`` holds, per workload and end-to-end metric, each
+side's runs, median and quartiles, and the fraction of pairs the change wins
+(ties count for neither side); the ``correct``/``attempted``/``failed``
+tallies of every run; the per-layer metrics of the traced runs; and the
+environment perfbench reports (nproc, BLAS threads, library versions).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# a gain needs the change to win at least 9 of 10 alternating pairs
+PAIRS = 10
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export_revision(rev: str, tree: Path) -> None:
+    """Write the files of revision rev into tree."""
+    archive = tree.with_suffix(".tar")
+    subprocess.run(["git", "archive", "--format=tar", "-o", str(archive), rev], cwd=ROOT,
+                   check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(tree, filter="data")
+    archive.unlink()
+
+
+def copy_working_tree(tree: Path) -> None:
+    """Copy the working tree's files, tracked or not, except ignored ones."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        src = ROOT / name
+        if name and src.is_file():
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, tree / name)
+
+
+def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run in tree; its result line plus the environment it printed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", str(seed), "--seconds", str(seconds),
+                          "--trace", str(trace)],
+                         cwd=tree, env=env, capture_output=True, text=True, timeout=3600)
+    lines = res.stdout.strip().splitlines()
+    if res.returncode != 0 or not lines:
+        raise RuntimeError(f"perfbench failed in {tree} ({workload}, trace {trace}): "
+                           f"{res.stderr.strip()[-2000:]}")
+    out = json.loads(lines[-1])
+    out["problems"] = [ln[len("problem: "):] for ln in lines if ln.startswith("problem: ")]
+    env_lines = [ln[len("env "):] for ln in lines if ln.startswith("env ")]
+    out["env"] = json.loads(env_lines[-1]) if env_lines else None
+    return out
+
+
+def summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"runs": values, "median": median, "q1": q1, "q3": q3}
+
+
+def compare(base_runs: list, change_runs: list, metrics: list) -> dict:
+    """Per end-to-end metric: both sides' summaries and the change's win rate."""
+    out = {}
+    for spec in metrics:
+        name, higher = spec["name"], spec["better"] == "higher"
+        b = [r["metrics"][name]["value"] for r in base_runs]
+        c = [r["metrics"][name]["value"] for r in change_runs]
+        wins = sum((y > x) if higher else (y < x) for x, y in zip(b, c))
+        base, change = summary(b), summary(c)
+        out[name] = {
+            "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+            "base": base, "change": change,
+            "change_wins_frac": wins / len(b),
+            "median_ratio_change_over_base": change["median"] / base["median"],
+            "base_quartile_spread": base["q3"] - base["q1"],
+        }
+    return out
+
+
+def tallies(runs: list) -> dict:
+    return {key: [r[key] for r in runs] for key in ("correct", "attempted", "failed")}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", default="HEAD", help="git revision to compare against")
+    ap.add_argument("--seed", type=int, default=1, help="perfbench --seed of every run")
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    args = ap.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    result = {"base": git("rev-parse", args.base),
+              "change": f"working tree on {git('rev-parse', 'HEAD')}",
+              "seed": args.seed, "pairs": PAIRS, "run_seconds": seconds,
+              "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        export_revision(args.base, trees["base"])
+        copy_working_tree(trees["change"])
+        for wl in spec["workloads"]:
+            name = wl["name"]
+            runs = {"base": [], "change": []}
+            for k in range(PAIRS):
+                order = ("base", "change") if k % 2 == 0 else ("change", "base")
+                for side in order:
+                    runs[side].append(perfbench(trees[side], name, args.seed, seconds, 0))
+                print(f"{name} pair {k + 1}/{PAIRS}: " + ", ".join(
+                    f"{side} {runs[side][-1]['metrics']['trials_per_s']['value']:.4g}"
+                    for side in ("base", "change")) + " trials/s", flush=True)
+            traced = {side: perfbench(trees[side], name, args.seed, seconds, 1)
+                      for side in ("base", "change")}
+            result["workloads"][name] = {
+                "end_to_end": compare(runs["base"], runs["change"], spec["end_to_end"]),
+                "tally": {side: tallies(runs[side] + [traced[side]]) for side in runs},
+                "problems": {side: sorted({p for r in runs[side] + [traced[side]]
+                                           for p in r["problems"]}) for side in runs},
+                "trace": {side: {m: v["value"] for m, v in traced[side]["metrics"].items()}
+                          for side in runs},
+            }
+            result["env"] = {side: runs[side][-1]["env"] for side in runs}
+    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -49,7 +49,6 @@ from .estimators import (
 from .crb import (
     CrbContext,
     CrbResult,
-    build_composites,
     build_f_perp,
     context_from_model,
     crb_f,

@@ -81,6 +81,19 @@ class ExperimentConfig:
     noncoherent_slots: tuple | None = None  # tuple of group tuples
     timing: bool = False
 
+    def __post_init__(self):
+        if self.trials < 1 or not self.snr_db:
+            raise ValueError("need trials >= 1 and a non-empty snr grid")
+        if self.channel not in ("iid", "geometric"):
+            raise ValueError("channel must be iid or geometric")
+        for e in self.estimators:
+            if e not in KNOWN_ESTIMATORS:
+                raise ValueError(f"unknown estimator {e!r}")
+            # ratio estimators read received samples as channel gains
+            if e in ("argos", "daisy") and self.pilots == UNIT_PHASE_RANDOM:
+                raise ValueError(f"estimator {e!r} ignores pilots; set pilots = ALL_ONES "
+                                 "or IDENTITY")
+
     def geometry(self) -> GeometryConfig | None:
         if self.channel != "geometric":
             return None
@@ -159,19 +172,7 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = _CONVERTERS[key](raw)
         except (TypeError, ValueError) as e:
             raise ValueError(f"config key {key!r}: {e}") from e
-    cfg = ExperimentConfig(**values)
-    if cfg.trials < 1 or not cfg.snr_db:
-        raise ValueError("need trials >= 1 and a non-empty snr grid")
-    if cfg.channel not in ("iid", "geometric"):
-        raise ValueError("channel must be iid or geometric")
-    for e in cfg.estimators:
-        if e not in KNOWN_ESTIMATORS:
-            raise ValueError(f"unknown estimator {e!r}")
-        # ratio estimators read received samples as channel gains
-        if e in ("argos", "daisy") and cfg.pilots == UNIT_PHASE_RANDOM:
-            raise ValueError(f"estimator {e!r} ignores pilots; set pilots = ALL_ONES "
-                             "or IDENTITY")
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def _constraint_spec(kind: str, f_true: np.ndarray) -> ConstraintSpec:
@@ -222,7 +223,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Per (snr, trial): fresh impairments, channel, pilots and noise; all
     configured estimators see the same measurements.  The CRB is averaged over
     the first crb_trials realizations of the same stream; it is not computed
-    for non-coherent schedules (crb_trace is nan).
+    for non-coherent schedules (crb_trace is nan).  A configuration whose CRB
+    finds f unidentifiable raises UnidentifiableError.
     """
     scheme = config.resolve_scheme()
     partition = scheme.partition
@@ -274,8 +276,11 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                 sigma2 = noise_variance_from_snr(snr, chan)
                 if sigma2 > 0:
                     ctx = crb_mod.context_from_model(imp, chan, pilots, partition, sigma2)
-                    bound = (crb_mod.crb_f_known_h(ctx, crb_kind) if config.crb_known_h
-                             else crb_mod.crb_f(ctx, crb_kind))
+                    try:
+                        bound = (crb_mod.crb_f_known_h(ctx, crb_kind) if config.crb_known_h
+                                 else crb_mod.crb_f(ctx, crb_kind))
+                    except np.linalg.LinAlgError as e:
+                        raise UnidentifiableError(str(e)) from e
                     crb_traces.append(bound.trace)
         crb_mean = float(np.mean(crb_traces)) if crb_traces else float("nan")
         for est in config.estimators:

@@ -9,16 +9,29 @@ where the auxiliary (nuisance) channel per pair is the reciprocal
 Hc_{i->j} = R_j C_{i->j} R_i^T.  The joint FIM is singular (scale ambiguity),
 so the CRB is computed under either the first-coefficient constraint or a
 norm-plus-phase / f-linear constraint.
+
+Both composites are block structured over group pairs: F is block diagonal,
+and pair p's rows of H touch only groups i and j.  The bounds, the FIM and
+AML work from the per-pair blocks H_p and F_p; build_h_composite,
+build_f_composite and _perp_projector build the dense matrices as a
+reference for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import khatri_rao, null_space, orth
 
 from .model import AntennaPartition, ChannelRealization, RfImpairments
+from .stacking import add_pair_gram, khatri_rao_t, pair_batches, pair_pilots
+
+# B's second-smallest eigenvalue relative to its largest, at or below which f
+# is not identifiable: rank-deficient B reaches 4e-16 by rounding, identifiable
+# B stays above 9e-8 (4,000 random partitions of 2-4 groups of 1-3 antennas).
+UNIDENTIFIABLE_RTOL = 1e-12
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -26,13 +39,9 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).reshape(-1, order="F")
 
 
-def vec_transpose_perm(m: int, n: int) -> np.ndarray:
-    """Permutation T with T @ vec(X) = vec(X^T) for X of shape (m, n)."""
-    t = np.zeros((m * n, m * n))
-    rows = np.arange(m * n) % m
-    cols = np.arange(m * n) // m
-    t[cols + rows * n, rows + cols * m] = 1.0
-    return t
+def vec_transpose_index(m: int, n: int) -> np.ndarray:
+    """Index permutation t with vec(X)[t] = vec(X^T) for X of shape (m, n)."""
+    return vec(np.arange(m * n).reshape(m, n, order="F").T)
 
 
 def aux_channel_blocks(imp: RfImpairments, chan: ChannelRealization,
@@ -46,33 +55,27 @@ def aux_channel_blocks(imp: RfImpairments, chan: ChannelRealization,
     return out
 
 
-def split_h(h: np.ndarray, partition: AntennaPartition) -> dict:
-    """Inverse of stacking vec(Hc_{i->j}) blocks in lexicographic pair order."""
-    out = {}
-    pos = 0
-    sizes = partition.group_sizes
-    for (i, j) in partition.pairs():
-        n = sizes[i] * sizes[j]
-        out[(i, j)] = h[pos:pos + n].reshape(sizes[j], sizes[i], order="F")
-        pos += n
-    return out
-
-
 def stack_h(h_blocks: dict, partition: AntennaPartition) -> np.ndarray:
     return np.concatenate([vec(h_blocks[p]) for p in partition.pairs()])
 
 
+def pair_observations(measurements, batch: list) -> np.ndarray:
+    """Pair p's entries of y, [vec(Y_{i->j}); vec(Y_{j->i}^T)], stacked over a
+    batch of pairs of equal shape, (P, L_iM_j + M_iL_j)."""
+    return np.stack([np.concatenate((vec(measurements.block(i, j)),
+                                     vec(measurements.block(j, i).T)))
+                     for (i, j) in batch])
+
+
 def stack_observations(measurements, partition: AntennaPartition) -> np.ndarray:
     """y = [vec(Y_{1->2}); vec(Y_{2->1}^T); vec(Y_{1->3}); ...] (pairs lexicographic)."""
-    parts = []
-    for (i, j) in partition.pairs():
-        parts.append(vec(measurements.block(i, j)))
-        parts.append(vec(measurements.block(j, i).T))
-    return np.concatenate(parts)
+    return np.concatenate([pair_observations(measurements, [p])[0]
+                           for p in partition.pairs()])
 
 
 def build_h_composite(h_blocks: dict, pilots, partition: AntennaPartition) -> np.ndarray:
-    """H(h, P): y = H f.  Per pair, Khatri-Rao blocks hit groups i and j."""
+    """Dense H(h, P), y = H f (test reference).  Per pair, Khatri-Rao blocks
+    hit groups i and j."""
     m = partition.num_antennas
     rows = []
     for (i, j) in partition.pairs():
@@ -88,7 +91,8 @@ def build_h_composite(h_blocks: dict, pilots, partition: AntennaPartition) -> np
 
 
 def build_f_composite(f: np.ndarray, pilots, partition: AntennaPartition) -> np.ndarray:
-    """F(f, P): y = F h.  Block diagonal over pairs in the h ordering."""
+    """Dense F(f, P), y = F h (test reference).  Block diagonal over pairs in
+    the h ordering."""
     f = np.asarray(f, dtype=complex)
     sizes = partition.group_sizes
     pairs = partition.pairs()
@@ -108,15 +112,78 @@ def build_f_composite(f: np.ndarray, pilots, partition: AntennaPartition) -> np.
     return out
 
 
+def _perp_projector(a: np.ndarray) -> np.ndarray:
+    """Dense projector onto the orthogonal complement of a's columns (test
+    reference)."""
+    q = orth(a)
+    return np.eye(a.shape[0]) - q @ q.conj().T
+
+
+def pair_h_block(hc: np.ndarray, p_i: np.ndarray, p_j: np.ndarray):
+    """The two nonzero blocks of pair p's rows of H(h, P), batched over pairs.
+
+    hc is Hc_{i->j} (P, M_j, M_i); the blocks act on f_i for the L_i M_j rows
+    vec(Y_{i->j}) and on f_j for the M_i L_j rows vec(Y_{j->i}^T).
+    """
+    return (khatri_rao_t(p_i, hc.transpose(0, 2, 1)),    # P x L_iM_j x M_i
+            khatri_rao_t(hc, p_j))                         # P x M_iL_j x M_j
+
+
+def pair_f_block(f: np.ndarray, cols: np.ndarray, p_i: np.ndarray,
+                 p_j: np.ndarray) -> np.ndarray:
+    """Diagonal blocks F_p of F(f, P) for a batch of pairs with antenna columns
+    cols, (P, L_iM_j + M_iL_j, M_iM_j)."""
+    n, mi, li = p_i.shape
+    mj, lj = p_j.shape[1:]
+    a_i = p_i.transpose(0, 2, 1) * f[cols[:, None, :mi]]      # P_i^T F_i
+    b_j = p_j.transpose(0, 2, 1) * f[cols[:, None, mi:]]      # P_j^T F_j
+    top = np.einsum("pak,bc->pabkc", a_i, np.eye(mj)).reshape(n, li * mj, mi * mj)
+    bot = np.einsum("ak,pbc->pabkc", np.eye(mi), b_j).reshape(n, mi * lj, mi * mj)
+    return np.concatenate((top, bot), axis=1)
+
+
+def _svd_keep(a: np.ndarray):
+    """Batched thin SVD of a, with the singular values above lstsq's and orth's
+    rank threshold max(shape) * eps * s_max (per matrix) marked in keep."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    keep = s > max(a.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    return u, s, vh, keep
+
+
+def range_basis(a: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the column spaces of a stack of matrices, as
+    scipy.linalg.orth gives them, with the unused columns set to zero."""
+    u, _, _, keep = _svd_keep(a)
+    return u * keep[..., None, :]
+
+
+def lstsq_min_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of a stack of systems a x = b,
+    with np.linalg.lstsq's rank rule (rcond=None)."""
+    u, s, vh, keep = _svd_keep(a)
+    c = np.einsum("prk,pr->pk", u.conj(), b)
+    c = np.where(keep, c / np.where(keep, s, 1.0), 0.0)
+    return np.einsum("pkn,pk->pn", vh.conj(), c)
+
+
 @dataclass
 class CrbContext:
-    composite_h: np.ndarray
-    composite_f: np.ndarray
+    """The bilinear model y = H(h, P) f = F(f, P) h at (f, h), as pair blocks.
+
+    Pairs are batched by block shape (stacking.pair_batches).  Batch k holds
+    the antenna columns cols[k] (P, M_i + M_j) and each pair's rows of H and
+    F: h_pairs[k] = H_p (P, r, M_i + M_j) and f_pairs[k] = F_p (P, r, M_iM_j),
+    with r = L_iM_j + M_iL_j.  H and F themselves are never formed.
+    """
+
     f: np.ndarray
     h: np.ndarray
     noise_variance: float
     partition: AntennaPartition
     v_f: np.ndarray          # orthonormal complement of span{f}, M x (M-1)
+    cols: list
+    h_pairs: list
+    f_pairs: list
 
 
 @dataclass
@@ -126,37 +193,53 @@ class CrbResult:
     constraint_kind: str
 
 
-def build_composites(f: np.ndarray, h_blocks: dict, pilots,
-                     partition: AntennaPartition, noise_variance: float) -> CrbContext:
-    """Assemble both composites; checks the bilinear identity H f = F h."""
-    f = np.asarray(f, dtype=complex)
-    if f.size != partition.num_antennas:
-        raise ValueError("f length must equal the antenna count")
-    hmat = build_h_composite(h_blocks, pilots, partition)
-    fmat = build_f_composite(f, pilots, partition)
-    h = stack_h(h_blocks, partition)
-    v_f = null_space(f.conj()[None, :])
-    return CrbContext(hmat, fmat, f, h, float(noise_variance), partition, v_f)
-
-
 def context_from_model(imp: RfImpairments, chan: ChannelRealization, pilots,
                        partition: AntennaPartition, noise_variance: float) -> CrbContext:
+    """Pair blocks of H and F at the true f = t / r and h = [vec(Hc_{i->j})]."""
     f = imp.tx_gains / imp.rx_gains
-    return build_composites(f, aux_channel_blocks(imp, chan, partition),
-                            pilots, partition, noise_variance)
+    hc_blocks = aux_channel_blocks(imp, chan, partition)
+    ctx = CrbContext(f, stack_h(hc_blocks, partition), float(noise_variance), partition,
+                     null_space(f.conj()[None, :]), [], [], [])
+    for batch, cols in pair_batches(partition):
+        p_i, p_j = pair_pilots(pilots, batch)
+        mi = p_i.shape[1]
+        bi, bj = pair_h_block(np.stack([hc_blocks[p] for p in batch]), p_i, p_j)
+        hp = np.zeros(bi.shape[:1] + (bi.shape[1] + bj.shape[1], cols.shape[1]), complex)
+        hp[:, :bi.shape[1], :mi] = bi
+        hp[:, bi.shape[1]:, mi:] = bj
+        ctx.cols.append(cols)
+        ctx.h_pairs.append(hp)
+        ctx.f_pairs.append(pair_f_block(f, cols, p_i, p_j))
+    return ctx
 
 
 def fim(ctx: CrbContext) -> np.ndarray:
     """Joint FIM over (f, h): J = (1/sigma^2) [H F]^H [H F].  Singular by scale."""
     if ctx.noise_variance <= 0:
         raise ValueError("FIM requires a positive noise variance")
-    hf = np.hstack([ctx.composite_h, ctx.composite_f])
-    return hf.conj().T @ hf / ctx.noise_variance
+    m = ctx.f.size
+    sizes = ctx.partition.group_sizes
+    pairs = ctx.partition.pairs()
+    # start of each pair's entries in h (pairs lexicographic, M_iM_j entries each)
+    h_off = dict(zip(pairs, accumulate((sizes[i] * sizes[j] for (i, j) in pairs), initial=0)))
+    j = np.zeros((m + ctx.h.size,) * 2, dtype=complex)
+    for (batch, cols), hp, fp in zip(pair_batches(ctx.partition), ctx.h_pairs, ctx.f_pairs):
+        h_cols = m + np.array([h_off[p] for p in batch])[:, None] + np.arange(fp.shape[2])
+        add_pair_gram(j, np.concatenate((cols, h_cols), axis=1),
+                      np.concatenate((hp, fp), axis=2))
+    return j / ctx.noise_variance
 
 
-def _perp_projector(a: np.ndarray) -> np.ndarray:
-    q = orth(a)
-    return np.eye(a.shape[0]) - q @ q.conj().T
+def compressed_information(ctx: CrbContext) -> np.ndarray:
+    """B = H^H P_F_perp H (M x M), the information on f with h profiled out,
+    times sigma^2.  F is block diagonal over pairs, so its projector splits into
+    the pairs' small ones: B = sum_p (P_perp,p H_p)^H (P_perp,p H_p), where
+    P_perp,p = I - Q_p Q_p^H projects onto the complement of F_p's columns."""
+    b = np.zeros((ctx.f.size,) * 2, dtype=complex)
+    for cols, hp, fp in zip(ctx.cols, ctx.h_pairs, ctx.f_pairs):
+        q = range_basis(fp)
+        add_pair_gram(b, cols, hp - q @ (q.conj().transpose(0, 2, 1) @ hp))
+    return (b + b.conj().T) / 2
 
 
 def _constrained_inverse(b: np.ndarray, v: np.ndarray, sigma2: float) -> np.ndarray:
@@ -169,32 +252,39 @@ def _constrained_inverse(b: np.ndarray, v: np.ndarray, sigma2: float) -> np.ndar
 
 
 def crb_f(ctx: CrbContext, constraint: str = "FCC") -> CrbResult:
-    """Constrained CRB for f with h as nuisance.
+    """Constrained CRB for f with h as nuisance (Stoica & Ng, IEEE SPL 1998).
 
     FCC uses the identity-minus-first-column subspace; NPC (or an f-aligned
     linear constraint) yields the pseudo-inverse of the nuisance-compressed
-    information sigma^-2 H^H P_F_perp H.
+    information sigma^-2 B at its rank M - 1.  B always has f in its null
+    space; a second null direction (lambda_2 <= UNIDENTIFIABLE_RTOL
+    lambda_max) means f is not identifiable, and raises LinAlgError instead of
+    returning a meaningless bound.
     """
-    p_perp = _perp_projector(ctx.composite_f)
-    b = ctx.composite_h.conj().T @ p_perp @ ctx.composite_h
-    b = (b + b.conj().T) / 2
-    if constraint == "FCC":
-        v = np.eye(ctx.f.size, dtype=complex)[:, 1:]
-        crb = _constrained_inverse(b, v, ctx.noise_variance)
-    elif constraint in ("NPC", "F_LINEAR", "NPC_OR_F_LINEAR"):
-        crb = ctx.noise_variance * np.linalg.pinv(b, hermitian=True)
-    else:
+    if constraint not in ("FCC", "NPC", "F_LINEAR", "NPC_OR_F_LINEAR"):
         raise ValueError(f"unknown CRB constraint {constraint!r}")
+    b = compressed_information(ctx)
+    w, v = np.linalg.eigh(b)
+    if w[1] <= UNIDENTIFIABLE_RTOL * w[-1]:
+        raise np.linalg.LinAlgError(
+            f"unidentifiable configuration: the compressed information has rank "
+            f"< M - 1 (lambda_2 / lambda_max = {w[1] / w[-1] if w[-1] else 0.0:.2e})")
+    if constraint == "FCC":
+        crb = _constrained_inverse(b, np.eye(ctx.f.size)[:, 1:], ctx.noise_variance)
+    else:
+        crb = ctx.noise_variance * (v[:, 1:] / w[1:]) @ v[:, 1:].conj().T
     return CrbResult(crb, float(np.real(np.trace(crb))), constraint)
 
 
 def crb_f_known_h(ctx: CrbContext, constraint: str = "FCC") -> CrbResult:
     """Comparison bound assuming the internal channel h is known.
 
-    Replaces the nuisance projector by identity; this underestimates the
-    achievable MSE of joint estimators.
+    Replaces the nuisance projector by identity (B = sum_p H_p^H H_p); this
+    underestimates the achievable MSE of joint estimators.
     """
-    b = ctx.composite_h.conj().T @ ctx.composite_h
+    b = np.zeros((ctx.f.size,) * 2, dtype=complex)
+    for cols, hp in zip(ctx.cols, ctx.h_pairs):
+        add_pair_gram(b, cols, hp)
     b = (b + b.conj().T) / 2
     if constraint == "FCC":
         v = np.eye(ctx.f.size, dtype=complex)[:, 1:]
@@ -228,8 +318,8 @@ def build_f_perp(f: np.ndarray, pilots, partition: AntennaPartition) -> np.ndarr
         a_i = pilots[i].T * f[partition.antennas_of(i)][None, :]    # P_i^T F_i
         b_j = f[partition.antennas_of(j)][:, None] * pilots[j]      # F_j P_j
         # rows of Y(P)f block as a map on [vec(Y_{i->j}); vec(Y_{j->i}^T)]
-        top = -np.kron(b_j.T, np.eye(li)) @ vec_transpose_perm(mj, li)
-        bot = np.kron(np.eye(lj), a_i) @ vec_transpose_perm(lj, mi)
+        top = -np.kron(b_j.T, np.eye(li))[:, vec_transpose_index(li, mj)]
+        bot = np.kron(np.eye(lj), a_i)[:, vec_transpose_index(mi, lj)]
         blk_h = np.hstack([top, bot])                               # L_iL_j x pair rows
         out[r:r + blk_h.shape[1], c:c + blk_h.shape[0]] = blk_h.conj().T
         r += blk_h.shape[1]
@@ -237,15 +327,23 @@ def build_f_perp(f: np.ndarray, pilots, partition: AntennaPartition) -> np.ndarr
     return out
 
 
-def ml_compressed_cost(y: np.ndarray, f: np.ndarray, pilots,
+def ml_compressed_cost(measurements, f: np.ndarray, pilots,
                        partition: AntennaPartition, rel_tol: float = 1e-8) -> float:
-    """y^H P_F_perp y, evaluated both through F and through the weighted F_perp form.
+    """y^H P_F_perp y for y = stack_observations(measurements), evaluated both
+    through F and through the weighted F_perp form.
 
-    The two routes must agree (the compressed ML cost equals an optimally
-    weighted LS cost on Y(P) f); disagreement beyond rel_tol raises.
+    The direct route sums the pairs' y_p^H P_{F_p}_perp y_p.  The two routes
+    must agree (the compressed ML cost equals an optimally weighted LS cost on
+    Y(P) f); disagreement beyond rel_tol raises.
     """
-    fmat = build_f_composite(f, pilots, partition)
-    cost_direct = float(np.real(y.conj() @ (_perp_projector(fmat) @ y)))
+    f = np.asarray(f, dtype=complex)
+    cost_direct = 0.0
+    for batch, cols in pair_batches(partition):
+        q = range_basis(pair_f_block(f, cols, *pair_pilots(pilots, batch)))
+        y_p = pair_observations(measurements, batch)
+        res = y_p - np.einsum("prk,pk->pr", q, np.einsum("prk,pr->pk", q.conj(), y_p))
+        cost_direct += float(np.sum(np.abs(res) ** 2))
+    y = stack_observations(measurements, partition)
     fperp = build_f_perp(f, pilots, partition)
     w = fperp.conj().T @ y
     gram = fperp.conj().T @ fperp

@@ -15,7 +15,7 @@ from scipy.linalg import null_space
 
 from .model import AntennaPartition, CalibrationVector
 from . import crb as _crb
-from .stacking import StackedSystem, build_stacked
+from .stacking import StackedSystem, build_stacked, pair_batches, pair_pilots
 
 FCC = "FCC"
 NPC = "NPC"
@@ -244,25 +244,66 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     """Alternating maximum likelihood on the bilinear model y = H(h) f = F(f) h.
 
     Each half-step is an exact quadratic solve, so the residual cost
-    ||y - H f||^2 is non-increasing.  Least-squares solves tolerate a singular
-    F^H F (minimum-norm solution).  Non-convergence is reported, not raised.
+    ||y - H f||^2 is non-increasing.  F is block diagonal over pairs, so the
+    h-step is one least-squares solve per pair; every row of H touches one
+    group, so the f-step is one per group.  Both are batched over blocks of
+    equal shape, and both take the minimum-norm solution, which tolerates a
+    singular F^H F.  Non-convergence is reported, not raised.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    y = _crb.stack_observations(measurements, partition)
     f = np.ones(partition.num_antennas, dtype=complex) if init is None \
         else np.asarray(init, dtype=complex).copy()
     if not np.any(f):
         raise ValueError("init must be nonzero")
+    m = partition.num_antennas
+    sizes, lens = partition.group_sizes, partition.pilot_lengths
+    # H's rows per group, stacked over groups of equal (M_g, L_g): group g has
+    # L_g (M - M_g) rows, filled pair by pair
+    groups = {}
+    for g in range(partition.num_groups):
+        groups.setdefault((sizes[g], lens[g]), []).append(g)
+    where = {g: (key, k) for key, gs in groups.items() for k, g in enumerate(gs)}
+    h_rows = {key: np.zeros((len(gs), key[1] * (m - key[0]), key[0]), dtype=complex)
+              for key, gs in groups.items()}
+    y_rows = {key: np.zeros(h.shape[:2], dtype=complex) for key, h in h_rows.items()}
+    filled = [0] * partition.num_groups
+    pairs = []
+    for batch, cols in pair_batches(partition):
+        p_i, p_j = pair_pilots(pilots, batch)
+        y_p = _crb.pair_observations(measurements, batch)
+        top = p_i.shape[2] * p_j.shape[1]       # L_i M_j rows act on f_i
+        sides = []
+        for side, y_side in (([i for i, _ in batch], y_p[:, :top]),
+                             ([j for _, j in batch], y_p[:, top:])):
+            start = []
+            for g in side:
+                start.append(filled[g])
+                filled[g] += y_side.shape[1]
+            key = where[side[0]][0]
+            dest = (np.array([where[g][1] for g in side])[:, None],
+                    np.array(start)[:, None] + np.arange(y_side.shape[1]))
+            y_rows[key][dest] = y_side
+            sides.append((key, dest))
+        pairs.append((cols, p_i, p_j, y_p, sides))
+    offsets = np.asarray(partition.offsets)
+    antennas = {key: offsets[gs][:, None] + np.arange(key[0]) for key, gs in groups.items()}
+
     cost = np.inf
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        f_mat = _crb.build_f_composite(f, pilots, partition)
-        h, *_ = np.linalg.lstsq(f_mat, y, rcond=None)
-        h_mat = _crb.build_h_composite(_crb.split_h(h, partition), pilots, partition)
-        f_new, *_ = np.linalg.lstsq(h_mat, y, rcond=None)
-        cost = float(np.linalg.norm(y - h_mat @ f_new) ** 2)
+        for cols, p_i, p_j, y_p, sides in pairs:
+            h = _crb.lstsq_min_norm(_crb.pair_f_block(f, cols, p_i, p_j), y_p)
+            hc = h.reshape(len(h), p_i.shape[1], p_j.shape[1]).transpose(0, 2, 1)
+            for (key, dest), blk in zip(sides, _crb.pair_h_block(hc, p_i, p_j)):
+                h_rows[key][dest] = blk
+        f_new = np.empty(m, dtype=complex)
+        cost = 0.0
+        for key, a in h_rows.items():
+            f_g = _crb.lstsq_min_norm(a, y_rows[key])
+            f_new[antennas[key]] = f_g
+            cost += float(np.sum(np.abs(y_rows[key] - np.einsum("prk,pk->pr", a, f_g)) ** 2))
         delta = np.linalg.norm(f_new - f) / np.linalg.norm(f)
         f = f_new
         if delta < tol:

@@ -45,6 +45,16 @@ class StackedSystem:
         return out
 
 
+def khatri_rao_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Khatri-Rao product of a^T and b^T: column k is kron(a[k], b[k]).
+
+    a is (K, A) and b is (K, B); the result is (A B, K).  Leading axes are
+    batch axes.
+    """
+    return np.einsum("...ka,...kb->...abk", a, b).reshape(
+        a.shape[:-2] + (-1, a.shape[-2]))
+
+
 def pair_equation_block(y_ji: np.ndarray, y_ij: np.ndarray,
                         p_i: np.ndarray, p_j: np.ndarray):
     """Khatri-Rao coefficient blocks of the pair equation, for (f_i, f_j).
@@ -53,12 +63,42 @@ def pair_equation_block(y_ji: np.ndarray, y_ij: np.ndarray,
     matrix P_i^T F_i Y_{j->i} - Y_{i->j}^T F_j P_j.  Leading axes are batch
     axes: stacked pairs of equal shape give stacked blocks.
     """
-    lead = y_ji.shape[:-2]
-    block_i = np.einsum("...ka,...kb->...abk", y_ji, p_i).reshape(
-        lead + (-1, y_ji.shape[-2]))                          # (L_i L_j) x M_i
-    block_j = -np.einsum("...ka,...kb->...abk", p_j, y_ij).reshape(
-        lead + (-1, y_ij.shape[-2]))                          # (L_i L_j) x M_j
-    return block_i, block_j
+    return khatri_rao_t(y_ji, p_i), -khatri_rao_t(p_j, y_ij)   # (L_i L_j) x M_i, x M_j
+
+
+def pair_batches(partition: AntennaPartition, pairs=None) -> list:
+    """Group pairs (i, j), i < j, batched by block shape (M_i, M_j, L_i, L_j).
+
+    Returns [(batch, cols), ...] in order of first appearance: the pairs of
+    each batch, in their given order, and their antenna columns
+    (P, M_i + M_j), group i's antennas first.
+    """
+    if pairs is None:
+        pairs = partition.pairs()
+    sizes, lens = partition.group_sizes, partition.pilot_lengths
+    batches = {}
+    for (i, j) in pairs:
+        batches.setdefault((sizes[i], sizes[j], lens[i], lens[j]), []).append((i, j))
+    offsets = np.asarray(partition.offsets)
+    out = []
+    for (mi, mj, _, _), batch in batches.items():
+        gi, gj = np.array(batch).T
+        cols = np.concatenate((offsets[gi, None] + np.arange(mi),
+                               offsets[gj, None] + np.arange(mj)), axis=1)
+        out.append((batch, cols))
+    return out
+
+
+def pair_pilots(pilots, batch: list):
+    """The pilot blocks (P_i, P_j) of a batch of pairs, stacked."""
+    return (np.stack([pilots[i] for i, _ in batch]),
+            np.stack([pilots[j] for _, j in batch]))
+
+
+def add_pair_gram(out: np.ndarray, cols: np.ndarray, w: np.ndarray) -> None:
+    """out[cols_p, cols_p] += w_p^H w_p for every pair p of a batch."""
+    np.add.at(out, (cols[:, :, None], cols[:, None, :]),
+              np.einsum("pri,prj->pij", w.conj(), w))
 
 
 def build_stacked(measurements, pilots, partition: AntennaPartition,
@@ -71,26 +111,17 @@ def build_stacked(measurements, pilots, partition: AntennaPartition,
     m = partition.num_antennas
     if pairs is None:
         pairs = partition.pairs()
-    sizes, lens = partition.group_sizes, partition.pilot_lengths
-    batches = {}
-    for (i, j) in pairs:
-        key = (sizes[i], sizes[j], lens[i], lens[j])
-        batches.setdefault(key, []).append((i, j))
-    offsets = np.asarray(partition.offsets)
     gram = np.zeros((m, m), dtype=complex)
     blocks = []
-    for (mi, mj, _, _), batch in batches.items():
-        gi, gj = np.array(batch).T
+    for batch, cols in pair_batches(partition, pairs):
         bi, bj = pair_equation_block(
             np.stack([measurements.block(j, i) for i, j in batch]),
             np.stack([measurements.block(i, j) for i, j in batch]),
-            np.stack([pilots[i] for i in gi]), np.stack([pilots[j] for j in gj]))
+            *pair_pilots(pilots, batch))
         w = np.concatenate((bi, bj), axis=2)
-        cols = np.concatenate((offsets[gi, None] + np.arange(mi),
-                               offsets[gj, None] + np.arange(mj)), axis=1)
-        np.add.at(gram, (cols[:, :, None], cols[:, None, :]),
-                  np.einsum("pri,prj->pij", w.conj(), w))
+        add_pair_gram(gram, cols, w)
         blocks.append((cols, w))
+    lens = partition.pilot_lengths
     rows = sum(lens[i] * lens[j] for (i, j) in pairs)
     return StackedSystem(gram, rows, [(slot, i, j) for (i, j) in pairs], m, blocks)
 

@@ -1,13 +1,36 @@
-"""Dense Y(P) reference for the Gram-only stacked system.
+"""Dense references for the package's per-pair computations.
 
-The package keeps only A = Y(P)^H Y(P).  These helpers build Y(P) itself,
-one row block per pair from pair_equation_block, so tests can check the
-Gram, null-space and rank properties against the explicit matrix.
+The package keeps only A = Y(P)^H Y(P).  dense_y and dense_y_noncoherent
+build Y(P) itself, one row block per pair from pair_equation_block, so tests
+can check the Gram, null-space and rank properties against the explicit
+matrix.  vec_transpose_perm is the dense form of crb.vec_transpose_index, and
+split_h inverts crb.stack_h for the dense H(h, P) of crb.build_h_composite.
 """
 
 import numpy as np
 
 from arraycal.stacking import pair_equation_block
+
+
+def vec_transpose_perm(m: int, n: int) -> np.ndarray:
+    """Permutation T with T @ vec(X) = vec(X^T) for X of shape (m, n)."""
+    t = np.zeros((m * n, m * n))
+    rows = np.arange(m * n) % m
+    cols = np.arange(m * n) // m
+    t[cols + rows * n, rows + cols * m] = 1.0
+    return t
+
+
+def split_h(h, partition):
+    """Inverse of stacking vec(Hc_{i->j}) blocks in lexicographic pair order."""
+    out = {}
+    pos = 0
+    sizes = partition.group_sizes
+    for (i, j) in partition.pairs():
+        n = sizes[i] * sizes[j]
+        out[(i, j)] = h[pos:pos + n].reshape(sizes[j], sizes[i], order="F")
+        pos += n
+    return out
 
 
 def dense_y(measurements, pilots, partition, pairs=None):

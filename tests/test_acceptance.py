@@ -372,7 +372,7 @@ def test_acceptance_12_compressed_cost_agreement():
         direct = float(np.real(y.conj() @ (_perp_projector(
             build_f_composite(f, pilots, part)) @ y)))
         # the library call cross-checks both routes and raises on mismatch
-        cost = ml_compressed_cost(y, f, pilots, part)
+        ml_compressed_cost(ms, f, pilots, part)
         fperp = build_f_perp(f, pilots, part)
         w = fperp.conj().T @ y
         weighted = float(np.real(w.conj() @ np.linalg.solve(

@@ -257,3 +257,29 @@ def test_cli_noncoherent_crb_is_not_reported(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     with open(out_crb, "rb") as a, open(out_plain, "rb") as b:
         assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("constraint", ["FCC", "NPC"])
+def test_cli_run_rejects_rank_deficient_crb(tmp_path, capsys, constraint):
+    # rows = 2 = M - 1 passes the row count, but the bound's information has
+    # rank 1 < M - 1: no CRB is reported for it
+    cfg = _write(tmp_path, "rank.cfg",
+                 "m = 3\nscheme = CUSTOM\ngroup_sizes = 1, 2\npilot_lengths = 2, 1\n"
+                 f"snr_db = 30\ntrials = 2\nconstraint = {constraint}\n")
+    assert cli_main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 3
+    assert "unidentifiable configuration" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(estimators=("ls", "argos", "daisy")), "ignores pilots"),
+    (dict(estimators=("ls", "nope")), "unknown estimator"),
+    (dict(channel="rician"), "channel must be"),
+    (dict(trials=0), "trials >= 1"),
+    (dict(snr_db=()), "non-empty snr grid"),
+])
+def test_config_checks_apply_without_parsing(changes, message):
+    # a config built in code gets the same checks as a parsed one
+    base = dict(m=8, constraint="FCC", crb=False, trials=20, snr_db=(40.0,))
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**dict(base, **changes))

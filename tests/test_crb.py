@@ -1,24 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dense_oracle import dense_y
+from dense_oracle import dense_y, split_h, vec_transpose_perm
 from arraycal.airlink import PilotSet, default_pilots, simulate_exchange
 from arraycal.crb import (
+    UNIDENTIFIABLE_RTOL,
     aux_channel_blocks,
-    build_composites,
     build_f_composite,
     build_f_perp,
     build_h_composite,
     context_from_model,
+    _perp_projector,
+    compressed_information,
     crb_f,
     crb_f_known_h,
     fim,
     ml_compressed_cost,
-    split_h,
     stack_h,
     stack_observations,
     vec,
-    vec_transpose_perm,
+    vec_transpose_index,
 )
 from arraycal.estimators import ConstraintSpec, aml_estimate, ls_estimate, mse
 from arraycal.model import (
@@ -52,6 +54,9 @@ def test_vec_and_transpose_permutation():
     assert np.array_equal(vec(x), x.reshape(-1, order="F"))
     t = vec_transpose_perm(2, 3)
     assert np.array_equal(t @ vec(x), vec(x.T))
+    assert np.array_equal(vec(x)[vec_transpose_index(2, 3)], vec(x.T))
+    a = np.arange(36.0).reshape(6, 6)
+    assert np.array_equal(a @ t, a[:, vec_transpose_index(3, 2)])
 
 
 def test_split_stack_roundtrip():
@@ -137,8 +142,8 @@ def test_npc_crb_basis_form_equivalence():
     pilots, imp, chan, _ = _instance(part, rng, kind="ALL_ONES")
     ctx = context_from_model(imp, chan, pilots, part, 1e-2)
     r = crb_f(ctx, "NPC")
-    from arraycal.crb import _perp_projector
-    b = ctx.composite_h.conj().T @ _perp_projector(ctx.composite_f) @ ctx.composite_h
+    hm = build_h_composite(aux_channel_blocks(imp, chan, part), pilots, part)
+    b = hm.conj().T @ _perp_projector(build_f_composite(ctx.f, pilots, part)) @ hm
     v = ctx.v_f
     alt = ctx.noise_variance * v @ np.linalg.inv(v.conj().T @ b @ v) @ v.conj().T
     assert np.max(np.abs(alt - r.crb_matrix)) < 1e-8 * np.max(np.abs(r.crb_matrix))
@@ -196,7 +201,7 @@ def test_compressed_cost_zero_in_column_space():
     ms = simulate_exchange(part, pilots, imp, chan, np.inf, rng)
     y = stack_observations(ms, part)   # noiseless y = F h, in the column space
     f = calibration_vector(imp).f
-    cost = ml_compressed_cost(y, f, pilots, part)
+    cost = ml_compressed_cost(ms, f, pilots, part)
     assert abs(cost) < 1e-10 * np.real(y.conj() @ y)
 
 
@@ -208,8 +213,7 @@ def test_compressed_cost_routes_agree_noisy():
     chan = gen_channel(7, IID_RAYLEIGH, rng)
     for snr in (20.0, 0.0):
         ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
-        y = stack_observations(ms, part)
-        cost = ml_compressed_cost(y, calibration_vector(imp).f, pilots, part)
+        cost = ml_compressed_cost(ms, calibration_vector(imp).f, pilots, part)
         assert cost > 0   # agreement is asserted inside; disagreement raises
 
 
@@ -261,3 +265,75 @@ def test_aml_reaches_crb_at_high_snr():
                         "FCC").trace
     ratio = sq_err / traces
     assert 1.0 - 0.2 <= ratio <= 2.0
+
+
+def test_crb_rejects_rank_deficient_information():
+    # sizes (1, 2), lengths (2, 1): rows = 2 = M - 1, but rank(B) = 1 < M - 1
+    rng = np.random.default_rng(16)
+    part = AntennaPartition((1, 2), (2, 1))
+    pilots, imp, chan, _ = _instance(part, rng)
+    ctx = context_from_model(imp, chan, pilots, part, 1e-3)
+    assert np.linalg.matrix_rank(compressed_information(ctx)) == 1
+    for kind in ("FCC", "NPC"):
+        with pytest.raises(np.linalg.LinAlgError, match="unidentifiable configuration"):
+            crb_f(ctx, kind)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@st.composite
+def _partitions(draw):
+    g = draw(st.integers(2, 4))
+    sizes = tuple(draw(st.integers(1, 3)) for _ in range(g))
+    lens = tuple(draw(st.integers(1, 3)) for _ in range(g))
+    return AntennaPartition(sizes, lens), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_partitions())
+@example((AntennaPartition((1, 2, 3), (2, 2, 1)), 0))      # L > M, L = M, L < M
+@example((AntennaPartition((3, 1, 2, 2), (3, 1, 3, 1)), 1))
+def test_pair_blocks_equal_dense_oracle(case):
+    # B, the bounds, the FIM and one AML iteration from the pair blocks equal
+    # the same quantities built from the dense H(h, P) and F(f, P)
+    part, seed = case
+    rng = np.random.default_rng(seed)
+    pilots, imp, chan, ms = _instance(part, rng, snr=20.0)
+    sigma2 = 10 ** -rng.uniform(0, 4)
+    ctx = context_from_model(imp, chan, pilots, part, sigma2)
+    hm = build_h_composite(aux_channel_blocks(imp, chan, part), pilots, part)
+    fm = build_f_composite(ctx.f, pilots, part)
+    b = hm.conj().T @ _perp_projector(fm) @ hm
+    assert _rel(compressed_information(ctx), b) <= 1e-10
+    j = np.hstack([hm, fm])
+    assert _rel(fim(ctx), j.conj().T @ j / sigma2) <= 1e-10
+
+    # rank-deficient B has lambda_2 / lambda_max <= 4e-16 and identifiable B
+    # >= 9e-8 (4,000 random partitions).  A bound's relative rounding error is
+    # at most 3.3e-15 times the condition number of the matrix it inverts
+    # (2,331 identifiable random partitions), so traces are compared to 1e-10
+    # where that condition number is <= 1e4.
+    m = part.num_antennas
+    w = np.linalg.eigvalsh(b)
+    if w[1] <= UNIDENTIFIABLE_RTOL * w[-1]:
+        for kind in ("FCC", "NPC"):
+            with pytest.raises(np.linalg.LinAlgError, match="unidentifiable"):
+                crb_f(ctx, kind)
+    for kind, v in (("FCC", np.eye(m)[:, 1:]), ("NPC", ctx.v_f)):
+        for bound, info in ((crb_f, b), (crb_f_known_h, hm.conj().T @ hm)):
+            inner = v.conj().T @ info @ v
+            if np.linalg.cond(inner) <= 1e4:
+                tr = sigma2 * np.trace(v @ np.linalg.inv(inner) @ v.conj().T).real
+                assert abs(bound(ctx, kind).trace - tr) <= 1e-10 * abs(tr)
+
+    y = stack_observations(ms, part)
+    f0 = ctx.f * (1 + 0.1 * rng.standard_normal(m))
+    h, *_ = np.linalg.lstsq(build_f_composite(f0, pilots, part), y, rcond=None)
+    hm1 = build_h_composite(split_h(h, part), pilots, part)
+    f1, *_ = np.linalg.lstsq(hm1, y, rcond=None)
+    rep = aml_estimate(ms, pilots, part, init=f0, max_iter=1)
+    assert _rel(rep.f_hat.f, f1) <= 1e-10
+    cost = np.linalg.norm(y - hm1 @ f1) ** 2     # 0 up to rounding if exactly determined
+    assert abs(rep.final_cost - cost) <= 1e-10 * max(cost, 1e-10 * np.vdot(y, y).real)
