@@ -5,14 +5,17 @@ group listens; the block received at group j is
 
     Y_{i->j} = R_j C_{i->j} T_i P_i + N_{i->j},   N ~ CN(0, sigma^2) per entry.
 
-A MeasurementSet holds all ordered-pair blocks of one coherent slot.  For
-non-coherent operation, a fresh channel is drawn per slot while the hardware
-impairments stay fixed.
+A MeasurementSet holds one coherent slot as a single received matrix: row
+block j is what group j's antennas heard, column block i group i's L_i
+pilot channel uses.  For non-coherent operation, a fresh channel is drawn
+per slot while the hardware impairments stay fixed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .model import (
     GeometryConfig,
     IID_RAYLEIGH,
     RfImpairments,
+    batch_indices,
     gen_channel,
     permute_channel,
 )
@@ -45,6 +49,23 @@ class PilotSet:
     def __getitem__(self, i: int) -> np.ndarray:
         return self.blocks[i]
 
+    @cached_property
+    def _by_shape(self):
+        """The blocks stacked once per shape, and each group's place in its stack."""
+        groups = {}
+        for g, b in enumerate(self.blocks):
+            groups.setdefault(b.shape, []).append(g)
+        place = np.empty(len(self.blocks), dtype=int)
+        for gs in groups.values():
+            place[gs] = np.arange(len(gs))
+        return {shape: np.stack([self.blocks[g] for g in gs])
+                for shape, gs in groups.items()}, place
+
+    def stacked(self, groups: np.ndarray) -> np.ndarray:
+        """The blocks P_g of groups of one block shape, stacked (P, M_g, L_g)."""
+        stacks, place = self._by_shape
+        return stacks[self.blocks[groups[0]].shape][place[groups]]
+
     def validate(self, partition: AntennaPartition) -> None:
         if len(self.blocks) != partition.num_groups:
             raise ValueError("one pilot block per group required")
@@ -55,25 +76,74 @@ class PilotSet:
                 raise ValueError("pilot block is rank deficient")
 
 
+class _PairBlocks(Mapping):
+    """Read-only (i, j) -> Y_{i->j} view over a slot's ordered active pairs."""
+
+    def __init__(self, ms: "MeasurementSet"):
+        self._ms = ms
+
+    def __getitem__(self, pair) -> np.ndarray:
+        return self._ms.block(*pair)
+
+    def __iter__(self):
+        act = self._ms.groups
+        return ((i, j) for i in act for j in act if j != i)
+
+    def __len__(self) -> int:
+        return len(self._ms.groups) * (len(self._ms.groups) - 1)
+
+
 @dataclass
 class MeasurementSet:
-    """Received blocks Y_{i->j} for all ordered active pairs of one slot."""
+    """One slot's received samples as a single M x sum(L_i) matrix.
 
-    blocks: dict                 # (i, j) -> M_j x L_i array, i transmitting
+    Y_{i->j} = received[antennas of j, pilot columns of i] (M_j x L_i).  Self
+    blocks and the rows and columns of inactive groups hold zeros and are
+    never read.  build_stacked keeps its last result in stacked.
+    """
+
+    received: np.ndarray
+    partition: AntennaPartition
     noise_variance: float
     slot_id: int = 0
     active_groups: tuple | None = None  # None means all groups
+    stacked: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def groups(self) -> tuple:
+        """The active groups, ascending."""
+        if self.active_groups is None:
+            return tuple(range(self.partition.num_groups))
+        return self.active_groups
+
+    @property
+    def blocks(self) -> Mapping:
+        return _PairBlocks(self)
 
     def block(self, i: int, j: int) -> np.ndarray:
-        try:
-            return self.blocks[(i, j)]
-        except KeyError:
-            raise KeyError(f"no measurement block for pair {i}->{j}") from None
+        """Y_{i->j}, a view into received."""
+        if i == j or i not in self.groups or j not in self.groups:
+            raise KeyError(f"no measurement block for pair {i}->{j}")
+        return self.received[self.partition.antennas_of(j), self.partition.pilot_columns(i)]
+
+    def gather(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+        """Y_{tx[p]->rx[p]} for pairs of groups of one block shape, stacked
+        (P, M_rx, L_tx)."""
+        part = self.partition
+        active = np.zeros(part.num_groups, dtype=bool)
+        active[list(self.groups)] = True
+        bad = (tx == rx) | ~active[tx] | ~active[rx]
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise KeyError(f"no measurement block for pair {tx[k]}->{rx[k]}")
+        rows = np.asarray(part.offsets)[rx, None] + np.arange(part.group_sizes[rx[0]])
+        cols = np.asarray(part.pilot_offsets)[tx, None] + np.arange(part.pilot_lengths[tx[0]])
+        return self.received[rows[:, :, None], cols[:, None, :]]
 
     def pairs(self):
         """Unordered active pairs (i, j), i < j, lexicographic."""
-        seen = sorted({(min(i, j), max(i, j)) for (i, j) in self.blocks})
-        return seen
+        act = self.groups
+        return [(i, j) for a, i in enumerate(act) for j in act[a + 1:]]
 
 
 @dataclass(frozen=True)
@@ -158,21 +228,32 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
 
     sigma2 = noise_variance_from_snr(snr_db, chan)
     sd = np.sqrt(sigma2 / 2.0)
-    blocks = {}
-    for i in active:
-        si = partition.antennas_of(i)
-        txi = imp.tx_gains[si]
-        for j in active:
-            if j == i:
-                continue
-            sj = partition.antennas_of(j)
-            c_ij = chan.c[sj, si]                       # M_j x M_i
-            y = (imp.rx_gains[sj, None] * c_ij * txi[None, :]) @ pilots[i]
-            if sigma2 > 0:
-                shp = y.shape
-                y = y + sd * (rng.standard_normal(shp) + 1j * rng.standard_normal(shp))
-            blocks[(i, j)] = y
-    return MeasurementSet(blocks, sigma2, slot_id=slot_id,
+    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
+    offsets, pilot_offsets = np.asarray(partition.offsets), np.asarray(partition.pilot_offsets)
+    # ordered pairs i -> j, transmitters then receivers ascending: the order
+    # in which each pair's noise, a real then an imaginary M_j x L_i block, is
+    # drawn, so one draw for the slot starts pair p's noise at start[p]
+    act = np.asarray(active)
+    tx, rx = np.repeat(act, act.size), np.tile(act, act.size)
+    keep = tx != rx
+    tx, rx = tx[keep], rx[keep]
+    size = sizes[rx] * lens[tx]
+    start = np.cumsum(2 * size) - 2 * size
+    noise = rng.standard_normal(2 * int(size.sum())) if sigma2 > 0 else None
+    gain = imp.rx_gains[:, None] * chan.c * imp.tx_gains[None, :]   # R C T
+    received = np.zeros((m, int(lens.sum())), dtype=complex)
+    # pairs of equal (M_j, M_i, L_i): one stacked product R_j C_{i->j} T_i P_i
+    for sel in batch_indices(np.stack((sizes[rx], sizes[tx], lens[tx]), axis=1)):
+        ti, rj = tx[sel], rx[sel]
+        mj, mi, li = sizes[rj[0]], sizes[ti[0]], lens[ti[0]]
+        rows = (offsets[rj, None] + np.arange(mj))[:, :, None]
+        y = gain[rows, offsets[ti, None, None] + np.arange(mi)] @ pilots.stacked(ti)
+        if noise is not None:
+            re = start[sel, None, None] + np.arange(mj * li).reshape(mj, li)
+            y = y + sd * (noise[re] + 1j * noise[re + mj * li])
+        received[rows, pilot_offsets[ti, None, None] + np.arange(li)] = y
+    received.flags.writeable = False
+    return MeasurementSet(received, partition, sigma2, slot_id=slot_id,
                           active_groups=None if groups is None else active)
 
 
@@ -209,7 +290,7 @@ def measurements_to_csv(ms: MeasurementSet, path) -> None:
     with open(path, "w") as fh:
         fh.write("tx_group,rx_group,row,col,re,im\n")
         for (i, j) in sorted(ms.blocks):
-            y = ms.blocks[(i, j)]
+            y = ms.block(i, j)
             for r in range(y.shape[0]):
                 for c in range(y.shape[1]):
                     v = y[r, c]

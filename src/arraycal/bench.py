@@ -45,7 +45,13 @@ from .model import (
     gen_impairments,
     permute_channel,
 )
-from .stacking import build_stacked, build_stacked_noncoherent, check_identifiability
+from .stacking import (
+    build_stacked,
+    build_stacked_noncoherent,
+    check_identifiability,
+    group_components,
+    independent_equations,
+)
 
 KNOWN_ESTIMATORS = ("ls", "argos", "rogalin", "daisy", "avalanche", "aml")
 
@@ -231,10 +237,9 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     schedule = None
     if config.noncoherent_slots is not None:
         schedule = NoncoherentSchedule(config.noncoherent_slots)
-    ident = check_identifiability(partition, schedule)
-    if not ident["ok"]:
-        raise UnidentifiableError(
-            f"scheme not identifiable: rows={ident['rows']} < needed={ident['needed']}")
+    if not check_identifiability(partition, schedule)["ok"]:
+        raise UnidentifiableError("unidentifiable configuration: scheme not identifiable: "
+                                  + identifiability_summary(partition, schedule))
     geometry = config.geometry()
     model = GEOMETRIC if config.channel == "geometric" else IID_RAYLEIGH
     perm = scheme.permutation
@@ -290,6 +295,22 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                 mse=float(np.mean(errs)) if errs else float("nan"),
                 crb_trace=crb_mean, trials=len(errs), wall_time=wall[est]))
     return table
+
+
+def identifiability_summary(partition, schedule=None) -> str:
+    """check_identifiability's counts, the connected groups (listed when there
+    are several components), the groups with fewer independent equations than
+    antennas, if any, and the verdict."""
+    ident = check_identifiability(partition, schedule)
+    comps = group_components(partition, schedule)
+    words = [f"rows={ident['rows']}", f"needed={ident['needed']}", f"components={len(comps)}"]
+    if len(comps) > 1:
+        words += ["[" + " ".join(map(str, c)) + "]" for c in comps]
+    per_group = independent_equations(partition, schedule)[1]
+    short = [str(g) for g, m in enumerate(partition.group_sizes) if per_group[g] < m]
+    if short:
+        words.append("short_groups=" + ",".join(short))
+    return " ".join(words + ["ok" if ident["ok"] else "not ok"])
 
 
 def emit_csv(table: ResultTable, path) -> None:
@@ -348,10 +369,8 @@ def cli_main(argv=None) -> int:
             return 2
         schedule = (NoncoherentSchedule(cfg.noncoherent_slots)
                     if cfg.noncoherent_slots else None)
-        ident = check_identifiability(scheme.partition, schedule)
-        state = "ok" if ident["ok"] else "not ok"
-        print(f"rows={ident['rows']} needed={ident['needed']} {state}")
-        return 0 if ident["ok"] else 3
+        print(identifiability_summary(scheme.partition, schedule))
+        return 0 if check_identifiability(scheme.partition, schedule)["ok"] else 3
 
     if cfg.noncoherent_slots is not None and (cfg.crb or args.command == "crb"):
         why = "the CRB is not computed for non-coherent schedules"

@@ -59,18 +59,19 @@ def stack_h(h_blocks: dict, partition: AntennaPartition) -> np.ndarray:
     return np.concatenate([vec(h_blocks[p]) for p in partition.pairs()])
 
 
-def pair_observations(measurements, batch: list) -> np.ndarray:
+def pair_observations(measurements, gi: np.ndarray, gj: np.ndarray) -> np.ndarray:
     """Pair p's entries of y, [vec(Y_{i->j}); vec(Y_{j->i}^T)], stacked over a
-    batch of pairs of equal shape, (P, L_iM_j + M_iL_j)."""
-    return np.stack([np.concatenate((vec(measurements.block(i, j)),
-                                     vec(measurements.block(j, i).T)))
-                     for (i, j) in batch])
+    batch of pairs (gi[p], gj[p]) of equal shape, (P, L_iM_j + M_iL_j)."""
+    y_ij = measurements.gather(gi, gj)                    # P x M_j x L_i
+    y_ji = measurements.gather(gj, gi)                    # P x M_i x L_j
+    return np.concatenate((y_ij.transpose(0, 2, 1).reshape(len(gi), -1),
+                           y_ji.reshape(len(gi), -1)), axis=1)
 
 
 def stack_observations(measurements, partition: AntennaPartition) -> np.ndarray:
     """y = [vec(Y_{1->2}); vec(Y_{2->1}^T); vec(Y_{1->3}); ...] (pairs lexicographic)."""
-    return np.concatenate([pair_observations(measurements, [p])[0]
-                           for p in partition.pairs()])
+    return np.concatenate([pair_observations(measurements, np.array([i]), np.array([j]))[0]
+                           for (i, j) in partition.pairs()])
 
 
 def build_h_composite(h_blocks: dict, pilots, partition: AntennaPartition) -> np.ndarray:
@@ -200,10 +201,11 @@ def context_from_model(imp: RfImpairments, chan: ChannelRealization, pilots,
     hc_blocks = aux_channel_blocks(imp, chan, partition)
     ctx = CrbContext(f, stack_h(hc_blocks, partition), float(noise_variance), partition,
                      null_space(f.conj()[None, :]), [], [], [])
-    for batch, cols in pair_batches(partition):
-        p_i, p_j = pair_pilots(pilots, batch)
+    for gi, gj, cols in pair_batches(partition):
+        p_i, p_j = pair_pilots(pilots, gi, gj)
         mi = p_i.shape[1]
-        bi, bj = pair_h_block(np.stack([hc_blocks[p] for p in batch]), p_i, p_j)
+        bi, bj = pair_h_block(np.stack([hc_blocks[p] for p in zip(gi.tolist(), gj.tolist())]),
+                              p_i, p_j)
         hp = np.zeros(bi.shape[:1] + (bi.shape[1] + bj.shape[1], cols.shape[1]), complex)
         hp[:, :bi.shape[1], :mi] = bi
         hp[:, bi.shape[1]:, mi:] = bj
@@ -223,8 +225,9 @@ def fim(ctx: CrbContext) -> np.ndarray:
     # start of each pair's entries in h (pairs lexicographic, M_iM_j entries each)
     h_off = dict(zip(pairs, accumulate((sizes[i] * sizes[j] for (i, j) in pairs), initial=0)))
     j = np.zeros((m + ctx.h.size,) * 2, dtype=complex)
-    for (batch, cols), hp, fp in zip(pair_batches(ctx.partition), ctx.h_pairs, ctx.f_pairs):
-        h_cols = m + np.array([h_off[p] for p in batch])[:, None] + np.arange(fp.shape[2])
+    for (gi, gj, cols), hp, fp in zip(pair_batches(ctx.partition), ctx.h_pairs, ctx.f_pairs):
+        h_cols = m + np.array([h_off[p] for p in zip(gi.tolist(), gj.tolist())])[:, None] \
+            + np.arange(fp.shape[2])
         add_pair_gram(j, np.concatenate((cols, h_cols), axis=1),
                       np.concatenate((hp, fp), axis=2))
     return j / ctx.noise_variance
@@ -295,12 +298,15 @@ def crb_f_known_h(ctx: CrbContext, constraint: str = "FCC") -> CrbResult:
 
 
 def build_f_perp(f: np.ndarray, pilots, partition: AntennaPartition) -> np.ndarray:
-    """Basis of the orthogonal complement of the column space of F(f, P).
+    """Columns orthogonal to the column space of F(f, P), one L_i L_j block per pair.
 
     Block diagonal over pairs; signs and row order are fixed so that
     F_perp^H y reproduces the stacked residual Y(P) f exactly (including the
-    noise realization).  Requires full-rank pilots and, per group, either
-    L_i >= M_i or M_i >= L_i (always true) with P_i^T F_i full rank.
+    noise realization).  Requires full-rank pilots.  The columns span the
+    whole orthogonal complement only when at most one group has L_i != M_i:
+    pair p's complement has dimension L_iM_j + M_iL_j - M_iM_j, which equals
+    its L_iL_j columns iff (L_i - M_i)(L_j - M_j) = 0.  Otherwise they span a
+    proper subspace of it.
     """
     f = np.asarray(f, dtype=complex)
     sizes = partition.group_sizes
@@ -329,20 +335,24 @@ def build_f_perp(f: np.ndarray, pilots, partition: AntennaPartition) -> np.ndarr
 
 def ml_compressed_cost(measurements, f: np.ndarray, pilots,
                        partition: AntennaPartition, rel_tol: float = 1e-8) -> float:
-    """y^H P_F_perp y for y = stack_observations(measurements), evaluated both
-    through F and through the weighted F_perp form.
+    """y^H P_F_perp y for y = stack_observations(measurements).
 
-    The direct route sums the pairs' y_p^H P_{F_p}_perp y_p.  The two routes
-    must agree (the compressed ML cost equals an optimally weighted LS cost on
-    Y(P) f); disagreement beyond rel_tol raises.
+    The direct route sums the pairs' y_p^H P_{F_p}_perp y_p.  Where
+    build_f_perp spans the whole complement of F's columns (at most one group
+    with L_i != M_i), the cost is also evaluated through the weighted F_perp
+    form, an optimally weighted LS cost on Y(P) f, and disagreement beyond
+    rel_tol raises.  Elsewhere the weighted form gives a smaller number and
+    only the direct route is evaluated.
     """
     f = np.asarray(f, dtype=complex)
     cost_direct = 0.0
-    for batch, cols in pair_batches(partition):
-        q = range_basis(pair_f_block(f, cols, *pair_pilots(pilots, batch)))
-        y_p = pair_observations(measurements, batch)
+    for gi, gj, cols in pair_batches(partition):
+        q = range_basis(pair_f_block(f, cols, *pair_pilots(pilots, gi, gj)))
+        y_p = pair_observations(measurements, gi, gj)
         res = y_p - np.einsum("prk,pk->pr", q, np.einsum("prk,pr->pk", q.conj(), y_p))
         cost_direct += float(np.sum(np.abs(res) ** 2))
+    if sum(l != m for l, m in zip(partition.pilot_lengths, partition.group_sizes)) > 1:
+        return cost_direct
     y = stack_observations(measurements, partition)
     fperp = build_f_perp(f, pilots, partition)
     w = fperp.conj().T @ y

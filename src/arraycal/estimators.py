@@ -157,8 +157,9 @@ def argos_estimate(measurements, partition: AntennaPartition,
         y_to_ref = measurements.block(1, 0).ravel()    # 1 x (M-1) row, antenna k -> ref
         y_from_ref = measurements.block(0, 1).ravel()  # (M-1) x 1 col, ref -> antenna k
     elif all(s == 1 for s in partition.group_sizes):
-        y_to_ref = np.array([measurements.block(k, 0).item() for k in range(1, m)])
-        y_from_ref = np.array([measurements.block(0, k).item() for k in range(1, m)])
+        k, ref = np.arange(1, m), np.zeros(m - 1, dtype=int)
+        y_to_ref = measurements.gather(k, ref).ravel()
+        y_from_ref = measurements.gather(ref, k).ravel()
     else:
         raise ValueError("argos needs a {reference} + rest or all-singleton partition")
     if np.any(y_from_ref == 0):
@@ -193,9 +194,10 @@ def daisy_chain_estimate(measurements, partition: AntennaPartition,
     m = partition.num_antennas
     f = np.empty(m, dtype=complex)
     f[0] = ref_value
-    for i in range(1, m):
-        up = measurements.block(i, i - 1).item()     # i transmits, i-1 receives
-        down = measurements.block(i - 1, i).item()
+    k = np.arange(1, m)
+    ups = measurements.gather(k, k - 1).ravel().tolist()     # k transmits, k-1 receives
+    downs = measurements.gather(k - 1, k).ravel().tolist()
+    for i, (up, down) in enumerate(zip(ups, downs), 1):
         if down == 0:
             raise ZeroDivisionError(f"zero received sample on link {i - 1}->{i}")
         f[i] = f[i - 1] * up / down
@@ -269,13 +271,12 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     y_rows = {key: np.zeros(h.shape[:2], dtype=complex) for key, h in h_rows.items()}
     filled = [0] * partition.num_groups
     pairs = []
-    for batch, cols in pair_batches(partition):
-        p_i, p_j = pair_pilots(pilots, batch)
-        y_p = _crb.pair_observations(measurements, batch)
+    for gi, gj, cols in pair_batches(partition):
+        p_i, p_j = pair_pilots(pilots, gi, gj)
+        y_p = _crb.pair_observations(measurements, gi, gj)
         top = p_i.shape[2] * p_j.shape[1]       # L_i M_j rows act on f_i
         sides = []
-        for side, y_side in (([i for i, _ in batch], y_p[:, :top]),
-                             ([j for _, j in batch], y_p[:, top:])):
+        for side, y_side in ((gi.tolist(), y_p[:, :top]), (gj.tolist(), y_p[:, top:])):
             start = []
             for g in side:
                 start.append(filled[g])

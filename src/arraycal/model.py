@@ -11,6 +11,7 @@ scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -25,8 +26,10 @@ class AntennaPartition:
 
     group_sizes: tuple
     pilot_lengths: tuple
-    # start index of each group in the global antenna ordering
+    # start index of each group in the global antenna ordering, and of its
+    # pilot columns in the concatenation of all groups' L_i channel uses
     offsets: tuple = field(init=False, repr=False, compare=False)
+    pilot_offsets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.group_sizes)
@@ -40,6 +43,7 @@ class AntennaPartition:
         if any(s < 1 for s in sizes) or any(l < 1 for l in lens):
             raise ValueError("group sizes and pilot lengths must be positive")
         object.__setattr__(self, "offsets", tuple(accumulate(sizes[:-1], initial=0)))
+        object.__setattr__(self, "pilot_offsets", tuple(accumulate(lens[:-1], initial=0)))
 
     @property
     def num_groups(self) -> int:
@@ -53,14 +57,36 @@ class AntennaPartition:
         o = self.offsets[i]
         return slice(o, o + self.group_sizes[i])
 
+    def pilot_columns(self, i: int) -> slice:
+        o = self.pilot_offsets[i]
+        return slice(o, o + self.pilot_lengths[i])
+
     def pairs(self):
         """All group pairs (i, j) with i < j, in lexicographic order."""
+        return list(self._pairs)
+
+    @cached_property
+    def _pairs(self) -> tuple:
         g = self.num_groups
-        return [(i, j) for i in range(g) for j in range(i + 1, g)]
+        return tuple([(i, j) for i in range(g) for j in range(i + 1, g)])
 
     @staticmethod
     def singleton(m: int, pilot_length: int = 1) -> "AntennaPartition":
         return AntennaPartition((1,) * m, (pilot_length,) * m)
+
+
+def batch_indices(keys: np.ndarray) -> list:
+    """Indices of the rows of an integer array (n, k), grouped by equal rows:
+    one index array per distinct row, in order of first appearance, each in
+    ascending order."""
+    code = np.ravel_multi_index(keys.T, keys.max(axis=0) + 1)
+    out = []
+    todo = np.ones(code.size, dtype=bool)
+    while todo.any():
+        sel = np.flatnonzero(code == code[np.argmax(todo)])
+        todo[sel] = False
+        out.append(sel)
+    return out
 
 
 @dataclass(frozen=True)

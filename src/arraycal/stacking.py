@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AntennaPartition
+from .model import AntennaPartition, batch_indices
 
 
 @dataclass
@@ -69,30 +69,28 @@ def pair_equation_block(y_ji: np.ndarray, y_ij: np.ndarray,
 def pair_batches(partition: AntennaPartition, pairs=None) -> list:
     """Group pairs (i, j), i < j, batched by block shape (M_i, M_j, L_i, L_j).
 
-    Returns [(batch, cols), ...] in order of first appearance: the pairs of
-    each batch, in their given order, and their antenna columns
-    (P, M_i + M_j), group i's antennas first.
+    Returns [(gi, gj, cols), ...] in order of first appearance: the groups i
+    and j of each batch's pairs (int arrays, pairs in their given order), and
+    their antenna columns (P, M_i + M_j), group i's antennas first.
     """
     if pairs is None:
-        pairs = partition.pairs()
-    sizes, lens = partition.group_sizes, partition.pilot_lengths
-    batches = {}
-    for (i, j) in pairs:
-        batches.setdefault((sizes[i], sizes[j], lens[i], lens[j]), []).append((i, j))
+        g = np.transpose(np.triu_indices(partition.num_groups, 1))
+    else:
+        g = np.array(pairs, dtype=int).reshape(-1, 2)
+    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
     offsets = np.asarray(partition.offsets)
     out = []
-    for (mi, mj, _, _), batch in batches.items():
-        gi, gj = np.array(batch).T
-        cols = np.concatenate((offsets[gi, None] + np.arange(mi),
-                               offsets[gj, None] + np.arange(mj)), axis=1)
-        out.append((batch, cols))
+    for sel in batch_indices(np.concatenate((sizes[g], lens[g]), axis=1)):
+        gi, gj = g[sel, 0], g[sel, 1]
+        cols = np.concatenate((offsets[gi, None] + np.arange(sizes[gi[0]]),
+                               offsets[gj, None] + np.arange(sizes[gj[0]])), axis=1)
+        out.append((gi, gj, cols))
     return out
 
 
-def pair_pilots(pilots, batch: list):
+def pair_pilots(pilots, gi: np.ndarray, gj: np.ndarray):
     """The pilot blocks (P_i, P_j) of a batch of pairs, stacked."""
-    return (np.stack([pilots[i] for i, _ in batch]),
-            np.stack([pilots[j] for _, j in batch]))
+    return pilots.stacked(gi), pilots.stacked(gj)
 
 
 def add_pair_gram(out: np.ndarray, cols: np.ndarray, w: np.ndarray) -> None:
@@ -107,23 +105,27 @@ def build_stacked(measurements, pilots, partition: AntennaPartition,
 
     Pairs of equal block shape are batched; pair (i, j) adds W^H W, with
     W = [block_i, block_j], to the Gram at the antennas of groups i and j.
+    The result is kept on the measurements and returned again to a call with
+    the same pilots and partition objects, pairs and slot.
     """
+    listed = partition.pairs() if pairs is None else list(pairs)
+    kept = measurements.stacked
+    if kept is not None and kept[0] is pilots and kept[1] is partition \
+            and kept[2] == slot and kept[3] == listed:
+        return kept[4]
     m = partition.num_antennas
-    if pairs is None:
-        pairs = partition.pairs()
     gram = np.zeros((m, m), dtype=complex)
     blocks = []
-    for batch, cols in pair_batches(partition, pairs):
-        bi, bj = pair_equation_block(
-            np.stack([measurements.block(j, i) for i, j in batch]),
-            np.stack([measurements.block(i, j) for i, j in batch]),
-            *pair_pilots(pilots, batch))
+    for gi, gj, cols in pair_batches(partition, pairs):
+        bi, bj = pair_equation_block(measurements.gather(gj, gi), measurements.gather(gi, gj),
+                                     *pair_pilots(pilots, gi, gj))
         w = np.concatenate((bi, bj), axis=2)
         add_pair_gram(gram, cols, w)
         blocks.append((cols, w))
-    lens = partition.pilot_lengths
-    rows = sum(lens[i] * lens[j] for (i, j) in pairs)
-    return StackedSystem(gram, rows, [(slot, i, j) for (i, j) in pairs], m, blocks)
+    rows = sum(w.shape[0] * w.shape[1] for _, w in blocks)
+    system = StackedSystem(gram, rows, [(slot, i, j) for (i, j) in listed], m, blocks)
+    measurements.stacked = (pilots, partition, slot, listed, system)
+    return system
 
 
 def build_stacked_noncoherent(slot_measurements: list, pilots,
@@ -140,21 +142,47 @@ def build_stacked_noncoherent(slot_measurements: list, pilots,
                          [b for s in systems for b in s.blocks])
 
 
-def check_identifiability(partition: AntennaPartition, schedule=None) -> dict:
-    """Bidirectional equation count vs. the M-1 unknown directions.
+def independent_equations(partition: AntennaPartition, schedule=None):
+    """Upper bounds on the rank of Y(P): in total, and per group over its pairs.
 
-    rows = sum_{i<j} L_i L_j (summed per slot for a non-coherent schedule);
-    the problem is determined up to scale iff rows >= M - 1.
+    Pair (i, j)'s residual P_i^T F_i Y_{j->i} - Y_{i->j}^T F_j P_j equals
+    P_i^T X P_j for an M_i x M_j matrix X linear in f, so its L_i L_j rows have
+    rank at most e_ij = r_i r_j, r_i = min(L_i, M_i).  Summed over the pairs of
+    every slot (all pairs when schedule is None).
     """
-    lens = partition.pilot_lengths
-    if schedule is None:
-        rows = sum(lens[i] * lens[j] for (i, j) in partition.pairs())
-    else:
-        rows = 0
-        for t in range(len(schedule.slots)):
-            rows += sum(lens[i] * lens[j] for (i, j) in schedule.active_pairs(t))
+    r = np.minimum(partition.pilot_lengths, partition.group_sizes)
+    rows, per_group = 0, np.zeros(partition.num_groups, dtype=int)
+    for slot in ([range(partition.num_groups)] if schedule is None else schedule.slots):
+        rs = r[list(slot)]
+        rows += int(rs.sum() ** 2 - (rs ** 2).sum()) // 2
+        per_group[list(slot)] += rs * (rs.sum() - rs)
+    return rows, per_group
+
+
+def group_components(partition: AntennaPartition, schedule=None) -> list:
+    """Groups linked by exchanges in some slot, as ascending tuples in order of
+    their first group.  Each component has its own unknown scale."""
+    comps = [{g} for g in range(partition.num_groups)]
+    for slot in ([range(partition.num_groups)] if schedule is None else schedule.slots):
+        linked = [c for c in comps if not c.isdisjoint(slot)]
+        comps = [c for c in comps if c.isdisjoint(slot)] + [set().union(*linked)]
+    return sorted(tuple(sorted(c)) for c in comps)
+
+
+def check_identifiability(partition: AntennaPartition, schedule=None) -> dict:
+    """Independent equation count vs. the M-1 unknown directions.
+
+    rows = sum of e_ij = min(L_i, M_i) min(L_j, M_j) over the pairs (of every
+    slot of a non-coherent schedule; see independent_equations).  f is
+    determined up to scale only if rows >= M - 1, every group i has at least
+    M_i independent equations, and the exchanges connect all groups
+    (group_components).
+    """
+    rows, per_group = independent_equations(partition, schedule)
     needed = partition.num_antennas - 1
-    return {"rows": rows, "needed": needed, "ok": rows >= needed}
+    ok = (rows >= needed and bool(np.all(per_group >= partition.group_sizes))
+          and len(group_components(partition, schedule)) == 1)
+    return {"rows": rows, "needed": needed, "ok": ok}
 
 
 def numerical_rank(a: np.ndarray) -> int:

@@ -1,15 +1,39 @@
-"""Dense references for the package's per-pair computations.
+"""Dense and per-pair references for the package's batched computations.
 
 The package keeps only A = Y(P)^H Y(P).  dense_y and dense_y_noncoherent
 build Y(P) itself, one row block per pair from pair_equation_block, so tests
 can check the Gram, null-space and rank properties against the explicit
 matrix.  vec_transpose_perm is the dense form of crb.vec_transpose_index, and
 split_h inverts crb.stack_h for the dense H(h, P) of crb.build_h_composite.
+exchange_pairs is airlink.simulate_exchange as one loop over ordered pairs.
 """
 
 import numpy as np
 
+from arraycal.airlink import noise_variance_from_snr
 from arraycal.stacking import pair_equation_block
+
+
+def exchange_pairs(partition, pilots, imp, chan, snr_db, rng, groups=None):
+    """Y_{i->j} for every ordered pair of active groups, {(i, j): M_j x L_i},
+    computed and noised pair by pair, transmitters then receivers ascending."""
+    active = tuple(range(partition.num_groups)) if groups is None else tuple(sorted(groups))
+    sigma2 = noise_variance_from_snr(snr_db, chan)
+    sd = np.sqrt(sigma2 / 2.0)
+    blocks = {}
+    for i in active:
+        si = partition.antennas_of(i)
+        txi = imp.tx_gains[si]
+        for j in active:
+            if j == i:
+                continue
+            sj = partition.antennas_of(j)
+            y = (imp.rx_gains[sj, None] * chan.c[sj, si] * txi[None, :]) @ pilots[i]
+            if sigma2 > 0:
+                shp = y.shape
+                y = y + sd * (rng.standard_normal(shp) + 1j * rng.standard_normal(shp))
+            blocks[(i, j)] = y
+    return blocks
 
 
 def vec_transpose_perm(m: int, n: int) -> np.ndarray:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from arraycal.airlink import (
+    ALL_ONES,
+    IDENTITY,
+    UNIT_PHASE_RANDOM,
     NoncoherentSchedule,
     PilotSet,
     default_pilots,
@@ -22,6 +26,8 @@ from arraycal.model import (
     gen_channel,
     gen_impairments,
 )
+from arraycal.stacking import build_stacked
+from dense_oracle import exchange_pairs
 
 CFG = ImpairmentConfig(0.5, fix_first_to_one=True)
 
@@ -166,3 +172,80 @@ def test_measurements_csv(tmp_path):
     # first entry round-trips at full precision
     v = ms.block(int(i), int(j))[int(r), int(c)]
     assert complex(float(re), float(im)) == v
+
+
+def _pair_loop_csv(blocks, path) -> None:
+    """measurements_to_csv's format, written from a {(i, j): block} dict."""
+    with open(path, "w") as fh:
+        fh.write("tx_group,rx_group,row,col,re,im\n")
+        for (i, j) in sorted(blocks):
+            y = blocks[(i, j)]
+            for r in range(y.shape[0]):
+                for c in range(y.shape[1]):
+                    v = y[r, c]
+                    fh.write(f"{i},{j},{r},{c},{v.real:.17g},{v.imag:.17g}\n")
+
+
+def test_measurements_csv_matches_pair_loop(tmp_path):
+    # the dump of the received matrix is byte for byte the per-pair dump
+    part = AntennaPartition((1, 2, 3), (2, 1, 3))
+    pilots, imp, chan = _setup(part, np.random.default_rng(9), "UNIT_PHASE_RANDOM")
+    ms = simulate_exchange(part, pilots, imp, chan, 20.0, np.random.default_rng(10))
+    measurements_to_csv(ms, tmp_path / "new.csv")
+    _pair_loop_csv(exchange_pairs(part, pilots, imp, chan, 20.0, np.random.default_rng(10)),
+                   tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@st.composite
+def _exchanges(draw):
+    g = draw(st.integers(2, 5))
+    sizes = tuple(draw(st.integers(1, 4)) for _ in range(g))
+    lens = tuple(draw(st.integers(1, 4)) for _ in range(g))
+    kinds = [UNIT_PHASE_RANDOM] + [ALL_ONES] * all(l == 1 for l in lens) \
+        + [IDENTITY] * (lens == sizes)
+    kind = draw(st.sampled_from(kinds))
+    snr = draw(st.one_of(st.just(np.inf), st.floats(-10.0, 40.0)))
+    groups = draw(st.one_of(st.none(), st.sets(st.integers(0, g - 1), min_size=2)))
+    return AntennaPartition(sizes, lens), kind, snr, groups, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exchanges())
+@example((AntennaPartition((2, 3, 1, 2), (3, 3, 2, 1)), UNIT_PHASE_RANDOM, 20.0, None, 1))
+@example((AntennaPartition((1,) * 5, (1,) * 5), ALL_ONES, np.inf, {0, 2, 4}, 2))
+@example((AntennaPartition((2, 3), (2, 3)), IDENTITY, 0.0, None, 3))
+def test_simulate_exchange_equals_pair_loop(case):
+    # every block bit for bit, and the rest of the trial's random stream intact
+    part, kind, snr, groups, seed = case
+    rng = np.random.default_rng(seed)
+    pilots, imp, chan = _setup(part, rng, kind)
+    ours, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    ms = simulate_exchange(part, pilots, imp, chan, snr, ours, groups=groups)
+    ref = exchange_pairs(part, pilots, imp, chan, snr, ref_rng, groups=groups)
+    assert list(ms.blocks) == list(ref) and len(ms.blocks) == len(ref)
+    for (i, j), y in ref.items():
+        assert np.array_equal(ms.block(i, j), y)
+    assert ours.bit_generator.state == ref_rng.bit_generator.state
+    for i in range(part.num_groups):
+        with pytest.raises(KeyError):
+            ms.block(i, i)
+
+
+def test_build_stacked_is_reused_per_measurement_set():
+    rng = np.random.default_rng(11)
+    part = AntennaPartition((1, 2, 2), (1, 2, 1))
+    pilots, imp, chan = _setup(part, rng, "UNIT_PHASE_RANDOM")
+    ms = simulate_exchange(part, pilots, imp, chan, 20.0, rng)
+    first = build_stacked(ms, pilots, part)
+    assert build_stacked(ms, pilots, part) is first
+    assert build_stacked(ms, pilots, part, pairs=part.pairs()) is first
+    # another pilots object (even with equal blocks) or other pairs rebuild
+    other = build_stacked(ms, PilotSet(pilots.blocks), part)
+    assert other is not first and np.array_equal(other.gram, first.gram)
+    fewer = build_stacked(ms, pilots, part, pairs=[(0, 1), (1, 2)])
+    assert fewer is not first and fewer.rows == 2 + 2
+    assert build_stacked(ms, pilots, part, slot=1) is not first
+    # the kept system belongs to this slot's measurements only
+    again = simulate_exchange(part, pilots, imp, chan, 20.0, rng)
+    assert build_stacked(again, pilots, part) is not first

@@ -178,13 +178,30 @@ def _write(tmp_path, name, text):
 def test_cli_check_prints_counts(tmp_path, capsys):
     path = _write(tmp_path, "fc1.cfg", "m = 64\nscheme = FC_I\ng = 12\n")
     assert cli_main(["check", path]) == 0
-    assert capsys.readouterr().out.strip() == "rows=66 needed=63 ok"
+    assert capsys.readouterr().out.strip() == "rows=66 needed=63 components=1 ok"
     path = _write(tmp_path, "fc1b.cfg", "m = 67\nscheme = FC_I\ng = 12\n")
     assert cli_main(["check", path]) == 0
-    assert capsys.readouterr().out.strip() == "rows=66 needed=66 ok"
+    assert capsys.readouterr().out.strip() == "rows=66 needed=66 components=1 ok"
     path = _write(tmp_path, "fc2.cfg", "m = 68\nscheme = FC_II\ng = 12\n")
     assert cli_main(["check", path]) == 3
     assert "not ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, report", [
+    ("m = 3\nscheme = CUSTOM\ngroup_sizes = 1, 2\npilot_lengths = 2, 1\n",
+     "rows=1 needed=2 components=1 short_groups=1 not ok"),
+    ("m = 4\nscheme = CUSTOM\ngroup_sizes = 1, 1, 1, 1\npilot_lengths = 2, 2, 2, 2\n"
+     "noncoherent_slots = 0 1; 2 3\n", "rows=2 needed=3 components=2 [0 1] [2 3] not ok"),
+])
+def test_cli_check_and_run_reject_rank_deficient_schemes(tmp_path, capsys, text, report):
+    # both used to pass the raw row count (2 >= 2 and 8 >= 3)
+    cfg = _write(tmp_path, "rank.cfg", text + "snr_db = 40\ntrials = 2\nconstraint = FCC\n"
+                 "crb = false\n")
+    assert cli_main(["check", cfg]) == 3
+    assert capsys.readouterr().out.strip() == report
+    assert cli_main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 3
+    assert "not identifiable" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_cli_run_deterministic_and_seed_override(tmp_path):

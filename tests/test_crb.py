@@ -217,6 +217,31 @@ def test_compressed_cost_routes_agree_noisy():
         assert cost > 0   # agreement is asserted inside; disagreement raises
 
 
+@pytest.mark.parametrize("sizes, lens", [((2, 3), (3, 1)),        # no square P_i
+                                         ((1, 2, 2), (2, 1, 2)),   # two groups L_i != M_i
+                                         ((2, 3, 1), (2, 1, 1))])  # one: routes checked
+def test_compressed_cost_equals_projector_form(sizes, lens):
+    # the cost is y^H P_F_perp y whatever the pilot lengths; the weighted
+    # F_perp route is only equal to it where at most one group has L_i != M_i
+    rng = np.random.default_rng(14)
+    part = AntennaPartition(sizes, lens)
+    pilots, imp, chan = _instance(part, rng)[:3]
+    ms = simulate_exchange(part, pilots, imp, chan, 20.0, rng)
+    f = calibration_vector(imp).f
+    y = stack_observations(ms, part)
+    dense = float(np.real(y.conj() @ _perp_projector(build_f_composite(f, pilots, part)) @ y))
+    cost = ml_compressed_cost(ms, f, pilots, part)
+    assert abs(cost - dense) <= 1e-10 * dense
+    fperp = build_f_perp(f, pilots, part)
+    w = fperp.conj().T @ y
+    weighted = float(np.real(w.conj() @ np.linalg.pinv(fperp.conj().T @ fperp) @ w))
+    squares = sum(l == m for l, m in zip(lens, sizes))
+    if squares >= len(sizes) - 1:
+        assert abs(weighted - dense) <= 1e-8 * dense
+    else:
+        assert weighted < dense * (1 - 1e-3)
+
+
 def test_compressed_cost_weighting_identity_case():
     # all-singleton groups, unit pilots, unit-modulus f: the weighting
     # matrix F_perp^H F_perp collapses to a multiple of identity

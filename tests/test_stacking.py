@@ -17,6 +17,8 @@ from arraycal.stacking import (
     build_stacked,
     build_stacked_noncoherent,
     check_identifiability,
+    group_components,
+    independent_equations,
     numerical_rank,
     pair_equation_block,
 )
@@ -145,6 +147,24 @@ def test_identifiability_with_schedule():
     assert out == {"rows": 3, "needed": 3, "ok": True}
 
 
+def test_identifiability_counts_independent_equations():
+    # sizes (1, 2), lengths (2, 1): the pair's 2 rows have rank 1
+    part = AntennaPartition((1, 2), (2, 1))
+    assert check_identifiability(part) == {"rows": 1, "needed": 2, "ok": False}
+    assert list(independent_equations(part)[1]) == [1, 1] and group_components(part) == [(0, 1)]
+    # enough rows, but two slots that never link {0, 1} with {2, 3}
+    part = AntennaPartition((1,) * 4, (2,) * 4)
+    sched = NoncoherentSchedule(((2, 3), (0, 1)))
+    assert group_components(part, sched) == [(0, 1), (2, 3)]
+    assert check_identifiability(part, sched) == {"rows": 2, "needed": 3, "ok": False}
+    assert group_components(part, NoncoherentSchedule(((2, 3), (0, 1), (1, 2)))) \
+        == [(0, 1, 2, 3)]
+    # rows 10 >= 8, but group 4's five antennas enter only four equations
+    part = AntennaPartition((1, 1, 1, 1, 5), (1,) * 5)
+    assert check_identifiability(part) == {"rows": 10, "needed": 8, "ok": False}
+    assert list(independent_equations(part)[1]) == [4, 4, 4, 4, 4]
+
+
 def test_empty_slot_list_rejected():
     part = AntennaPartition.singleton(3)
     pilots = default_pilots(part, "ALL_ONES", None)
@@ -205,3 +225,22 @@ def test_gram_equals_dense_oracle(case):
     x = rng.standard_normal(ss.m) + 1j * rng.standard_normal(ss.m)
     ax = y.conj().T @ (y @ x)
     assert np.max(np.abs(ss.apply_gram(x) - ax)) <= 1e-13 * np.max(np.abs(ax))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_partitions_and_schedules())
+def test_identifiability_matches_numerical_rank(case):
+    # the count, connectivity and per-group rules say ok iff the noiseless
+    # Y(P) has rank M - 1
+    part, sched, seed = case
+    rng = np.random.default_rng(seed)
+    pilots = default_pilots(part, "UNIT_PHASE_RANDOM", rng)
+    imp = gen_impairments(CFG, part.num_antennas, rng)
+    if sched is None:
+        chan = gen_channel(part.num_antennas, IID_RAYLEIGH, rng)
+        y = dense_y(simulate_exchange(part, pilots, imp, chan, np.inf, rng), pilots, part)
+    else:
+        slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng)
+        y = dense_y_noncoherent(slots, pilots, part, sched)
+    full = numerical_rank(y) == part.num_antennas - 1
+    assert check_identifiability(part, sched)["ok"] == full
