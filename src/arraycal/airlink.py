@@ -72,7 +72,8 @@ class PilotSet:
         for b, m, l in zip(self.blocks, partition.group_sizes, partition.pilot_lengths):
             if b.shape != (m, l):
                 raise ValueError(f"pilot block shape {b.shape} != ({m}, {l})")
-            if np.linalg.matrix_rank(b) < min(m, l):
+        for shape, stack in self._by_shape[0].items():
+            if np.any(np.linalg.matrix_rank(stack) < min(shape)):
                 raise ValueError("pilot block is rank deficient")
 
 
@@ -148,7 +149,7 @@ class MeasurementSet:
 
 @dataclass(frozen=True)
 class NoncoherentSchedule:
-    """Active group subsets per coherent slot; each slot needs >= 2 groups."""
+    """Active group subsets per coherent slot; each slot needs >= 2 distinct groups."""
 
     slots: tuple
 
@@ -160,6 +161,8 @@ class NoncoherentSchedule:
         for s in slots:
             if len(s) < 2:
                 raise ValueError("each slot must activate at least two groups")
+            if len(set(s)) < len(s):
+                raise ValueError(f"slot {s} lists a group more than once")
 
     def covers(self, num_groups: int) -> bool:
         active = set()

@@ -114,6 +114,17 @@ class ExperimentConfig:
             return custom_scheme(self.group_sizes, self.pilot_lengths)
         return make_scheme(self.scheme, self.m, self.g, self.geometry())
 
+    def schedule(self, partition) -> NoncoherentSchedule | None:
+        """The non-coherent schedule, its slots checked against the partition's
+        group indices 0..g-1."""
+        if self.noncoherent_slots is None:
+            return None
+        g = partition.num_groups
+        bad = sorted({k for slot in self.noncoherent_slots for k in slot if not 0 <= k < g})
+        if bad:
+            raise ValueError(f"noncoherent_slots name groups {bad} outside 0..{g - 1}")
+        return NoncoherentSchedule(self.noncoherent_slots)
+
 
 @dataclass
 class ResultRow:
@@ -234,9 +245,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     """
     scheme = config.resolve_scheme()
     partition = scheme.partition
-    schedule = None
-    if config.noncoherent_slots is not None:
-        schedule = NoncoherentSchedule(config.noncoherent_slots)
+    schedule = config.schedule(partition)
     if not check_identifiability(partition, schedule)["ok"]:
         raise UnidentifiableError("unidentifiable configuration: scheme not identifiable: "
                                   + identifiability_summary(partition, schedule))
@@ -364,11 +373,10 @@ def cli_main(argv=None) -> int:
     if args.command == "check":
         try:
             scheme = cfg.resolve_scheme()
+            schedule = cfg.schedule(scheme.partition)
         except ValueError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-        schedule = (NoncoherentSchedule(cfg.noncoherent_slots)
-                    if cfg.noncoherent_slots else None)
         print(identifiability_summary(scheme.partition, schedule))
         return 0 if check_identifiability(scheme.partition, schedule)["ok"] else 3
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .model import AntennaPartition, CalibrationVector
 from . import crb as _crb
@@ -91,32 +90,56 @@ def normalize_for_constraint(f: np.ndarray, constraint: ConstraintSpec) -> np.nd
     raise ValueError(constraint.kind)
 
 
+def _rank_tol(w: np.ndarray) -> float:
+    """lstsq's rank rule on a Hermitian matrix's eigenvalues: |w| <= n eps
+    max|w| counts as zero."""
+    return w.size * np.finfo(float).eps * np.max(np.abs(w))
+
+
 def _smallest_eigvec(a: np.ndarray):
-    """Eigenvector for the smallest eigenvalue of a Hermitian PSD matrix."""
+    """Eigenvector for the smallest eigenvalue of a Hermitian PSD matrix, and
+    whether it is unique: the second eigenvalue passes the rank rule and does
+    not tie with the first."""
     w, v = np.linalg.eigh(a)
-    scale = max(w[-1], 1.0)
-    tie = a.shape[0] > 1 and (w[1] - w[0]) <= a.shape[0] * np.finfo(float).eps * scale
-    return v[:, 0], float(w[0].real), tie
+    n = a.shape[0]
+    unique = n == 1 or bool(abs(w[1]) > _rank_tol(w)
+                            and w[1] - w[0] > n * np.finfo(float).eps * max(w[-1], 1.0))
+    return v[:, 0].copy(), unique
 
 
 def _solve_linear_constrained(sys: StackedSystem, g: np.ndarray, c: complex):
-    """min f^H A f s.t. f^H g = c, robust to a singular Gram matrix A.
+    """min f^H A f s.t. f^H g = c, robust to a singular Gram matrix A; also
+    returns whether B = V^H A V has full rank.  Equal to the closed form
+    c / (g^H A^{-1} g) * A^{-1} g whenever A is invertible.
 
-    Equivalent to the closed form c / (g^H A^{-1} g) * A^{-1} g whenever A is
-    invertible, but also exact in the noiseless (singular-A) case.  A solve
-    with A squares cond(Y(P)); two refinement steps, with A f taken from the
-    pair blocks, recover the accuracy of a least-squares solve on Y(P).
+    V is an orthonormal basis of g's complement, the columns 1.. of the
+    Householder reflector H = I - u u^H / tau that maps g onto e_0, so V^H x =
+    (H x)[1:] and V z = H [0, z] cost O(M).  One eigendecomposition of B gives
+    its pseudo-inverse, with the eigenvalues that lstsq's rank rule would drop
+    left out: f = f0 + V z stays the minimum-norm solution, and is exact in
+    the noiseless (singular-A) case.  A solve with A squares cond(Y(P)); three
+    refinement steps, with A f taken from the pair blocks, recover the
+    accuracy of a least-squares solve on Y(P).
     """
     gnorm2 = np.real(g.conj() @ g)
     if gnorm2 == 0:
         raise ValueError("degenerate constraint: g = 0")
     f = np.conj(c) * g / gnorm2               # satisfies f^H g = c
-    v = null_space(g.conj()[None, :])         # orthonormal complement of g
-    b = v.conj().T @ sys.gram @ v
+    u = g.copy()
+    u[0] += np.exp(1j * np.angle(g[0])) * np.sqrt(gnorm2)
+    tau = np.real(u.conj() @ u) / 2
+
+    def reflect(x):                           # H x, column by column
+        return x - np.multiply.outer(u, u.conj() @ x / tau)
+
+    # H A H is Hermitian, and eigh reads one triangle of it
+    w, e = np.linalg.eigh(reflect(reflect(sys.gram).conj().T)[1:, 1:])
+    keep = np.abs(w) > _rank_tol(w)
+    e, inv = e[:, keep], 1.0 / w[keep]
     for _ in range(3):
-        z, *_ = np.linalg.lstsq(b, -(v.conj().T @ sys.apply_gram(f)), rcond=None)
-        f = f + v @ z
-    return f
+        z = e @ (inv * (e.conj().T @ reflect(sys.apply_gram(f))[1:]))
+        f = f - reflect(np.concatenate(([0.0], z)))
+    return f, bool(keep.all())
 
 
 def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationReport:
@@ -125,21 +148,28 @@ def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationRep
     FCC/LINEAR solve the equality-constrained quadratic program; UNIT_NORM
     takes the smallest eigenvector of A; NPC rescales the unit-norm solution
     in norm and phase against the true f.  The cost is f^H A f = ||Y(P) f||^2.
+    Each solution is kept on sys, per (g, c) and for the eigenvector, so
+    estimators sharing one system (LS, Rogalin, AML's start) solve it once.
+
+    converged is False when the solve found f not unique: B dropped an
+    eigenvalue, or A's second-smallest eigenvalue failed the same rank rule or
+    tied with the smallest.  That catches a noiseless or structurally singular
+    system; a noisy system whose structure is deficient (CUSTOM sizes 1,2,
+    lengths 2,1 at 30 dB, where B's smallest eigenvalue is of order 1e-4 of
+    its largest) is check_identifiability's to reject.
     """
-    m = sys.m
-    identifiable = sys.rows >= m - 1
-    if constraint.kind in (FCC, LINEAR):
-        g, c = constraint.resolved_g_c(m)
-        f = _solve_linear_constrained(sys, g, c)
-        tie = False
-    else:
-        f, _, tie = _smallest_eigvec(sys.gram)
-        if constraint.kind == NPC:
-            f = normalize_for_constraint(f, constraint)
+    linear = constraint.kind in (FCC, LINEAR)
+    if linear:
+        g, c = constraint.resolved_g_c(sys.m)
+    key = (g.tobytes(), c) if linear else None
+    if key not in sys.solutions:
+        sys.solutions[key] = (_solve_linear_constrained(sys, g, c) if linear
+                              else _smallest_eigvec(sys.gram))
+    f, unique = sys.solutions[key]
+    f = normalize_for_constraint(f, constraint) if constraint.kind == NPC else f.copy()
     cost = float(np.real(f.conj() @ sys.gram @ f))
     tag = constraint.kind if constraint.kind != LINEAR else "NONE"
-    return EstimationReport(CalibrationVector(f, tag), 1, cost,
-                            converged=identifiable and not tie)
+    return EstimationReport(CalibrationVector(f, tag), 1, cost, converged=unique)
 
 
 def argos_estimate(measurements, partition: AntennaPartition,

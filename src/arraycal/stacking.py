@@ -13,7 +13,7 @@ sum of the pairs' contributions; the dense Y(P) is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,8 @@ class StackedSystem:
 
     blocks batches pairs of equal shape as (cols, w): the rows of Y(P) for
     pair p are w[p], at the antenna columns cols[p].  pair_index maps each
-    row block of Y(P) to (slot, i, j).
+    row block of Y(P) to (slot, i, j).  solutions holds the estimators'
+    solves of this system, keyed by constraint.
     """
 
     gram: np.ndarray          # M x M, Hermitian PSD
@@ -34,6 +35,7 @@ class StackedSystem:
     pair_index: list          # [(slot, i, j), ...] in row-block order
     m: int
     blocks: list              # [(cols (P, k) int, w (P, r, k) complex), ...]
+    solutions: dict = field(default_factory=dict, repr=False, compare=False)
 
     def apply_gram(self, f: np.ndarray) -> np.ndarray:
         """A f as Y(P)^H (Y(P) f) from the pair blocks: unlike gram @ f, its

@@ -6,9 +6,12 @@ can check the Gram, null-space and rank properties against the explicit
 matrix.  vec_transpose_perm is the dense form of crb.vec_transpose_index, and
 split_h inverts crb.stack_h for the dense H(h, P) of crb.build_h_composite.
 exchange_pairs is airlink.simulate_exchange as one loop over ordered pairs.
+constrained_lstsq is the linear-constraint LS of estimators.ls_estimate
+solved by lstsq on the dense Y(P).
 """
 
 import numpy as np
+from scipy.linalg import null_space
 
 from arraycal.airlink import noise_variance_from_snr
 from arraycal.stacking import pair_equation_block
@@ -77,3 +80,13 @@ def dense_y_noncoherent(slot_measurements, pilots, partition, schedule):
     """Per-slot Y(P) of the schedule's active pairs, stacked in slot order."""
     return np.vstack([dense_y(ms, pilots, partition, schedule.active_pairs(t))
                       for t, ms in enumerate(slot_measurements)])
+
+
+def constrained_lstsq(y, g, c):
+    """min ||Y f|| s.t. f^H g = c as f = f0 + V z, with V an orthonormal basis
+    of g's complement and z the minimum-norm lstsq solution of (Y V) z = -Y f0.
+    Also returns the rank lstsq found for Y V."""
+    f0 = np.conj(c) * g / np.real(np.vdot(g, g))
+    v = null_space(g.conj()[None, :])
+    z, _, rank, _ = np.linalg.lstsq(y @ v, -(y @ f0), rcond=None)
+    return f0 + v @ z, rank

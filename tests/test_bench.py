@@ -204,6 +204,22 @@ def test_cli_check_and_run_reject_rank_deficient_schemes(tmp_path, capsys, text,
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("slots, error", [
+    ("0 1; 2 5", "groups [5] outside 0..3"),          # was an IndexError traceback
+    ("0 -1; 1 2 3", "groups [-1] outside 0..3"),      # was taken as group 3, exit 3
+    ("0 0; 0 1 2 3", "lists a group more than once"),  # check said ok, run failed mid-trial
+    ("0; 1 2 3", "at least two groups"),              # check died with a traceback
+])
+def test_cli_check_and_run_reject_bad_slot_groups(tmp_path, capsys, slots, error):
+    cfg = _write(tmp_path, "slots.cfg", f"m = 4\nnoncoherent_slots = {slots}\n"
+                 "snr_db = 40\ntrials = 2\nconstraint = FCC\ncrb = false\n")
+    assert cli_main(["check", cfg]) == 2
+    assert error in capsys.readouterr().err
+    assert cli_main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_cli_run_deterministic_and_seed_override(tmp_path):
     path = _write(tmp_path, "run.cfg", SMALL_CONFIG)
     out1, out2, out3 = (str(tmp_path / n) for n in ("r1.csv", "r2.csv", "r3.csv"))
