@@ -99,6 +99,8 @@ class ExperimentConfig:
             if e in ("argos", "daisy") and self.pilots == UNIT_PHASE_RANDOM:
                 raise ValueError(f"estimator {e!r} ignores pilots; set pilots = ALL_ONES "
                                  "or IDENTITY")
+            if e != "ls" and self.noncoherent_slots is not None:
+                raise ValueError(f"estimator {e!r} does not support non-coherent schedules")
 
     def geometry(self) -> GeometryConfig | None:
         if self.channel != "geometric":
@@ -210,8 +212,6 @@ def _estimate_one(est: str, cfg: ExperimentConfig, spec: ConstraintSpec,
         else:
             sys_ = build_stacked(ms_or_slots, pilots, partition)
         return ls_estimate(sys_, spec).f_hat.f
-    if schedule is not None:
-        raise ValueError(f"estimator {est!r} does not support non-coherent schedules")
     ms = ms_or_slots
     if est == "argos":
         f = argos_estimate(ms, partition).f

@@ -20,13 +20,14 @@ reference for tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import khatri_rao, null_space, orth
 
 from .model import AntennaPartition, ChannelRealization, RfImpairments
-from .stacking import add_pair_gram, khatri_rao_t, pair_batches, pair_pilots
+from .stacking import khatri_rao_t, pair_batches, pair_gram, pair_pilots
 
 # B's second-smallest eigenvalue relative to its largest, at or below which f
 # is not identifiable: rank-deficient B reaches 4e-16 by rounding, identifiable
@@ -181,10 +182,14 @@ class CrbContext:
     h: np.ndarray
     noise_variance: float
     partition: AntennaPartition
-    v_f: np.ndarray          # orthonormal complement of span{f}, M x (M-1)
     cols: list
     h_pairs: list
     f_pairs: list
+
+    @cached_property
+    def v_f(self) -> np.ndarray:
+        """Orthonormal complement of span{f}, M x (M-1), formed on first use."""
+        return null_space(self.f.conj()[None, :])
 
 
 @dataclass
@@ -200,7 +205,7 @@ def context_from_model(imp: RfImpairments, chan: ChannelRealization, pilots,
     f = imp.tx_gains / imp.rx_gains
     hc_blocks = aux_channel_blocks(imp, chan, partition)
     ctx = CrbContext(f, stack_h(hc_blocks, partition), float(noise_variance), partition,
-                     null_space(f.conj()[None, :]), [], [], [])
+                     [], [], [])
     for gi, gj, cols in pair_batches(partition):
         p_i, p_j = pair_pilots(pilots, gi, gj)
         mi = p_i.shape[1]
@@ -224,13 +229,13 @@ def fim(ctx: CrbContext) -> np.ndarray:
     pairs = ctx.partition.pairs()
     # start of each pair's entries in h (pairs lexicographic, M_iM_j entries each)
     h_off = dict(zip(pairs, accumulate((sizes[i] * sizes[j] for (i, j) in pairs), initial=0)))
-    j = np.zeros((m + ctx.h.size,) * 2, dtype=complex)
+    batches = []
     for (gi, gj, cols), hp, fp in zip(pair_batches(ctx.partition), ctx.h_pairs, ctx.f_pairs):
         h_cols = m + np.array([h_off[p] for p in zip(gi.tolist(), gj.tolist())])[:, None] \
             + np.arange(fp.shape[2])
-        add_pair_gram(j, np.concatenate((cols, h_cols), axis=1),
-                      np.concatenate((hp, fp), axis=2))
-    return j / ctx.noise_variance
+        batches.append((np.concatenate((cols, h_cols), axis=1),
+                        np.concatenate((hp, fp), axis=2)))
+    return pair_gram(m + ctx.h.size, batches) / ctx.noise_variance
 
 
 def compressed_information(ctx: CrbContext) -> np.ndarray:
@@ -238,10 +243,11 @@ def compressed_information(ctx: CrbContext) -> np.ndarray:
     times sigma^2.  F is block diagonal over pairs, so its projector splits into
     the pairs' small ones: B = sum_p (P_perp,p H_p)^H (P_perp,p H_p), where
     P_perp,p = I - Q_p Q_p^H projects onto the complement of F_p's columns."""
-    b = np.zeros((ctx.f.size,) * 2, dtype=complex)
+    batches = []
     for cols, hp, fp in zip(ctx.cols, ctx.h_pairs, ctx.f_pairs):
         q = range_basis(fp)
-        add_pair_gram(b, cols, hp - q @ (q.conj().transpose(0, 2, 1) @ hp))
+        batches.append((cols, hp - q @ (q.conj().transpose(0, 2, 1) @ hp)))
+    b = pair_gram(ctx.f.size, batches)
     return (b + b.conj().T) / 2
 
 
@@ -285,9 +291,7 @@ def crb_f_known_h(ctx: CrbContext, constraint: str = "FCC") -> CrbResult:
     Replaces the nuisance projector by identity (B = sum_p H_p^H H_p); this
     underestimates the achievable MSE of joint estimators.
     """
-    b = np.zeros((ctx.f.size,) * 2, dtype=complex)
-    for cols, hp in zip(ctx.cols, ctx.h_pairs):
-        add_pair_gram(b, cols, hp)
+    b = pair_gram(ctx.f.size, list(zip(ctx.cols, ctx.h_pairs)))
     b = (b + b.conj().T) / 2
     if constraint == "FCC":
         v = np.eye(ctx.f.size, dtype=complex)[:, 1:]

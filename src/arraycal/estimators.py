@@ -21,6 +21,10 @@ NPC = "NPC"
 UNIT_NORM = "UNIT_NORM"
 LINEAR = "LINEAR"
 
+# Margin of the Cholesky certificate over lstsq's rank rule n eps, n = M - 1
+# (see _certified_inverse_factor).
+CHOLESKY_MARGIN = 1e3
+
 
 @dataclass(frozen=True)
 class ConstraintSpec:
@@ -107,6 +111,25 @@ def _smallest_eigvec(a: np.ndarray):
     return v[:, 0].copy(), unique
 
 
+def _certified_inverse_factor(b: np.ndarray):
+    """L^{-1} for B = L L^H when B is certified well enough conditioned that
+    lstsq's rank rule keeps all its eigenvalues; else None.
+
+    c = 1 / (tr(B) ||L^{-1}||_F^2) bounds lambda_min / lambda_max from below,
+    since ||L^{-1}||_F^2 = tr(B^{-1}) >= 1 / lambda_min and tr(B) >= lambda_max.
+    eigh's eigenvalues carry a backward error of a modest multiple of
+    eps ||B||, so c > CHOLESKY_MARGIN n eps leaves every computed eigenvalue
+    far above the rule's n eps max|w|; the margin also covers the rounding in
+    c itself, whose relative size is at most about n eps / c.
+    """
+    try:
+        li = np.linalg.inv(np.linalg.cholesky(b))
+    except np.linalg.LinAlgError:
+        return None
+    bound = 1.0 / (np.real(np.trace(b)) * np.real(np.vdot(li, li)))
+    return li if bound > CHOLESKY_MARGIN * b.shape[0] * np.finfo(float).eps else None
+
+
 def _solve_linear_constrained(sys: StackedSystem, g: np.ndarray, c: complex):
     """min f^H A f s.t. f^H g = c, robust to a singular Gram matrix A; also
     returns whether B = V^H A V has full rank.  Equal to the closed form
@@ -114,12 +137,14 @@ def _solve_linear_constrained(sys: StackedSystem, g: np.ndarray, c: complex):
 
     V is an orthonormal basis of g's complement, the columns 1.. of the
     Householder reflector H = I - u u^H / tau that maps g onto e_0, so V^H x =
-    (H x)[1:] and V z = H [0, z] cost O(M).  One eigendecomposition of B gives
-    its pseudo-inverse, with the eigenvalues that lstsq's rank rule would drop
-    left out: f = f0 + V z stays the minimum-norm solution, and is exact in
-    the noiseless (singular-A) case.  A solve with A squares cond(Y(P)); three
-    refinement steps, with A f taken from the pair blocks, recover the
-    accuracy of a least-squares solve on Y(P).
+    (H x)[1:] and V z = H [0, z] cost O(M).  A Cholesky factor of B, certified
+    to be far from singular (_certified_inverse_factor), gives B^{-1}.
+    Otherwise one eigendecomposition of B gives its pseudo-inverse, with the
+    eigenvalues that lstsq's rank rule would drop left out: f = f0 + V z stays
+    the minimum-norm solution, and is exact in the noiseless (singular-A)
+    case.  A solve with A squares cond(Y(P)); three refinement steps, with
+    A f taken from the pair blocks, recover the accuracy of a least-squares
+    solve on Y(P).
     """
     gnorm2 = np.real(g.conj() @ g)
     if gnorm2 == 0:
@@ -132,14 +157,20 @@ def _solve_linear_constrained(sys: StackedSystem, g: np.ndarray, c: complex):
     def reflect(x):                           # H x, column by column
         return x - np.multiply.outer(u, u.conj() @ x / tau)
 
-    # H A H is Hermitian, and eigh reads one triangle of it
-    w, e = np.linalg.eigh(reflect(reflect(sys.gram).conj().T)[1:, 1:])
-    keep = np.abs(w) > _rank_tol(w)
-    e, inv = e[:, keep], 1.0 / w[keep]
+    # H A H is Hermitian; cholesky and eigh read its lower triangle
+    b = reflect(reflect(sys.gram).conj().T)[1:, 1:]
+    li = _certified_inverse_factor(b)
+    if li is not None:                        # B^{-1} = p diag(d) q
+        p, d, q, full = li.conj().T, 1.0, li, True
+    else:
+        w, e = np.linalg.eigh(b)
+        keep = np.abs(w) > _rank_tol(w)
+        p, d, full = e[:, keep], 1.0 / w[keep], bool(keep.all())
+        q = p.conj().T
     for _ in range(3):
-        z = e @ (inv * (e.conj().T @ reflect(sys.apply_gram(f))[1:]))
+        z = p @ (d * (q @ reflect(sys.apply_gram(f))[1:]))
         f = f - reflect(np.concatenate(([0.0], z)))
-    return f, bool(keep.all())
+    return f, full
 
 
 def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationReport:

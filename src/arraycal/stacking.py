@@ -25,14 +25,12 @@ class StackedSystem:
     """Y(P) as per-pair row blocks, with its Gram matrix A = Y(P)^H Y(P).
 
     blocks batches pairs of equal shape as (cols, w): the rows of Y(P) for
-    pair p are w[p], at the antenna columns cols[p].  pair_index maps each
-    row block of Y(P) to (slot, i, j).  solutions holds the estimators'
-    solves of this system, keyed by constraint.
+    pair p are w[p], at the antenna columns cols[p].  solutions holds the
+    estimators' solves of this system, keyed by constraint.
     """
 
     gram: np.ndarray          # M x M, Hermitian PSD
     rows: int                 # rows of Y(P)
-    pair_index: list          # [(slot, i, j), ...] in row-block order
     m: int
     blocks: list              # [(cols (P, k) int, w (P, r, k) complex), ...]
     solutions: dict = field(default_factory=dict, repr=False, compare=False)
@@ -40,11 +38,10 @@ class StackedSystem:
     def apply_gram(self, f: np.ndarray) -> np.ndarray:
         """A f as Y(P)^H (Y(P) f) from the pair blocks: unlike gram @ f, its
         rounding error does not scale with cond(A) = cond(Y(P))^2."""
-        out = np.zeros(self.m, dtype=complex)
-        for cols, w in self.blocks:
-            r = np.einsum("prk,pk->pr", w, f[cols])
-            np.add.at(out, cols, np.einsum("prk,pr->pk", w.conj(), r))
-        return out
+        yf = [np.einsum("prk,pk->pr", w, f[cols]) for cols, w in self.blocks]
+        return _scatter_add(self.m, [cols for cols, _ in self.blocks],
+                            [np.einsum("prk,pr->pk", w.conj(), r)
+                             for (_, w), r in zip(self.blocks, yf)])
 
 
 def khatri_rao_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,10 +92,27 @@ def pair_pilots(pilots, gi: np.ndarray, gj: np.ndarray):
     return pilots.stacked(gi), pilots.stacked(gj)
 
 
-def add_pair_gram(out: np.ndarray, cols: np.ndarray, w: np.ndarray) -> None:
-    """out[cols_p, cols_p] += w_p^H w_p for every pair p of a batch."""
-    np.add.at(out, (cols[:, :, None], cols[:, None, :]),
-              np.einsum("pri,prj->pij", w.conj(), w))
+def _scatter_add(n: int, index: list, values: list) -> np.ndarray:
+    """Length-n complex vector with values[k].flat added at index[k].flat.
+
+    One bincount per part over all the batches in order: every entry sums its
+    terms in the order np.add.at, batch after batch, would, so the result is
+    the same to the bit.
+    """
+    idx = np.concatenate([i.ravel() for i in index])
+    val = np.concatenate([v.ravel() for v in values])
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(idx, val.real, n)
+    out.imag = np.bincount(idx, val.imag, n)
+    return out
+
+
+def pair_gram(n: int, batches: list) -> np.ndarray:
+    """The n x n sum of w_p^H w_p at [cols_p, cols_p] over every pair p of
+    the batches [(cols (P, k), w (P, r, k)), ...]."""
+    return _scatter_add(n * n, [cols[:, :, None] * n + cols[:, None, :] for cols, _ in batches],
+                        [np.einsum("pri,prj->pij", w.conj(), w) for _, w in batches]
+                        ).reshape(n, n)
 
 
 def build_stacked(measurements, pilots, partition: AntennaPartition,
@@ -108,25 +122,23 @@ def build_stacked(measurements, pilots, partition: AntennaPartition,
     Pairs of equal block shape are batched; pair (i, j) adds W^H W, with
     W = [block_i, block_j], to the Gram at the antennas of groups i and j.
     The result is kept on the measurements and returned again to a call with
-    the same pilots and partition objects, pairs and slot.
+    the same pilots and partition objects, slot and pairs argument (None, or
+    an equal list).
     """
-    listed = partition.pairs() if pairs is None else list(pairs)
+    pairs = None if pairs is None else list(pairs)
     kept = measurements.stacked
     if kept is not None and kept[0] is pilots and kept[1] is partition \
-            and kept[2] == slot and kept[3] == listed:
+            and kept[2] == slot and kept[3] == pairs:
         return kept[4]
-    m = partition.num_antennas
-    gram = np.zeros((m, m), dtype=complex)
     blocks = []
     for gi, gj, cols in pair_batches(partition, pairs):
         bi, bj = pair_equation_block(measurements.gather(gj, gi), measurements.gather(gi, gj),
                                      *pair_pilots(pilots, gi, gj))
-        w = np.concatenate((bi, bj), axis=2)
-        add_pair_gram(gram, cols, w)
-        blocks.append((cols, w))
+        blocks.append((cols, np.concatenate((bi, bj), axis=2)))
+    m = partition.num_antennas
     rows = sum(w.shape[0] * w.shape[1] for _, w in blocks)
-    system = StackedSystem(gram, rows, [(slot, i, j) for (i, j) in listed], m, blocks)
-    measurements.stacked = (pilots, partition, slot, listed, system)
+    system = StackedSystem(pair_gram(m, blocks), rows, m, blocks)
+    measurements.stacked = (pilots, partition, slot, pairs, system)
     return system
 
 
@@ -140,8 +152,7 @@ def build_stacked_noncoherent(slot_measurements: list, pilots,
                              pairs=ms.pairs() if schedule is None else schedule.active_pairs(t))
                for t, ms in enumerate(slot_measurements)]
     return StackedSystem(sum(s.gram for s in systems), sum(s.rows for s in systems),
-                         [e for s in systems for e in s.pair_index], partition.num_antennas,
-                         [b for s in systems for b in s.blocks])
+                         partition.num_antennas, [b for s in systems for b in s.blocks])
 
 
 def independent_equations(partition: AntennaPartition, schedule=None):

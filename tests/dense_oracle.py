@@ -1,10 +1,11 @@
 """Dense and per-pair references for the package's batched computations.
 
 The package keeps only A = Y(P)^H Y(P).  dense_y and dense_y_noncoherent
-build Y(P) itself, one row block per pair from pair_equation_block, so tests
-can check the Gram, null-space and rank properties against the explicit
-matrix.  vec_transpose_perm is the dense form of crb.vec_transpose_index, and
-split_h inverts crb.stack_h for the dense H(h, P) of crb.build_h_composite.
+build Y(P) itself, one row block per pair from pair_equation_block, in the
+order row_blocks gives, so tests can check the Gram, null-space and rank
+properties against the explicit matrix.  vec_transpose_perm is the dense
+form of crb.vec_transpose_index, and split_h inverts crb.stack_h for the
+dense H(h, P) of crb.build_h_composite.
 exchange_pairs is airlink.simulate_exchange as one loop over ordered pairs.
 constrained_lstsq is the linear-constraint LS of estimators.ls_estimate
 solved by lstsq on the dense Y(P).
@@ -76,10 +77,19 @@ def dense_y(measurements, pilots, partition, pairs=None):
     return np.vstack(blocks)
 
 
+def row_blocks(partition, schedule=None):
+    """(slot, i, j) of each row block of Y(P), in order: slot by slot, and in
+    each slot its active pairs i < j lexicographically (every pair of slot 0
+    when schedule is None)."""
+    if schedule is None:
+        return [(0, i, j) for (i, j) in partition.pairs()]
+    return [(t, i, j) for t in range(len(schedule.slots)) for (i, j) in schedule.active_pairs(t)]
+
+
 def dense_y_noncoherent(slot_measurements, pilots, partition, schedule):
-    """Per-slot Y(P) of the schedule's active pairs, stacked in slot order."""
-    return np.vstack([dense_y(ms, pilots, partition, schedule.active_pairs(t))
-                      for t, ms in enumerate(slot_measurements)])
+    """Y(P) of the schedule's active pairs, row blocks in row_blocks order."""
+    return np.vstack([dense_y(slot_measurements[t], pilots, partition, [(i, j)])
+                      for t, i, j in row_blocks(partition, schedule)])
 
 
 def constrained_lstsq(y, g, c):

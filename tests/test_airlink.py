@@ -239,7 +239,11 @@ def test_build_stacked_is_reused_per_measurement_set():
     ms = simulate_exchange(part, pilots, imp, chan, 20.0, rng)
     first = build_stacked(ms, pilots, part)
     assert build_stacked(ms, pilots, part) is first
-    assert build_stacked(ms, pilots, part, pairs=part.pairs()) is first
+    # the kept system is keyed on the pairs argument as given: an explicit
+    # list of every pair rebuilds the same Gram once, then is kept in turn
+    listed = build_stacked(ms, pilots, part, pairs=part.pairs())
+    assert listed is not first and np.array_equal(listed.gram, first.gram)
+    assert build_stacked(ms, pilots, part, pairs=part.pairs()) is listed
     # another pilots object (even with equal blocks) or other pairs rebuild
     other = build_stacked(ms, PilotSet(pilots.blocks), part)
     assert other is not first and np.array_equal(other.gram, first.gram)

@@ -292,6 +292,19 @@ def test_cli_noncoherent_crb_is_not_reported(tmp_path, capsys):
         assert a.read() == b.read()
 
 
+@pytest.mark.parametrize("estimators", ["ls, aml", "rogalin", "ls, argos, daisy"])
+def test_cli_check_and_run_reject_noncoherent_estimators(tmp_path, capsys, estimators):
+    # only ls stacks the slots of a non-coherent schedule; check said ok and
+    # run exited 2 from inside the first trial
+    cfg = _write(tmp_path, "nc.cfg", NONCOHERENT_CONFIG + f"estimators = {estimators}\n"
+                 "crb = false\n")
+    assert cli_main(["check", cfg]) == 2
+    assert "does not support non-coherent schedules" in capsys.readouterr().err
+    assert cli_main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "does not support non-coherent schedules" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("constraint", ["FCC", "NPC"])
 def test_cli_run_rejects_rank_deficient_crb(tmp_path, capsys, constraint):
     # rows = 2 = M - 1 passes the row count, but the bound's information has
@@ -310,6 +323,8 @@ def test_cli_run_rejects_rank_deficient_crb(tmp_path, capsys, constraint):
     (dict(channel="rician"), "channel must be"),
     (dict(trials=0), "trials >= 1"),
     (dict(snr_db=()), "non-empty snr grid"),
+    (dict(estimators=("ls", "aml"), noncoherent_slots=((0, 1), (1, 2))),
+     "does not support non-coherent"),
 ])
 def test_config_checks_apply_without_parsing(changes, message):
     # a config built in code gets the same checks as a parsed one

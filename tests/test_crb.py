@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dense_oracle import dense_y, split_h, vec_transpose_perm
+from arraycal import crb
 from arraycal.airlink import PilotSet, default_pilots, simulate_exchange
+from arraycal.bench import parse_config, run_experiment
 from arraycal.crb import (
     UNIDENTIFIABLE_RTOL,
     aux_channel_blocks,
@@ -147,6 +149,24 @@ def test_npc_crb_basis_form_equivalence():
     v = ctx.v_f
     alt = ctx.noise_variance * v @ np.linalg.inv(v.conj().T @ b @ v) @ v.conj().T
     assert np.max(np.abs(alt - r.crb_matrix)) < 1e-8 * np.max(np.abs(r.crb_matrix))
+
+
+@pytest.mark.parametrize("text", [
+    # perfbench's singleton16-aml-crb and fc2-64-ls-crb workloads
+    "m = 16\nscheme = SINGLETON\npilots = ALL_ONES\nconstraint = FCC\n"
+    "estimators = aml, rogalin, argos\naml_max_iter = 50\nsnr_db = 10, 40\ntrials = 2\n",
+    "m = 64\nscheme = FC_II\ng = 12\npilots = UNIT_PHASE_RANDOM\nconstraint = NPC\n"
+    "estimators = ls\nsnr_db = 20, 40\ntrials = 1\n",
+])
+def test_crb_runs_form_no_complement_of_f(monkeypatch, text):
+    # ctx.v_f (scipy's null_space) is formed on first use, and only the NPC
+    # known-h bound reads it
+    def refuse(*args, **kwargs):
+        raise AssertionError("null_space called")
+
+    monkeypatch.setattr(crb, "null_space", refuse)
+    table = run_experiment(parse_config(text + "crb = true\n"))
+    assert all(np.isfinite(r.crb_trace) for r in table.rows)
 
 
 def test_known_h_bound_below_full():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import khatri_rao
 
-from dense_oracle import dense_y, dense_y_noncoherent
+from dense_oracle import dense_y, dense_y_noncoherent, row_blocks
 from arraycal.airlink import NoncoherentSchedule, default_pilots, simulate_exchange, simulate_noncoherent
 from arraycal.model import (
     AntennaPartition,
@@ -57,7 +57,7 @@ def test_null_space_contains_f():
     assert np.linalg.norm(dense_y(ms, pilots, part) @ f) / np.linalg.norm(f) < 1e-10
     assert (np.linalg.norm(ss.gram @ f)
             / (np.linalg.norm(ss.gram, 2) * np.linalg.norm(f))) < 1e-12
-    assert ss.pair_index[0] == (0, 0, 1)
+    assert row_blocks(part)[0] == (0, 0, 1)
 
 
 def test_rank_of_stacked_matrix():
@@ -108,7 +108,9 @@ def test_noncoherent_row_counts_add_up():
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng)
     ss = build_stacked_noncoherent(slots, pilots, part, sched)
     assert ss.rows == 2
-    assert [e[0] for e in ss.pair_index] == [0, 1]
+    assert row_blocks(part, sched) == [(0, 0, 1), (1, 2, 3)]
+    y = dense_y_noncoherent(slots, pilots, part, sched)
+    assert y.shape == (2, 4) and np.allclose(ss.gram, y.conj().T @ y)
 
 
 def test_noncoherent_pairwise_recovery_matches_ratios():
