@@ -58,7 +58,6 @@ from .crb import (
 )
 from .grouping import (
     GroupScheme,
-    brute_force_best_pair_count,
     custom_scheme,
     make_scheme,
     max_calibratable,

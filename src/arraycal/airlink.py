@@ -165,36 +165,42 @@ class NoncoherentSchedule:
                 raise ValueError(f"slot {s} lists a group more than once")
 
     def covers(self, num_groups: int) -> bool:
-        active = set()
-        for s in self.slots:
-            active.update(s)
-        return active == set(range(num_groups))
+        return set().union(*self.slots) == set(range(num_groups))
 
     def active_pairs(self, t: int):
         s = self.slots[t]
         return [(i, j) for a, i in enumerate(s) for j in s[a + 1:]]
 
 
+def require_pilot_kind(partition: AntennaPartition, kind: str) -> None:
+    """default_pilots' rule: a known kind; L_i = 1 for ALL_ONES, L_i = M_i for IDENTITY."""
+    if kind not in (UNIT_PHASE_RANDOM, ALL_ONES, IDENTITY):
+        raise ValueError(f"unknown pilot kind {kind!r}")
+    if kind == ALL_ONES and any(l != 1 for l in partition.pilot_lengths):
+        raise ValueError("all-ones pilots use a single channel use (L_i = 1)")
+    if kind == IDENTITY and partition.pilot_lengths != partition.group_sizes:
+        raise ValueError("identity pilots require L_i = M_i")
+
+
 def default_pilots(partition: AntennaPartition, kind: str,
                    rng: np.random.Generator | None = None) -> PilotSet:
     """Standard pilot choices: unit-modulus random phases, all-ones columns, identity."""
-    blocks = []
-    for m, l in zip(partition.group_sizes, partition.pilot_lengths):
-        if kind == UNIT_PHASE_RANDOM:
-            if rng is None:
-                raise ValueError("random pilots need an rng")
-            blocks.append(np.exp(1j * rng.uniform(-np.pi, np.pi, size=(m, l))))
-        elif kind == ALL_ONES:
-            if l != 1:
-                raise ValueError("all-ones pilots use a single channel use (L_i = 1)")
-            blocks.append(np.ones((m, 1), dtype=complex))
-        elif kind == IDENTITY:
-            if l != m:
-                raise ValueError("identity pilots require L_i = M_i")
-            blocks.append(np.eye(m, dtype=complex))
-        else:
-            raise ValueError(f"unknown pilot kind {kind!r}")
-    return PilotSet(tuple(blocks))
+    require_pilot_kind(partition, kind)
+    sizes = partition.group_sizes
+    if kind == ALL_ONES:
+        return PilotSet(tuple(np.ones((m, 1), dtype=complex) for m in sizes))
+    if kind == IDENTITY:
+        return PilotSet(tuple(np.eye(m, dtype=complex) for m in sizes))
+    if rng is None:
+        raise ValueError("random pilots need an rng")
+    return PilotSet(tuple(np.exp(1j * rng.uniform(-np.pi, np.pi, size=(m, l)))
+                          for m, l in zip(sizes, partition.pilot_lengths)))
+
+
+def require_snr_db(snr_db) -> None:
+    """simulate_exchange's rule: snr_db (one value or several) is finite or +inf."""
+    if not np.all(np.isfinite(snr_db) | np.isposinf(snr_db)):
+        raise ValueError("snr_db must be finite or +inf")
 
 
 def noise_variance_from_snr(snr_db: float, chan: ChannelRealization) -> float:
@@ -223,8 +229,7 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
     m = partition.num_antennas
     if imp.num_antennas != m or chan.num_antennas != m:
         raise ValueError("impairments/channel size does not match partition")
-    if not np.isfinite(snr_db) and not np.isposinf(snr_db):
-        raise ValueError("snr_db must be finite or +inf")
+    require_snr_db(snr_db)
     active = tuple(range(partition.num_groups)) if groups is None else tuple(sorted(groups))
     if len(active) < 2:
         raise ValueError("at least two groups must be active")
@@ -293,8 +298,5 @@ def measurements_to_csv(ms: MeasurementSet, path) -> None:
     with open(path, "w") as fh:
         fh.write("tx_group,rx_group,row,col,re,im\n")
         for (i, j) in sorted(ms.blocks):
-            y = ms.block(i, j)
-            for r in range(y.shape[0]):
-                for c in range(y.shape[1]):
-                    v = y[r, c]
-                    fh.write(f"{i},{j},{r},{c},{v.real:.17g},{v.imag:.17g}\n")
+            for (r, c), v in np.ndenumerate(ms.block(i, j)):
+                fh.write(f"{i},{j},{r},{c},{v.real:.17g},{v.imag:.17g}\n")

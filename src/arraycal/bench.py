@@ -11,7 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -19,8 +22,11 @@ from . import crb as crb_mod
 from .airlink import (
     UNIT_PHASE_RANDOM,
     NoncoherentSchedule,
+    PilotSet,
     default_pilots,
     noise_variance_from_snr,
+    require_pilot_kind,
+    require_snr_db,
     simulate_exchange,
     simulate_noncoherent,
 )
@@ -33,11 +39,16 @@ from .estimators import (
     ls_estimate,
     mse,
     normalize_for_constraint,
+    require_aml_settings,
+    require_argos_partition,
+    require_avalanche_partition,
+    require_single_antenna_groups,
     rogalin_estimate,
 )
-from .grouping import GroupScheme, custom_scheme, make_scheme
+from .grouping import SCHEME_LABELS, GroupScheme, custom_scheme, make_scheme
 from .model import (
     GEOMETRIC,
+    AntennaPartition,
     GeometryConfig,
     IID_RAYLEIGH,
     ImpairmentConfig,
@@ -46,6 +57,7 @@ from .model import (
     permute_channel,
 )
 from .stacking import (
+    StackedSystem,
     build_stacked,
     build_stacked_noncoherent,
     check_identifiability,
@@ -53,14 +65,75 @@ from .stacking import (
     independent_equations,
 )
 
-KNOWN_ESTIMATORS = ("ls", "argos", "rogalin", "daisy", "avalanche", "aml")
-
 
 class UnidentifiableError(ValueError):
     """Raised when the configured scheme cannot determine all coefficients."""
 
 
 @dataclass
+class Trial:
+    """What every estimator of a trial sees; data is a MeasurementSet, or a list
+    of one per slot on a non-coherent schedule."""
+
+    config: ExperimentConfig
+    spec: ConstraintSpec
+    data: object
+    pilots: PilotSet
+    partition: AntennaPartition
+
+    def system(self) -> StackedSystem:
+        schedule = self.config.slot_schedule
+        if schedule is None:
+            return build_stacked(self.data, self.pilots, self.partition)
+        return build_stacked_noncoherent(self.data, self.pilots, self.partition, schedule)
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """call(trial) gives a CalibrationVector, rescaled when its tag is not the
+    constraint.  ratio: reads samples as channel gains, so needs ALL_ONES or
+    IDENTITY pilots.  noncoherent: stacks a schedule's slots.  partition: its
+    partition rule (partition, who), raising ValueError."""
+
+    call: Callable
+    ratio: bool = False
+    noncoherent: bool = False
+    partition: Callable | None = None
+
+
+def _aml(t: Trial):
+    cfg = t.config
+    init = None if cfg.aml_init == "ones" else \
+        ls_estimate(t.system(), ConstraintSpec.fcc()).f_hat.f
+    return aml_estimate(t.data, t.pilots, t.partition, init=init, tol=cfg.aml_tol,
+                        max_iter=cfg.aml_max_iter, constraint=t.spec).f_hat
+
+
+# The calls go through this module's globals, so a wrapper put there (a
+# tracer, a test's monkeypatch) sees them.
+ESTIMATORS = {
+    "ls": Estimator(lambda t: ls_estimate(t.system(), t.spec).f_hat, noncoherent=True),
+    "argos": Estimator(lambda t: argos_estimate(t.data, t.partition), ratio=True,
+                       partition=require_argos_partition),
+    "rogalin": Estimator(lambda t: rogalin_estimate(t.data, t.pilots, t.partition,
+                                                    t.spec).f_hat,
+                         partition=require_single_antenna_groups),
+    "daisy": Estimator(lambda t: daisy_chain_estimate(t.data, t.partition), ratio=True,
+                       partition=require_single_antenna_groups),
+    "avalanche": Estimator(lambda t: avalanche_estimate(t.data, t.pilots, t.partition),
+                           partition=require_avalanche_partition),
+    "aml": Estimator(_aml),
+}
+
+# The experiment constraints, as a ConstraintSpec of the trial's true f.
+CONSTRAINTS = {
+    "FCC": lambda f_true: ConstraintSpec.fcc(),
+    "NPC": ConstraintSpec.npc,
+    "UNIT_NORM": lambda f_true: ConstraintSpec.unit_norm(),
+}
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     m: int
     scheme: str = "SINGLETON"
@@ -88,19 +161,36 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
+        """Every rule a run depends on, checked before check or run_experiment
+        draws anything.  Identifiability is theirs to report (exit 3)."""
         if self.trials < 1 or not self.snr_db:
             raise ValueError("need trials >= 1 and a non-empty snr grid")
+        require_snr_db(self.snr_db)
         if self.channel not in ("iid", "geometric"):
             raise ValueError("channel must be iid or geometric")
-        for e in self.estimators:
-            if e not in KNOWN_ESTIMATORS:
-                raise ValueError(f"unknown estimator {e!r}")
-            # ratio estimators read received samples as channel gains
-            if e in ("argos", "daisy") and self.pilots == UNIT_PHASE_RANDOM:
-                raise ValueError(f"estimator {e!r} ignores pilots; set pilots = ALL_ONES "
+        if self.channel == "geometric" and self.geometry().num_antennas != self.m:
+            raise ValueError(f"a {self.rows} x {self.cols} grid does not hold m = {self.m}")
+        ImpairmentConfig(self.delta)               # delta in [0, 1)
+        if self.constraint not in CONSTRAINTS:
+            raise ValueError(f"unsupported experiment constraint {self.constraint!r}")
+        if self.aml_init not in ("ls", "ones"):
+            raise ValueError(f"aml_init must be ls or ones, not {self.aml_init!r}")
+        require_aml_settings(self.aml_tol, self.aml_max_iter)
+        partition = self.group_scheme.partition
+        require_pilot_kind(partition, self.pilots)
+        for k, name in enumerate(self.estimators):
+            est = ESTIMATORS.get(name)
+            if est is None:
+                raise ValueError(f"unknown estimator {name!r}")
+            if name in self.estimators[:k]:
+                raise ValueError(f"estimator {name!r} is listed twice")
+            if est.ratio and self.pilots == UNIT_PHASE_RANDOM:
+                raise ValueError(f"estimator {name!r} ignores pilots; set pilots = ALL_ONES "
                                  "or IDENTITY")
-            if e != "ls" and self.noncoherent_slots is not None:
-                raise ValueError(f"estimator {e!r} does not support non-coherent schedules")
+            if self.slot_schedule is not None and not est.noncoherent:
+                raise ValueError(f"estimator {name!r} does not support non-coherent schedules")
+            if est.partition is not None:
+                est.partition(partition, f"estimator {name!r}")
 
     def geometry(self) -> GeometryConfig | None:
         if self.channel != "geometric":
@@ -109,19 +199,21 @@ class ExperimentConfig:
             raise ValueError("geometric channel needs rows and cols")
         return GeometryConfig(self.rows, self.cols, self.spacing)
 
-    def resolve_scheme(self) -> GroupScheme:
-        if self.scheme == "CUSTOM":
-            if self.group_sizes is None:
-                raise ValueError("CUSTOM scheme requires group_sizes")
-            return custom_scheme(self.group_sizes, self.pilot_lengths)
-        return make_scheme(self.scheme, self.m, self.g, self.geometry())
+    @cached_property
+    def group_scheme(self) -> GroupScheme:
+        if self.scheme != "CUSTOM":
+            return make_scheme(self.scheme, self.m, self.g, self.geometry())
+        if self.group_sizes is None or sum(self.group_sizes) != self.m:
+            raise ValueError(f"CUSTOM scheme needs group_sizes summing to m = {self.m}, "
+                             f"not {self.group_sizes}")
+        return custom_scheme(self.group_sizes, self.pilot_lengths)
 
-    def schedule(self, partition) -> NoncoherentSchedule | None:
-        """The non-coherent schedule, its slots checked against the partition's
-        group indices 0..g-1."""
+    @cached_property
+    def slot_schedule(self) -> NoncoherentSchedule | None:
+        """The non-coherent schedule, its slots checked against groups 0..g-1."""
         if self.noncoherent_slots is None:
             return None
-        g = partition.num_groups
+        g = self.group_scheme.partition.num_groups
         bad = sorted({k for slot in self.noncoherent_slots for k in slot if not 0 <= k < g})
         if bad:
             raise ValueError(f"noncoherent_slots name groups {bad} outside 0..{g - 1}")
@@ -142,7 +234,7 @@ class ResultRow:
 @dataclass
 class ResultTable:
     rows: list = field(default_factory=list)
-    skipped: dict = field(default_factory=dict)   # (estimator, snr_db) -> count
+    skipped: Counter = field(default_factory=Counter)   # (estimator, snr_db) -> count
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -194,48 +286,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _constraint_spec(kind: str, f_true: np.ndarray) -> ConstraintSpec:
-    if kind == "FCC":
-        return ConstraintSpec.fcc()
-    if kind == "NPC":
-        return ConstraintSpec.npc(f_true)
-    if kind == "UNIT_NORM":
-        return ConstraintSpec.unit_norm()
-    raise ValueError(f"unsupported experiment constraint {kind!r}")
-
-
-def _estimate_one(est: str, cfg: ExperimentConfig, spec: ConstraintSpec,
-                  ms_or_slots, pilots, partition, schedule) -> np.ndarray:
-    if est == "ls":
-        if schedule is not None:
-            sys_ = build_stacked_noncoherent(ms_or_slots, pilots, partition, schedule)
-        else:
-            sys_ = build_stacked(ms_or_slots, pilots, partition)
-        return ls_estimate(sys_, spec).f_hat.f
-    ms = ms_or_slots
-    if est == "argos":
-        f = argos_estimate(ms, partition).f
-    elif est == "daisy":
-        f = daisy_chain_estimate(ms, partition).f
-    elif est == "avalanche":
-        f = avalanche_estimate(ms, pilots, partition).f
-    elif est == "rogalin":
-        return rogalin_estimate(ms, pilots, partition, spec).f_hat.f
-    elif est == "aml":
-        init = None
-        if cfg.aml_init == "ls":
-            init = ls_estimate(build_stacked(ms, pilots, partition),
-                               ConstraintSpec.fcc()).f_hat.f
-        return aml_estimate(ms, pilots, partition, init=init, tol=cfg.aml_tol,
-                            max_iter=cfg.aml_max_iter, constraint=spec).f_hat.f
-    else:
-        raise ValueError(f"unknown estimator {est!r}")
-    # ratio-type estimators are FCC-native; rescale for other constraints
-    if spec.kind != "FCC":
-        f = normalize_for_constraint(f, spec)
-    return f
-
-
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Per (snr, trial): fresh impairments, channel, pilots and noise; all
     configured estimators see the same measurements.  The CRB is averaged over
@@ -243,9 +293,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     for non-coherent schedules (crb_trace is nan).  A configuration whose CRB
     finds f unidentifiable raises UnidentifiableError.
     """
-    scheme = config.resolve_scheme()
+    scheme, schedule = config.group_scheme, config.slot_schedule
     partition = scheme.partition
-    schedule = config.schedule(partition)
     if not check_identifiability(partition, schedule)["ok"]:
         raise UnidentifiableError("unidentifiable configuration: scheme not identifiable: "
                                   + identifiability_summary(partition, schedule))
@@ -273,15 +322,16 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
             else:
                 data = simulate_exchange(partition, pilots, imp, chan, snr, rng)
             f_true = imp.tx_gains / imp.rx_gains
-            spec = _constraint_spec(config.constraint, f_true)
+            spec = CONSTRAINTS[config.constraint](f_true)
+            inputs = Trial(config, spec, data, pilots, partition)
             for est in config.estimators:
                 t0 = time.perf_counter()
                 try:
-                    f_hat = _estimate_one(est, config, spec, data, pilots,
-                                          partition, schedule)
+                    cv = ESTIMATORS[est].call(inputs)
+                    f_hat = cv.f if cv.constraint_tag == spec.kind \
+                        else normalize_for_constraint(cv.f, spec)
                 except (np.linalg.LinAlgError, ZeroDivisionError, ArithmeticError):
-                    key = (est, snr)
-                    table.skipped[key] = table.skipped.get(key, 0) + 1
+                    table.skipped[(est, snr)] += 1
                 else:
                     sq_err[est].append(mse(f_hat, f_true))
                 if config.timing:
@@ -333,52 +383,38 @@ def emit_csv(table: ResultTable, path) -> None:
                      f"{r.crb_trace:.12e},{r.trials},{r.wall_time:.12e}\n")
 
 
-def _load_config(path, seed_override=None) -> ExperimentConfig:
-    with open(path) as fh:
-        cfg = parse_config(fh.read())
-    if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override)
-    return cfg
-
-
 def cli_main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="arraycal",
                                      description="Reciprocity calibration benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run the Monte Carlo sweep of a config")
-    p_run.add_argument("config")
-    p_run.add_argument("--out", required=True)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_crb = sub.add_parser("crb", help="CRB-only sweep of a config")
-    p_crb.add_argument("config")
-    p_crb.add_argument("--out", default=None)
-    p_crb.add_argument("--seed", type=int, default=None)
-    p_check = sub.add_parser("check", help="identifiability report for a config")
-    p_check.add_argument("config")
-    p_schemes = sub.add_parser("schemes", help="list known grouping schemes")
-    p_schemes.add_argument("--list", action="store_true")
+    for name, text in (("run", "run the Monte Carlo sweep of a config"),
+                       ("crb", "CRB-only sweep of a config"),
+                       ("check", "identifiability report for a config")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("config")
+        if name != "check":
+            p.add_argument("--out", required=name == "run", default=None)
+            p.add_argument("--seed", type=int, default=None)
+    sub.add_parser("schemes", help="list known grouping schemes").add_argument(
+        "--list", action="store_true")
     args = parser.parse_args(argv)
 
     if args.command == "schemes":
-        for name in ("FC_I", "FC_II", "SINGLETON", "ARGOS", "AVALANCHE",
-                     "INTERLEAVED", "NON_INTERLEAVED", "CUSTOM"):
-            print(name)
+        print("\n".join(SCHEME_LABELS))
         return 0
     try:
-        cfg = _load_config(args.config, getattr(args, "seed", None))
+        with open(args.config) as fh:
+            cfg = parse_config(fh.read())
+        if getattr(args, "seed", None) is not None:
+            cfg = replace(cfg, seed=args.seed)
     except (OSError, ValueError, KeyError) as e:
         print(f"error: cannot parse config: {e}", file=sys.stderr)
         return 2
 
     if args.command == "check":
-        try:
-            scheme = cfg.resolve_scheme()
-            schedule = cfg.schedule(scheme.partition)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        print(identifiability_summary(scheme.partition, schedule))
-        return 0 if check_identifiability(scheme.partition, schedule)["ok"] else 3
+        partition, schedule = cfg.group_scheme.partition, cfg.slot_schedule
+        print(identifiability_summary(partition, schedule))
+        return 0 if check_identifiability(partition, schedule)["ok"] else 3
 
     if cfg.noncoherent_slots is not None and (cfg.crb or args.command == "crb"):
         why = "the CRB is not computed for non-coherent schedules"

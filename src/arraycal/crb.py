@@ -12,9 +12,8 @@ norm-plus-phase / f-linear constraint.
 
 Both composites are block structured over group pairs: F is block diagonal,
 and pair p's rows of H touch only groups i and j.  The bounds, the FIM and
-AML work from the per-pair blocks H_p and F_p; build_h_composite,
-build_f_composite and _perp_projector build the dense matrices as a
-reference for tests.
+AML work from the per-pair blocks H_p and F_p; build_h_composite and
+build_f_composite build the dense matrices as a reference for tests.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
-from scipy.linalg import khatri_rao, null_space, orth
 
 from .model import AntennaPartition, ChannelRealization, RfImpairments
 from .stacking import khatri_rao_t, pair_batches, pair_gram, pair_pilots
@@ -82,8 +80,8 @@ def build_h_composite(h_blocks: dict, pilots, partition: AntennaPartition) -> np
     rows = []
     for (i, j) in partition.pairs():
         hc = h_blocks[(i, j)]
-        bi = khatri_rao(pilots[i].T, hc)            # L_i M_j x M_i
-        bj = khatri_rao(hc.T, pilots[j].T)          # M_i L_j x M_j
+        bi = khatri_rao_t(pilots[i], hc.T)          # L_i M_j x M_i
+        bj = khatri_rao_t(hc, pilots[j])            # M_i L_j x M_j
         top = np.zeros((bi.shape[0], m), dtype=complex)
         top[:, partition.antennas_of(i)] = bi
         bot = np.zeros((bj.shape[0], m), dtype=complex)
@@ -114,13 +112,6 @@ def build_f_composite(f: np.ndarray, pilots, partition: AntennaPartition) -> np.
     return out
 
 
-def _perp_projector(a: np.ndarray) -> np.ndarray:
-    """Dense projector onto the orthogonal complement of a's columns (test
-    reference)."""
-    q = orth(a)
-    return np.eye(a.shape[0]) - q @ q.conj().T
-
-
 def pair_h_block(hc: np.ndarray, p_i: np.ndarray, p_j: np.ndarray):
     """The two nonzero blocks of pair p's rows of H(h, P), batched over pairs.
 
@@ -142,6 +133,11 @@ def pair_f_block(f: np.ndarray, cols: np.ndarray, p_i: np.ndarray,
     top = np.einsum("pak,bc->pabkc", a_i, np.eye(mj)).reshape(n, li * mj, mi * mj)
     bot = np.einsum("ak,pbc->pabkc", np.eye(mi), b_j).reshape(n, mi * lj, mi * mj)
     return np.concatenate((top, bot), axis=1)
+
+
+def complement_basis(f: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span{f}'s complement, M x (M-1), as null_space(f^H)."""
+    return np.linalg.svd(f.conj()[None, :])[2][1:].conj().T
 
 
 def _svd_keep(a: np.ndarray):
@@ -189,7 +185,7 @@ class CrbContext:
     @cached_property
     def v_f(self) -> np.ndarray:
         """Orthonormal complement of span{f}, M x (M-1), formed on first use."""
-        return null_space(self.f.conj()[None, :])
+        return complement_basis(self.f)
 
 
 @dataclass
@@ -263,14 +259,13 @@ def _constrained_inverse(b: np.ndarray, v: np.ndarray, sigma2: float) -> np.ndar
 def crb_f(ctx: CrbContext, constraint: str = "FCC") -> CrbResult:
     """Constrained CRB for f with h as nuisance (Stoica & Ng, IEEE SPL 1998).
 
-    FCC uses the identity-minus-first-column subspace; NPC (or an f-aligned
-    linear constraint) yields the pseudo-inverse of the nuisance-compressed
-    information sigma^-2 B at its rank M - 1.  B always has f in its null
-    space; a second null direction (lambda_2 <= UNIDENTIFIABLE_RTOL
-    lambda_max) means f is not identifiable, and raises LinAlgError instead of
-    returning a meaningless bound.
+    FCC uses the identity-minus-first-column subspace; NPC yields the
+    pseudo-inverse of the nuisance-compressed information sigma^-2 B at its
+    rank M - 1.  B always has f in its null space; a second null direction
+    (lambda_2 <= UNIDENTIFIABLE_RTOL lambda_max) means f is not identifiable,
+    and raises LinAlgError instead of returning a meaningless bound.
     """
-    if constraint not in ("FCC", "NPC", "F_LINEAR", "NPC_OR_F_LINEAR"):
+    if constraint not in ("FCC", "NPC"):
         raise ValueError(f"unknown CRB constraint {constraint!r}")
     b = compressed_information(ctx)
     w, v = np.linalg.eigh(b)
@@ -293,10 +288,7 @@ def crb_f_known_h(ctx: CrbContext, constraint: str = "FCC") -> CrbResult:
     """
     b = pair_gram(ctx.f.size, list(zip(ctx.cols, ctx.h_pairs)))
     b = (b + b.conj().T) / 2
-    if constraint == "FCC":
-        v = np.eye(ctx.f.size, dtype=complex)[:, 1:]
-    else:
-        v = ctx.v_f
+    v = np.eye(ctx.f.size, dtype=complex)[:, 1:] if constraint == "FCC" else ctx.v_f
     crb = _constrained_inverse(b, v, ctx.noise_variance)
     return CrbResult(crb, float(np.real(np.trace(crb))), constraint)
 
@@ -316,9 +308,7 @@ def build_f_perp(f: np.ndarray, pilots, partition: AntennaPartition) -> np.ndarr
     sizes = partition.group_sizes
     lens = partition.pilot_lengths
     pairs = partition.pairs()
-    for k, p in enumerate(pilots.blocks):
-        if np.linalg.matrix_rank(p) < min(sizes[k], lens[k]):
-            raise ValueError(f"pilot block {k} is rank deficient")
+    pilots.validate(partition)
     n_rows = sum(lens[i] * sizes[j] + sizes[i] * lens[j] for (i, j) in pairs)
     n_cols = sum(lens[i] * lens[j] for (i, j) in pairs)
     out = np.zeros((n_rows, n_cols), dtype=complex)

@@ -88,10 +88,8 @@ def normalize_for_constraint(f: np.ndarray, constraint: ConstraintSpec) -> np.nd
         c = float(np.real(constraint.c))
         phi = np.angle(fu.conj() @ constraint.true_f)
         return np.sqrt(c) * np.exp(1j * phi) * fu
-    if constraint.kind == LINEAR:
-        g, c = constraint.g, complex(constraint.c)
-        return f * np.conj(c / (f.conj() @ g))
-    raise ValueError(constraint.kind)
+    g, c = constraint.g, complex(constraint.c)           # LINEAR
+    return f * np.conj(c / (f.conj() @ g))
 
 
 def _rank_tol(w: np.ndarray) -> float:
@@ -203,6 +201,15 @@ def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationRep
     return EstimationReport(CalibrationVector(f, tag), 1, cost, converged=unique)
 
 
+def require_argos_partition(partition: AntennaPartition, who: str) -> None:
+    """argos_estimate's rule: L_i = M_i, and {reference} + rest or all singletons."""
+    sizes = partition.group_sizes
+    if partition.pilot_lengths != sizes or sizes[0] != 1 \
+            or (partition.num_groups > 2 and any(s != 1 for s in sizes)):
+        raise ValueError(f"{who} needs a {{reference}} + rest or all-singleton partition "
+                         "with L_i = M_i")
+
+
 def argos_estimate(measurements, partition: AntennaPartition,
                    ref_value: complex = 1.0) -> CalibrationVector:
     """Ratio estimator against a reference antenna: f_i = f_1 y_{i->1} / y_{1->i}.
@@ -211,22 +218,27 @@ def argos_estimate(measurements, partition: AntennaPartition,
     identity pilots for the big group) or an all-singleton partition, from
     which only the links with antenna 0 are used.
     """
+    require_argos_partition(partition, "argos")
     m = partition.num_antennas
     f = np.empty(m, dtype=complex)
     f[0] = ref_value
-    if partition.num_groups == 2 and partition.group_sizes[0] == 1:
+    if partition.num_groups == 2:
         y_to_ref = measurements.block(1, 0).ravel()    # 1 x (M-1) row, antenna k -> ref
         y_from_ref = measurements.block(0, 1).ravel()  # (M-1) x 1 col, ref -> antenna k
-    elif all(s == 1 for s in partition.group_sizes):
+    else:
         k, ref = np.arange(1, m), np.zeros(m - 1, dtype=int)
         y_to_ref = measurements.gather(k, ref).ravel()
         y_from_ref = measurements.gather(ref, k).ravel()
-    else:
-        raise ValueError("argos needs a {reference} + rest or all-singleton partition")
     if np.any(y_from_ref == 0):
         raise ZeroDivisionError("zero received sample on a reference link")
     f[1:] = ref_value * y_to_ref / y_from_ref
     return CalibrationVector(f, "FCC" if ref_value == 1.0 else "NONE")
+
+
+def require_single_antenna_groups(partition: AntennaPartition, who: str) -> None:
+    """Rogalin's and the daisy chain's rule: one antenna per group."""
+    if any(s != 1 for s in partition.group_sizes):
+        raise ValueError(f"{who} needs single-antenna groups")
 
 
 def rogalin_gram(measurements, pilots, partition: AntennaPartition) -> StackedSystem:
@@ -235,8 +247,7 @@ def rogalin_gram(measurements, pilots, partition: AntennaPartition) -> StackedSy
 
     A[i,i] = sum_{k != i} |y_{k->i}|^2,  A[i,j] = -conj(y_{j->i}) y_{i->j}.
     """
-    if any(s != 1 for s in partition.group_sizes):
-        raise ValueError("rogalin estimator needs single-antenna groups")
+    require_single_antenna_groups(partition, "rogalin")
     return build_stacked(measurements, pilots, partition)
 
 
@@ -250,8 +261,7 @@ def rogalin_estimate(measurements, pilots, partition: AntennaPartition,
 def daisy_chain_estimate(measurements, partition: AntennaPartition,
                          ref_value: complex = 1.0) -> CalibrationVector:
     """Sequential ratio chain over adjacent single antennas: f_i from f_{i-1}."""
-    if any(s != 1 for s in partition.group_sizes):
-        raise ValueError("daisy chain needs single-antenna groups")
+    require_single_antenna_groups(partition, "daisy chain")
     m = partition.num_antennas
     f = np.empty(m, dtype=complex)
     f[0] = ref_value
@@ -265,19 +275,24 @@ def daisy_chain_estimate(measurements, partition: AntennaPartition,
     return CalibrationVector(f, "FCC" if ref_value == 1.0 else "NONE")
 
 
+def require_avalanche_partition(partition: AntennaPartition, who: str) -> None:
+    """avalanche_estimate's rule: L_i = 1, M_0 = 1 and M_g <= g for g >= 1."""
+    if any(l != 1 for l in partition.pilot_lengths):
+        raise ValueError(f"{who} uses single-channel-use pilots (L_i = 1)")
+    if partition.group_sizes[0] != 1:
+        raise ValueError(f"{who} seeds the recursion with a single-antenna group")
+    for g, sz in enumerate(partition.group_sizes[1:], 1):
+        if sz > g:
+            raise ValueError(f"{who}: group {g} has {sz} antennas > {g} calibrated equations")
+
+
 def avalanche_estimate(measurements, pilots, partition: AntennaPartition) -> CalibrationVector:
     """Online recursion: each group is solved from already-calibrated groups.
 
     Requires L_i = 1 pilots, a single-antenna first group seeding f_1 = 1, and
     M_i <= i-1 so each group's LS subproblem is (at least) exactly determined.
     """
-    if any(l != 1 for l in partition.pilot_lengths):
-        raise ValueError("avalanche uses single-channel-use pilots (L_i = 1)")
-    if partition.group_sizes[0] != 1:
-        raise ValueError("avalanche seeds the recursion with a single-antenna group")
-    for g0, sz in enumerate(partition.group_sizes):
-        if g0 >= 1 and sz > g0:
-            raise ValueError(f"group {g0} has {sz} antennas > {g0} calibrated equations")
+    require_avalanche_partition(partition, "avalanche")
     m = partition.num_antennas
     f = np.empty(m, dtype=complex)
     f_groups = [np.ones(1, dtype=complex)]
@@ -300,6 +315,14 @@ def avalanche_estimate(measurements, pilots, partition: AntennaPartition) -> Cal
     return CalibrationVector(f, "FCC")
 
 
+def require_aml_settings(tol: float, max_iter: int) -> None:
+    """aml_estimate's rule: a positive tolerance and at least one iteration."""
+    if not tol > 0:
+        raise ValueError("AML tolerance must be positive")
+    if max_iter < 1:
+        raise ValueError("AML needs max_iter >= 1")
+
+
 def aml_estimate(measurements, pilots, partition: AntennaPartition,
                  init: np.ndarray | None = None, tol: float = 1e-6,
                  max_iter: int = 100,
@@ -313,8 +336,7 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     equal shape, and both take the minimum-norm solution, which tolerates a
     singular F^H F.  Non-convergence is reported, not raised.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    require_aml_settings(tol, max_iter)
     f = np.ones(partition.num_antennas, dtype=complex) if init is None \
         else np.asarray(init, dtype=complex).copy()
     if not np.any(f):

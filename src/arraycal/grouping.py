@@ -23,7 +23,7 @@ INTERLEAVED = "INTERLEAVED"
 NON_INTERLEAVED = "NON_INTERLEAVED"
 CUSTOM = "CUSTOM"
 
-_LABELS = (FC_I, FC_II, SINGLETON, ARGOS, AVALANCHE, INTERLEAVED, NON_INTERLEAVED, CUSTOM)
+SCHEME_LABELS = (FC_I, FC_II, SINGLETON, ARGOS, AVALANCHE, INTERLEAVED, NON_INTERLEAVED, CUSTOM)
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class GroupScheme:
     label: str
 
     def __post_init__(self):
-        if self.label not in _LABELS:
+        if self.label not in SCHEME_LABELS:
             raise ValueError(f"unknown scheme label {self.label!r}")
         assignment = tuple(int(a) for a in self.assignment)
         object.__setattr__(self, "assignment", assignment)
@@ -65,27 +65,15 @@ def max_calibratable(k: int, t: int = 1) -> int:
     return t * k * (k - 1) // 2 + 1
 
 
-def _contiguous_assignment(sizes) -> tuple:
-    out = []
-    for g, s in enumerate(sizes):
-        out.extend([g] * s)
-    return tuple(out)
-
-
 def _fc1_sizes(m: int, g: int) -> tuple:
     """Avalanche-style sizes (1, 1, 2, ..., g-1), capped from the end to sum to m."""
     sizes = [max(1, i) for i in range(g)]
-    excess = sum(sizes) - m
-    if excess < 0:
+    if sum(sizes) < m:
         raise ValueError(f"{g} groups can cover at most {sum(sizes)} antennas")
-    idx = g - 1
-    while excess > 0:
-        take = min(excess, sizes[idx] - 1)
-        sizes[idx] -= take
-        excess -= take
-        idx -= 1
-        if idx < 0 and excess > 0:
-            raise ValueError("cannot reduce group sizes to match antenna count")
+    if g > m:
+        raise ValueError("cannot reduce group sizes to match antenna count")
+    for idx in reversed(range(g)):
+        sizes[idx] -= min(sum(sizes) - m, sizes[idx] - 1)
     return tuple(sizes)
 
 
@@ -106,47 +94,39 @@ def make_scheme(label: str, m: int, g: int | None = None,
     across the grid in column-major stride-g fashion, non-interleaved takes
     column-contiguous runs).  All schemes use one channel use per group.
     """
-    if label == SINGLETON:
-        part = AntennaPartition((1,) * m, (1,) * m)
-        return GroupScheme(part, _contiguous_assignment(part.group_sizes), label)
-    if label == ARGOS:
-        part = AntennaPartition((1, m - 1), (1, m - 1))
-        return GroupScheme(part, _contiguous_assignment(part.group_sizes), label)
-    if label == AVALANCHE:
-        if g is None:
-            raise ValueError("avalanche scheme needs the group count")
-        sizes = tuple(max(1, i) for i in range(g))
-        if sum(sizes) != m:
-            raise ValueError(f"avalanche with {g} groups covers {sum(sizes)} antennas, not {m}")
-        part = AntennaPartition(sizes, (1,) * g)
-        return GroupScheme(part, _contiguous_assignment(sizes), label)
-    if label in (FC_I, FC_II):
-        if g is None:
-            raise ValueError(f"{label} needs the group count")
-        sizes = _fc1_sizes(m, g) if label == FC_I else _fc2_sizes(m, g)
-        part = AntennaPartition(sizes, (1,) * g)
-        return GroupScheme(part, _contiguous_assignment(sizes), label)
     if label in (INTERLEAVED, NON_INTERLEAVED):
         if g is None or geometry is None:
             raise ValueError(f"{label} needs a group count and a grid geometry")
         if geometry.num_antennas != m or m % g:
             raise ValueError("grid size must match m and m must be divisible by g")
-        size = m // g
-        part = AntennaPartition((size,) * g, (1,) * g)
         idx = np.arange(m)              # column-major grid numbering
-        if label == INTERLEAVED:
-            assignment = tuple(int(a) for a in idx % g)
-        else:
-            assignment = tuple(int(a) for a in idx // size)
-        return GroupScheme(part, assignment, label)
-    raise ValueError(f"unsupported scheme label {label!r}")
+        assignment = idx % g if label == INTERLEAVED else idx // (m // g)
+        return GroupScheme(AntennaPartition((m // g,) * g, (1,) * g), assignment, label)
+    if label == SINGLETON:
+        sizes = lens = (1,) * m
+    elif label == ARGOS:
+        sizes = lens = (1, m - 1)
+    elif label in (AVALANCHE, FC_I, FC_II) and g is None:
+        raise ValueError(f"{label} needs the group count")
+    elif label == AVALANCHE:
+        sizes, lens = tuple(max(1, i) for i in range(g)), (1,) * g
+        if sum(sizes) != m:
+            raise ValueError(f"avalanche with {g} groups covers {sum(sizes)} antennas, not {m}")
+    elif label in (FC_I, FC_II):
+        sizes = _fc1_sizes(m, g) if label == FC_I else _fc2_sizes(m, g)
+        lens = (1,) * g
+    else:
+        raise ValueError(f"unsupported scheme label {label!r}")
+    # groups take contiguous runs of antennas
+    return GroupScheme(AntennaPartition(sizes, lens), np.repeat(np.arange(len(sizes)), sizes),
+                       label)
 
 
 def custom_scheme(sizes, pilot_lengths=None) -> GroupScheme:
     sizes = tuple(int(s) for s in sizes)
     lens = tuple(pilot_lengths) if pilot_lengths is not None else (1,) * len(sizes)
-    part = AntennaPartition(sizes, lens)
-    return GroupScheme(part, _contiguous_assignment(sizes), CUSTOM)
+    return GroupScheme(AntennaPartition(sizes, lens), np.repeat(np.arange(len(sizes)), sizes),
+                       CUSTOM)
 
 
 def scheme_to_text(scheme: GroupScheme) -> str:
@@ -177,23 +157,3 @@ def scheme_from_text(text: str) -> GroupScheme:
         raise ValueError(f"malformed scheme text: {e}") from e
     return GroupScheme(AntennaPartition(sizes, lens), assignment, label)
 
-
-def brute_force_best_pair_count(k: int) -> tuple:
-    """Exhaustive max of sum_{i<j} L_i L_j over integer compositions of k."""
-    best, best_comp = -1, None
-
-    def rec(remaining, comp):
-        nonlocal best, best_comp
-        if remaining == 0:
-            if len(comp) >= 2:
-                v = pair_count(comp)
-                if v > best:
-                    best, best_comp = v, tuple(comp)
-            return
-        for nxt in range(1, remaining + 1):
-            comp.append(nxt)
-            rec(remaining - nxt, comp)
-            comp.pop()
-
-    rec(k, [])
-    return best, best_comp

@@ -197,11 +197,3 @@ def check_identifiability(partition: AntennaPartition, schedule=None) -> dict:
           and len(group_components(partition, schedule)) == 1)
     return {"rows": rows, "needed": needed, "ok": ok}
 
-
-def numerical_rank(a: np.ndarray) -> int:
-    """Rank via singular values above max_dim * eps * sigma_max."""
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    tol = max(a.shape) * np.finfo(float).eps * s[0]
-    return int(np.sum(s > tol))

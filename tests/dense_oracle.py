@@ -8,13 +8,17 @@ form of crb.vec_transpose_index, and split_h inverts crb.stack_h for the
 dense H(h, P) of crb.build_h_composite.
 exchange_pairs is airlink.simulate_exchange as one loop over ordered pairs.
 constrained_lstsq is the linear-constraint LS of estimators.ls_estimate
-solved by lstsq on the dense Y(P).
+solved by lstsq on the dense Y(P).  perp_projector is the dense projector
+that the CRB's per-pair blocks replace, numerical_rank the rank rule the
+tests read off dense matrices, and brute_force_best_pair_count the
+exhaustive search behind grouping.optimal_group_sizes.
 """
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import null_space, orth
 
 from arraycal.airlink import noise_variance_from_snr
+from arraycal.grouping import pair_count
 from arraycal.stacking import pair_equation_block
 
 
@@ -100,3 +104,39 @@ def constrained_lstsq(y, g, c):
     v = null_space(g.conj()[None, :])
     z, _, rank, _ = np.linalg.lstsq(y @ v, -(y @ f0), rcond=None)
     return f0 + v @ z, rank
+
+
+def perp_projector(a):
+    """Dense projector onto the orthogonal complement of a's columns."""
+    q = orth(a)
+    return np.eye(a.shape[0]) - q @ q.conj().T
+
+
+def numerical_rank(a):
+    """Rank via singular values above max_dim * eps * sigma_max."""
+    s = np.linalg.svd(a, compute_uv=False)
+    if s.size == 0 or s[0] == 0:
+        return 0
+    tol = max(a.shape) * np.finfo(float).eps * s[0]
+    return int(np.sum(s > tol))
+
+
+def brute_force_best_pair_count(k):
+    """Exhaustive max of sum_{i<j} L_i L_j over integer compositions of k."""
+    best, best_comp = -1, None
+
+    def rec(remaining, comp):
+        nonlocal best, best_comp
+        if remaining == 0:
+            if len(comp) >= 2:
+                v = pair_count(comp)
+                if v > best:
+                    best, best_comp = v, tuple(comp)
+            return
+        for nxt in range(1, remaining + 1):
+            comp.append(nxt)
+            rec(remaining - nxt, comp)
+            comp.pop()
+
+    rec(k, [])
+    return best, best_comp

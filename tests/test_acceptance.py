@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from dense_oracle import dense_y
+from dense_oracle import brute_force_best_pair_count, dense_y, perp_projector
 from arraycal.airlink import (
     NoncoherentSchedule,
     PilotSet,
@@ -29,7 +29,6 @@ from arraycal.crb import (
     fim,
     ml_compressed_cost,
     stack_observations,
-    _perp_projector,
 )
 from arraycal.estimators import (
     ConstraintSpec,
@@ -41,7 +40,7 @@ from arraycal.estimators import (
     mse,
     rogalin_estimate,
 )
-from arraycal.grouping import brute_force_best_pair_count, make_scheme, max_calibratable
+from arraycal.grouping import make_scheme, max_calibratable
 from arraycal.model import (
     AntennaPartition,
     GEOMETRIC,
@@ -279,7 +278,7 @@ def test_acceptance_09_interleaved_grouping_gain():
     inter, non = (_mse_by_snr(run_experiment(c), "ls") for c in cfgs)
     gains = {s: 10 * np.log10(non[s] / inter[s]) for s in inter}
 
-    schemes = [c.resolve_scheme() for c in cfgs]
+    schemes = [c.group_scheme for c in cfgs]
     part, geometry = schemes[0].partition, cfgs[0].geometry()
     bounds = np.empty((2, CRB_DRAWS))
     for k in range(CRB_DRAWS):
@@ -371,7 +370,7 @@ def test_acceptance_12_compressed_cost_agreement():
         ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
         y = stack_observations(ms, part)
         f = calibration_vector(imp).f
-        direct = float(np.real(y.conj() @ (_perp_projector(
+        direct = float(np.real(y.conj() @ (perp_projector(
             build_f_composite(f, pilots, part)) @ y)))
         # the library call cross-checks both routes and raises on mismatch
         ml_compressed_cost(ms, f, pilots, part)

@@ -1,4 +1,8 @@
+import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from arraycal import airlink, bench
 from arraycal.airlink import simulate_exchange
 from arraycal.bench import (
+    ESTIMATORS,
     ExperimentConfig,
     UnidentifiableError,
     cli_main,
@@ -159,7 +164,7 @@ def test_grid_assignment_reaches_every_slot_channel(monkeypatch, slots):
     monkeypatch.setattr(bench, "simulate_exchange", recording)
     run_experiment(cfg)
 
-    perm = cfg.resolve_scheme().permutation
+    perm = cfg.group_scheme.permutation
     assert not np.array_equal(perm, np.arange(12))
     pos = cfg.geometry().positions()[perm]
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
@@ -331,3 +336,81 @@ def test_config_checks_apply_without_parsing(changes, message):
     base = dict(m=8, constraint="FCC", crb=False, trials=20, snr_db=(40.0,))
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**dict(base, **changes))
+
+
+def _config_text(values):
+    return "".join(f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                   for k, v in values.items())
+
+
+REJECT_BASE = dict(m=8, trials=2, snr_db=(30.0,))
+
+
+@pytest.mark.parametrize("changes, message", [
+    # each passed check (exit 0) and then failed inside run (exit 2)
+    (dict(scheme="FC_II", g=5, estimators=("rogalin",)), "needs single-antenna groups"),
+    (dict(scheme="FC_II", g=5, estimators=("daisy",), pilots="ALL_ONES"),
+     "needs single-antenna groups"),
+    (dict(scheme="FC_II", g=5, estimators=("argos",), pilots="ALL_ONES"),
+     "all-singleton partition"),
+    (dict(scheme="FC_II", g=5, estimators=("ls",), pilots="IDENTITY"),
+     "identity pilots require L_i = M_i"),
+    (dict(scheme="ARGOS", estimators=("argos",), pilots="ALL_ONES"),
+     "all-ones pilots use a single channel use"),
+    (dict(pilots="FOO"), "unknown pilot kind"),
+    (dict(constraint="LINEAR"), "unsupported experiment constraint"),
+    (dict(delta=1.5), "amplitude spread"),
+    (dict(estimators=("aml",), aml_tol=0.0), "tolerance must be positive"),
+    (dict(snr_db=(float("nan"),)), "snr_db must be finite or +inf"),
+    # each ran to the end with a wrong or silently altered result
+    (dict(estimators=("ls", "ls")), "listed twice"),              # two rows of 4 trials
+    (dict(estimators=("aml",), aml_init="foo"), "aml_init must be ls or ones"),  # ones start
+    (dict(estimators=("aml",), aml_max_iter=0), "max_iter >= 1"),  # start reported as AML
+    (dict(m=9, scheme="CUSTOM", group_sizes=(2, 3)), "summing to m = 9"),  # ran with M = 5
+])
+def test_rules_fire_before_the_first_draw(tmp_path, capsys, changes, message):
+    # the rule fires when the config is built, so check and run exit 2 and
+    # no trial is drawn
+    values = dict(REJECT_BASE, **changes)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**values)
+    cfg = _write(tmp_path, "bad.cfg", _config_text(values))
+    assert cli_main(["check", cfg]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "r.csv"
+    assert cli_main(["run", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_loads_no_scipy():
+    src = Path(bench.__file__).resolve().parents[1]
+    code = "import sys, arraycal; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"
+
+
+# m = 7 fits every scheme: AVALANCHE and FC_I with g = 4 are 1, 1, 2, 3; CUSTOM
+# has L_i = M_i, so IDENTITY pilots apply to it
+MATRIX_SCHEMES = {
+    "SINGLETON": "", "ARGOS": "", "AVALANCHE": "g = 4\n", "FC_I": "g = 4\n",
+    "FC_II": "g = 4\n", "CUSTOM": "group_sizes = 1, 3, 3\npilot_lengths = 1, 3, 3\n",
+}
+
+
+@pytest.mark.parametrize("pilots", ["UNIT_PHASE_RANDOM", "ALL_ONES", "IDENTITY"])
+@pytest.mark.parametrize("scheme", list(MATRIX_SCHEMES))
+@pytest.mark.parametrize("estimator", list(ESTIMATORS))
+def test_check_rejects_exactly_what_run_rejects(tmp_path, capsys, estimator, scheme, pilots):
+    cfg = _write(tmp_path, "m.cfg", f"m = 7\nscheme = {scheme}\n{MATRIX_SCHEMES[scheme]}"
+                 f"pilots = {pilots}\nestimators = {estimator}\nconstraint = FCC\n"
+                 "snr_db = 30\ntrials = 3\ncrb = false\naml_max_iter = 20\n")
+    out = tmp_path / "r.csv"
+    checked = cli_main(["check", cfg])
+    ran = cli_main(["run", cfg, "--out", str(out)])
+    assert checked == ran, capsys.readouterr().err
+    assert out.exists() == (ran == 0)
+    if checked == 0:
+        lines = out.read_text().splitlines()[1:]
+        assert lines and all(line.split(",")[5] == "3" for line in lines)

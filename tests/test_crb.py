@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dense_oracle import dense_y, split_h, vec_transpose_perm
+from dense_oracle import dense_y, perp_projector, split_h, vec_transpose_perm
 from arraycal import crb
 from arraycal.airlink import PilotSet, default_pilots, simulate_exchange
 from arraycal.bench import parse_config, run_experiment
@@ -13,7 +13,6 @@ from arraycal.crb import (
     build_f_perp,
     build_h_composite,
     context_from_model,
-    _perp_projector,
     compressed_information,
     crb_f,
     crb_f_known_h,
@@ -145,7 +144,7 @@ def test_npc_crb_basis_form_equivalence():
     ctx = context_from_model(imp, chan, pilots, part, 1e-2)
     r = crb_f(ctx, "NPC")
     hm = build_h_composite(aux_channel_blocks(imp, chan, part), pilots, part)
-    b = hm.conj().T @ _perp_projector(build_f_composite(ctx.f, pilots, part)) @ hm
+    b = hm.conj().T @ perp_projector(build_f_composite(ctx.f, pilots, part)) @ hm
     v = ctx.v_f
     alt = ctx.noise_variance * v @ np.linalg.inv(v.conj().T @ b @ v) @ v.conj().T
     assert np.max(np.abs(alt - r.crb_matrix)) < 1e-8 * np.max(np.abs(r.crb_matrix))
@@ -159,12 +158,12 @@ def test_npc_crb_basis_form_equivalence():
     "estimators = ls\nsnr_db = 20, 40\ntrials = 1\n",
 ])
 def test_crb_runs_form_no_complement_of_f(monkeypatch, text):
-    # ctx.v_f (scipy's null_space) is formed on first use, and only the NPC
+    # ctx.v_f (crb.complement_basis) is formed on first use, and only the NPC
     # known-h bound reads it
     def refuse(*args, **kwargs):
-        raise AssertionError("null_space called")
+        raise AssertionError("complement_basis called")
 
-    monkeypatch.setattr(crb, "null_space", refuse)
+    monkeypatch.setattr(crb, "complement_basis", refuse)
     table = run_experiment(parse_config(text + "crb = true\n"))
     assert all(np.isfinite(r.crb_trace) for r in table.rows)
 
@@ -249,7 +248,7 @@ def test_compressed_cost_equals_projector_form(sizes, lens):
     ms = simulate_exchange(part, pilots, imp, chan, 20.0, rng)
     f = calibration_vector(imp).f
     y = stack_observations(ms, part)
-    dense = float(np.real(y.conj() @ _perp_projector(build_f_composite(f, pilots, part)) @ y))
+    dense = float(np.real(y.conj() @ perp_projector(build_f_composite(f, pilots, part)) @ y))
     cost = ml_compressed_cost(ms, f, pilots, part)
     assert abs(cost - dense) <= 1e-10 * dense
     fperp = build_f_perp(f, pilots, part)
@@ -350,7 +349,7 @@ def test_pair_blocks_equal_dense_oracle(case):
     ctx = context_from_model(imp, chan, pilots, part, sigma2)
     hm = build_h_composite(aux_channel_blocks(imp, chan, part), pilots, part)
     fm = build_f_composite(ctx.f, pilots, part)
-    b = hm.conj().T @ _perp_projector(fm) @ hm
+    b = hm.conj().T @ perp_projector(fm) @ hm
     assert _rel(compressed_information(ctx), b) <= 1e-10
     j = np.hstack([hm, fm])
     assert _rel(fim(ctx), j.conj().T @ j / sigma2) <= 1e-10

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from dense_oracle import brute_force_best_pair_count
 from arraycal.grouping import (
     GroupScheme,
-    brute_force_best_pair_count,
     custom_scheme,
     make_scheme,
     max_calibratable,

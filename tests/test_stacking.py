@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import khatri_rao
 
-from dense_oracle import dense_y, dense_y_noncoherent, row_blocks
+from dense_oracle import dense_y, dense_y_noncoherent, numerical_rank, row_blocks
 from arraycal.airlink import NoncoherentSchedule, default_pilots, simulate_exchange, simulate_noncoherent
 from arraycal.model import (
     AntennaPartition,
@@ -19,7 +19,6 @@ from arraycal.stacking import (
     check_identifiability,
     group_components,
     independent_equations,
-    numerical_rank,
     pair_equation_block,
 )
 
