@@ -12,13 +12,17 @@ stays as it was.  For every workload in ``BENCHMARK.json`` it runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
 both copies, in ten pairs that alternate which side runs first, then
 one ``--trace 1`` run per side.  T is the benchmark's ``run_seconds`` on both
-sides, and each side runs its own ``perfbench`` on its own sources.
+sides, and each side runs its own ``perfbench`` on its own sources.  Last,
+the cold measurement: ten fresh interpreters per side, alternating, each
+timing one ``arraycal run`` call of the workload's config after its imports,
+so work done on first use (such as building a partition's plans) shows.
 
 The JSON written to ``--out`` holds, per workload and end-to-end metric, each
 side's runs, median and quartiles, and the fraction of pairs the change wins
-(ties count for neither side); the ``correct``/``attempted``/``failed``
-tallies of every run; the per-layer metrics of the traced runs; and the
-environment perfbench reports (nproc, BLAS threads, library versions).
+(ties count for neither side); the same for the cold call's seconds
+(``cold_call_s``); the ``correct``/``attempted``/``failed`` tallies of every
+run; the per-layer metrics of the traced runs; and the environment perfbench
+reports (nproc, BLAS threads, library versions).
 """
 
 from __future__ import annotations
@@ -81,6 +85,36 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return out
 
 
+# One ``arraycal run`` call of a perfbench workload's config in this fresh
+# interpreter, run from a tree's root; prints the call's seconds, imports
+# excluded.  argv: config path, CSV path, workload, seed.
+COLD_CALL = """
+import sys, time
+sys.path[:0] = ["src", "perfbench"]
+import run
+from arraycal.bench import cli_main
+cfg, out, workload, seed = sys.argv[1:]
+with open(cfg, "w") as fh:
+    fh.write(run.config_text(run.WORKLOADS[workload]))
+t0 = time.perf_counter()
+code = cli_main(["run", cfg, "--out", out, "--seed", seed])
+print(time.perf_counter() - t0)
+sys.exit(code)
+"""
+
+
+def cold_call(tree: Path, workload: str, seed: int) -> float:
+    """Seconds of one first ``arraycal run`` call in a fresh interpreter in tree."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    files = [str(tree.parent / f"{tree.name}.cold.{ext}") for ext in ("cfg", "csv")]
+    res = subprocess.run([sys.executable, "-c", COLD_CALL, *files, workload, str(seed)],
+                         cwd=tree, env=env, capture_output=True, text=True, timeout=600)
+    if res.returncode != 0:
+        raise RuntimeError(f"cold call failed in {tree} ({workload}): "
+                           f"{res.stderr.strip()[-2000:]}")
+    return float(res.stdout.strip().splitlines()[-1])
+
+
 def summary(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
@@ -103,6 +137,21 @@ def compare(base_runs: list, change_runs: list, metrics: list) -> dict:
             "base_quartile_spread": base["q3"] - base["q1"],
         }
     return out
+
+
+def compare_cold(trees: dict, workload: str, seed: int) -> dict:
+    """Both sides' cold-call seconds over PAIRS alternating pairs, and the
+    fraction of pairs in which the change is faster."""
+    runs = {"base": [], "change": []}
+    for k in range(PAIRS):
+        for side in (("base", "change") if k % 2 == 0 else ("change", "base")):
+            runs[side].append(cold_call(trees[side], workload, seed))
+    wins = sum(c < b for b, c in zip(runs["base"], runs["change"]))
+    base, change = summary(runs["base"]), summary(runs["change"])
+    return {"unit": "s", "better": "lower", "base": base, "change": change,
+            "change_wins_frac": wins / PAIRS,
+            "median_ratio_change_over_base": change["median"] / base["median"],
+            "base_quartile_spread": base["q3"] - base["q1"]}
 
 
 def tallies(runs: list) -> dict:
@@ -145,7 +194,11 @@ def main(argv=None) -> int:
                                            for p in r["problems"]}) for side in runs},
                 "trace": {side: {m: v["value"] for m, v in traced[side]["metrics"].items()}
                           for side in runs},
+                "cold_call_s": compare_cold(trees, name, args.seed),
             }
+            cold = result["workloads"][name]["cold_call_s"]
+            print(f"{name} cold call: base {cold['base']['median']:.4g} s, "
+                  f"change {cold['change']['median']:.4g} s", flush=True)
             result["env"] = {side: runs[side][-1]["env"] for side in runs}
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     return 0

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,29 +216,37 @@ def noise_variance_from_snr(snr_db: float, chan: ChannelRealization) -> float:
     return float(chan.ref_gain**2 / 10.0 ** (snr_db / 10.0))
 
 
-def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
-                      imp: RfImpairments, chan: ChannelRealization,
-                      snr_db: float, rng: np.random.Generator,
-                      slot_id: int = 0,
-                      groups: tuple | None = None) -> MeasurementSet:
-    """One coherent slot of bidirectional exchanges between the given groups.
+class ExchangeBatch(NamedTuple):
+    """Ordered pairs i -> j of one shape (M_j, M_i, L_i): the transmit groups
+    tx, and flat indices of R_j C_{i->j} T_i in the M x M gain matrix
+    (P, M_j, M_i), of the real and imaginary parts of the pairs' noise in the
+    slot's draw, and of Y_{i->j} in the received matrix (P, M_j, L_i each)."""
 
-    snr_db = +inf gives the exact noiseless blocks.  Diagonal (self) blocks
-    are never produced: a group does not hear its own transmission.
-    """
-    pilots.validate(partition)
-    m = partition.num_antennas
-    if imp.num_antennas != m or chan.num_antennas != m:
-        raise ValueError("impairments/channel size does not match partition")
-    require_snr_db(snr_db)
-    active = tuple(range(partition.num_groups)) if groups is None else tuple(sorted(groups))
-    if len(active) < 2:
-        raise ValueError("at least two groups must be active")
+    tx: np.ndarray
+    gain: np.ndarray
+    noise_re: np.ndarray
+    noise_im: np.ndarray
+    received: np.ndarray
 
-    sigma2 = noise_variance_from_snr(snr_db, chan)
-    sd = np.sqrt(sigma2 / 2.0)
+
+@dataclass(frozen=True, eq=False)
+class ExchangePlan:
+    """The index structure of one slot's exchange, which depends only on the
+    partition and the active groups: the batches, the length of the slot's
+    noise draw, and the received matrix's shape.  Every array is read-only."""
+
+    batches: tuple
+    noise_size: int
+    shape: tuple
+
+
+@lru_cache(maxsize=32)
+def exchange_plan(partition: AntennaPartition, active: tuple) -> ExchangePlan:
+    """The plan of a slot in which the groups active (ascending) exchange,
+    built once per partition and active groups."""
     sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
     offsets, pilot_offsets = np.asarray(partition.offsets), np.asarray(partition.pilot_offsets)
+    m, width = partition.num_antennas, int(lens.sum())
     # ordered pairs i -> j, transmitters then receivers ascending: the order
     # in which each pair's noise, a real then an imaginary M_j x L_i block, is
     # drawn, so one draw for the slot starts pair p's noise at start[p]
@@ -247,19 +256,52 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
     tx, rx = tx[keep], rx[keep]
     size = sizes[rx] * lens[tx]
     start = np.cumsum(2 * size) - 2 * size
-    noise = rng.standard_normal(2 * int(size.sum())) if sigma2 > 0 else None
-    gain = imp.rx_gains[:, None] * chan.c * imp.tx_gains[None, :]   # R C T
-    received = np.zeros((m, int(lens.sum())), dtype=complex)
-    # pairs of equal (M_j, M_i, L_i): one stacked product R_j C_{i->j} T_i P_i
-    for sel in batch_indices(np.stack((sizes[rx], sizes[tx], lens[tx]), axis=1)):
+    batches = []
+    for sel in batch_indices((sizes[rx], sizes[tx], lens[tx])):
         ti, rj = tx[sel], rx[sel]
         mj, mi, li = sizes[rj[0]], sizes[ti[0]], lens[ti[0]]
-        rows = (offsets[rj, None] + np.arange(mj))[:, :, None]
-        y = gain[rows, offsets[ti, None, None] + np.arange(mi)] @ pilots.stacked(ti)
+        rows = offsets[rj, None, None] + np.arange(mj)[:, None]
+        re = start[sel, None, None] + np.arange(mj * li).reshape(mj, li)
+        batches.append(ExchangeBatch(ti, rows * m + offsets[ti, None, None] + np.arange(mi),
+                                     re, re + mj * li,
+                                     rows * width + pilot_offsets[ti, None, None]
+                                     + np.arange(li)))
+    for a in (x for b in batches for x in b):
+        a.flags.writeable = False
+    return ExchangePlan(tuple(batches), 2 * int(size.sum()), (m, width))
+
+
+def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
+                      imp: RfImpairments, chan: ChannelRealization,
+                      snr_db: float, rng: np.random.Generator,
+                      slot_id: int = 0,
+                      groups: tuple | None = None) -> MeasurementSet:
+    """One coherent slot of bidirectional exchanges between the given groups.
+
+    snr_db = +inf gives the exact noiseless blocks.  Diagonal (self) blocks
+    are never produced: a group does not hear its own transmission.  Pairs of
+    equal (M_j, M_i, L_i) form one stacked product R_j C_{i->j} T_i P_i.
+    """
+    pilots.validate(partition)
+    if imp.num_antennas != partition.num_antennas or chan.num_antennas != partition.num_antennas:
+        raise ValueError("impairments/channel size does not match partition")
+    require_snr_db(snr_db)
+    active = tuple(range(partition.num_groups)) if groups is None else tuple(sorted(groups))
+    if len(active) < 2:
+        raise ValueError("at least two groups must be active")
+
+    plan = exchange_plan(partition, active)
+    sigma2 = noise_variance_from_snr(snr_db, chan)
+    sd = np.sqrt(sigma2 / 2.0)
+    noise = rng.standard_normal(plan.noise_size) if sigma2 > 0 else None
+    gain = (imp.rx_gains[:, None] * chan.c * imp.tx_gains[None, :]).ravel()   # R C T
+    received = np.zeros(plan.shape, dtype=complex)
+    flat = received.reshape(-1)
+    for b in plan.batches:
+        y = gain[b.gain] @ pilots.stacked(b.tx)
         if noise is not None:
-            re = start[sel, None, None] + np.arange(mj * li).reshape(mj, li)
-            y = y + sd * (noise[re] + 1j * noise[re + mj * li])
-        received[rows, pilot_offsets[ti, None, None] + np.arange(li)] = y
+            y = y + sd * (noise[b.noise_re] + 1j * noise[b.noise_im])
+        flat[b.received] = y
     received.flags.writeable = False
     return MeasurementSet(received, partition, sigma2, slot_id=slot_id,
                           active_groups=None if groups is None else active)

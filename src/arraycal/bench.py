@@ -45,7 +45,15 @@ from .estimators import (
     require_single_antenna_groups,
     rogalin_estimate,
 )
-from .grouping import SCHEME_LABELS, GroupScheme, custom_scheme, make_scheme
+from .grouping import (
+    ARGOS,
+    CUSTOM,
+    SCHEME_LABELS,
+    SINGLETON,
+    GroupScheme,
+    custom_scheme,
+    make_scheme,
+)
 from .model import (
     GEOMETRIC,
     AntennaPartition,
@@ -176,6 +184,13 @@ class ExperimentConfig:
         if self.aml_init not in ("ls", "ones"):
             raise ValueError(f"aml_init must be ls or ones, not {self.aml_init!r}")
         require_aml_settings(self.aml_tol, self.aml_max_iter)
+        if self.crb and self.crb_trials < 1:
+            raise ValueError("crb = true needs crb_trials >= 1")
+        if self.g is not None and self.scheme in (SINGLETON, ARGOS, CUSTOM):
+            raise ValueError(f"scheme {self.scheme} takes no g")
+        if self.scheme != CUSTOM and (self.group_sizes, self.pilot_lengths) != (None, None):
+            raise ValueError(f"group_sizes and pilot_lengths are for CUSTOM schemes only, "
+                             f"not {self.scheme}")
         partition = self.group_scheme.partition
         require_pilot_kind(partition, self.pilots)
         for k, name in enumerate(self.estimators):
@@ -201,7 +216,7 @@ class ExperimentConfig:
 
     @cached_property
     def group_scheme(self) -> GroupScheme:
-        if self.scheme != "CUSTOM":
+        if self.scheme != CUSTOM:
             return make_scheme(self.scheme, self.m, self.g, self.geometry())
         if self.group_sizes is None or sum(self.group_sizes) != self.m:
             raise ValueError(f"CUSTOM scheme needs group_sizes summing to m = {self.m}, "

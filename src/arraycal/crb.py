@@ -25,7 +25,7 @@ from itertools import accumulate
 import numpy as np
 
 from .model import AntennaPartition, ChannelRealization, RfImpairments
-from .stacking import khatri_rao_t, pair_batches, pair_gram, pair_pilots
+from .stacking import PairPlan, gram_index, khatri_rao_t, pair_gram, pair_pilots, pair_plan
 
 # B's second-smallest eigenvalue relative to its largest, at or below which f
 # is not identifiable: rank-deficient B reaches 4e-16 by rounding, identifiable
@@ -168,17 +168,17 @@ def lstsq_min_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CrbContext:
     """The bilinear model y = H(h, P) f = F(f, P) h at (f, h), as pair blocks.
 
-    Pairs are batched by block shape (stacking.pair_batches).  Batch k holds
-    the antenna columns cols[k] (P, M_i + M_j) and each pair's rows of H and
-    F: h_pairs[k] = H_p (P, r, M_i + M_j) and f_pairs[k] = F_p (P, r, M_iM_j),
-    with r = L_iM_j + M_iL_j.  H and F themselves are never formed.
+    Pairs are batched by block shape, as in the partition's stacking.pair_plan:
+    for batch k of plan, h_pairs[k] = H_p (P, r, M_i + M_j), at the batch's
+    antenna columns, and f_pairs[k] = F_p (P, r, M_iM_j) are each pair's rows
+    of H and F, with r = L_iM_j + M_iL_j.  H and F themselves are never formed.
     """
 
     f: np.ndarray
     h: np.ndarray
     noise_variance: float
     partition: AntennaPartition
-    cols: list
+    plan: PairPlan
     h_pairs: list
     f_pairs: list
 
@@ -201,8 +201,8 @@ def context_from_model(imp: RfImpairments, chan: ChannelRealization, pilots,
     f = imp.tx_gains / imp.rx_gains
     hc_blocks = aux_channel_blocks(imp, chan, partition)
     ctx = CrbContext(f, stack_h(hc_blocks, partition), float(noise_variance), partition,
-                     [], [], [])
-    for gi, gj, cols in pair_batches(partition):
+                     pair_plan(partition), [], [])
+    for gi, gj, cols, _, _ in ctx.plan.batches:
         p_i, p_j = pair_pilots(pilots, gi, gj)
         mi = p_i.shape[1]
         bi, bj = pair_h_block(np.stack([hc_blocks[p] for p in zip(gi.tolist(), gj.tolist())]),
@@ -210,7 +210,6 @@ def context_from_model(imp: RfImpairments, chan: ChannelRealization, pilots,
         hp = np.zeros(bi.shape[:1] + (bi.shape[1] + bj.shape[1], cols.shape[1]), complex)
         hp[:, :bi.shape[1], :mi] = bi
         hp[:, bi.shape[1]:, mi:] = bj
-        ctx.cols.append(cols)
         ctx.h_pairs.append(hp)
         ctx.f_pairs.append(pair_f_block(f, cols, p_i, p_j))
     return ctx
@@ -225,13 +224,14 @@ def fim(ctx: CrbContext) -> np.ndarray:
     pairs = ctx.partition.pairs()
     # start of each pair's entries in h (pairs lexicographic, M_iM_j entries each)
     h_off = dict(zip(pairs, accumulate((sizes[i] * sizes[j] for (i, j) in pairs), initial=0)))
-    batches = []
-    for (gi, gj, cols), hp, fp in zip(pair_batches(ctx.partition), ctx.h_pairs, ctx.f_pairs):
-        h_cols = m + np.array([h_off[p] for p in zip(gi.tolist(), gj.tolist())])[:, None] \
+    n = m + ctx.h.size
+    cols, ws = [], []
+    for b, hp, fp in zip(ctx.plan.batches, ctx.h_pairs, ctx.f_pairs):
+        h_cols = m + np.array([h_off[p] for p in zip(b.gi.tolist(), b.gj.tolist())])[:, None] \
             + np.arange(fp.shape[2])
-        batches.append((np.concatenate((cols, h_cols), axis=1),
-                        np.concatenate((hp, fp), axis=2)))
-    return pair_gram(m + ctx.h.size, batches) / ctx.noise_variance
+        cols.append(np.concatenate((b.cols, h_cols), axis=1))
+        ws.append(np.concatenate((hp, fp), axis=2))
+    return pair_gram(n, gram_index(n, cols), ws) / ctx.noise_variance
 
 
 def compressed_information(ctx: CrbContext) -> np.ndarray:
@@ -239,11 +239,11 @@ def compressed_information(ctx: CrbContext) -> np.ndarray:
     times sigma^2.  F is block diagonal over pairs, so its projector splits into
     the pairs' small ones: B = sum_p (P_perp,p H_p)^H (P_perp,p H_p), where
     P_perp,p = I - Q_p Q_p^H projects onto the complement of F_p's columns."""
-    batches = []
-    for cols, hp, fp in zip(ctx.cols, ctx.h_pairs, ctx.f_pairs):
+    ws = []
+    for hp, fp in zip(ctx.h_pairs, ctx.f_pairs):
         q = range_basis(fp)
-        batches.append((cols, hp - q @ (q.conj().transpose(0, 2, 1) @ hp)))
-    b = pair_gram(ctx.f.size, batches)
+        ws.append(hp - q @ (q.conj().transpose(0, 2, 1) @ hp))
+    b = pair_gram(ctx.f.size, ctx.plan.gram_index, ws)
     return (b + b.conj().T) / 2
 
 
@@ -286,7 +286,7 @@ def crb_f_known_h(ctx: CrbContext, constraint: str = "FCC") -> CrbResult:
     Replaces the nuisance projector by identity (B = sum_p H_p^H H_p); this
     underestimates the achievable MSE of joint estimators.
     """
-    b = pair_gram(ctx.f.size, list(zip(ctx.cols, ctx.h_pairs)))
+    b = pair_gram(ctx.f.size, ctx.plan.gram_index, ctx.h_pairs)
     b = (b + b.conj().T) / 2
     v = np.eye(ctx.f.size, dtype=complex)[:, 1:] if constraint == "FCC" else ctx.v_f
     crb = _constrained_inverse(b, v, ctx.noise_variance)
@@ -340,7 +340,7 @@ def ml_compressed_cost(measurements, f: np.ndarray, pilots,
     """
     f = np.asarray(f, dtype=complex)
     cost_direct = 0.0
-    for gi, gj, cols in pair_batches(partition):
+    for gi, gj, cols, _, _ in pair_plan(partition).batches:
         q = range_basis(pair_f_block(f, cols, *pair_pilots(pilots, gi, gj)))
         y_p = pair_observations(measurements, gi, gj)
         res = y_p - np.einsum("prk,pk->pr", q, np.einsum("prk,pr->pk", q.conj(), y_p))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import AntennaPartition, CalibrationVector
 from . import crb as _crb
-from .stacking import StackedSystem, build_stacked, pair_batches, pair_pilots
+from .stacking import StackedSystem, build_stacked, pair_pilots, pair_plan
 
 FCC = "FCC"
 NPC = "NPC"
@@ -109,6 +109,24 @@ def _smallest_eigvec(a: np.ndarray):
     return v[:, 0].copy(), unique
 
 
+def _lower_inverse(l: np.ndarray) -> np.ndarray:
+    """L^{-1} of a lower-triangular L, by the block form [[A, 0], [C, D]]^{-1}
+    = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]].  np.linalg.inv, a general LU,
+    runs only on diagonal blocks of at most 32 rows; the rounding its row
+    pivoting leaves above their diagonal is dropped, so the upper triangle is
+    exactly zero."""
+    n = l.shape[0]
+    if n <= 32:
+        return np.tril(np.linalg.inv(l))
+    k = n // 2
+    a, d = _lower_inverse(l[:k, :k]), _lower_inverse(l[k:, k:])
+    out = np.zeros_like(l)
+    out[:k, :k] = a
+    out[k:, k:] = d
+    out[k:, :k] = -d @ (l[k:, :k] @ a)
+    return out
+
+
 def _certified_inverse_factor(b: np.ndarray):
     """L^{-1} for B = L L^H when B is certified well enough conditioned that
     lstsq's rank rule keeps all its eigenvalues; else None.
@@ -121,7 +139,7 @@ def _certified_inverse_factor(b: np.ndarray):
     c itself, whose relative size is at most about n eps / c.
     """
     try:
-        li = np.linalg.inv(np.linalg.cholesky(b))
+        li = _lower_inverse(np.linalg.cholesky(b))
     except np.linalg.LinAlgError:
         return None
     bound = 1.0 / (np.real(np.trace(b)) * np.real(np.vdot(li, li)))
@@ -354,7 +372,7 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     y_rows = {key: np.zeros(h.shape[:2], dtype=complex) for key, h in h_rows.items()}
     filled = [0] * partition.num_groups
     pairs = []
-    for gi, gj, cols in pair_batches(partition):
+    for gi, gj, cols, _, _ in pair_plan(partition).batches:
         p_i, p_j = pair_pilots(pilots, gi, gj)
         y_p = _crb.pair_observations(measurements, gi, gj)
         top = p_i.shape[2] * p_j.shape[1]       # L_i M_j rows act on f_i

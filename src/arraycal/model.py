@@ -75,11 +75,11 @@ class AntennaPartition:
         return AntennaPartition((1,) * m, (pilot_length,) * m)
 
 
-def batch_indices(keys: np.ndarray) -> list:
-    """Indices of the rows of an integer array (n, k), grouped by equal rows:
-    one index array per distinct row, in order of first appearance, each in
-    ascending order."""
-    code = np.ravel_multi_index(keys.T, keys.max(axis=0) + 1)
+def batch_indices(keys) -> list:
+    """Indices 0..n-1 grouped by equal keys, given as k integer arrays of
+    length n (the key's parts): one index array per distinct key, in order of
+    first appearance, each in ascending order."""
+    code = np.ravel_multi_index(keys, [int(k.max()) + 1 for k in keys])
     out = []
     todo = np.ones(code.size, dtype=bool)
     while todo.any():

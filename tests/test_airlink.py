@@ -9,6 +9,7 @@ from arraycal.airlink import (
     NoncoherentSchedule,
     PilotSet,
     default_pilots,
+    exchange_plan,
     measurements_to_csv,
     noise_variance_from_snr,
     simulate_exchange,
@@ -26,7 +27,8 @@ from arraycal.model import (
     gen_channel,
     gen_impairments,
 )
-from arraycal.stacking import build_stacked
+from arraycal.bench import ExperimentConfig
+from arraycal.stacking import build_stacked, pair_plan
 from dense_oracle import exchange_pairs
 
 CFG = ImpairmentConfig(0.5, fix_first_to_one=True)
@@ -230,6 +232,47 @@ def test_simulate_exchange_equals_pair_loop(case):
     for i in range(part.num_groups):
         with pytest.raises(KeyError):
             ms.block(i, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exchanges())
+def test_plans_are_shared_read_only_and_match_gather(case):
+    part, kind, snr, groups, seed = case
+    everyone = tuple(range(part.num_groups))
+    # equal partitions from two freshly built configs share one plan of each kind
+    parts = [ExperimentConfig(m=part.num_antennas, scheme="CUSTOM", crb=False,
+                              group_sizes=part.group_sizes,
+                              pilot_lengths=part.pilot_lengths).group_scheme.partition
+             for _ in range(2)]
+    assert parts[0] is not parts[1]
+    ex, pp = exchange_plan(parts[0], everyone), pair_plan(parts[0])
+    assert exchange_plan(parts[1], everyone) is ex and pair_plan(parts[1]) is pp
+    arrays = [pp.gram_index, pp.cols_index, *(a for b in pp.batches for a in b),
+              *(a for b in ex.batches for a in b)]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+    # the pair plan's flat indices read the blocks gather reads
+    rng = np.random.default_rng(seed)
+    pilots, imp, chan = _setup(part, rng, kind)
+    ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
+    for gi, gj, _, y_ji, y_ij in pp.batches:
+        assert np.array_equal(ms.received.ravel()[y_ji], ms.gather(gj, gi))
+        assert np.array_equal(ms.received.ravel()[y_ij], ms.gather(gi, gj))
+    if groups is None or len(groups) == part.num_groups:
+        return
+    # slots with other active groups get other plans
+    sched = NoncoherentSchedule((tuple(groups), everyone))
+    slots = simulate_noncoherent(part, sched, pilots, imp, snr, rng)
+    assert exchange_plan(part, sched.slots[0]) is not ex
+    systems = [build_stacked(s, pilots, part, pairs=sched.active_pairs(t), slot=t)
+               for t, s in enumerate(slots)]
+    assert systems[0].plans == (pair_plan(part, sched.active_pairs(0)),)
+    assert systems[0].plans[0] is not pp and systems[1].plans[0] is not pp
+    # all pairs of a partially active slot have no blocks to read, as with gather
+    with pytest.raises(KeyError):
+        build_stacked(slots[0], pilots, part)
 
 
 def test_build_stacked_is_reused_per_measurement_set():

@@ -367,6 +367,12 @@ REJECT_BASE = dict(m=8, trials=2, snr_db=(30.0,))
     (dict(estimators=("aml",), aml_init="foo"), "aml_init must be ls or ones"),  # ones start
     (dict(estimators=("aml",), aml_max_iter=0), "max_iter >= 1"),  # start reported as AML
     (dict(m=9, scheme="CUSTOM", group_sizes=(2, 3)), "summing to m = 9"),  # ran with M = 5
+    (dict(crb_trials=0), "crb = true needs crb_trials >= 1"),     # crb_trace = nan
+    (dict(g=4), "scheme SINGLETON takes no g"),                    # g ignored
+    (dict(scheme="ARGOS", g=2), "scheme ARGOS takes no g"),
+    (dict(scheme="CUSTOM", group_sizes=(4, 4), g=2), "scheme CUSTOM takes no g"),
+    (dict(m=6, pilot_lengths=(2,) * 6), "are for CUSTOM schemes only"),   # ran with L_i = 1
+    (dict(scheme="FC_II", g=4, group_sizes=(2,) * 4), "are for CUSTOM schemes only"),
 ])
 def test_rules_fire_before_the_first_draw(tmp_path, capsys, changes, message):
     # the rule fires when the config is built, so check and run exit 2 and

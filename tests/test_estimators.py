@@ -7,6 +7,7 @@ from arraycal.airlink import default_pilots, simulate_exchange
 from arraycal.estimators import (
     CHOLESKY_MARGIN,
     ConstraintSpec,
+    _lower_inverse,
     aml_estimate,
     argos_estimate,
     avalanche_estimate,
@@ -193,6 +194,19 @@ def test_one_factorisation_per_system_and_constraint(monkeypatch):
                                     estimators=("ls", "rogalin", "aml"), constraint="FCC",
                                     crb=False))
     assert calls() == [(4, 4)] * 3
+
+
+def test_lower_inverse_matches_inv():
+    # the blocked inverse of a lower-triangular factor with a positive
+    # diagonal, as Cholesky gives, at every size from one leaf block to
+    # several levels of blocks, odd splits included
+    rng = np.random.default_rng(21)
+    for n in range(1, 301):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        factor = np.tril(a, -1) + np.diag(np.sqrt(n) + rng.uniform(0.0, 1.0, n))
+        li, ref = _lower_inverse(factor), np.linalg.inv(factor)
+        assert np.all(np.triu(li, 1) == 0)
+        assert np.max(np.abs(li - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _ill_conditioned_partition(g):
