@@ -1,0 +1,104 @@
+"""Check that ``arraycal run`` CSVs are byte-identical to a base revision's.
+
+Run from the repository root:
+
+    python3 scripts/csv_identity.py --base HEAD --seeds 5 7
+
+The base revision is exported with ``git archive`` and the working tree is
+copied beside it (as ``scripts/ab_bench.py`` does).  Each config below, and
+each perfbench workload's config, is run with ``arraycal run <config> --out
+<csv> --seed S`` in both trees, one fresh interpreter per call, for every
+seed.  Every CSV that differs, or that one side failed to write, is
+reported; the exit status is 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from ab_bench import ROOT, copy_working_tree, export_revision, git
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import run as perfrun  # noqa: E402
+
+CONFIGS = {
+    "singleton16-npc": "m = 16\nscheme = SINGLETON\npilots = ALL_ONES\nconstraint = NPC\n"
+                       "estimators = ls, rogalin, argos, daisy, aml\nsnr_db = 10, 40\n"
+                       "trials = 4\n",
+    "fc1-29": "m = 29\nscheme = FC_I\ng = 8\nconstraint = NPC\n"
+              "estimators = ls, aml, avalanche\nsnr_db = 20, 40\ntrials = 4\n",
+    "interleaved-geometric": "m = 64\nscheme = INTERLEAVED\ng = 16\nchannel = geometric\n"
+                             "rows = 4\ncols = 16\nestimators = ls\nsnr_db = 30\n"
+                             "trials = 3\n",
+    "noncoherent-singleton": "m = 6\nscheme = SINGLETON\n"
+                             "noncoherent_slots = 0 1 2; 2 3 4; 4 5 0\ncrb = false\n"
+                             "estimators = ls\nsnr_db = 20, 40\ntrials = 5\n",
+    "noncoherent-custom": "m = 12\nscheme = CUSTOM\ngroup_sizes = 2, 3, 3, 2, 2\n"
+                          "pilot_lengths = 2, 3, 1, 2, 2\n"
+                          "noncoherent_slots = 0 1 2; 2 3 4; 4 0 1 3\ncrb = false\n"
+                          "estimators = ls\nsnr_db = 20, 40\ntrials = 5\n",
+    "argos-identity": "m = 8\nscheme = ARGOS\npilots = IDENTITY\nconstraint = FCC\n"
+                      "estimators = ls, argos, aml\nsnr_db = 20, 40\ntrials = 4\n",
+    "avalanche-6": "m = 16\nscheme = AVALANCHE\ng = 6\nconstraint = FCC\n"
+                   "estimators = ls, avalanche\nsnr_db = 20, 40\ntrials = 4\n",
+    "fc2-64-known-h": "m = 64\nscheme = FC_II\ng = 12\ncrb_known_h = true\n"
+                      "estimators = ls\nsnr_db = 20, 40\ntrials = 2\n",
+    "singleton-unit-norm": "m = 8\nscheme = SINGLETON\nconstraint = UNIT_NORM\n"
+                           "estimators = ls, rogalin\nsnr_db = 20, 40\ntrials = 4\n",
+    "custom-1231": "m = 7\nscheme = CUSTOM\ngroup_sizes = 1, 2, 3, 1\n"
+                   "pilot_lengths = 2, 2, 1, 3\nestimators = ls, aml\nsnr_db = 20, 40\n"
+                   "trials = 5\n",
+}
+
+RUN = "import sys\nfrom arraycal.bench import cli_main\nsys.exit(cli_main(sys.argv[1:]))\n"
+
+
+def run_csv(tree: Path, config: Path, out: Path, seed: int) -> bytes | None:
+    """The CSV of one ``arraycal run`` call in tree, or None if the call failed."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    res = subprocess.run([sys.executable, "-c", RUN, "run", str(config), "--out", str(out),
+                          "--seed", str(seed)], cwd=tree, env=env, capture_output=True,
+                         text=True, timeout=1800)
+    if res.returncode != 0 or not out.exists():
+        print(f"  {tree.name} exit {res.returncode}: {res.stderr.strip()[-500:]}")
+        return None
+    return out.read_bytes()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", default="HEAD", help="git revision to compare against")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[5, 7], help="run seeds")
+    args = ap.parse_args(argv)
+
+    configs = {name: perfrun.config_text(keys) for name, keys in perfrun.WORKLOADS.items()}
+    configs.update(CONFIGS)
+    print(f"base {git('rev-parse', args.base)} against the working tree", flush=True)
+    differ = []
+    with tempfile.TemporaryDirectory(prefix="csv_identity_") as tmp:
+        tmp = Path(tmp)
+        trees = {"base": tmp / "base", "change": tmp / "change"}
+        export_revision(args.base, trees["base"])
+        copy_working_tree(trees["change"])
+        for name, text in configs.items():
+            config = tmp / f"{name}.cfg"
+            config.write_text(text)
+            for seed in args.seeds:
+                csvs = [run_csv(tree, config, tmp / f"{side}.{name}.{seed}.csv", seed)
+                        for side, tree in trees.items()]
+                same = None not in csvs and csvs[0] == csvs[1]
+                print(f"{name} seed {seed}: {'identical' if same else 'DIFFERS'}", flush=True)
+                if not same:
+                    differ.append(f"{name} seed {seed}")
+    print(f"{len(differ)} of {len(configs) * len(args.seeds)} CSVs differ"
+          + (": " + ", ".join(differ) if differ else ""))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

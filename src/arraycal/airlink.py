@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +25,11 @@ from .model import (
     GeometryConfig,
     IID_RAYLEIGH,
     RfImpairments,
-    batch_indices,
+    SlotPlan,
     gen_channel,
     permute_channel,
+    received_index,
+    slot_plan,
 )
 
 UNIT_PHASE_RANDOM = "UNIT_PHASE_RANDOM"
@@ -67,15 +68,20 @@ class PilotSet:
         stacks, place = self._by_shape
         return stacks[self.blocks[groups[0]].shape][place[groups]]
 
+    @cached_property
+    def _full_rank(self) -> bool:
+        """Whether every block has full rank, checked once per object."""
+        return all(np.all(np.linalg.matrix_rank(stack) >= min(shape))
+                   for shape, stack in self._by_shape[0].items())
+
     def validate(self, partition: AntennaPartition) -> None:
         if len(self.blocks) != partition.num_groups:
             raise ValueError("one pilot block per group required")
         for b, m, l in zip(self.blocks, partition.group_sizes, partition.pilot_lengths):
             if b.shape != (m, l):
                 raise ValueError(f"pilot block shape {b.shape} != ({m}, {l})")
-        for shape, stack in self._by_shape[0].items():
-            if np.any(np.linalg.matrix_rank(stack) < min(shape)):
-                raise ValueError("pilot block is rank deficient")
+        if not self._full_rank:
+            raise ValueError("pilot block is rank deficient")
 
 
 class _PairBlocks(Mapping):
@@ -101,22 +107,21 @@ class MeasurementSet:
 
     Y_{i->j} = received[antennas of j, pilot columns of i] (M_j x L_i).  Self
     blocks and the rows and columns of inactive groups hold zeros and are
-    never read.  build_stacked keeps its last result in stacked.
+    never read.  plan is the slot's index structure (model.slot_plan), from
+    which build_stacked, AML and the compressed cost read the pair blocks.
+    build_stacked keeps its last result in stacked.
     """
 
     received: np.ndarray
     partition: AntennaPartition
     noise_variance: float
-    slot_id: int = 0
-    active_groups: tuple | None = None  # None means all groups
+    plan: SlotPlan = field(repr=False)
     stacked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def groups(self) -> tuple:
         """The active groups, ascending."""
-        if self.active_groups is None:
-            return tuple(range(self.partition.num_groups))
-        return self.active_groups
+        return self.plan.groups
 
     @property
     def blocks(self) -> Mapping:
@@ -131,21 +136,13 @@ class MeasurementSet:
     def gather(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
         """Y_{tx[p]->rx[p]} for pairs of groups of one block shape, stacked
         (P, M_rx, L_tx)."""
-        part = self.partition
-        active = np.zeros(part.num_groups, dtype=bool)
+        active = np.zeros(self.partition.num_groups, dtype=bool)
         active[list(self.groups)] = True
         bad = (tx == rx) | ~active[tx] | ~active[rx]
         if bad.any():
             k = int(np.argmax(bad))
             raise KeyError(f"no measurement block for pair {tx[k]}->{rx[k]}")
-        rows = np.asarray(part.offsets)[rx, None] + np.arange(part.group_sizes[rx[0]])
-        cols = np.asarray(part.pilot_offsets)[tx, None] + np.arange(part.pilot_lengths[tx[0]])
-        return self.received[rows[:, :, None], cols[:, None, :]]
-
-    def pairs(self):
-        """Unordered active pairs (i, j), i < j, lexicographic."""
-        act = self.groups
-        return [(i, j) for a, i in enumerate(act) for j in act[a + 1:]]
+        return self.received.ravel()[received_index(self.partition, tx, rx)]
 
 
 @dataclass(frozen=True)
@@ -167,10 +164,6 @@ class NoncoherentSchedule:
 
     def covers(self, num_groups: int) -> bool:
         return set().union(*self.slots) == set(range(num_groups))
-
-    def active_pairs(self, t: int):
-        s = self.slots[t]
-        return [(i, j) for a, i in enumerate(s) for j in s[a + 1:]]
 
 
 def require_pilot_kind(partition: AntennaPartition, kind: str) -> None:
@@ -216,65 +209,9 @@ def noise_variance_from_snr(snr_db: float, chan: ChannelRealization) -> float:
     return float(chan.ref_gain**2 / 10.0 ** (snr_db / 10.0))
 
 
-class ExchangeBatch(NamedTuple):
-    """Ordered pairs i -> j of one shape (M_j, M_i, L_i): the transmit groups
-    tx, and flat indices of R_j C_{i->j} T_i in the M x M gain matrix
-    (P, M_j, M_i), of the real and imaginary parts of the pairs' noise in the
-    slot's draw, and of Y_{i->j} in the received matrix (P, M_j, L_i each)."""
-
-    tx: np.ndarray
-    gain: np.ndarray
-    noise_re: np.ndarray
-    noise_im: np.ndarray
-    received: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ExchangePlan:
-    """The index structure of one slot's exchange, which depends only on the
-    partition and the active groups: the batches, the length of the slot's
-    noise draw, and the received matrix's shape.  Every array is read-only."""
-
-    batches: tuple
-    noise_size: int
-    shape: tuple
-
-
-@lru_cache(maxsize=32)
-def exchange_plan(partition: AntennaPartition, active: tuple) -> ExchangePlan:
-    """The plan of a slot in which the groups active (ascending) exchange,
-    built once per partition and active groups."""
-    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
-    offsets, pilot_offsets = np.asarray(partition.offsets), np.asarray(partition.pilot_offsets)
-    m, width = partition.num_antennas, int(lens.sum())
-    # ordered pairs i -> j, transmitters then receivers ascending: the order
-    # in which each pair's noise, a real then an imaginary M_j x L_i block, is
-    # drawn, so one draw for the slot starts pair p's noise at start[p]
-    act = np.asarray(active)
-    tx, rx = np.repeat(act, act.size), np.tile(act, act.size)
-    keep = tx != rx
-    tx, rx = tx[keep], rx[keep]
-    size = sizes[rx] * lens[tx]
-    start = np.cumsum(2 * size) - 2 * size
-    batches = []
-    for sel in batch_indices((sizes[rx], sizes[tx], lens[tx])):
-        ti, rj = tx[sel], rx[sel]
-        mj, mi, li = sizes[rj[0]], sizes[ti[0]], lens[ti[0]]
-        rows = offsets[rj, None, None] + np.arange(mj)[:, None]
-        re = start[sel, None, None] + np.arange(mj * li).reshape(mj, li)
-        batches.append(ExchangeBatch(ti, rows * m + offsets[ti, None, None] + np.arange(mi),
-                                     re, re + mj * li,
-                                     rows * width + pilot_offsets[ti, None, None]
-                                     + np.arange(li)))
-    for a in (x for b in batches for x in b):
-        a.flags.writeable = False
-    return ExchangePlan(tuple(batches), 2 * int(size.sum()), (m, width))
-
-
 def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
                       imp: RfImpairments, chan: ChannelRealization,
                       snr_db: float, rng: np.random.Generator,
-                      slot_id: int = 0,
                       groups: tuple | None = None) -> MeasurementSet:
     """One coherent slot of bidirectional exchanges between the given groups.
 
@@ -290,21 +227,20 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
     if len(active) < 2:
         raise ValueError("at least two groups must be active")
 
-    plan = exchange_plan(partition, active)
+    plan = slot_plan(partition, active)
     sigma2 = noise_variance_from_snr(snr_db, chan)
     sd = np.sqrt(sigma2 / 2.0)
     noise = rng.standard_normal(plan.noise_size) if sigma2 > 0 else None
     gain = (imp.rx_gains[:, None] * chan.c * imp.tx_gains[None, :]).ravel()   # R C T
     received = np.zeros(plan.shape, dtype=complex)
     flat = received.reshape(-1)
-    for b in plan.batches:
+    for b in plan.exchange:
         y = gain[b.gain] @ pilots.stacked(b.tx)
         if noise is not None:
             y = y + sd * (noise[b.noise_re] + 1j * noise[b.noise_im])
         flat[b.received] = y
     received.flags.writeable = False
-    return MeasurementSet(received, partition, sigma2, slot_id=slot_id,
-                          active_groups=None if groups is None else active)
+    return MeasurementSet(received, partition, sigma2, plan)
 
 
 def simulate_noncoherent(partition: AntennaPartition, schedule: NoncoherentSchedule,
@@ -330,8 +266,7 @@ def simulate_noncoherent(partition: AntennaPartition, schedule: NoncoherentSched
         else:
             chan = gen_channel(partition.num_antennas, channel_model, rng, geometry)
         chan = permute_channel(chan, permutation)
-        out.append(simulate_exchange(partition, pilots, imp, chan, snr_db, rng,
-                                     slot_id=t, groups=grp))
+        out.append(simulate_exchange(partition, pilots, imp, chan, snr_db, rng, groups=grp))
     return out
 
 

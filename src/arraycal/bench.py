@@ -90,10 +90,9 @@ class Trial:
     partition: AntennaPartition
 
     def system(self) -> StackedSystem:
-        schedule = self.config.slot_schedule
-        if schedule is None:
-            return build_stacked(self.data, self.pilots, self.partition)
-        return build_stacked_noncoherent(self.data, self.pilots, self.partition, schedule)
+        if self.config.slot_schedule is None:
+            return build_stacked(self.data, self.pilots)
+        return build_stacked_noncoherent(self.data, self.pilots)
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,7 @@ _CONVERTERS = {
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key = value format (',' lists, ';'-separated slot lists)."""
-    kv = {}
+    kv, lines = {}, {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -285,7 +284,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ValueError(f"config key {key!r} is set twice, on lines {lines[key]} and {ln}")
+        kv[key], lines[key] = value.strip(), ln
 
     if "m" not in kv:
         raise ValueError("config must set m")
@@ -319,6 +321,9 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     if np.array_equal(perm, np.arange(config.m)):
         perm = None
     imp_cfg = ImpairmentConfig(config.delta, fix_first_to_one=True)
+    # ALL_ONES and IDENTITY pilots draw nothing: one set serves every trial
+    fixed_pilots = None if config.pilots == UNIT_PHASE_RANDOM \
+        else default_pilots(partition, config.pilots)
 
     table = ResultTable()
     crb_kind = "FCC" if config.constraint == "FCC" else "NPC"
@@ -330,7 +335,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, si, trial]))
             imp = gen_impairments(imp_cfg, config.m, rng)
             chan = permute_channel(gen_channel(config.m, model, rng, geometry), perm)
-            pilots = default_pilots(partition, config.pilots, rng)
+            pilots = fixed_pilots if fixed_pilots is not None \
+                else default_pilots(partition, config.pilots, rng)
             if schedule is not None:
                 data = simulate_noncoherent(partition, schedule, pilots, imp, snr,
                                             rng, model, geometry, permutation=perm)

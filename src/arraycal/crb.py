@@ -24,8 +24,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import AntennaPartition, ChannelRealization, RfImpairments
-from .stacking import PairPlan, gram_index, khatri_rao_t, pair_gram, pair_pilots, pair_plan
+from .model import (AntennaPartition, ChannelRealization, RfImpairments, SlotPlan, gram_index,
+                    slot_plan)
+from .stacking import khatri_rao_t, pair_gram
 
 # B's second-smallest eigenvalue relative to its largest, at or below which f
 # is not identifiable: rank-deficient B reaches 4e-16 by rounding, identifiable
@@ -58,18 +59,20 @@ def stack_h(h_blocks: dict, partition: AntennaPartition) -> np.ndarray:
     return np.concatenate([vec(h_blocks[p]) for p in partition.pairs()])
 
 
-def pair_observations(measurements, gi: np.ndarray, gj: np.ndarray) -> np.ndarray:
-    """Pair p's entries of y, [vec(Y_{i->j}); vec(Y_{j->i}^T)], stacked over a
-    batch of pairs (gi[p], gj[p]) of equal shape, (P, L_iM_j + M_iL_j)."""
-    y_ij = measurements.gather(gi, gj)                    # P x M_j x L_i
-    y_ji = measurements.gather(gj, gi)                    # P x M_i x L_j
-    return np.concatenate((y_ij.transpose(0, 2, 1).reshape(len(gi), -1),
-                           y_ji.reshape(len(gi), -1)), axis=1)
+def pair_observations(measurements, batch) -> np.ndarray:
+    """Pair p's entries of y, [vec(Y_{i->j}); vec(Y_{j->i}^T)], stacked over
+    a batch of pairs of equal shape (a PairBatch of the slot's plan),
+    (P, L_iM_j + M_iL_j)."""
+    y = measurements.received.ravel()
+    n = len(batch.gi)
+    return np.concatenate((y[batch.y_ij].transpose(0, 2, 1).reshape(n, -1),
+                           y[batch.y_ji].reshape(n, -1)), axis=1)
 
 
 def stack_observations(measurements, partition: AntennaPartition) -> np.ndarray:
     """y = [vec(Y_{1->2}); vec(Y_{2->1}^T); vec(Y_{1->3}); ...] (pairs lexicographic)."""
-    return np.concatenate([pair_observations(measurements, np.array([i]), np.array([j]))[0]
+    return np.concatenate([np.concatenate((vec(measurements.block(i, j)),
+                                           measurements.block(j, i).ravel()))
                            for (i, j) in partition.pairs()])
 
 
@@ -168,17 +171,18 @@ def lstsq_min_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CrbContext:
     """The bilinear model y = H(h, P) f = F(f, P) h at (f, h), as pair blocks.
 
-    Pairs are batched by block shape, as in the partition's stacking.pair_plan:
-    for batch k of plan, h_pairs[k] = H_p (P, r, M_i + M_j), at the batch's
-    antenna columns, and f_pairs[k] = F_p (P, r, M_iM_j) are each pair's rows
-    of H and F, with r = L_iM_j + M_iL_j.  H and F themselves are never formed.
+    Pairs are batched by block shape, as in the plan of the slot in which
+    every group is active (model.slot_plan): for batch k of plan.pairs,
+    h_pairs[k] = H_p (P, r, M_i + M_j), at the batch's antenna columns, and
+    f_pairs[k] = F_p (P, r, M_iM_j) are each pair's rows of H and F, with
+    r = L_iM_j + M_iL_j.  H and F themselves are never formed.
     """
 
     f: np.ndarray
     h: np.ndarray
     noise_variance: float
     partition: AntennaPartition
-    plan: PairPlan
+    plan: SlotPlan
     h_pairs: list
     f_pairs: list
 
@@ -201,9 +205,9 @@ def context_from_model(imp: RfImpairments, chan: ChannelRealization, pilots,
     f = imp.tx_gains / imp.rx_gains
     hc_blocks = aux_channel_blocks(imp, chan, partition)
     ctx = CrbContext(f, stack_h(hc_blocks, partition), float(noise_variance), partition,
-                     pair_plan(partition), [], [])
-    for gi, gj, cols, _, _ in ctx.plan.batches:
-        p_i, p_j = pair_pilots(pilots, gi, gj)
+                     slot_plan(partition, tuple(range(partition.num_groups))), [], [])
+    for gi, gj, cols, _, _ in ctx.plan.pairs:
+        p_i, p_j = pilots.stacked(gi), pilots.stacked(gj)
         mi = p_i.shape[1]
         bi, bj = pair_h_block(np.stack([hc_blocks[p] for p in zip(gi.tolist(), gj.tolist())]),
                               p_i, p_j)
@@ -226,7 +230,7 @@ def fim(ctx: CrbContext) -> np.ndarray:
     h_off = dict(zip(pairs, accumulate((sizes[i] * sizes[j] for (i, j) in pairs), initial=0)))
     n = m + ctx.h.size
     cols, ws = [], []
-    for b, hp, fp in zip(ctx.plan.batches, ctx.h_pairs, ctx.f_pairs):
+    for b, hp, fp in zip(ctx.plan.pairs, ctx.h_pairs, ctx.f_pairs):
         h_cols = m + np.array([h_off[p] for p in zip(b.gi.tolist(), b.gj.tolist())])[:, None] \
             + np.arange(fp.shape[2])
         cols.append(np.concatenate((b.cols, h_cols), axis=1))
@@ -329,7 +333,8 @@ def build_f_perp(f: np.ndarray, pilots, partition: AntennaPartition) -> np.ndarr
 
 def ml_compressed_cost(measurements, f: np.ndarray, pilots,
                        partition: AntennaPartition, rel_tol: float = 1e-8) -> float:
-    """y^H P_F_perp y for y = stack_observations(measurements).
+    """y^H P_F_perp y for y = stack_observations(measurements), the pairs of
+    a slot in which every group is active.
 
     The direct route sums the pairs' y_p^H P_{F_p}_perp y_p.  Where
     build_f_perp spans the whole complement of F's columns (at most one group
@@ -340,9 +345,9 @@ def ml_compressed_cost(measurements, f: np.ndarray, pilots,
     """
     f = np.asarray(f, dtype=complex)
     cost_direct = 0.0
-    for gi, gj, cols, _, _ in pair_plan(partition).batches:
-        q = range_basis(pair_f_block(f, cols, *pair_pilots(pilots, gi, gj)))
-        y_p = pair_observations(measurements, gi, gj)
+    for b in measurements.plan.pairs:
+        q = range_basis(pair_f_block(f, b.cols, pilots.stacked(b.gi), pilots.stacked(b.gj)))
+        y_p = pair_observations(measurements, b)
         res = y_p - np.einsum("prk,pk->pr", q, np.einsum("prk,pr->pk", q.conj(), y_p))
         cost_direct += float(np.sum(np.abs(res) ** 2))
     if sum(l != m for l, m in zip(partition.pilot_lengths, partition.group_sizes)) > 1:

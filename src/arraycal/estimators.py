@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import AntennaPartition, CalibrationVector
 from . import crb as _crb
-from .stacking import StackedSystem, build_stacked, pair_pilots, pair_plan
+from .stacking import StackedSystem, build_stacked
 
 FCC = "FCC"
 NPC = "NPC"
@@ -266,7 +266,7 @@ def rogalin_gram(measurements, pilots, partition: AntennaPartition) -> StackedSy
     A[i,i] = sum_{k != i} |y_{k->i}|^2,  A[i,j] = -conj(y_{j->i}) y_{i->j}.
     """
     require_single_antenna_groups(partition, "rogalin")
-    return build_stacked(measurements, pilots, partition)
+    return build_stacked(measurements, pilots)
 
 
 def rogalin_estimate(measurements, pilots, partition: AntennaPartition,
@@ -355,6 +355,8 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     singular F^H F.  Non-convergence is reported, not raised.
     """
     require_aml_settings(tol, max_iter)
+    if len(measurements.groups) < partition.num_groups:
+        raise ValueError("AML needs a slot in which every group is active")
     f = np.ones(partition.num_antennas, dtype=complex) if init is None \
         else np.asarray(init, dtype=complex).copy()
     if not np.any(f):
@@ -372,12 +374,12 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     y_rows = {key: np.zeros(h.shape[:2], dtype=complex) for key, h in h_rows.items()}
     filled = [0] * partition.num_groups
     pairs = []
-    for gi, gj, cols, _, _ in pair_plan(partition).batches:
-        p_i, p_j = pair_pilots(pilots, gi, gj)
-        y_p = _crb.pair_observations(measurements, gi, gj)
+    for b in measurements.plan.pairs:
+        p_i, p_j = pilots.stacked(b.gi), pilots.stacked(b.gj)
+        y_p = _crb.pair_observations(measurements, b)
         top = p_i.shape[2] * p_j.shape[1]       # L_i M_j rows act on f_i
         sides = []
-        for side, y_side in ((gi.tolist(), y_p[:, :top]), (gj.tolist(), y_p[:, top:])):
+        for side, y_side in ((b.gi.tolist(), y_p[:, :top]), (b.gj.tolist(), y_p[:, top:])):
             start = []
             for g in side:
                 start.append(filled[g])
@@ -387,7 +389,7 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
                     np.array(start)[:, None] + np.arange(y_side.shape[1]))
             y_rows[key][dest] = y_side
             sides.append((key, dest))
-        pairs.append((cols, p_i, p_j, y_p, sides))
+        pairs.append((b.cols, p_i, p_j, y_p, sides))
     offsets = np.asarray(partition.offsets)
     antennas = {key: offsets[gs][:, None] + np.arange(key[0]) for key, gs in groups.items()}
 

@@ -5,14 +5,16 @@ H_{A->B} = R_B C_{A->B} T_A, where T and R are the diagonal Tx/Rx front-end
 responses and C is the reciprocal over-the-air propagation channel
 (C_{A->B} = C_{B->A}^T).  The calibration vector is f_m = t_m / r_m; it maps
 the two link directions onto each other and is identifiable up to one complex
-scale.
+scale.  slot_plan compiles the index structure of one slot of pilot exchanges,
+which depends only on the antenna partition and the active groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +89,124 @@ def batch_indices(keys) -> list:
         todo[sel] = False
         out.append(sel)
     return out
+
+
+def gram_index(n: int, cols: list) -> np.ndarray:
+    """pair_gram's index for batches with the columns cols [(P, k), ...]:
+    pair p's k x k block at the flat places cols_p[a] n + cols_p[b]."""
+    return np.concatenate([(c[:, :, None] * n + c[:, None, :]).ravel() for c in cols])
+
+
+class ExchangeBatch(NamedTuple):
+    """Ordered pairs i -> j of one shape (M_j, M_i, L_i): the transmit groups
+    tx, and flat indices of R_j C_{i->j} T_i in the M x M gain matrix
+    (P, M_j, M_i), of the real and imaginary parts of the pairs' noise in the
+    slot's draw, and of Y_{i->j} in the received matrix (P, M_j, L_i each)."""
+
+    tx: np.ndarray
+    gain: np.ndarray
+    noise_re: np.ndarray
+    noise_im: np.ndarray
+    received: np.ndarray
+
+
+class PairBatch(NamedTuple):
+    """Pairs (gi[p], gj[p]), i < j, of one block shape (M_i, M_j, L_i, L_j):
+    their antenna columns cols (P, M_i + M_j), group i's first, and the flat
+    indices in the slot's received matrix of Y_{j->i} (P, M_i, L_j) and
+    Y_{i->j} (P, M_j, L_i)."""
+
+    gi: np.ndarray
+    gj: np.ndarray
+    cols: np.ndarray
+    y_ji: np.ndarray
+    y_ij: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SlotPlan:
+    """The index structure of one slot, which depends only on the partition
+    and the active groups (ascending).  The exchange: the ordered pairs'
+    batches, the length of the slot's noise draw and the received matrix's
+    shape.  The stacked system: the pairs i < j (lexicographic) batched by
+    block shape in order of first appearance, the rows of Y(P), pair_gram's
+    index over all batches, and their cols, flat.  Every array is read-only."""
+
+    groups: tuple
+    exchange: tuple
+    noise_size: int
+    shape: tuple
+    pairs: tuple
+    rows: int
+    gram_index: np.ndarray
+    cols_index: np.ndarray
+
+
+def received_index(partition: AntennaPartition, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """Flat indices of Y_{tx[p]->rx[p]} in a slot's M x sum(L_i) received
+    matrix, for pairs of one block shape, (P, M_rx, L_tx)."""
+    width = sum(partition.pilot_lengths)
+    rows = np.asarray(partition.offsets)[rx, None, None] \
+        + np.arange(partition.group_sizes[rx[0]])[:, None]
+    return rows * width + np.asarray(partition.pilot_offsets)[tx, None, None] \
+        + np.arange(partition.pilot_lengths[tx[0]])
+
+
+def _exchange_batches(partition: AntennaPartition, act: np.ndarray):
+    """The exchange half of slot_plan: its batches, noise length and shape."""
+    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
+    offsets, m = np.asarray(partition.offsets), partition.num_antennas
+    # ordered pairs i -> j, transmitters then receivers ascending: the order
+    # in which each pair's noise, a real then an imaginary M_j x L_i block, is
+    # drawn, so one draw for the slot starts pair p's noise at start[p]
+    tx, rx = np.repeat(act, act.size), np.tile(act, act.size)
+    keep = tx != rx
+    tx, rx = tx[keep], rx[keep]
+    size = sizes[rx] * lens[tx]
+    start = np.cumsum(2 * size) - 2 * size
+    batches = []
+    for sel in batch_indices((sizes[rx], sizes[tx], lens[tx])):
+        ti, rj = tx[sel], rx[sel]
+        mj, mi, li = sizes[rj[0]], sizes[ti[0]], lens[ti[0]]
+        gain = (offsets[rj, None, None] + np.arange(mj)[:, None]) * m \
+            + offsets[ti, None, None] + np.arange(mi)
+        re = start[sel, None, None] + np.arange(mj * li).reshape(mj, li)
+        batches.append(ExchangeBatch(ti, gain, re, re + mj * li,
+                                     received_index(partition, ti, rj)))
+    return tuple(batches), 2 * int(size.sum()), (m, int(lens.sum()))
+
+
+def _pair_batches(partition: AntennaPartition, act: np.ndarray):
+    """The stacked-system half of slot_plan: its batches, rows, gram_index
+    and cols_index."""
+    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
+    offsets = np.asarray(partition.offsets)
+    g = act[np.transpose(np.triu_indices(act.size, 1))]
+    batches = []
+    for sel in batch_indices((*sizes[g].T, *lens[g].T)):
+        gi, gj = g[sel, 0], g[sel, 1]
+        cols = np.concatenate((offsets[gi, None] + np.arange(sizes[gi[0]]),
+                               offsets[gj, None] + np.arange(sizes[gj[0]])), axis=1)
+        batches.append(PairBatch(gi, gj, cols, received_index(partition, gj, gi),
+                                 received_index(partition, gi, gj)))
+    return (tuple(batches), int(np.sum(lens[g[:, 0]] * lens[g[:, 1]])),
+            gram_index(partition.num_antennas, [b.cols for b in batches]),
+            np.concatenate([b.cols.ravel() for b in batches]))
+
+
+@lru_cache(maxsize=32)
+def slot_plan(partition: AntennaPartition, active: tuple) -> SlotPlan:
+    """The plan of a slot in which the groups active (ascending) exchange,
+    built once per partition and active groups: equal arguments give the same
+    object.  The exchange half is built first, so its temporaries are freed
+    before the pair half is built."""
+    act = np.asarray(active, dtype=int)
+    exchange = _exchange_batches(partition, act)
+    plan = SlotPlan(tuple(active), *exchange, *_pair_batches(partition, act))
+    for a in (plan.gram_index, plan.cols_index,
+              *(x for b in plan.exchange + plan.pairs for x in b)):
+        a.flags.writeable = False
+    return plan
 
 
 @dataclass(frozen=True)

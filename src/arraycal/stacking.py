@@ -14,12 +14,10 @@ sum of the pairs' contributions; the dense Y(P) is never formed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import AntennaPartition, batch_indices
+from .model import AntennaPartition
 
 
 @dataclass
@@ -27,25 +25,23 @@ class StackedSystem:
     """Y(P) as per-pair row blocks, with its Gram matrix A = Y(P)^H Y(P).
 
     blocks batches pairs of equal shape as (cols, w): the rows of Y(P) for
-    pair p are w[p], at the antenna columns cols[p].  plans are the pair plans
-    the blocks come from, one per slot, in order.  solutions holds the
-    estimators' solves of this system, keyed by constraint.
+    pair p are w[p], at the antenna columns cols[p].  cols_index is every
+    block's cols, flat, in order.  solutions holds the estimators' solves of
+    this system, keyed by constraint.
     """
 
     gram: np.ndarray          # M x M, Hermitian PSD
     rows: int                 # rows of Y(P)
     m: int
     blocks: list              # [(cols (P, k) int, w (P, r, k) complex), ...]
-    plans: tuple              # (PairPlan, ...)
+    cols_index: np.ndarray
     solutions: dict = field(default_factory=dict, repr=False, compare=False)
 
     def apply_gram(self, f: np.ndarray) -> np.ndarray:
         """A f as Y(P)^H (Y(P) f) from the pair blocks: unlike gram @ f, its
         rounding error does not scale with cond(A) = cond(Y(P))^2."""
         yf = [np.einsum("prk,pk->pr", w, f[cols]) for cols, w in self.blocks]
-        index = self.plans[0].cols_index if len(self.plans) == 1 \
-            else np.concatenate([p.cols_index for p in self.plans])
-        return _scatter_add(self.m, index,
+        return _scatter_add(self.m, self.cols_index,
                             [np.einsum("prk,pr->pk", w.conj(), r)
                              for (_, w), r in zip(self.blocks, yf)])
 
@@ -71,77 +67,6 @@ def pair_equation_block(y_ji: np.ndarray, y_ij: np.ndarray,
     return khatri_rao_t(y_ji, p_i), -khatri_rao_t(p_j, y_ij)   # (L_i L_j) x M_i, x M_j
 
 
-class PairBatch(NamedTuple):
-    """Pairs (gi[p], gj[p]), i < j, of one block shape (M_i, M_j, L_i, L_j):
-    their antenna columns cols (P, M_i + M_j), group i's first, and the flat
-    indices in a slot's received matrix of Y_{j->i} (P, M_i, L_j) and
-    Y_{i->j} (P, M_j, L_i)."""
-
-    gi: np.ndarray
-    gj: np.ndarray
-    cols: np.ndarray
-    y_ji: np.ndarray
-    y_ij: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class PairPlan:
-    """The index structure of a set of group pairs, which depends only on the
-    partition: the batches in order of first appearance (pairs in their given
-    order), the groups the pairs touch, the rows of Y(P), pair_gram's index
-    over all batches, and their cols, flat.  Every array is read-only."""
-
-    batches: tuple
-    groups: tuple
-    rows: int
-    gram_index: np.ndarray
-    cols_index: np.ndarray
-
-
-def pair_plan(partition: AntennaPartition, pairs=None) -> PairPlan:
-    """The plan of the pairs (i, j) (all i < j, lexicographic, for None), built
-    once per partition and pairs: equal arguments give the same object."""
-    return _pair_plan(partition, None if pairs is None else
-                      tuple((int(i), int(j)) for i, j in pairs))
-
-
-@lru_cache(maxsize=32)
-def _pair_plan(partition: AntennaPartition, pairs: tuple | None) -> PairPlan:
-    if pairs is None:
-        g = np.transpose(np.triu_indices(partition.num_groups, 1))
-    else:
-        g = np.array(pairs, dtype=int).reshape(-1, 2)
-    if np.any(g[:, 0] == g[:, 1]):
-        raise ValueError("a pair needs two distinct groups")
-    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
-    offsets, pilot_offsets = np.asarray(partition.offsets), np.asarray(partition.pilot_offsets)
-    width = int(lens.sum())
-
-    def received(tx, rx):                     # Y_{tx->rx}, (P, M_rx, L_tx)
-        return ((offsets[rx, None, None] + np.arange(sizes[rx[0]])[:, None]) * width
-                + pilot_offsets[tx, None, None] + np.arange(lens[tx[0]]))
-
-    batches = []
-    for sel in batch_indices((*sizes[g].T, *lens[g].T)):
-        gi, gj = g[sel, 0], g[sel, 1]
-        cols = np.concatenate((offsets[gi, None] + np.arange(sizes[gi[0]]),
-                               offsets[gj, None] + np.arange(sizes[gj[0]])), axis=1)
-        batches.append(PairBatch(gi, gj, cols, received(gj, gi), received(gi, gj)))
-    touched = np.bincount(g.ravel(), minlength=partition.num_groups)
-    plan = PairPlan(tuple(batches), tuple(np.flatnonzero(touched).tolist()),
-                    int(np.sum(lens[g[:, 0]] * lens[g[:, 1]])),
-                    gram_index(partition.num_antennas, [b.cols for b in batches]),
-                    np.concatenate([b.cols.ravel() for b in batches]))
-    for a in (plan.gram_index, plan.cols_index, *(x for b in batches for x in b)):
-        a.flags.writeable = False
-    return plan
-
-
-def pair_pilots(pilots, gi: np.ndarray, gj: np.ndarray):
-    """The pilot blocks (P_i, P_j) of a batch of pairs, stacked."""
-    return pilots.stacked(gi), pilots.stacked(gj)
-
-
 def _scatter_add(n: int, index: np.ndarray, values: list) -> np.ndarray:
     """Length-n complex vector with the values[k].flat, concatenated, added at
     index.
@@ -157,62 +82,47 @@ def _scatter_add(n: int, index: np.ndarray, values: list) -> np.ndarray:
     return out
 
 
-def gram_index(n: int, cols: list) -> np.ndarray:
-    """pair_gram's index for batches with the columns cols [(P, k), ...]:
-    pair p's k x k block at the flat places cols_p[a] n + cols_p[b]."""
-    return np.concatenate([(c[:, :, None] * n + c[:, None, :]).ravel() for c in cols])
-
-
 def pair_gram(n: int, index: np.ndarray, ws: list) -> np.ndarray:
     """The n x n sum of w_p^H w_p over every pair p of the batches ws
-    [(P, r, k), ...], each k x k block added at its place in index (gram_index)."""
+    [(P, r, k), ...], each k x k block added at its place in index
+    (model.gram_index)."""
     return _scatter_add(n * n, index, [np.einsum("pri,prj->pij", w.conj(), w)
                                        for w in ws]).reshape(n, n)
 
 
-def build_stacked(measurements, pilots, partition: AntennaPartition,
-                  pairs=None, slot: int = 0) -> StackedSystem:
-    """Stacked system of one slot's measurements (pairs i<j, lexicographic).
+def build_stacked(measurements, pilots) -> StackedSystem:
+    """Stacked system of one slot's measurements: the pairs i < j of its
+    active groups, lexicographic.
 
-    Pairs of equal block shape are batched (pair_plan); pair (i, j) adds
-    W^H W, with W = [block_i, block_j], to the Gram at the antennas of groups
-    i and j.  The result is kept on the measurements and returned again to a
-    call with the same pilots and partition objects, slot and pairs argument
-    (None, or an equal list).
+    Pairs of equal block shape are batched (the slot's plan); pair (i, j)
+    adds W^H W, with W = [block_i, block_j], to the Gram at the antennas of
+    groups i and j.  The result is kept on the measurements and returned
+    again to a call with the same pilots object.
     """
-    pairs = None if pairs is None else list(pairs)
     kept = measurements.stacked
-    if kept is not None and kept[0] is pilots and kept[1] is partition \
-            and kept[2] == slot and kept[3] == pairs:
-        return kept[4]
-    plan = pair_plan(partition, pairs)
-    idle = sorted(set(plan.groups).difference(measurements.groups))
-    if idle:
-        raise KeyError(f"no measurement blocks for group {idle[0]} in this slot")
+    if kept is not None and kept[0] is pilots:
+        return kept[1]
+    plan = measurements.plan
     y = measurements.received.ravel()
     blocks = []
-    for gi, gj, cols, y_ji, y_ij in plan.batches:
-        bi, bj = pair_equation_block(y[y_ji], y[y_ij], *pair_pilots(pilots, gi, gj))
+    for gi, gj, cols, y_ji, y_ij in plan.pairs:
+        bi, bj = pair_equation_block(y[y_ji], y[y_ij], pilots.stacked(gi), pilots.stacked(gj))
         blocks.append((cols, np.concatenate((bi, bj), axis=2)))
-    m = partition.num_antennas
+    m = measurements.partition.num_antennas
     system = StackedSystem(pair_gram(m, plan.gram_index, [w for _, w in blocks]), plan.rows,
-                           m, blocks, (plan,))
-    measurements.stacked = (pilots, partition, slot, pairs, system)
+                           m, blocks, plan.cols_index)
+    measurements.stacked = (pilots, system)
     return system
 
 
-def build_stacked_noncoherent(slot_measurements: list, pilots,
-                              partition: AntennaPartition,
-                              schedule=None) -> StackedSystem:
-    """Sum of the per-slot Grams, each restricted to its slot's active pairs."""
+def build_stacked_noncoherent(slot_measurements: list, pilots) -> StackedSystem:
+    """Sum of the per-slot Grams, each over its slot's active pairs."""
     if not slot_measurements:
         raise ValueError("no slots to stack")
-    systems = [build_stacked(ms, pilots, partition, slot=ms.slot_id,
-                             pairs=ms.pairs() if schedule is None else schedule.active_pairs(t))
-               for t, ms in enumerate(slot_measurements)]
+    systems = [build_stacked(ms, pilots) for ms in slot_measurements]
     return StackedSystem(sum(s.gram for s in systems), sum(s.rows for s in systems),
-                         partition.num_antennas, [b for s in systems for b in s.blocks],
-                         tuple(p for s in systems for p in s.plans))
+                         systems[0].m, [b for s in systems for b in s.blocks],
+                         np.concatenate([s.cols_index for s in systems]))
 
 
 def independent_equations(partition: AntennaPartition, schedule=None):
@@ -237,6 +147,7 @@ def group_components(partition: AntennaPartition, schedule=None) -> list:
     their first group.  Each component has its own unknown scale."""
     comps = [{g} for g in range(partition.num_groups)]
     for slot in ([range(partition.num_groups)] if schedule is None else schedule.slots):
+        slot = set(slot)
         linked = [c for c in comps if not c.isdisjoint(slot)]
         comps = [c for c in comps if c.isdisjoint(slot)] + [set().union(*linked)]
     return sorted(tuple(sorted(c)) for c in comps)

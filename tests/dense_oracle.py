@@ -87,7 +87,8 @@ def row_blocks(partition, schedule=None):
     when schedule is None)."""
     if schedule is None:
         return [(0, i, j) for (i, j) in partition.pairs()]
-    return [(t, i, j) for t in range(len(schedule.slots)) for (i, j) in schedule.active_pairs(t)]
+    return [(t, i, j) for t, s in enumerate(schedule.slots)
+            for a, i in enumerate(s) for j in s[a + 1:]]
 
 
 def dense_y_noncoherent(slot_measurements, pilots, partition, schedule):

@@ -107,13 +107,13 @@ def test_acceptance_01_noiseless_exact_recovery():
 
     part = make_scheme("FC_II", 24, 8).partition
     pilots, imp, chan, ms = _simulate(part, rng)
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     errs["group ls"] = _rel_err(ls_estimate(ss, ConstraintSpec.fcc()).f_hat.f,
                                 calibration_vector(imp).f)
 
     part = AntennaPartition.singleton(12)
     pilots, imp, chan, ms = _simulate(part, rng, kind="ALL_ONES")
-    init = ls_estimate(build_stacked(ms, pilots, part), ConstraintSpec.fcc()).f_hat.f
+    init = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc()).f_hat.f
     rep = aml_estimate(ms, pilots, part, init=init, constraint=ConstraintSpec.fcc())
     errs["aml"] = _rel_err(rep.f_hat.f, calibration_vector(imp).f)
 
@@ -216,7 +216,7 @@ def test_acceptance_07_exactly_determined_m67():
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, trial]))
         pilots, imp, chan, ms = _simulate(part, rng, snr=30.0, kind="ALL_ONES")
         f_av = avalanche_estimate(ms, pilots, part).f
-        rep = ls_estimate(build_stacked(ms, pilots, part), ConstraintSpec.fcc())
+        rep = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc())
         worst = max(worst, _rel_err(f_av, rep.f_hat.f))
         # B's smallest eigenvalue ratio reaches 8.1e-14 here, above the rank
         # rule's 66 eps = 1.5e-14
@@ -315,7 +315,7 @@ def test_acceptance_10_low_snr_saturation():
             ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
             f_true = calibration_vector(imp).f
             spec = ConstraintSpec.npc(f_true)
-            f = ls_estimate(build_stacked(ms, pilots, part), spec).f_hat.f
+            f = ls_estimate(build_stacked(ms, pilots), spec).f_hat.f
             e = mse(f, f_true)
             bounded = bounded and e <= 4 * spec.c + 1e-9
             errs.append(e)
@@ -334,10 +334,10 @@ def test_acceptance_11_noncoherent_consistency():
     sched = NoncoherentSchedule((tuple(range(3)),) * 3)
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng,
                                  channels=[chan] * 3)
-    f_nc = ls_estimate(build_stacked_noncoherent(slots, pilots, part, sched),
+    f_nc = ls_estimate(build_stacked_noncoherent(slots, pilots),
                        ConstraintSpec.fcc()).f_hat.f
     coherent = simulate_exchange(part, pilots, imp, chan, np.inf, rng)
-    f_c = ls_estimate(build_stacked(coherent, pilots, part),
+    f_c = ls_estimate(build_stacked(coherent, pilots),
                       ConstraintSpec.fcc()).f_hat.f
     same = np.max(np.abs(f_nc - f_c)) < 1e-10
 
@@ -348,7 +348,7 @@ def test_acceptance_11_noncoherent_consistency():
     pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
     sched7 = NoncoherentSchedule(tuple(pairs))
     slots7 = simulate_noncoherent(part7, sched7, pil7, imp7, np.inf, rng)
-    f7 = ls_estimate(build_stacked_noncoherent(slots7, pil7, part7, sched7),
+    f7 = ls_estimate(build_stacked_noncoherent(slots7, pil7),
                      ConstraintSpec.fcc()).f_hat.f
     exact = _rel_err(f7, calibration_vector(imp7).f) < 1e-10
     _report(11, "non-coherent stack: identical channels match coherent LS, "

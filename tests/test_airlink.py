@@ -9,7 +9,6 @@ from arraycal.airlink import (
     NoncoherentSchedule,
     PilotSet,
     default_pilots,
-    exchange_plan,
     measurements_to_csv,
     noise_variance_from_snr,
     simulate_exchange,
@@ -26,10 +25,11 @@ from arraycal.model import (
     calibration_vector,
     gen_channel,
     gen_impairments,
+    slot_plan,
 )
 from arraycal.bench import ExperimentConfig
-from arraycal.stacking import build_stacked, pair_plan
-from dense_oracle import exchange_pairs
+from arraycal.stacking import build_stacked
+from dense_oracle import dense_y, exchange_pairs
 
 CFG = ImpairmentConfig(0.5, fix_first_to_one=True)
 
@@ -66,6 +66,19 @@ def test_pilot_validation():
         PilotSet((np.eye(2),)).validate(part)
 
 
+def test_pilot_rank_is_checked_once_per_object(monkeypatch):
+    part = AntennaPartition((2, 2, 1), (2, 2, 1))
+    svds = []
+    real = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda a: svds.append(a.shape) or real(a))
+    pilots = default_pilots(part, "IDENTITY")
+    for _ in range(3):
+        pilots.validate(part)
+    assert svds == [(2, 2, 2), (1, 1, 1)]
+    with pytest.raises(ValueError, match="shape"):        # shapes are checked every call
+        pilots.validate(AntennaPartition((2, 1, 2), (2, 1, 2)))
+
+
 def test_block_shapes_and_identity_case():
     part = AntennaPartition((2, 3), (2, 3))
     pilots = default_pilots(part, "IDENTITY", None)
@@ -77,7 +90,7 @@ def test_block_shapes_and_identity_case():
     assert y.shape == (3, 2)            # M_j x L_i
     # T = R = I, P = I, no noise: the raw channel block comes out
     assert np.allclose(y, chan.c[2:5, 0:2])
-    assert ms.pairs() == [(0, 1)]
+    assert list(ms.blocks) == [(0, 1), (1, 0)]
 
 
 def test_pair_equation_residual_noiseless():
@@ -120,7 +133,6 @@ def test_schedule_validation_and_pairs():
     sched = NoncoherentSchedule(((0, 1), (1, 2)))
     assert sched.covers(3)
     assert not sched.covers(4)
-    assert sched.active_pairs(1) == [(1, 2)]
 
 
 def test_noncoherent_fresh_channels_and_override():
@@ -130,7 +142,7 @@ def test_noncoherent_fresh_channels_and_override():
     sched = NoncoherentSchedule(((0, 1, 2, 3), (0, 1, 2, 3)))
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng)
     assert len(slots) == 2
-    assert slots[0].slot_id == 0 and slots[1].slot_id == 1
+    assert [s.groups for s in slots] == list(sched.slots)
     # independent draws differ
     assert not np.allclose(slots[0].block(0, 1), slots[1].block(0, 1))
     # forcing the channel list makes the slots identical (noiseless)
@@ -153,7 +165,7 @@ def test_partial_activation():
     part = AntennaPartition.singleton(5)
     pilots, imp, chan = _setup(part, rng)
     ms = simulate_exchange(part, pilots, imp, chan, np.inf, rng, groups=(0, 2, 4))
-    assert ms.active_groups == (0, 2, 4)
+    assert ms.groups == (0, 2, 4)
     assert (0, 2) in ms.blocks and (0, 1) not in ms.blocks
     with pytest.raises(KeyError):
         ms.block(0, 1)
@@ -239,60 +251,58 @@ def test_simulate_exchange_equals_pair_loop(case):
 def test_plans_are_shared_read_only_and_match_gather(case):
     part, kind, snr, groups, seed = case
     everyone = tuple(range(part.num_groups))
-    # equal partitions from two freshly built configs share one plan of each kind
+    # equal partitions from two freshly built configs share one plan
     parts = [ExperimentConfig(m=part.num_antennas, scheme="CUSTOM", crb=False,
                               group_sizes=part.group_sizes,
                               pilot_lengths=part.pilot_lengths).group_scheme.partition
              for _ in range(2)]
     assert parts[0] is not parts[1]
-    ex, pp = exchange_plan(parts[0], everyone), pair_plan(parts[0])
-    assert exchange_plan(parts[1], everyone) is ex and pair_plan(parts[1]) is pp
-    arrays = [pp.gram_index, pp.cols_index, *(a for b in pp.batches for a in b),
-              *(a for b in ex.batches for a in b)]
+    plan = slot_plan(parts[0], everyone)
+    assert slot_plan(parts[1], everyone) is plan
+    arrays = [plan.gram_index, plan.cols_index,
+              *(a for b in plan.exchange + plan.pairs for a in b)]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a.flat[0] = 0
-    # the pair plan's flat indices read the blocks gather reads
+    # the measurements carry their slot's plan, whose pair indices read the
+    # blocks that block and gather read, once for every active pair
     rng = np.random.default_rng(seed)
-    pilots, imp, chan = _setup(part, rng, kind)
-    ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
-    for gi, gj, _, y_ji, y_ij in pp.batches:
-        assert np.array_equal(ms.received.ravel()[y_ji], ms.gather(gj, gi))
-        assert np.array_equal(ms.received.ravel()[y_ij], ms.gather(gi, gj))
-    if groups is None or len(groups) == part.num_groups:
-        return
+    pilots, imp, chan = _setup(parts[1], rng, kind)
+    ms = simulate_exchange(parts[1], pilots, imp, chan, snr, rng, groups=groups)
+    active = everyone if groups is None else tuple(sorted(groups))
+    assert ms.groups == active and ms.plan is slot_plan(part, active)
+    y, pairs = ms.received.ravel(), []
+    for gi, gj, _, y_ji, y_ij in ms.plan.pairs:
+        assert np.array_equal(y[y_ji], ms.gather(gj, gi))
+        assert np.array_equal(y[y_ij], ms.gather(gi, gj))
+        for p, (i, j) in enumerate(zip(gi.tolist(), gj.tolist())):
+            assert np.array_equal(y[y_ji[p]], ms.block(j, i))
+            assert np.array_equal(y[y_ij[p]], ms.block(i, j))
+            pairs.append((i, j))
+    assert sorted(pairs) == [(i, j) for i in active for j in active if i < j]
     # slots with other active groups get other plans
-    sched = NoncoherentSchedule((tuple(groups), everyone))
-    slots = simulate_noncoherent(part, sched, pilots, imp, snr, rng)
-    assert exchange_plan(part, sched.slots[0]) is not ex
-    systems = [build_stacked(s, pilots, part, pairs=sched.active_pairs(t), slot=t)
-               for t, s in enumerate(slots)]
-    assert systems[0].plans == (pair_plan(part, sched.active_pairs(0)),)
-    assert systems[0].plans[0] is not pp and systems[1].plans[0] is not pp
-    # all pairs of a partially active slot have no blocks to read, as with gather
-    with pytest.raises(KeyError):
-        build_stacked(slots[0], pilots, part)
+    assert (ms.plan is plan) == (active == everyone)
 
 
 def test_build_stacked_is_reused_per_measurement_set():
     rng = np.random.default_rng(11)
-    part = AntennaPartition((1, 2, 2), (1, 2, 1))
+    part = AntennaPartition((1, 2, 2, 1), (1, 2, 1, 2))
     pilots, imp, chan = _setup(part, rng, "UNIT_PHASE_RANDOM")
     ms = simulate_exchange(part, pilots, imp, chan, 20.0, rng)
-    first = build_stacked(ms, pilots, part)
-    assert build_stacked(ms, pilots, part) is first
-    # the kept system is keyed on the pairs argument as given: an explicit
-    # list of every pair rebuilds the same Gram once, then is kept in turn
-    listed = build_stacked(ms, pilots, part, pairs=part.pairs())
-    assert listed is not first and np.array_equal(listed.gram, first.gram)
-    assert build_stacked(ms, pilots, part, pairs=part.pairs()) is listed
-    # another pilots object (even with equal blocks) or other pairs rebuild
-    other = build_stacked(ms, PilotSet(pilots.blocks), part)
+    first = build_stacked(ms, pilots)
+    assert build_stacked(ms, pilots) is first
+    # the kept system is keyed on the pilots object: another one, even with
+    # equal blocks, rebuilds
+    other = build_stacked(ms, PilotSet(pilots.blocks))
     assert other is not first and np.array_equal(other.gram, first.gram)
-    fewer = build_stacked(ms, pilots, part, pairs=[(0, 1), (1, 2)])
-    assert fewer is not first and fewer.rows == 2 + 2
-    assert build_stacked(ms, pilots, part, slot=1) is not first
     # the kept system belongs to this slot's measurements only
     again = simulate_exchange(part, pilots, imp, chan, 20.0, rng)
-    assert build_stacked(again, pilots, part) is not first
+    assert build_stacked(again, pilots) is not first
+    # a partially active slot stacks its own pairs, (0, 1), (0, 3) and (1, 3)
+    some = simulate_exchange(part, pilots, imp, chan, 20.0, rng, groups=(0, 1, 3))
+    ss = build_stacked(some, pilots)
+    y = dense_y(some, pilots, part, [(0, 1), (0, 3), (1, 3)])
+    a = y.conj().T @ y
+    assert ss.rows == y.shape[0] == 2 + 2 + 4
+    assert np.max(np.abs(ss.gram - a)) <= 1e-13 * np.max(np.abs(a))

@@ -137,6 +137,26 @@ def test_crb_column_filled():
     assert t2.rows[0].crb_trace == t2.rows[1].crb_trace
 
 
+@pytest.mark.parametrize("kind, draws", [("ALL_ONES", False), ("UNIT_PHASE_RANDOM", True)])
+def test_fixed_pilots_are_built_once_per_run(monkeypatch, kind, draws):
+    # pilots that draw nothing from the trial's stream serve every trial
+    made = []
+
+    def recording(*args):
+        made.append(airlink.default_pilots(*args))
+        return made[-1]
+
+    monkeypatch.setattr(bench, "default_pilots", recording)
+    cfg = ExperimentConfig(m=4, pilots=kind, snr_db=(10.0, 20.0), trials=3, crb=False)
+    seen = []
+    real = bench.simulate_exchange
+    monkeypatch.setattr(bench, "simulate_exchange",
+                        lambda part, pilots, *a: seen.append(pilots) or real(part, pilots, *a))
+    run_experiment(cfg)
+    assert len(made) == (6 if draws else 1)
+    assert [id(p) for p in seen] == [id(p) for p in (made if draws else made * 6)]
+
+
 def test_noncoherent_experiment_runs():
     cfg = parse_config("m = 4\nscheme = SINGLETON\npilots = ALL_ONES\n"
                        "snr_db = inf\ntrials = 2\nestimators = ls\n"
@@ -381,6 +401,21 @@ def test_rules_fire_before_the_first_draw(tmp_path, capsys, changes, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig(**values)
     cfg = _write(tmp_path, "bad.cfg", _config_text(values))
+    assert cli_main(["check", cfg]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "r.csv"
+    assert cli_main(["run", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_config_key_is_rejected(tmp_path, capsys):
+    # a second m would otherwise silently win (check printed rows=28 for m = 8)
+    text = "m = 6\nscheme = SINGLETON\ncrb = false\n# comment\nm = 8\nsnr_db = 30\ntrials = 2\n"
+    message = "config key 'm' is set twice, on lines 1 and 5"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config(text)
+    cfg = _write(tmp_path, "twice.cfg", text)
     assert cli_main(["check", cfg]) == 2
     assert message in capsys.readouterr().err
     out = tmp_path / "r.csv"

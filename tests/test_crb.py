@@ -299,7 +299,7 @@ def test_aml_reaches_crb_at_high_snr():
     for _ in range(n):
         pilots, imp, chan, ms = _instance(part, rng, snr=40.0, kind="ALL_ONES")
         f_true = calibration_vector(imp).f
-        init = ls_estimate(build_stacked(ms, pilots, part),
+        init = ls_estimate(build_stacked(ms, pilots),
                            ConstraintSpec.fcc()).f_hat.f
         rep = aml_estimate(ms, pilots, part, init=init,
                            constraint=ConstraintSpec.fcc(), max_iter=50)

@@ -47,7 +47,7 @@ def test_ls_identity_impairments():
     part = AntennaPartition.singleton(6)
     imp = RfImpairments(np.ones(6), np.ones(6))
     pilots, imp, chan, ms = _instance(part, rng, imp=imp)
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     f = ls_estimate(ss, ConstraintSpec.fcc()).f_hat.f
     assert np.max(np.abs(f - 1.0)) < 1e-10
 
@@ -56,7 +56,7 @@ def test_ls_matches_pairwise_ratio_oracle():
     rng = np.random.default_rng(1)
     part = AntennaPartition.singleton(4)
     pilots, imp, chan, ms = _instance(part, rng)
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     f = ls_estimate(ss, ConstraintSpec.fcc()).f_hat.f
     oracle = np.array([1.0 + 0.0j] + [
         ms.block(i, 0).item() / ms.block(0, i).item() for i in range(1, 4)])
@@ -68,7 +68,7 @@ def test_ls_unit_norm_collinear_with_fcc():
     rng = np.random.default_rng(2)
     part = AntennaPartition.singleton(8)
     pilots, imp, chan, ms = _instance(part, rng)
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     f_fcc = ls_estimate(ss, ConstraintSpec.fcc()).f_hat.f
     f_un = ls_estimate(ss, ConstraintSpec.unit_norm()).f_hat.f
     assert abs(np.linalg.norm(f_un) - 1.0) < 1e-12
@@ -80,7 +80,7 @@ def test_ls_linear_constraint_satisfied():
     rng = np.random.default_rng(3)
     part = AntennaPartition.singleton(5)
     pilots, imp, chan, ms = _instance(part, rng, snr=15.0)
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     g = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     c = 2.0 - 1.0j
     f = ls_estimate(ss, ConstraintSpec.linear(g, c)).f_hat.f
@@ -91,7 +91,7 @@ def test_ls_reports_unidentifiable():
     rng = np.random.default_rng(4)
     part = AntennaPartition((3, 3), (1, 1))   # 1 row for 5 unknown directions
     pilots, imp, chan, ms = _instance(part, rng)
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     rep = ls_estimate(ss, ConstraintSpec.fcc())
     assert not rep.converged
 
@@ -106,7 +106,7 @@ def test_ls_converged_follows_the_solve_rank(sizes, lens, snr, kind):
     # is singular with or without noise
     part = AntennaPartition(sizes, lens)
     pilots, imp, chan, ms = _instance(part, np.random.default_rng(0), snr=snr, kind=kind)
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     assert ss.rows >= part.num_antennas - 1
     assert not ls_estimate(ss, ConstraintSpec.fcc()).converged
     if np.isinf(snr):       # A's null space is two-dimensional
@@ -142,7 +142,7 @@ def test_linear_constrained_ls_equals_dense_lstsq(case):
         spec = ConstraintSpec.linear(rng.standard_normal(m) + 1j * rng.standard_normal(m),
                                      complex(rng.standard_normal(), rng.standard_normal()))
     g, c = spec.resolved_g_c(m)
-    rep = ls_estimate(build_stacked(ms, pilots, part), spec)
+    rep = ls_estimate(build_stacked(ms, pilots), spec)
     f_ref, rank = constrained_lstsq(dense_y(ms, pilots, part), g, c)
     f = rep.f_hat.f
     assert rep.converged == (rank == m - 1)
@@ -173,7 +173,7 @@ def test_one_factorisation_per_system_and_constraint(monkeypatch):
     rng = np.random.default_rng(20)
     part = AntennaPartition.singleton(6)
     pilots, imp, chan, ms = _instance(part, rng, snr=20.0)
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     f_ls = ls_estimate(ss, ConstraintSpec.fcc()).f_hat.f
     f_rog = rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f_hat.f
     assert np.array_equal(f_ls, f_rog) and f_ls is not f_rog
@@ -245,7 +245,7 @@ def test_certified_cholesky_solve_matches_eigh_solve(case):
     spec = ConstraintSpec.fcc() if fcc else ConstraintSpec.linear(
         rng.standard_normal(m) + 1j * rng.standard_normal(m),
         complex(rng.standard_normal(), rng.standard_normal()))
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     factored, decomposed = [], []
     with pytest.MonkeyPatch.context() as mp:
         _spy(mp, "cholesky", factored)
@@ -324,7 +324,7 @@ def test_rogalin_gram_entries():
     expect = -np.conj(ms.block(2, 1).item()) * ms.block(1, 2).item()
     assert abs(a[1, 2] - expect) < 1e-12
     # it really is the Gram matrix of the stacked system
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     assert np.max(np.abs(a - ss.gram)) < 1e-12
 
 
@@ -333,7 +333,7 @@ def test_rogalin_equals_generic_ls():
     part = AntennaPartition.singleton(6)
     for kind in ("ALL_ONES", "UNIT_PHASE_RANDOM"):
         pilots, imp, chan, ms = _instance(part, rng, snr=20.0, kind=kind)
-        ss = build_stacked(ms, pilots, part)
+        ss = build_stacked(ms, pilots)
         for spec in (ConstraintSpec.fcc(), ConstraintSpec.unit_norm()):
             f_r = rogalin_estimate(ms, pilots, part, spec).f_hat.f
             f_ls = ls_estimate(ss, spec).f_hat.f
@@ -415,6 +415,10 @@ def test_aml_constraint_applied():
     rep = aml_estimate(ms, pilots, part, constraint=ConstraintSpec.fcc())
     assert abs(rep.f_hat.f[0] - 1.0) < 1e-12
     assert rep.f_hat.constraint_tag == "FCC"
+    # a slot with an idle group has no rows for it: refused, not zero-filled
+    some = simulate_exchange(part, pilots, imp, chan, 25.0, rng, groups=(0, 1, 2, 3))
+    with pytest.raises(ValueError, match="every group"):
+        aml_estimate(some, pilots, part)
 
 
 def test_normalize_for_constraint():

@@ -37,7 +37,7 @@ def test_two_scalar_groups_single_row():
     rng = np.random.default_rng(0)
     part = AntennaPartition.singleton(2)
     pilots, imp, chan, ms = _instance(part, rng, kind="ALL_ONES")
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     y = dense_y(ms, pilots, part)
     assert y.shape == (1, 2) and ss.rows == 1
     y21 = ms.block(1, 0).item()
@@ -51,7 +51,7 @@ def test_null_space_contains_f():
     rng = np.random.default_rng(1)
     part = AntennaPartition((1, 2, 3, 2), (2, 2, 1, 2))
     pilots, imp, chan, ms = _instance(part, rng)
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     f = calibration_vector(imp).f
     assert np.linalg.norm(dense_y(ms, pilots, part) @ f) / np.linalg.norm(f) < 1e-10
     assert (np.linalg.norm(ss.gram @ f)
@@ -65,13 +65,13 @@ def test_rank_of_stacked_matrix():
     part = AntennaPartition.singleton(5)
     _, _, _, ms = _instance(part, rng, kind="ALL_ONES")
     pilots = default_pilots(part, "ALL_ONES", rng)
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     assert ss.rows == 10
     assert numerical_rank(dense_y(ms, pilots, part)) == 4
     # underdetermined: full row rank on a generic draw
     part = AntennaPartition((4, 4), (2, 2))
     pilots, imp, chan, ms = _instance(part, rng)
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     assert ss.rows == 4
     assert numerical_rank(dense_y(ms, pilots, part)) == 4
 
@@ -80,7 +80,7 @@ def test_gram_matches_matrix():
     rng = np.random.default_rng(3)
     part = AntennaPartition.singleton(4)
     pilots, imp, chan, ms = _instance(part, rng, snr=10.0, kind="ALL_ONES")
-    ss = build_stacked(ms, pilots, part)
+    ss = build_stacked(ms, pilots)
     y = dense_y(ms, pilots, part)
     assert np.allclose(ss.gram, y.conj().T @ y)
 
@@ -92,8 +92,8 @@ def test_noncoherent_single_slot_equals_coherent():
     imp = gen_impairments(CFG, 4, rng)
     sched = NoncoherentSchedule((tuple(range(4)),))
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng)
-    ss_nc = build_stacked_noncoherent(slots, pilots, part, sched)
-    ss_c = build_stacked(slots[0], pilots, part)
+    ss_nc = build_stacked_noncoherent(slots, pilots)
+    ss_c = build_stacked(slots[0], pilots)
     assert np.array_equal(ss_nc.gram, ss_c.gram)
     assert ss_nc.rows == ss_c.rows
 
@@ -105,7 +105,7 @@ def test_noncoherent_row_counts_add_up():
     imp = gen_impairments(CFG, 4, rng)
     sched = NoncoherentSchedule(((0, 1), (2, 3)))
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng)
-    ss = build_stacked_noncoherent(slots, pilots, part, sched)
+    ss = build_stacked_noncoherent(slots, pilots)
     assert ss.rows == 2
     assert row_blocks(part, sched) == [(0, 0, 1), (1, 2, 3)]
     y = dense_y_noncoherent(slots, pilots, part, sched)
@@ -121,7 +121,7 @@ def test_noncoherent_pairwise_recovery_matches_ratios():
     imp = gen_impairments(CFG, 3, rng)
     sched = NoncoherentSchedule(((0, 1), (0, 2), (1, 2)))
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng)
-    ss = build_stacked_noncoherent(slots, pilots, part, sched)
+    ss = build_stacked_noncoherent(slots, pilots)
     f = calibration_vector(imp).f
     assert np.linalg.norm(dense_y_noncoherent(slots, pilots, part, sched) @ f) < 1e-10
     assert np.linalg.norm(ss.gram @ f) < 1e-10
@@ -170,7 +170,7 @@ def test_empty_slot_list_rejected():
     part = AntennaPartition.singleton(3)
     pilots = default_pilots(part, "ALL_ONES", None)
     with pytest.raises(ValueError):
-        build_stacked_noncoherent([], pilots, part)
+        build_stacked_noncoherent([], pilots)
 
 
 def test_pair_equation_block_is_khatri_rao():
@@ -214,11 +214,11 @@ def test_gram_equals_dense_oracle(case):
     if sched is None:
         chan = gen_channel(part.num_antennas, IID_RAYLEIGH, rng)
         ms = simulate_exchange(part, pilots, imp, chan, 10.0, rng)
-        ss = build_stacked(ms, pilots, part)
+        ss = build_stacked(ms, pilots)
         y = dense_y(ms, pilots, part)
     else:
         slots = simulate_noncoherent(part, sched, pilots, imp, 10.0, rng)
-        ss = build_stacked_noncoherent(slots, pilots, part, sched)
+        ss = build_stacked_noncoherent(slots, pilots)
         y = dense_y_noncoherent(slots, pilots, part, sched)
     a = y.conj().T @ y
     assert ss.rows == y.shape[0] and ss.m == part.num_antennas
