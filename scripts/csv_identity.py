@@ -9,12 +9,17 @@ copied beside it (as ``scripts/ab_bench.py`` does).  Each config below, and
 each perfbench workload's config, is run with ``arraycal run <config> --out
 <csv> --seed S`` in both trees, one fresh interpreter per call, for every
 seed.  Every CSV that differs, or that one side failed to write, is
-reported; the exit status is 1 if there is any, else 0.
+reported, each differing one with the largest relative difference of its
+``mse`` and ``crb_trace`` columns per estimator; the exit status is 1 if
+there is any, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +75,30 @@ def run_csv(tree: Path, config: Path, out: Path, seed: int) -> bytes | None:
     return out.read_bytes()
 
 
+def relative_moves(base: bytes, change: bytes) -> dict:
+    """{(estimator, column): largest |change - base| / |base|} over the rows
+    of two CSVs with the same rows, for the mse and crb_trace columns.  Equal
+    values (nan included) move by 0; a nonzero move from 0, or between nan
+    and a number, by inf."""
+    rows = [list(csv.DictReader(io.StringIO(b.decode()))) for b in (base, change)]
+    if [[r["estimator"], r["snr_db"]] for r in rows[0]] \
+            != [[r["estimator"], r["snr_db"]] for r in rows[1]]:
+        raise ValueError("the CSVs have different rows")
+    moves = {}
+    for a, b in zip(*rows):
+        for col in ("mse", "crb_trace"):
+            x, y = float(a[col]), float(b[col])
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                rel = 0.0
+            elif x == 0 or math.isnan(x + y):
+                rel = math.inf
+            else:
+                rel = abs(y - x) / abs(x)
+            key = (a["estimator"], col)
+            moves[key] = max(moves.get(key, 0.0), rel)
+    return moves
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", default="HEAD", help="git revision to compare against")
@@ -95,6 +124,14 @@ def main(argv=None) -> int:
                 print(f"{name} seed {seed}: {'identical' if same else 'DIFFERS'}", flush=True)
                 if not same:
                     differ.append(f"{name} seed {seed}")
+                if not same and None not in csvs:
+                    try:
+                        moves = relative_moves(*csvs)
+                    except ValueError as e:
+                        print(f"  {e}")
+                        continue
+                    for (est, col), rel in moves.items():
+                        print(f"  {est} {col}: largest relative move {rel:.2e}")
     print(f"{len(differ)} of {len(configs) * len(args.seeds)} CSVs differ"
           + (": " + ", ".join(differ) if differ else ""))
     return 1 if differ else 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,27 +52,27 @@ class PilotSet:
         return self.blocks[i]
 
     @cached_property
-    def _by_shape(self):
-        """The blocks stacked once per shape, and each group's place in its stack."""
+    def by_shape(self):
+        """{shape: (groups, their blocks stacked)} and each group's place in it."""
         groups = {}
         for g, b in enumerate(self.blocks):
             groups.setdefault(b.shape, []).append(g)
         place = np.empty(len(self.blocks), dtype=int)
         for gs in groups.values():
             place[gs] = np.arange(len(gs))
-        return {shape: np.stack([self.blocks[g] for g in gs])
+        return {shape: (np.array(gs), np.stack([self.blocks[g] for g in gs]))
                 for shape, gs in groups.items()}, place
 
     def stacked(self, groups: np.ndarray) -> np.ndarray:
         """The blocks P_g of groups of one block shape, stacked (P, M_g, L_g)."""
-        stacks, place = self._by_shape
-        return stacks[self.blocks[groups[0]].shape][place[groups]]
+        stacks, place = self.by_shape
+        return stacks[self.blocks[groups[0]].shape][1][place[groups]]
 
     @cached_property
     def _full_rank(self) -> bool:
         """Whether every block has full rank, checked once per object."""
         return all(np.all(np.linalg.matrix_rank(stack) >= min(shape))
-                   for shape, stack in self._by_shape[0].items())
+                   for shape, (_, stack) in self.by_shape[0].items())
 
     def validate(self, partition: AntennaPartition) -> None:
         if len(self.blocks) != partition.num_groups:
@@ -176,15 +176,24 @@ def require_pilot_kind(partition: AntennaPartition, kind: str) -> None:
         raise ValueError("identity pilots require L_i = M_i")
 
 
+@lru_cache(maxsize=32)
+def _fixed_pilots(partition: AntennaPartition, kind: str) -> PilotSet:
+    """The ALL_ONES or IDENTITY pilots of a partition, built once, read-only."""
+    pilots = PilotSet(tuple(np.ones((m, 1)) if kind == ALL_ONES else np.identity(m)
+                            for m in partition.group_sizes))
+    for b in pilots.blocks:
+        b.flags.writeable = False
+    return pilots
+
+
 def default_pilots(partition: AntennaPartition, kind: str,
                    rng: np.random.Generator | None = None) -> PilotSet:
-    """Standard pilot choices: unit-modulus random phases, all-ones columns, identity."""
+    """Standard pilot choices: unit-modulus random phases, all-ones columns,
+    identity (built once per partition)."""
     require_pilot_kind(partition, kind)
+    if kind != UNIT_PHASE_RANDOM:
+        return _fixed_pilots(partition, kind)
     sizes = partition.group_sizes
-    if kind == ALL_ONES:
-        return PilotSet(tuple(np.ones((m, 1), dtype=complex) for m in sizes))
-    if kind == IDENTITY:
-        return PilotSet(tuple(np.eye(m, dtype=complex) for m in sizes))
     if rng is None:
         raise ValueError("random pilots need an rng")
     return PilotSet(tuple(np.exp(1j * rng.uniform(-np.pi, np.pi, size=(m, l)))

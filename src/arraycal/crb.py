@@ -11,9 +11,9 @@ so the CRB is computed under either the first-coefficient constraint or a
 norm-plus-phase / f-linear constraint.
 
 Both composites are block structured over group pairs: F is block diagonal,
-and pair p's rows of H touch only groups i and j.  The bounds, the FIM and
-AML work from the per-pair blocks H_p and F_p; build_h_composite and
-build_f_composite build the dense matrices as a reference for tests.
+and pair p's rows of H touch only groups i and j.  F_p = [A_i kron I_{M_j};
+I_{M_i} kron A_j], A_g = P_g^T diag(f_g), enters only through the SVDs of the
+A_g (pair_project); build_h_composite and build_f_composite are test references.
 """
 
 from __future__ import annotations
@@ -143,28 +143,64 @@ def complement_basis(f: np.ndarray) -> np.ndarray:
     return np.linalg.svd(f.conj()[None, :])[2][1:].conj().T
 
 
-def _svd_keep(a: np.ndarray):
-    """Batched thin SVD of a, with the singular values above lstsq's and orth's
-    rank threshold max(shape) * eps * s_max (per matrix) marked in keep."""
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = s > max(a.shape[-2:]) * np.finfo(float).eps * s[..., :1]
-    return u, s, vh, keep
-
-
-def range_basis(a: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of the column spaces of a stack of matrices, as
-    scipy.linalg.orth gives them, with the unused columns set to zero."""
-    u, _, _, keep = _svd_keep(a)
-    return u * keep[..., None, :]
-
-
 def lstsq_min_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solutions of a stack of systems a x = b,
     with np.linalg.lstsq's rank rule (rcond=None)."""
-    u, s, vh, keep = _svd_keep(a)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    keep = s > max(a.shape[-2:]) * np.finfo(float).eps * s[..., :1]
     c = np.einsum("prk,pr->pk", u.conj(), b)
     c = np.where(keep, c / np.where(keep, s, 1.0), 0.0)
     return np.einsum("pkn,pk->pn", vh.conj(), c)
+
+
+def group_factors(f: np.ndarray, pilots, partition: AntennaPartition):
+    """Full SVDs U_g S_g V_g^H of every group's A_g = P_g^T diag(f_g), batched by
+    shape: the function stacking (U^H, s zero-padded to M_g, V^H, V) by groups."""
+    stacks, place = pilots.by_shape
+    offsets = np.asarray(partition.offsets)
+    svds = {}
+    for (m, l), (gs, p) in stacks.items():
+        u, s, vh = np.linalg.svd(p.transpose(0, 2, 1) * f[offsets[gs, None, None] + np.arange(m)])
+        s = np.concatenate((s, np.zeros((gs.size, m - s.shape[1]))), axis=1)
+        svds[m, l] = (u.conj().transpose(0, 2, 1), s, vh, vh.conj().transpose(0, 2, 1))
+    return lambda groups: tuple(x.take(place[groups], 0) for x in svds[pilots[groups[0]].shape])
+
+
+def pair_project(factors_i, factors_j, x: np.ndarray):
+    """Least squares F_p w = x, x (P, r, c), for pairs of one block shape, in
+    the singular bases of their groups' stacked group_factors.
+
+    F_p maps W (M_i x M_j, w = its rows) to (A_i W, W A_j^T).  Rotated to
+    T = U_i^H X_top conj(V_j) and R = V_i^H X_bot conj(U_j), it decouples:
+    W~_kl = (s_ik T_kl + s_jl R_kl) / sigma_kl^2 where F_p's singular value
+    sigma_kl = (s_ik^2 + s_jl^2)^(1/2) > max(r, M_iM_j) eps sigma_max (lstsq's
+    rank rule), else 0.  Returns W~ (P, M_i, M_j, c) and the rotated residual
+    (P, r, c), whose Gram is that of P_perp,p x.
+    """
+    (uh_i, s_i, vh_i, _), (uh_j, s_j, vh_j, _) = factors_i, factors_j
+    n, r, c = x.shape
+    li, mi, lj, mj = uh_i.shape[2], s_i.shape[1], uh_j.shape[2], s_j.shape[1]
+    t = vh_j[:, None] @ (uh_i @ x[:, :li * mj].reshape(n, li, mj * c)).reshape(n, li, mj, c)
+    rot = uh_j[:, None] @ (vh_i @ x[:, li * mj:].reshape(n, mi, lj * c)).reshape(n, mi, lj, c)
+    sig2 = s_i[:, :, None] ** 2 + s_j[:, None, :] ** 2
+    tol = (max(r, mi * mj) * np.finfo(float).eps) ** 2 * sig2[:, :1, :1]   # s is descending
+    inv = np.divide(1.0, sig2, out=np.zeros_like(sig2), where=sig2 > tol)
+    s_i, s_j = s_i[:, :li, None, None], s_j[:, None, :lj, None]    # s_g = 0 past L_g
+    wt = np.zeros((n, mi, mj, c), dtype=complex)
+    wt[:, :li] = s_i * t[:, :mi]
+    wt[:, :, :lj] += s_j * rot[:, :, :mj]
+    wt *= inv[..., None]
+    t[:, :mi] -= s_i * wt[:, :li]
+    rot[:, :, :mj] -= s_j * wt[:, :, :lj]
+    return wt, np.concatenate((t.reshape(n, li * mj, c), rot.reshape(n, mi * lj, c)), axis=1)
+
+
+def pair_solve(factors_i, factors_j, x: np.ndarray) -> np.ndarray:
+    """Minimum-norm solutions of F_p w = x: the rows of V_i W~ V_j^T, (P, M_iM_j, c)."""
+    wt = pair_project(factors_i, factors_j, x)[0]
+    n, mi, mj, c = wt.shape
+    w = factors_j[3][:, None] @ (factors_i[3] @ wt.reshape(n, mi, mj * c)).reshape(n, mi, mj, c)
+    return w.reshape(n, mi * mj, c)
 
 
 @dataclass
@@ -173,9 +209,8 @@ class CrbContext:
 
     Pairs are batched by block shape, as in the plan of the slot in which
     every group is active (model.slot_plan): for batch k of plan.pairs,
-    h_pairs[k] = H_p (P, r, M_i + M_j), at the batch's antenna columns, and
-    f_pairs[k] = F_p (P, r, M_iM_j) are each pair's rows of H and F, with
-    r = L_iM_j + M_iL_j.  H and F themselves are never formed.
+    h_pairs[k] = H_p (P, r, M_i + M_j), at the batch's antenna columns, are
+    each pair's rows of H, r = L_iM_j + M_iL_j.  H and F are never formed.
     """
 
     f: np.ndarray
@@ -183,8 +218,8 @@ class CrbContext:
     noise_variance: float
     partition: AntennaPartition
     plan: SlotPlan
+    pilots: object
     h_pairs: list
-    f_pairs: list
 
     @cached_property
     def v_f(self) -> np.ndarray:
@@ -201,11 +236,11 @@ class CrbResult:
 
 def context_from_model(imp: RfImpairments, chan: ChannelRealization, pilots,
                        partition: AntennaPartition, noise_variance: float) -> CrbContext:
-    """Pair blocks of H and F at the true f = t / r and h = [vec(Hc_{i->j})]."""
+    """Pair blocks of H at the true f = t / r and h = [vec(Hc_{i->j})]."""
     f = imp.tx_gains / imp.rx_gains
     hc_blocks = aux_channel_blocks(imp, chan, partition)
     ctx = CrbContext(f, stack_h(hc_blocks, partition), float(noise_variance), partition,
-                     slot_plan(partition, tuple(range(partition.num_groups))), [], [])
+                     slot_plan(partition, tuple(range(partition.num_groups))), pilots, [])
     for gi, gj, cols, _, _ in ctx.plan.pairs:
         p_i, p_j = pilots.stacked(gi), pilots.stacked(gj)
         mi = p_i.shape[1]
@@ -215,7 +250,6 @@ def context_from_model(imp: RfImpairments, chan: ChannelRealization, pilots,
         hp[:, :bi.shape[1], :mi] = bi
         hp[:, bi.shape[1]:, mi:] = bj
         ctx.h_pairs.append(hp)
-        ctx.f_pairs.append(pair_f_block(f, cols, p_i, p_j))
     return ctx
 
 
@@ -230,7 +264,8 @@ def fim(ctx: CrbContext) -> np.ndarray:
     h_off = dict(zip(pairs, accumulate((sizes[i] * sizes[j] for (i, j) in pairs), initial=0)))
     n = m + ctx.h.size
     cols, ws = [], []
-    for b, hp, fp in zip(ctx.plan.pairs, ctx.h_pairs, ctx.f_pairs):
+    for b, hp in zip(ctx.plan.pairs, ctx.h_pairs):
+        fp = pair_f_block(ctx.f, b.cols, ctx.pilots.stacked(b.gi), ctx.pilots.stacked(b.gj))
         h_cols = m + np.array([h_off[p] for p in zip(b.gi.tolist(), b.gj.tolist())])[:, None] \
             + np.arange(fp.shape[2])
         cols.append(np.concatenate((b.cols, h_cols), axis=1))
@@ -241,12 +276,10 @@ def fim(ctx: CrbContext) -> np.ndarray:
 def compressed_information(ctx: CrbContext) -> np.ndarray:
     """B = H^H P_F_perp H (M x M), the information on f with h profiled out,
     times sigma^2.  F is block diagonal over pairs, so its projector splits into
-    the pairs' small ones: B = sum_p (P_perp,p H_p)^H (P_perp,p H_p), where
-    P_perp,p = I - Q_p Q_p^H projects onto the complement of F_p's columns."""
-    ws = []
-    for hp, fp in zip(ctx.h_pairs, ctx.f_pairs):
-        q = range_basis(fp)
-        ws.append(hp - q @ (q.conj().transpose(0, 2, 1) @ hp))
+    the pairs' small ones: B = sum_p (P_perp,p H_p)^H (P_perp,p H_p), the
+    Grams of pair_project's residuals."""
+    fac = group_factors(ctx.f, ctx.pilots, ctx.partition)
+    ws = [pair_project(fac(b.gi), fac(b.gj), hp)[1] for b, hp in zip(ctx.plan.pairs, ctx.h_pairs)]
     b = pair_gram(ctx.f.size, ctx.plan.gram_index, ws)
     return (b + b.conj().T) / 2
 
@@ -302,11 +335,11 @@ def build_f_perp(f: np.ndarray, pilots, partition: AntennaPartition) -> np.ndarr
 
     Block diagonal over pairs; signs and row order are fixed so that
     F_perp^H y reproduces the stacked residual Y(P) f exactly (including the
-    noise realization).  Requires full-rank pilots.  The columns span the
-    whole orthogonal complement only when at most one group has L_i != M_i:
-    pair p's complement has dimension L_iM_j + M_iL_j - M_iM_j, which equals
-    its L_iL_j columns iff (L_i - M_i)(L_j - M_j) = 0.  Otherwise they span a
-    proper subspace of it.
+    noise realization).  Requires full-rank pilots.  For f without zeros,
+    the columns span the whole orthogonal complement exactly when every pair
+    has (L_i - M_i)(L_j - M_j) >= 0: pair p's complement has dimension
+    L_iL_j - (L_i - M_i)(L_j - M_j) + d_i d_j, with d_i = max(M_i - L_i, 0),
+    which exceeds its L_iL_j columns only where the signs differ.
     """
     f = np.asarray(f, dtype=complex)
     sizes = partition.group_sizes
@@ -336,21 +369,21 @@ def ml_compressed_cost(measurements, f: np.ndarray, pilots,
     """y^H P_F_perp y for y = stack_observations(measurements), the pairs of
     a slot in which every group is active.
 
-    The direct route sums the pairs' y_p^H P_{F_p}_perp y_p.  Where
-    build_f_perp spans the whole complement of F's columns (at most one group
-    with L_i != M_i), the cost is also evaluated through the weighted F_perp
-    form, an optimally weighted LS cost on Y(P) f, and disagreement beyond
-    rel_tol raises.  Elsewhere the weighted form gives a smaller number and
-    only the direct route is evaluated.
+    The direct route sums the squared norms of pair_project's residuals.  Where
+    build_f_perp spans the whole complement of F's columns (no pair with
+    (L_i - M_i)(L_j - M_j) < 0), the cost is also evaluated through the
+    weighted F_perp form, an optimally weighted LS cost on Y(P) f, and
+    disagreement beyond rel_tol raises.  Elsewhere the weighted form gives a
+    smaller number and only the direct route is evaluated.
     """
     f = np.asarray(f, dtype=complex)
+    fac = group_factors(f, pilots, partition)
     cost_direct = 0.0
     for b in measurements.plan.pairs:
-        q = range_basis(pair_f_block(f, b.cols, pilots.stacked(b.gi), pilots.stacked(b.gj)))
-        y_p = pair_observations(measurements, b)
-        res = y_p - np.einsum("prk,pk->pr", q, np.einsum("prk,pr->pk", q.conj(), y_p))
+        res = pair_project(fac(b.gi), fac(b.gj), pair_observations(measurements, b)[..., None])[1]
         cost_direct += float(np.sum(np.abs(res) ** 2))
-    if sum(l != m for l, m in zip(partition.pilot_lengths, partition.group_sizes)) > 1:
+    d = np.subtract(partition.pilot_lengths, partition.group_sizes)
+    if np.any(np.triu(np.multiply.outer(d, d), 1) < 0):
         return cost_direct
     y = stack_observations(measurements, partition)
     fperp = build_f_perp(f, pilots, partition)

@@ -349,10 +349,10 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
 
     Each half-step is an exact quadratic solve, so the residual cost
     ||y - H f||^2 is non-increasing.  F is block diagonal over pairs, so the
-    h-step is one least-squares solve per pair; every row of H touches one
-    group, so the f-step is one per group.  Both are batched over blocks of
-    equal shape, and both take the minimum-norm solution, which tolerates a
-    singular F^H F.  Non-convergence is reported, not raised.
+    h-step is one least-squares solve per pair (crb.pair_solve); each row of
+    H touches one group, so the f-step is one per group.  Both are batched
+    over blocks of equal shape and take the minimum-norm solution, which
+    tolerates a singular F^H F.  Non-convergence is reported, not raised.
     """
     require_aml_settings(tol, max_iter)
     if len(measurements.groups) < partition.num_groups:
@@ -362,15 +362,11 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     if not np.any(f):
         raise ValueError("init must be nonzero")
     m = partition.num_antennas
-    sizes, lens = partition.group_sizes, partition.pilot_lengths
-    # H's rows per group, stacked over groups of equal (M_g, L_g): group g has
-    # L_g (M - M_g) rows, filled pair by pair
-    groups = {}
-    for g in range(partition.num_groups):
-        groups.setdefault((sizes[g], lens[g]), []).append(g)
-    where = {g: (key, k) for key, gs in groups.items() for k, g in enumerate(gs)}
+    # H's rows per group, stacked over groups of one pilot shape (M_g, L_g):
+    # group g has L_g (M - M_g) rows, filled pair by pair
+    stacks, place = pilots.by_shape
     h_rows = {key: np.zeros((len(gs), key[1] * (m - key[0]), key[0]), dtype=complex)
-              for key, gs in groups.items()}
+              for key, (gs, _) in stacks.items()}
     y_rows = {key: np.zeros(h.shape[:2], dtype=complex) for key, h in h_rows.items()}
     filled = [0] * partition.num_groups
     pairs = []
@@ -384,21 +380,21 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
             for g in side:
                 start.append(filled[g])
                 filled[g] += y_side.shape[1]
-            key = where[side[0]][0]
-            dest = (np.array([where[g][1] for g in side])[:, None],
-                    np.array(start)[:, None] + np.arange(y_side.shape[1]))
+            key = pilots[side[0]].shape
+            dest = (place[side][:, None], np.array(start)[:, None] + np.arange(y_side.shape[1]))
             y_rows[key][dest] = y_side
             sides.append((key, dest))
-        pairs.append((b.cols, p_i, p_j, y_p, sides))
+        pairs.append((b.gi, b.gj, p_i, p_j, y_p[..., None], sides))
     offsets = np.asarray(partition.offsets)
-    antennas = {key: offsets[gs][:, None] + np.arange(key[0]) for key, gs in groups.items()}
+    antennas = {key: offsets[gs][:, None] + np.arange(key[0]) for key, (gs, _) in stacks.items()}
 
     cost = np.inf
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        for cols, p_i, p_j, y_p, sides in pairs:
-            h = _crb.lstsq_min_norm(_crb.pair_f_block(f, cols, p_i, p_j), y_p)
+        factors = _crb.group_factors(f, pilots, partition)
+        for gi, gj, p_i, p_j, y_p, sides in pairs:
+            h = _crb.pair_solve(factors(gi), factors(gj), y_p)
             hc = h.reshape(len(h), p_i.shape[1], p_j.shape[1]).transpose(0, 2, 1)
             for (key, dest), blk in zip(sides, _crb.pair_h_block(hc, p_i, p_j)):
                 h_rows[key][dest] = blk

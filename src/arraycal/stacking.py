@@ -131,13 +131,15 @@ def independent_equations(partition: AntennaPartition, schedule=None):
     Pair (i, j)'s residual P_i^T F_i Y_{j->i} - Y_{i->j}^T F_j P_j equals
     P_i^T X P_j for an M_i x M_j matrix X linear in f, so its L_i L_j rows have
     rank at most e_ij = r_i r_j, r_i = min(L_i, M_i).  Summed over the pairs of
-    every slot (all pairs when schedule is None).
+    every slot (all pairs when schedule is None); a schedule's slot adds at
+    most M_t - 1, as its noiseless rows vanish on f at its M_t antennas.
     """
     r = np.minimum(partition.pilot_lengths, partition.group_sizes)
     rows, per_group = 0, np.zeros(partition.num_groups, dtype=int)
     for slot in ([range(partition.num_groups)] if schedule is None else schedule.slots):
         rs = r[list(slot)]
-        rows += int(rs.sum() ** 2 - (rs ** 2).sum()) // 2
+        e = int(rs.sum() ** 2 - (rs ** 2).sum()) // 2
+        rows += e if schedule is None else min(e, sum(partition.group_sizes[g] for g in slot) - 1)
         per_group[list(slot)] += rs * (rs.sum() - rs)
     return rows, per_group
 

@@ -9,15 +9,19 @@ dense H(h, P) of crb.build_h_composite.
 exchange_pairs is airlink.simulate_exchange as one loop over ordered pairs.
 constrained_lstsq is the linear-constraint LS of estimators.ls_estimate
 solved by lstsq on the dense Y(P).  perp_projector is the dense projector
-that the CRB's per-pair blocks replace, numerical_rank the rank rule the
-tests read off dense matrices, and brute_force_best_pair_count the
-exhaustive search behind grouping.optimal_group_sizes.
+that the CRB's per-pair blocks replace, and svd_pair_solve the per-pair
+route crb.pair_project and crb.pair_solve replace: a batched SVD of every
+dense F_p.
+numerical_rank is the rank rule the tests read off dense matrices, and
+brute_force_best_pair_count the exhaustive search behind
+grouping.optimal_group_sizes.
 """
 
 import numpy as np
 from scipy.linalg import null_space, orth
 
 from arraycal.airlink import noise_variance_from_snr
+from arraycal.crb import lstsq_min_norm
 from arraycal.grouping import pair_count
 from arraycal.stacking import pair_equation_block
 
@@ -111,6 +115,23 @@ def perp_projector(a):
     """Dense projector onto the orthogonal complement of a's columns."""
     q = orth(a)
     return np.eye(a.shape[0]) - q @ q.conj().T
+
+
+def range_basis(a):
+    """Orthonormal bases of the column spaces of a stack of matrices (P, r, n),
+    as scipy.linalg.orth gives them, with the unused columns set to zero."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    keep = s > max(a.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    return u * keep[..., None, :]
+
+
+def svd_pair_solve(fp, x):
+    """The pair least squares through an SVD of each dense F_p (P, r, n): the
+    minimum-norm lstsq solutions w (P, n, c), the residuals P_perp,p x
+    (P, r, c) and the kept rank of each F_p."""
+    w = np.stack([lstsq_min_norm(fp, x[:, :, k]) for k in range(x.shape[2])], axis=2)
+    q = range_basis(fp)
+    return w, x - q @ (q.conj().transpose(0, 2, 1) @ x), np.count_nonzero(q.any(axis=1), axis=1)
 
 
 def numerical_rank(a):

@@ -71,12 +71,27 @@ def test_pilot_rank_is_checked_once_per_object(monkeypatch):
     svds = []
     real = np.linalg.matrix_rank
     monkeypatch.setattr(np.linalg, "matrix_rank", lambda a: svds.append(a.shape) or real(a))
-    pilots = default_pilots(part, "IDENTITY")
+    pilots = PilotSet(tuple(np.eye(m) for m in part.group_sizes))
     for _ in range(3):
         pilots.validate(part)
     assert svds == [(2, 2, 2), (1, 1, 1)]
     with pytest.raises(ValueError, match="shape"):        # shapes are checked every call
         pilots.validate(AntennaPartition((2, 1, 2), (2, 1, 2)))
+
+
+def test_fixed_pilots_are_built_once_per_partition():
+    part = AntennaPartition((2, 2, 1), (2, 2, 1))
+    pilots = default_pilots(part, "IDENTITY")
+    assert default_pilots(AntennaPartition((2, 2, 1), (2, 2, 1)), "IDENTITY") is pilots
+    assert not any(b.flags.writeable for b in pilots.blocks)
+    with pytest.raises(ValueError):
+        pilots[0][0, 0] = 2.0
+    ones = default_pilots(AntennaPartition.singleton(3), "ALL_ONES")
+    assert ones is default_pilots(AntennaPartition.singleton(3), "ALL_ONES")
+    assert all(np.array_equal(b, np.ones((1, 1))) for b in ones.blocks)
+    rng = np.random.default_rng(0)
+    assert default_pilots(part, "UNIT_PHASE_RANDOM", rng) \
+        is not default_pilots(part, "UNIT_PHASE_RANDOM", rng)
 
 
 def test_block_shapes_and_identity_case():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dense_oracle import dense_y, perp_projector, split_h, vec_transpose_perm
+from dense_oracle import (dense_y, numerical_rank, perp_projector, split_h, svd_pair_solve,
+                          vec_transpose_perm)
 from arraycal import crb
 from arraycal.airlink import PilotSet, default_pilots, simulate_exchange
 from arraycal.bench import parse_config, run_experiment
@@ -17,7 +18,11 @@ from arraycal.crb import (
     crb_f,
     crb_f_known_h,
     fim,
+    group_factors,
     ml_compressed_cost,
+    pair_f_block,
+    pair_project,
+    pair_solve,
     stack_h,
     stack_observations,
     vec,
@@ -32,7 +37,7 @@ from arraycal.model import (
     gen_channel,
     gen_impairments,
 )
-from arraycal.stacking import build_stacked
+from arraycal.stacking import build_stacked, check_identifiability
 
 CFG = ImpairmentConfig(0.5, fix_first_to_one=True)
 
@@ -237,11 +242,11 @@ def test_compressed_cost_routes_agree_noisy():
 
 
 @pytest.mark.parametrize("sizes, lens", [((2, 3), (3, 1)),        # no square P_i
-                                         ((1, 2, 2), (2, 1, 2)),   # two groups L_i != M_i
+                                         ((1, 2, 2), (2, 1, 2)),   # L - M of signs +, -
                                          ((2, 3, 1), (2, 1, 1))])  # one: routes checked
 def test_compressed_cost_equals_projector_form(sizes, lens):
     # the cost is y^H P_F_perp y whatever the pilot lengths; the weighted
-    # F_perp route is only equal to it where at most one group has L_i != M_i
+    # F_perp route is only equal to it where no pair has (L_i - M_i)(L_j - M_j) < 0
     rng = np.random.default_rng(14)
     part = AntennaPartition(sizes, lens)
     pilots, imp, chan = _instance(part, rng)[:3]
@@ -254,8 +259,8 @@ def test_compressed_cost_equals_projector_form(sizes, lens):
     fperp = build_f_perp(f, pilots, part)
     w = fperp.conj().T @ y
     weighted = float(np.real(w.conj() @ np.linalg.pinv(fperp.conj().T @ fperp) @ w))
-    squares = sum(l == m for l, m in zip(lens, sizes))
-    if squares >= len(sizes) - 1:
+    d = np.subtract(lens, sizes)
+    if all(d[i] * d[j] >= 0 for (i, j) in part.pairs()):
         assert abs(weighted - dense) <= 1e-8 * dense
     else:
         assert weighted < dense * (1 - 1e-3)
@@ -381,3 +386,117 @@ def test_pair_blocks_equal_dense_oracle(case):
     assert _rel(rep.f_hat.f, f1) <= 1e-10
     cost = np.linalg.norm(y - hm1 @ f1) ** 2     # 0 up to rounding if exactly determined
     assert abs(rep.final_cost - cost) <= 1e-10 * max(cost, 1e-10 * np.vdot(y, y).real)
+
+
+def _cgauss(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@st.composite
+def _pair_cases(draw):
+    mi, mj, li, lj, n, c = (draw(st.integers(1, 3)) for _ in range(6))
+    zero = draw(st.lists(st.booleans(), min_size=n * (mi + mj), max_size=n * (mi + mj)))
+    return mi, mj, li, lj, n, c, np.array(zero), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_cases())
+@example((2, 3, 3, 1, 2, 2, np.zeros(10, dtype=bool), 0))     # L > M and L < M
+@example((2, 2, 1, 1, 1, 1, np.array([0, 1, 0, 1], dtype=bool), 1))   # f_i, f_j half zero
+@example((1, 1, 1, 1, 2, 1, np.array([1, 1, 0, 1], dtype=bool), 2))   # F_p = 0
+def test_pair_solve_equals_svd_of_each_f_block(case):
+    # the rotated solve on the group SVDs gives the minimum-norm solution, the
+    # residual Gram and the kept rank of an SVD of every dense F_p, including
+    # F_p that are rank deficient through L < M or zeros in f
+    mi, mj, li, lj, n, c, zero, seed = case
+    rng = np.random.default_rng(seed)
+    part = AntennaPartition((mi, mj) * n, (li, lj) * n)
+    pilots = PilotSet(tuple(_cgauss(rng, (m, l)) for m, l in zip(part.group_sizes,
+                                                                 part.pilot_lengths)))
+    f = np.where(zero, 0.0, _cgauss(rng, zero.size))
+    gi, gj = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
+    cols = np.arange(f.size).reshape(n, mi + mj)
+    fp = pair_f_block(f, cols, pilots.stacked(gi), pilots.stacked(gj))
+    r = fp.shape[1]
+    x = _cgauss(rng, (n, r, c))
+    fac = group_factors(f, pilots, part)
+    w, res = pair_solve(fac(gi), fac(gj), x), pair_project(fac(gi), fac(gj), x)[1]
+    w_ref, res_ref, rank_ref = svd_pair_solve(fp, x)
+    assert np.max(np.abs(w - w_ref), initial=0) <= 1e-12 * np.max(np.abs(w_ref), initial=0)
+    gram = np.einsum("prk,prl->pkl", res.conj(), res)
+    gram_ref = np.einsum("prk,prl->pkl", res_ref.conj(), res_ref)
+    scale = np.einsum("prk,prk->p", x.conj(), x).real[:, None, None]
+    assert np.all(np.abs(gram - gram_ref) <= 1e-12 * scale)
+    # the residual Gram of x = I is the projector off F_p's kept columns
+    eye = np.broadcast_to(np.eye(r, dtype=complex), (n, r, r))
+    res_eye = pair_project(fac(gi), fac(gj), eye)[1]
+    rank = r - np.rint(np.einsum("prk,prk->p", res_eye.conj(), res_eye).real).astype(int)
+    assert np.array_equal(rank, rank_ref)
+
+
+@st.composite
+def _two_three_groups(draw):
+    g = draw(st.integers(2, 3))
+    sizes = tuple(draw(st.integers(1, 3)) for _ in range(g))
+    lens = tuple(draw(st.integers(1, 3)) for _ in range(g))
+    return AntennaPartition(sizes, lens), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_two_three_groups())
+@example((AntennaPartition((2, 2), (3, 3)), 0))        # both L > M: F_perp spans
+@example((AntennaPartition((2, 2), (3, 1)), 0))        # opposite signs: it does not
+def test_f_perp_spans_complement_iff_same_sign(case):
+    # F_perp spans F's complement iff every pair has (L_i - M_i)(L_j - M_j) >= 0;
+    # there the weighted route gives the direct cost, elsewhere its rank falls short
+    part, seed = case
+    rng = np.random.default_rng(seed)
+    pilots, imp, chan, ms = _instance(part, rng, snr=20.0)
+    f = calibration_vector(imp).f
+    fperp = build_f_perp(f, pilots, part)
+    complement = fperp.shape[0] - numerical_rank(build_f_composite(f, pilots, part))
+    d = np.subtract(part.pilot_lengths, part.group_sizes)
+    if all(d[i] * d[j] >= 0 for (i, j) in part.pairs()):
+        assert numerical_rank(fperp) == complement
+        y = stack_observations(ms, part)
+        w = fperp.conj().T @ y
+        weighted = float(np.real(w.conj() @ np.linalg.pinv(fperp.conj().T @ fperp) @ w))
+        cost = ml_compressed_cost(ms, f, pilots, part)
+        assert abs(cost - weighted) <= 1e-8 * cost
+    else:
+        assert numerical_rank(fperp) < complement
+
+
+def _dense_factors(f, pilots, partition):
+    """group_factors' stand-in for the SVD-of-F_p h-step: each group's f,
+    antenna columns and pilot blocks, from which _svd_h_step forms F_p."""
+    offsets = np.asarray(partition.offsets)
+    return lambda groups: (f, offsets[groups, None] + np.arange(partition.group_sizes[groups[0]]),
+                           pilots.stacked(groups))
+
+
+def _svd_h_step(fi, fj, x):
+    f, cols_i, p_i = fi
+    _, cols_j, p_j = fj
+    return svd_pair_solve(pair_f_block(f, np.concatenate((cols_i, cols_j), axis=1),
+                                       p_i, p_j), x)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_partitions())
+@example((AntennaPartition((1, 2, 3), (2, 2, 1)), 0))
+def test_aml_with_svd_h_step_takes_the_same_path(case):
+    # AML's iterations, convergence and estimate are those of the h-step that
+    # solves each dense F_p through its SVD
+    part, seed = case
+    if not check_identifiability(part)["ok"]:
+        return
+    rng = np.random.default_rng(seed)
+    pilots, imp, chan, ms = _instance(part, rng, snr=30.0)
+    rep = aml_estimate(ms, pilots, part, max_iter=30)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crb, "group_factors", _dense_factors)
+        mp.setattr(crb, "pair_solve", _svd_h_step)
+        ref = aml_estimate(ms, pilots, part, max_iter=30)
+    assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
+    assert _rel(rep.f_hat.f, ref.f_hat.f) <= 1e-10

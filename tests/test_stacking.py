@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import khatri_rao
 
 from dense_oracle import dense_y, dense_y_noncoherent, numerical_rank, row_blocks
@@ -230,6 +230,9 @@ def test_gram_equals_dense_oracle(case):
 
 @settings(max_examples=80, deadline=None)
 @given(_partitions_and_schedules())
+# the triangle slot's three rows have rank 2: 5 rows counted, rank 4 < M - 1
+@example((AntennaPartition((2, 1, 1, 1, 1), (1,) * 5),
+          NoncoherentSchedule(((0, 1), (0, 4), (1, 2, 3))), 0))
 def test_identifiability_matches_numerical_rank(case):
     # the count, connectivity and per-group rules say ok iff the noiseless
     # Y(P) has rank M - 1
