@@ -3,9 +3,10 @@ Per-antenna calibration estimators against the Cramer-Rao bound.
 
 Every antenna transmits alone (singleton groups) on a 16-element array,
 so all the classic estimators apply: full least squares, the Rogalin
-Gram-matrix solve, Argos reference ratios, the daisy chain, and
-alternating ML warm-started from LS. Pilots are all ones, which the
-ratio-based estimators implicitly assume. MSE is reported under the
+Gram-matrix solve, Argos (the pair equations of the star around antenna
+0), the daisy chain (those of the path), and alternating ML warm-started
+from LS. Pilots are all ones, under which Argos and the daisy chain are the
+classic reference and chain ratios. MSE is reported under the
 first coefficient constraint alongside the CRB trace averaged over the
 same impairment and channel draws.
 """

@@ -45,6 +45,7 @@ from .estimators import (
     mse,
     normalize_for_constraint,
     rogalin_estimate,
+    tree_estimate,
 )
 from .crb import (
     CrbContext,

@@ -28,7 +28,6 @@ from .model import (
     SlotPlan,
     gen_channel,
     permute_channel,
-    received_index,
     slot_plan,
 )
 
@@ -133,23 +132,13 @@ class MeasurementSet:
             raise KeyError(f"no measurement block for pair {i}->{j}")
         return self.received[self.partition.antennas_of(j), self.partition.pilot_columns(i)]
 
-    def gather(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-        """Y_{tx[p]->rx[p]} for pairs of groups of one block shape, stacked
-        (P, M_rx, L_tx)."""
-        active = np.zeros(self.partition.num_groups, dtype=bool)
-        active[list(self.groups)] = True
-        bad = (tx == rx) | ~active[tx] | ~active[rx]
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise KeyError(f"no measurement block for pair {tx[k]}->{rx[k]}")
-        return self.received.ravel()[received_index(self.partition, tx, rx)]
-
 
 @dataclass(frozen=True)
 class NoncoherentSchedule:
     """Active group subsets per coherent slot; each slot needs >= 2 distinct groups."""
 
     slots: tuple
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         slots = tuple(tuple(sorted(s)) for s in self.slots)
@@ -164,6 +153,14 @@ class NoncoherentSchedule:
 
     def covers(self, num_groups: int) -> bool:
         return set().union(*self.slots) == set(range(num_groups))
+
+    def plans(self, partition: AntennaPartition) -> tuple:
+        """Each slot's plan (model.slot_plan), built once per schedule and
+        partition: a schedule of more slots than slot_plan's cache holds
+        would otherwise rebuild every plan in every trial."""
+        if partition not in self._plans:
+            self._plans[partition] = tuple(slot_plan(partition, s) for s in self.slots)
+        return self._plans[partition]
 
 
 def require_pilot_kind(partition: AntennaPartition, kind: str) -> None:
@@ -221,8 +218,11 @@ def noise_variance_from_snr(snr_db: float, chan: ChannelRealization) -> float:
 def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
                       imp: RfImpairments, chan: ChannelRealization,
                       snr_db: float, rng: np.random.Generator,
-                      groups: tuple | None = None) -> MeasurementSet:
-    """One coherent slot of bidirectional exchanges between the given groups.
+                      groups: tuple | None = None,
+                      plan: SlotPlan | None = None) -> MeasurementSet:
+    """One coherent slot of bidirectional exchanges between the given groups
+    (all by default), or those of plan, their slot_plan, if the caller holds
+    it (NoncoherentSchedule.plans).
 
     snr_db = +inf gives the exact noiseless blocks.  Diagonal (self) blocks
     are never produced: a group does not hear its own transmission.  Pairs of
@@ -232,11 +232,11 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
     if imp.num_antennas != partition.num_antennas or chan.num_antennas != partition.num_antennas:
         raise ValueError("impairments/channel size does not match partition")
     require_snr_db(snr_db)
-    active = tuple(range(partition.num_groups)) if groups is None else tuple(sorted(groups))
-    if len(active) < 2:
-        raise ValueError("at least two groups must be active")
-
-    plan = slot_plan(partition, active)
+    if plan is None:
+        active = tuple(range(partition.num_groups)) if groups is None else tuple(sorted(groups))
+        if len(active) < 2:
+            raise ValueError("at least two groups must be active")
+        plan = slot_plan(partition, active)
     sigma2 = noise_variance_from_snr(snr_db, chan)
     sd = np.sqrt(sigma2 / 2.0)
     noise = rng.standard_normal(plan.noise_size) if sigma2 > 0 else None
@@ -269,13 +269,13 @@ def simulate_noncoherent(partition: AntennaPartition, schedule: NoncoherentSched
     if not schedule.covers(partition.num_groups):
         raise ValueError("every group must be active in at least one slot")
     out = []
-    for t, grp in enumerate(schedule.slots):
+    for t, plan in enumerate(schedule.plans(partition)):
         if channels is not None:
             chan = channels[t]
         else:
             chan = gen_channel(partition.num_antennas, channel_model, rng, geometry)
         chan = permute_channel(chan, permutation)
-        out.append(simulate_exchange(partition, pilots, imp, chan, snr_db, rng, groups=grp))
+        out.append(simulate_exchange(partition, pilots, imp, chan, snr_db, rng, plan=plan))
     return out
 
 

@@ -35,15 +35,17 @@ from .estimators import (
     aml_estimate,
     argos_estimate,
     avalanche_estimate,
+    chain,
     daisy_chain_estimate,
     ls_estimate,
     mse,
     normalize_for_constraint,
     require_aml_settings,
-    require_argos_partition,
     require_avalanche_partition,
     require_single_antenna_groups,
+    require_tree,
     rogalin_estimate,
+    star,
 )
 from .grouping import (
     ARGOS,
@@ -98,12 +100,10 @@ class Trial:
 @dataclass(frozen=True)
 class Estimator:
     """call(trial) gives a CalibrationVector, rescaled when its tag is not the
-    constraint.  ratio: reads samples as channel gains, so needs ALL_ONES or
-    IDENTITY pilots.  noncoherent: stacks a schedule's slots.  partition: its
+    constraint.  noncoherent: stacks a schedule's slots.  partition: its
     partition rule (partition, who), raising ValueError."""
 
     call: Callable
-    ratio: bool = False
     noncoherent: bool = False
     partition: Callable | None = None
 
@@ -120,13 +120,13 @@ def _aml(t: Trial):
 # tracer, a test's monkeypatch) sees them.
 ESTIMATORS = {
     "ls": Estimator(lambda t: ls_estimate(t.system(), t.spec).f_hat, noncoherent=True),
-    "argos": Estimator(lambda t: argos_estimate(t.data, t.partition), ratio=True,
-                       partition=require_argos_partition),
+    "argos": Estimator(lambda t: argos_estimate(t.data, t.pilots, t.partition),
+                       partition=lambda p, who: require_tree(p, star(p), who)),
     "rogalin": Estimator(lambda t: rogalin_estimate(t.data, t.pilots, t.partition,
                                                     t.spec).f_hat,
                          partition=require_single_antenna_groups),
-    "daisy": Estimator(lambda t: daisy_chain_estimate(t.data, t.partition), ratio=True,
-                       partition=require_single_antenna_groups),
+    "daisy": Estimator(lambda t: daisy_chain_estimate(t.data, t.pilots, t.partition),
+                       partition=lambda p, who: require_tree(p, chain(p), who)),
     "avalanche": Estimator(lambda t: avalanche_estimate(t.data, t.pilots, t.partition),
                            partition=require_avalanche_partition),
     "aml": Estimator(_aml),
@@ -198,9 +198,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown estimator {name!r}")
             if name in self.estimators[:k]:
                 raise ValueError(f"estimator {name!r} is listed twice")
-            if est.ratio and self.pilots == UNIT_PHASE_RANDOM:
-                raise ValueError(f"estimator {name!r} ignores pilots; set pilots = ALL_ONES "
-                                 "or IDENTITY")
             if self.slot_schedule is not None and not est.noncoherent:
                 raise ValueError(f"estimator {name!r} does not support non-coherent schedules")
             if est.partition is not None:
@@ -248,10 +245,17 @@ class ResultRow:
 @dataclass
 class ResultTable:
     rows: list = field(default_factory=list)
-    skipped: Counter = field(default_factory=Counter)   # (estimator, snr_db) -> count
+    # (estimator, snr_db, exception class name) -> count
+    skipped: Counter = field(default_factory=Counter)
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+
+
+def _bool(s: str) -> bool:
+    if s.lower() not in _BOOL:
+        raise ValueError(f"expected one of {', '.join(_BOOL)}, not {s!r}")
+    return _BOOL[s.lower()]
 
 
 def _tuple_of(conv):
@@ -265,12 +269,11 @@ _CONVERTERS = {
     "channel": str, "rows": int, "cols": int, "spacing": float, "delta": float,
     "snr_db": _tuple_of(float), "trials": int, "estimators": _tuple_of(str),
     "constraint": str, "seed": int, "pilots": str,
-    "crb": lambda s: _BOOL[s.lower()], "crb_trials": int,
-    "crb_known_h": lambda s: _BOOL[s.lower()],
+    "crb": _bool, "crb_trials": int, "crb_known_h": _bool,
     "aml_tol": float, "aml_max_iter": int, "aml_init": str,
     "noncoherent_slots": lambda s: tuple(tuple(int(x) for x in grp.split())
                                          for grp in s.split(";")),
-    "timing": lambda s: _BOOL[s.lower()],
+    "timing": _bool,
 }
 
 
@@ -351,8 +354,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                     cv = ESTIMATORS[est].call(inputs)
                     f_hat = cv.f if cv.constraint_tag == spec.kind \
                         else normalize_for_constraint(cv.f, spec)
-                except (np.linalg.LinAlgError, ZeroDivisionError, ArithmeticError):
-                    table.skipped[(est, snr)] += 1
+                except (np.linalg.LinAlgError, ArithmeticError) as e:
+                    table.skipped[(est, snr, type(e).__name__)] += 1
                 else:
                     sq_err[est].append(mse(f_hat, f_true))
                 if config.timing:
@@ -454,8 +457,12 @@ def cli_main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    for (est, snr), n in sorted(table.skipped.items()):
-        print(f"warning: {n} skipped trials for {est} at {snr} dB", file=sys.stderr)
+    causes = {}
+    for (est, snr, cause), n in sorted(table.skipped.items()):
+        causes.setdefault((est, snr), {})[cause] = n
+    for (est, snr), by_cause in causes.items():
+        print(f"warning: {sum(by_cause.values())} skipped trials for {est} at {snr} dB ("
+              + ", ".join(f"{c}: {n}" for c, n in by_cause.items()) + ")", file=sys.stderr)
     if args.command == "crb" and args.out is None:
         for r in table.rows:
             print(f"snr_db={r.snr_db:g} crb_trace={r.crb_trace:.12e}")

@@ -1,5 +1,11 @@
 """Calibration estimators: constrained LS, Argos, Rogalin, daisy chain, Avalanche, AML.
 
+All but AML solve the pair equations Y(P) f = 0 of stacking, on different
+pairs: LS and Rogalin (LS on single antennas) every pair jointly; Argos and
+the daisy chain the spanning trees {(0, c)} and {(c - 1, c)}, by substitution
+(tree_estimate, their joint LS where each edge is exactly determined);
+Avalanche each group against all earlier ones, which is not a tree.
+
 All estimators determine f only up to one complex scale; a ConstraintSpec
 resolves the ambiguity.  FCC pins the first coefficient to 1; NPC pins the
 norm and the phase of f_hat^H f_true; UNIT_NORM takes the smallest
@@ -14,7 +20,7 @@ import numpy as np
 
 from .model import AntennaPartition, CalibrationVector
 from . import crb as _crb
-from .stacking import StackedSystem, build_stacked
+from .stacking import StackedSystem, build_stacked, pair_equation_block
 
 FCC = "FCC"
 NPC = "NPC"
@@ -219,42 +225,101 @@ def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationRep
     return EstimationReport(CalibrationVector(f, tag), 1, cost, converged=unique)
 
 
-def require_argos_partition(partition: AntennaPartition, who: str) -> None:
-    """argos_estimate's rule: L_i = M_i, and {reference} + rest or all singletons."""
-    sizes = partition.group_sizes
-    if partition.pilot_lengths != sizes or sizes[0] != 1 \
-            or (partition.num_groups > 2 and any(s != 1 for s in sizes)):
-        raise ValueError(f"{who} needs a {{reference}} + rest or all-singleton partition "
-                         "with L_i = M_i")
+def star(partition: AntennaPartition) -> np.ndarray:
+    """Argos's tree: group c's parent is group 0 (parent[0] = -1, the root)."""
+    return np.minimum(np.arange(partition.num_groups) - 1, 0)
 
 
-def argos_estimate(measurements, partition: AntennaPartition,
-                   ref_value: complex = 1.0) -> CalibrationVector:
-    """Ratio estimator against a reference antenna: f_i = f_1 y_{i->1} / y_{1->i}.
+def chain(partition: AntennaPartition) -> np.ndarray:
+    """The daisy chain's tree: group c's parent is group c - 1."""
+    return np.arange(partition.num_groups) - 1
 
-    Accepts either the native 2-group partition ({reference} + rest, with
-    identity pilots for the big group) or an all-singleton partition, from
-    which only the links with antenna 0 are used.
+
+def require_tree(partition: AntennaPartition, parent: np.ndarray, who: str) -> None:
+    """tree_estimate's rule: a single-antenna group 0 (f_0 = 1 fixes the
+    scale), and on each edge (p, c), p = parent[c] < c, the pair's
+    min(L_p, M_p) min(L_c, M_c) independent equations reach M_c."""
+    m = np.asarray(partition.group_sizes)
+    if m[0] != 1:
+        raise ValueError(f"{who} fixes f_0 = 1, so group 0 needs a single antenna")
+    r = np.minimum(partition.pilot_lengths, m)
+    short = np.flatnonzero(r[parent[1:]] * r[1:] < m[1:]) + 1
+    if short.size:
+        p, c = parent[short[0]], short[0]
+        raise ValueError(f"{who}: the exchange of groups {p} and {c} gives {r[p] * r[c]} "
+                         f"independent equations for the {m[c]} antennas of group {c}")
+
+
+def _edge_transfers(b_p: np.ndarray, b_c: np.ndarray):
+    """T = -B_c^+ B_p for a stack of tree edges, and whether each B_c passes
+    tree_estimate's rank test.  Modified Gram-Schmidt on the columns of
+    [B_c B_p; I 0], with inner products over B's rows, turns it into
+    [Q, B_p - Q R_12; R^-1, T] (Q's columns left unnormalised, which changes
+    neither T nor the test): B_p rides along, as in Bjorck's backward stable
+    least squares (BIT 1967), and the identity collects R^-1.  Each step is
+    one numpy operation over the stack, where a LAPACK QR costs a call per
+    edge; a zero column is left zero, so its R_kk = 0 fails the test."""
+    (e, r, n), n_p = b_c.shape, b_p.shape[2]
+    a = np.zeros((e, r + n, n + n_p), dtype=complex)
+    a[:, :r, :n], a[:, :r, n:], a[:, r:] = b_c, b_p, np.eye(n, n + n_p)
+    d2 = np.empty((e, n))                     # R_kk^2
+    for k in range(n):
+        g = np.einsum("pr,prc->pc", a[:, :r, k].conj(), a[:, :r, k:])
+        d2[:, k] = g[:, 0].real
+        a[:, :, k + 1:] -= a[:, :, k, None] * (g[:, None, 1:] / np.where(
+            d2[:, k] > 0, d2[:, k], 1.0)[:, None, None])
+    return a[:, r:, n:], d2.min(axis=1) > (max(r, n) * np.finfo(float).eps) ** 2 * d2.max(axis=1)
+
+
+def tree_estimate(measurements, pilots, parent: np.ndarray) -> CalibrationVector:
+    """The pair equations of a spanning tree of groups, solved by substitution.
+
+    Edge (p, c) is the pair equation B_p f_p + B_c f_c = 0 (pair_equation_block),
+    so f_c = T_c f_p, T_c = -B_c^+ B_p, from f_0 = 1.  No other edge constrains
+    f_c, so where every edge has M_c rows this is the tree's joint LS.  An edge
+    with some |R_kk| <= max(r, M_c) eps max|R_kk| raises LinAlgError: as
+    sigma_min <= min|R_kk| and max|R_kk| <= sigma_max, lstsq's rank rule
+    rejects it too, and for M_c = 1 the rules are the same.  The T_c, zero-padded
+    to K x K (K = max M_g), are composed by pointer jumping: each round sets
+    T_c <- T_c T_a(c) and a(c) <- a(a(c)), so a path of G groups takes log2 G
+    batched products, not G - 1 Python steps.  The padding costs G K^2 memory
+    and G K^3 work per round, far above the edges' own size only where many
+    small groups hang in a deep tree above a large one.
     """
-    require_argos_partition(partition, "argos")
-    m = partition.num_antennas
-    f = np.empty(m, dtype=complex)
-    f[0] = ref_value
-    if partition.num_groups == 2:
-        y_to_ref = measurements.block(1, 0).ravel()    # 1 x (M-1) row, antenna k -> ref
-        y_from_ref = measurements.block(0, 1).ravel()  # (M-1) x 1 col, ref -> antenna k
-    else:
-        k, ref = np.arange(1, m), np.zeros(m - 1, dtype=int)
-        y_to_ref = measurements.gather(k, ref).ravel()
-        y_from_ref = measurements.gather(ref, k).ravel()
-    if np.any(y_from_ref == 0):
-        raise ZeroDivisionError("zero received sample on a reference link")
-    f[1:] = ref_value * y_to_ref / y_from_ref
-    return CalibrationVector(f, "FCC" if ref_value == 1.0 else "NONE")
+    partition = measurements.partition
+    parent = np.asarray(parent)
+    require_tree(partition, parent, "tree_estimate")
+    if len(measurements.groups) < partition.num_groups:
+        raise ValueError("the tree solve needs a slot in which every group is active")
+    sizes = np.asarray(partition.group_sizes)
+    t = np.zeros((sizes.size, sizes.max(), sizes.max()), dtype=complex)
+    t[0, 0, 0] = 1.0                        # f_0 = 1; group 0 is its own parent
+    y = measurements.received.ravel()
+    for b in measurements.plan.pairs:
+        on = np.flatnonzero(parent[b.gj] == b.gi)
+        if on.size:
+            gp, gc = b.gi[on], b.gj[on]
+            t_c, full = _edge_transfers(*pair_equation_block(
+                y[b.y_ji[on]], y[b.y_ij[on]], pilots.stacked(gp), pilots.stacked(gc)))
+            if not full.all():
+                e = np.argmin(full)
+                raise np.linalg.LinAlgError(f"tree edge {gp[e]}-{gc[e]}: the pair "
+                                            f"equations have rank < M_{gc[e]}")
+            t[gc, :t_c.shape[1], :t_c.shape[2]] = t_c
+    a = np.maximum(parent, 0)
+    while a.any():
+        t, a = t @ t[a], a[a]
+    return CalibrationVector(t[:, :, 0][np.arange(t.shape[1]) < sizes[:, None]], "FCC")
+
+
+def argos_estimate(measurements, pilots, partition: AntennaPartition) -> CalibrationVector:
+    """Argos (Shepard et al., MobiCom 2012): the tree solve on the star, each
+    group from its exchange with the single-antenna reference group 0."""
+    return tree_estimate(measurements, pilots, star(partition))
 
 
 def require_single_antenna_groups(partition: AntennaPartition, who: str) -> None:
-    """Rogalin's and the daisy chain's rule: one antenna per group."""
+    """Rogalin's rule: one antenna per group."""
     if any(s != 1 for s in partition.group_sizes):
         raise ValueError(f"{who} needs single-antenna groups")
 
@@ -276,21 +341,11 @@ def rogalin_estimate(measurements, pilots, partition: AntennaPartition,
     return ls_estimate(rogalin_gram(measurements, pilots, partition), constraint)
 
 
-def daisy_chain_estimate(measurements, partition: AntennaPartition,
-                         ref_value: complex = 1.0) -> CalibrationVector:
-    """Sequential ratio chain over adjacent single antennas: f_i from f_{i-1}."""
-    require_single_antenna_groups(partition, "daisy chain")
-    m = partition.num_antennas
-    f = np.empty(m, dtype=complex)
-    f[0] = ref_value
-    k = np.arange(1, m)
-    ups = measurements.gather(k, k - 1).ravel().tolist()     # k transmits, k-1 receives
-    downs = measurements.gather(k - 1, k).ravel().tolist()
-    for i, (up, down) in enumerate(zip(ups, downs), 1):
-        if down == 0:
-            raise ZeroDivisionError(f"zero received sample on link {i - 1}->{i}")
-        f[i] = f[i - 1] * up / down
-    return CalibrationVector(f, "FCC" if ref_value == 1.0 else "NONE")
+def daisy_chain_estimate(measurements, pilots,
+                         partition: AntennaPartition) -> CalibrationVector:
+    """The daisy chain: the tree solve on the path, each group from its
+    exchange with the group before it."""
+    return tree_estimate(measurements, pilots, chain(partition))
 
 
 def require_avalanche_partition(partition: AntennaPartition, who: str) -> None:

@@ -23,6 +23,7 @@ from scipy.linalg import null_space, orth
 from arraycal.airlink import noise_variance_from_snr
 from arraycal.crb import lstsq_min_norm
 from arraycal.grouping import pair_count
+from arraycal.model import received_index
 from arraycal.stacking import pair_equation_block
 
 
@@ -46,6 +47,35 @@ def exchange_pairs(partition, pilots, imp, chan, snr_db, rng, groups=None):
                 y = y + sd * (rng.standard_normal(shp) + 1j * rng.standard_normal(shp))
             blocks[(i, j)] = y
     return blocks
+
+
+def gather(measurements, tx, rx):
+    """Y_{tx[p]->rx[p]} for pairs of groups of one block shape, stacked
+    (P, M_rx, L_tx)."""
+    return measurements.received.ravel()[received_index(measurements.partition, tx, rx)]
+
+
+def argos_ratios(measurements, partition):
+    """f_k = y_{k->0} / y_{0->k} against the reference antenna 0, on the
+    {reference} + rest partition (L_i = M_i, identity pilots) or on single
+    antennas (unit pilots)."""
+    if partition.num_groups == 2:
+        to_ref = measurements.block(1, 0).ravel()
+        from_ref = measurements.block(0, 1).ravel()
+    else:
+        k = np.arange(1, partition.num_antennas)
+        ref = np.zeros_like(k)
+        to_ref = gather(measurements, k, ref).ravel()
+        from_ref = gather(measurements, ref, k).ravel()
+    return np.concatenate(([1.0 + 0.0j], to_ref / from_ref))
+
+
+def daisy_ratios(measurements):
+    """f_k = f_{k-1} y_{k->k-1} / y_{k-1->k} along single antennas."""
+    k = np.arange(1, measurements.partition.num_antennas)
+    up = gather(measurements, k, k - 1).ravel()
+    down = gather(measurements, k - 1, k).ravel()
+    return np.concatenate(([1.0 + 0.0j], np.cumprod(up / down)))
 
 
 def vec_transpose_perm(m: int, n: int) -> np.ndarray:

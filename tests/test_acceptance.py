@@ -91,14 +91,14 @@ def test_acceptance_01_noiseless_exact_recovery():
 
     part = make_scheme("ARGOS", 16).partition
     pilots, imp, chan, ms = _simulate(part, rng, kind="IDENTITY")
-    errs["argos"] = _rel_err(argos_estimate(ms, part).f, calibration_vector(imp).f)
+    errs["argos"] = _rel_err(argos_estimate(ms, pilots, part).f, calibration_vector(imp).f)
 
     part = AntennaPartition.singleton(16)
     pilots, imp, chan, ms = _simulate(part, rng, kind="ALL_ONES")
     f_true = calibration_vector(imp).f
     errs["rogalin"] = _rel_err(
         rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f_hat.f, f_true)
-    errs["daisy"] = _rel_err(daisy_chain_estimate(ms, part).f, f_true)
+    errs["daisy"] = _rel_err(daisy_chain_estimate(ms, pilots, part).f, f_true)
 
     part = make_scheme("AVALANCHE", 22, 7).partition
     pilots, imp, chan, ms = _simulate(part, rng, kind="ALL_ONES")

@@ -29,7 +29,7 @@ from arraycal.model import (
 )
 from arraycal.bench import ExperimentConfig
 from arraycal.stacking import build_stacked
-from dense_oracle import dense_y, exchange_pairs
+from dense_oracle import dense_y, exchange_pairs, gather
 
 CFG = ImpairmentConfig(0.5, fix_first_to_one=True)
 
@@ -281,7 +281,7 @@ def test_plans_are_shared_read_only_and_match_gather(case):
         with pytest.raises(ValueError):
             a.flat[0] = 0
     # the measurements carry their slot's plan, whose pair indices read the
-    # blocks that block and gather read, once for every active pair
+    # blocks that block and the oracle's gather read, once for every active pair
     rng = np.random.default_rng(seed)
     pilots, imp, chan = _setup(parts[1], rng, kind)
     ms = simulate_exchange(parts[1], pilots, imp, chan, snr, rng, groups=groups)
@@ -289,8 +289,8 @@ def test_plans_are_shared_read_only_and_match_gather(case):
     assert ms.groups == active and ms.plan is slot_plan(part, active)
     y, pairs = ms.received.ravel(), []
     for gi, gj, _, y_ji, y_ij in ms.plan.pairs:
-        assert np.array_equal(y[y_ji], ms.gather(gj, gi))
-        assert np.array_equal(y[y_ij], ms.gather(gi, gj))
+        assert np.array_equal(y[y_ji], gather(ms, gj, gi))
+        assert np.array_equal(y[y_ij], gather(ms, gi, gj))
         for p, (i, j) in enumerate(zip(gi.tolist(), gj.tolist())):
             assert np.array_equal(y[y_ji[p]], ms.block(j, i))
             assert np.array_equal(y[y_ij[p]], ms.block(i, j))

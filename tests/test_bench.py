@@ -2,6 +2,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from arraycal.bench import (
     parse_config,
     run_experiment,
 )
+from arraycal.model import slot_plan
 
 FC1_CONFIG = """
 # Fig-5 style sweep on the FC-I grouping
@@ -287,12 +289,27 @@ def test_cli_schemes_and_crb(tmp_path, capsys):
     "m = 8\nestimators = daisy\nconstraint = FCC\n",
     "m = 8\nscheme = ARGOS\nestimators = argos\n",
 ])
-def test_cli_rejects_ratio_estimators_with_random_pilots(tmp_path, capsys, text):
-    # argos and daisy read samples as channel gains; random pilots make them wrong
-    cfg = _write(tmp_path, "ratio.cfg", text + "snr_db = 40\ntrials = 2\ncrb = false\n")
-    assert cli_main(["run", cfg, "--out", str(tmp_path / "r.csv")]) == 2
-    assert "ignores pilots" in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
+def test_cli_runs_tree_estimators_with_random_pilots(tmp_path, capsys, text):
+    # argos and daisy solve the pair equations, which carry the pilots; they
+    # exited 2 on random pilots when they read samples as channel gains
+    cfg = _write(tmp_path, "tree.cfg", text + "snr_db = 40\ntrials = 2\ncrb = false\n")
+    out = tmp_path / "r.csv"
+    assert cli_main(["run", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = out.read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[5] == "2" for row in rows)
+
+
+def test_tree_estimators_are_ls_on_the_argos_partition():
+    # {reference} + rest has the one pair (0, 1), which is the star, the path
+    # and the whole stacked system: all three solve the same square system
+    table = run_experiment(ExperimentConfig(
+        m=8, scheme="ARGOS", estimators=("ls", "argos", "daisy"), constraint="FCC",
+        snr_db=(10.0, 40.0), trials=5, crb=False, seed=3))
+    mse = {(r.estimator, r.snr_db): r.mse for r in table.rows}
+    for snr in (10.0, 40.0):
+        for name in ("argos", "daisy"):
+            assert abs(mse[(name, snr)] - mse[("ls", snr)]) <= 1e-12 * mse[("ls", snr)]
 
 
 NONCOHERENT_CONFIG = ("m = 6\nscheme = SINGLETON\npilots = ALL_ONES\nsnr_db = 20\n"
@@ -343,7 +360,7 @@ def test_cli_run_rejects_rank_deficient_crb(tmp_path, capsys, constraint):
 
 
 @pytest.mark.parametrize("changes, message", [
-    (dict(estimators=("ls", "argos", "daisy")), "ignores pilots"),
+    (dict(scheme="FC_II", g=4, estimators=("ls", "daisy")), "group 0 needs a single antenna"),
     (dict(estimators=("ls", "nope")), "unknown estimator"),
     (dict(channel="rician"), "channel must be"),
     (dict(trials=0), "trials >= 1"),
@@ -370,9 +387,9 @@ REJECT_BASE = dict(m=8, trials=2, snr_db=(30.0,))
     # each passed check (exit 0) and then failed inside run (exit 2)
     (dict(scheme="FC_II", g=5, estimators=("rogalin",)), "needs single-antenna groups"),
     (dict(scheme="FC_II", g=5, estimators=("daisy",), pilots="ALL_ONES"),
-     "needs single-antenna groups"),
+     "groups 1 and 2 gives 1 independent equations for the 2 antennas of group 2"),
     (dict(scheme="FC_II", g=5, estimators=("argos",), pilots="ALL_ONES"),
-     "all-singleton partition"),
+     "groups 0 and 2 gives 1 independent equations for the 2 antennas of group 2"),
     (dict(scheme="FC_II", g=5, estimators=("ls",), pilots="IDENTITY"),
      "identity pilots require L_i = M_i"),
     (dict(scheme="ARGOS", estimators=("argos",), pilots="ALL_ONES"),
@@ -407,6 +424,50 @@ def test_rules_fire_before_the_first_draw(tmp_path, capsys, changes, message):
     assert cli_main(["run", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bad_boolean_is_a_config_error(tmp_path, capsys):
+    # it escaped as a bare KeyError('maybe'), printed without the key
+    message = "config key 'crb': expected one of true, false, 1, 0, yes, no, not 'maybe'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config("m = 8\ncrb = maybe\n")
+    cfg = _write(tmp_path, "bool.cfg", "m = 8\ncrb = maybe\n")
+    assert cli_main(["check", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_skipped_trials_are_reported_by_cause(tmp_path, capsys, monkeypatch):
+    real = bench.argos_estimate
+    causes = [np.linalg.LinAlgError("forced"), ZeroDivisionError("forced"),
+              np.linalg.LinAlgError("forced")]
+
+    def flaky(*args, **kwargs):
+        if causes:
+            raise causes.pop()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "argos_estimate", flaky)
+    cfg = _write(tmp_path, "skip.cfg", SMALL_CONFIG.replace("snr_db = inf", "snr_db = 30")
+                 .replace("trials = 2", "trials = 4"))
+    out = tmp_path / "r.csv"
+    assert cli_main(["run", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ("warning: 3 skipped trials for argos at 30.0 dB "
+                                       "(LinAlgError: 2, ZeroDivisionError: 1)\n")
+    trials = {line.split(",")[0]: line.split(",")[5] for line in out.read_text().splitlines()}
+    assert trials["argos"] == "1" and trials["ls"] == "4"
+
+
+def test_schedule_plans_are_built_once_per_run():
+    # 66 pairwise slots cycle slot_plan's cache of 32 plans: every trial
+    # rebuilt every slot's plan (0 hits, 1,320 misses in 20 trials)
+    base = dict(m=12, noncoherent_slots=tuple(combinations(range(12), 2)),
+                estimators=("ls",), crb=False, snr_db=(30.0,), constraint="FCC")
+    misses = []
+    for trials in (1, 3):
+        slot_plan.cache_clear()
+        run_experiment(ExperimentConfig(trials=trials, **base))
+        misses.append(slot_plan.cache_info().misses)
+    assert misses == [66, 66]
 
 
 def test_repeated_config_key_is_rejected(tmp_path, capsys):

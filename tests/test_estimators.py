@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from dense_oracle import constrained_lstsq, dense_y
-from arraycal.airlink import default_pilots, simulate_exchange
+from dense_oracle import argos_ratios, constrained_lstsq, daisy_ratios, dense_y
+from arraycal.airlink import MeasurementSet, default_pilots, require_pilot_kind, simulate_exchange
 from arraycal.estimators import (
     CHOLESKY_MARGIN,
     ConstraintSpec,
@@ -11,12 +11,16 @@ from arraycal.estimators import (
     aml_estimate,
     argos_estimate,
     avalanche_estimate,
+    chain,
     daisy_chain_estimate,
     ls_estimate,
     mse,
     normalize_for_constraint,
+    require_tree,
     rogalin_estimate,
     rogalin_gram,
+    star,
+    tree_estimate,
 )
 from arraycal.model import (
     AntennaPartition,
@@ -28,7 +32,7 @@ from arraycal.model import (
     gen_impairments,
 )
 from arraycal.bench import ExperimentConfig, run_experiment
-from arraycal.stacking import build_stacked, check_identifiability
+from arraycal.stacking import StackedSystem, build_stacked, check_identifiability
 
 CFG = ImpairmentConfig(0.5, fix_first_to_one=True)
 
@@ -295,11 +299,11 @@ def test_argos_both_partition_flavors():
     pilots2 = default_pilots(part2, "IDENTITY", rng)
     chan = gen_channel(m, IID_RAYLEIGH, rng)
     ms2 = simulate_exchange(part2, pilots2, imp, chan, np.inf, rng)
-    f2 = argos_estimate(ms2, part2).f
+    f2 = argos_estimate(ms2, pilots2, part2).f
     parts = AntennaPartition.singleton(m)
     pilotss = default_pilots(parts, "ALL_ONES", rng)
     mss = simulate_exchange(parts, pilotss, imp, chan, np.inf, rng)
-    fs = argos_estimate(mss, parts).f
+    fs = argos_estimate(mss, pilotss, parts).f
     assert np.max(np.abs(f2 - f_true)) < 1e-10
     assert np.max(np.abs(fs - f_true)) < 1e-10
     # ratio structure, explicitly
@@ -310,8 +314,106 @@ def test_argos_rejects_general_partition():
     rng = np.random.default_rng(6)
     part = AntennaPartition((2, 2), (2, 2))
     pilots, imp, chan, ms = _instance(part, rng, kind="IDENTITY")
-    with pytest.raises(ValueError):
-        argos_estimate(ms, part)
+    with pytest.raises(ValueError, match="group 0 needs a single antenna"):
+        argos_estimate(ms, pilots, part)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.sampled_from([np.inf, 0.0, 20.0]), st.integers(0, 2**32 - 1))
+def test_tree_equals_ratio_oracles(m, snr, seed):
+    # with unit pilots the tree solve is the ratio formulas: the star's on
+    # single antennas and on the {reference} + rest partition, the path's on
+    # single antennas (on {reference} + rest the path is the star)
+    rng = np.random.default_rng(seed)
+    single = AntennaPartition.singleton(m)
+    pilots, imp, chan, ms = _instance(single, rng, snr=snr)
+    argos = AntennaPartition((1, m - 1), (1, m - 1))
+    pilots_a, _, _, ms_a = _instance(argos, rng, snr=snr, kind="IDENTITY")
+    for f, oracle in ((argos_estimate(ms, pilots, single), argos_ratios(ms, single)),
+                      (daisy_chain_estimate(ms, pilots, single), daisy_ratios(ms)),
+                      (argos_estimate(ms_a, pilots_a, argos), argos_ratios(ms_a, argos)),
+                      (daisy_chain_estimate(ms_a, pilots_a, argos), argos_ratios(ms_a, argos))):
+        assert f.constraint_tag == "FCC"
+        assert np.max(np.abs(f.f - oracle) / np.abs(oracle)) <= 1e-12
+
+
+@st.composite
+def _trees(draw, exact):
+    """A random tree of 2-5 groups (parent[c] < c) with M_0 = 1 and a
+    partition on it: with exact, L_0 = 1, L_c in 1..2 and M_c = L_p L_c, so
+    every edge has exactly M_c rows; else any sizes and lengths in 1..3."""
+    g = draw(st.integers(2, 5))
+    parent = np.array([-1] + [draw(st.integers(0, c - 1)) for c in range(1, g)])
+    if exact:
+        lens = [1] + [draw(st.integers(1, 2)) for _ in range(1, g)]
+        sizes = [1] + [lens[parent[c]] * lens[c] for c in range(1, g)]
+    else:
+        sizes = [1] + [draw(st.integers(1, 3)) for _ in range(1, g)]
+        lens = [draw(st.integers(1, 3)) for _ in range(g)]
+    return AntennaPartition(tuple(sizes), tuple(lens)), parent, draw(st.integers(0, 2**32 - 1))
+
+
+def _tree_pairs(parent):
+    return [(int(parent[c]), c) for c in range(1, len(parent))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees(exact=True), st.sampled_from([10.0, 30.0]))
+def test_tree_equals_ls_on_the_tree_pairs(case, snr):
+    # each edge gives its child exactly M_c equations, so the substitution is
+    # the joint LS of the tree's pair equations, with random pilots and noise.
+    # Either side is within about cond eps of the exact solution of the square
+    # system (the tree solve at most 1.3 cond eps over 3,000 draws), so the
+    # bound is 1e-12 up to cond = 1,100 and 4 cond eps beyond
+    part, parent, seed = case
+    rng = np.random.default_rng(seed)
+    pilots, imp, chan, ms = _instance(part, rng, snr=snr, kind="UNIT_PHASE_RANDOM")
+    y = dense_y(ms, pilots, part, _tree_pairs(parent))
+    m = part.num_antennas
+    tree_system = StackedSystem(y.conj().T @ y, y.shape[0], m, [(np.arange(m)[None], y[None])],
+                                np.arange(m))
+    f_ls = ls_estimate(tree_system, ConstraintSpec.fcc()).f_hat.f
+    f = tree_estimate(ms, pilots, parent).f
+    tol = max(1e-12, 4 * np.finfo(float).eps * np.linalg.cond(y[:, 1:]))
+    assert np.linalg.norm(f - f_ls) <= tol * np.linalg.norm(f_ls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(exact=False), st.sampled_from(["UNIT_PHASE_RANDOM", "ALL_ONES", "IDENTITY"]))
+def test_tree_recovers_f_where_the_rule_admits(case, kind):
+    # no partition that require_tree admits has been found whose noiseless
+    # edges the solve rejects
+    part, parent, seed = case
+    try:
+        require_tree(part, parent, "tree")
+        require_pilot_kind(part, kind)
+    except ValueError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    pilots, imp, chan, ms = _instance(part, rng, kind=kind)
+    f_true = calibration_vector(imp).f
+    f = tree_estimate(ms, pilots, parent).f
+    assert np.linalg.norm(f - f_true) <= 1e-10 * np.linalg.norm(f_true)
+
+
+@pytest.mark.parametrize("estimate", [argos_estimate, daisy_chain_estimate])
+def test_tree_rejects_a_zeroed_edge(estimate):
+    # a zero sample on a link of the tree leaves the child's equations rank 0;
+    # a link off the tree changes nothing
+    rng = np.random.default_rng(16)
+    part = AntennaPartition.singleton(5)
+    pilots, imp, chan, ms = _instance(part, rng, snr=30.0)
+    f = estimate(ms, pilots, part).f
+    parent = star(part) if estimate is argos_estimate else chain(part)
+    for tx, rx in ((0, 2), (1, 2), (1, 3)):
+        received = ms.received.copy()
+        received[part.antennas_of(rx), part.pilot_columns(tx)] = 0.0
+        zeroed = MeasurementSet(received, part, ms.noise_variance, ms.plan)
+        if parent[rx] == tx:
+            with pytest.raises(np.linalg.LinAlgError, match=f"tree edge {tx}-{rx}"):
+                estimate(zeroed, pilots, part)
+        else:
+            assert np.array_equal(estimate(zeroed, pilots, part).f, f)
 
 
 def test_rogalin_gram_entries():
@@ -347,7 +449,7 @@ def test_daisy_chain_telescopes():
     rng = np.random.default_rng(9)
     part = AntennaPartition.singleton(5)
     pilots, imp, chan, ms = _instance(part, rng)
-    f = daisy_chain_estimate(ms, part).f
+    f = daisy_chain_estimate(ms, pilots, part).f
     assert np.max(np.abs(f - calibration_vector(imp).f)) < 1e-10
     prod = 1.0
     for i in range(1, 5):
@@ -362,7 +464,7 @@ def test_daisy_chain_noisier_than_rogalin():
     for _ in range(200):
         pilots, imp, chan, ms = _instance(part, rng, snr=20.0)
         f_true = calibration_vector(imp).f
-        err_d += mse(daisy_chain_estimate(ms, part).f, f_true)
+        err_d += mse(daisy_chain_estimate(ms, pilots, part).f, f_true)
         err_r += mse(rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f_hat.f,
                      f_true)
     assert err_d >= err_r  # error accumulates along the chain
