@@ -1,4 +1,5 @@
-"""Check that ``arraycal run`` CSVs are byte-identical to a base revision's.
+"""Check that ``arraycal run`` and ``arraycal crb`` CSVs are byte-identical to
+a base revision's.
 
 Run from the repository root:
 
@@ -8,7 +9,10 @@ The base revision is exported with ``git archive`` and the working tree is
 copied beside it (as ``scripts/ab_bench.py`` does).  Each config below, and
 each perfbench workload's config, is run with ``arraycal run <config> --out
 <csv> --seed S`` in both trees, one fresh interpreter per call, for every
-seed.  Every CSV that differs, or that one side failed to write, is
+seed; each config that computes the CRB also with ``arraycal crb``, which
+draws ``crb_trials`` (50 by default) CRB realisations per SNR where ``run``
+draws only ``trials``.  Every CSV that differs, or that one side failed to
+write, is
 reported, each differing one with the largest relative difference of its
 ``mse`` and ``crb_trace`` columns per estimator; the exit status is 1 if
 there is any, else 0.
@@ -63,10 +67,16 @@ CONFIGS = {
 RUN = "import sys\nfrom arraycal.bench import cli_main\nsys.exit(cli_main(sys.argv[1:]))\n"
 
 
-def run_csv(tree: Path, config: Path, out: Path, seed: int) -> bytes | None:
-    """The CSV of one ``arraycal run`` call in tree, or None if the call failed."""
+def crb_on(text: str) -> bool:
+    """Whether a config computes the CRB (``crb`` is true by default)."""
+    return "crb=false" not in text.replace(" ", "").splitlines()
+
+
+def run_csv(tree: Path, command: str, config: Path, out: Path, seed: int) -> bytes | None:
+    """The CSV of one ``arraycal <command>`` call in tree, or None if the call
+    failed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    res = subprocess.run([sys.executable, "-c", RUN, "run", str(config), "--out", str(out),
+    res = subprocess.run([sys.executable, "-c", RUN, command, str(config), "--out", str(out),
                           "--seed", str(seed)], cwd=tree, env=env, capture_output=True,
                          text=True, timeout=1800)
     if res.returncode != 0 or not out.exists():
@@ -108,7 +118,7 @@ def main(argv=None) -> int:
     configs = {name: perfrun.config_text(keys) for name, keys in perfrun.WORKLOADS.items()}
     configs.update(CONFIGS)
     print(f"base {git('rev-parse', args.base)} against the working tree", flush=True)
-    differ = []
+    differ, total = [], 0
     with tempfile.TemporaryDirectory(prefix="csv_identity_") as tmp:
         tmp = Path(tmp)
         trees = {"base": tmp / "base", "change": tmp / "change"}
@@ -117,22 +127,26 @@ def main(argv=None) -> int:
         for name, text in configs.items():
             config = tmp / f"{name}.cfg"
             config.write_text(text)
-            for seed in args.seeds:
-                csvs = [run_csv(tree, config, tmp / f"{side}.{name}.{seed}.csv", seed)
-                        for side, tree in trees.items()]
-                same = None not in csvs and csvs[0] == csvs[1]
-                print(f"{name} seed {seed}: {'identical' if same else 'DIFFERS'}", flush=True)
-                if not same:
-                    differ.append(f"{name} seed {seed}")
-                if not same and None not in csvs:
-                    try:
-                        moves = relative_moves(*csvs)
-                    except ValueError as e:
-                        print(f"  {e}")
-                        continue
-                    for (est, col), rel in moves.items():
-                        print(f"  {est} {col}: largest relative move {rel:.2e}")
-    print(f"{len(differ)} of {len(configs) * len(args.seeds)} CSVs differ"
+            for command in ("run", "crb") if crb_on(text) else ("run",):
+                for seed in args.seeds:
+                    total += 1
+                    label = f"{name} {command} seed {seed}"
+                    csvs = [run_csv(tree, command, config,
+                                    tmp / f"{side}.{name}.{command}.{seed}.csv", seed)
+                            for side, tree in trees.items()]
+                    same = None not in csvs and csvs[0] == csvs[1]
+                    print(f"{label}: {'identical' if same else 'DIFFERS'}", flush=True)
+                    if not same:
+                        differ.append(label)
+                    if not same and None not in csvs:
+                        try:
+                            moves = relative_moves(*csvs)
+                        except ValueError as e:
+                            print(f"  {e}")
+                            continue
+                        for (est, col), rel in moves.items():
+                            print(f"  {est} {col}: largest relative move {rel:.2e}")
+    print(f"{len(differ)} of {total} CSVs differ"
           + (": " + ", ".join(differ) if differ else ""))
     return 1 if differ else 0
 

@@ -221,33 +221,41 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
                       groups: tuple | None = None,
                       plan: SlotPlan | None = None) -> MeasurementSet:
     """One coherent slot of bidirectional exchanges between the given groups
-    (all by default), or those of plan, their slot_plan, if the caller holds
-    it (NoncoherentSchedule.plans).
+    (distinct, of 0..G-1; all by default), or those of plan, their slot_plan,
+    if the caller holds it (NoncoherentSchedule.plans).
 
     snr_db = +inf gives the exact noiseless blocks.  Diagonal (self) blocks
-    are never produced: a group does not hear its own transmission.  Pairs of
-    equal (M_j, M_i, L_i) form one stacked product R_j C_{i->j} T_i P_i.
+    are never produced: a group does not hear its own transmission.  Each
+    batch of the plan's pairs gives one stacked product R_j C_{i->j} T_i P_i
+    per direction, R C T read at the batch's antenna columns.
     """
     pilots.validate(partition)
     if imp.num_antennas != partition.num_antennas or chan.num_antennas != partition.num_antennas:
         raise ValueError("impairments/channel size does not match partition")
     require_snr_db(snr_db)
     if plan is None:
-        active = tuple(range(partition.num_groups)) if groups is None else tuple(sorted(groups))
+        g = partition.num_groups
+        active = tuple(range(g)) if groups is None else tuple(sorted(groups))
+        if len(set(active)) < len(active) or not set(active) <= set(range(g)):
+            raise ValueError(f"groups {tuple(groups)} are not distinct groups of 0..{g - 1}")
         if len(active) < 2:
             raise ValueError("at least two groups must be active")
         plan = slot_plan(partition, active)
     sigma2 = noise_variance_from_snr(snr_db, chan)
     sd = np.sqrt(sigma2 / 2.0)
     noise = rng.standard_normal(plan.noise_size) if sigma2 > 0 else None
-    gain = (imp.rx_gains[:, None] * chan.c * imp.tx_gains[None, :]).ravel()   # R C T
+    gain = imp.rx_gains[:, None] * chan.c * imp.tx_gains[None, :]   # R C T
     received = np.zeros(plan.shape, dtype=complex)
     flat = received.reshape(-1)
-    for b in plan.exchange:
-        y = gain[b.gain] @ pilots.stacked(b.tx)
-        if noise is not None:
-            y = y + sd * (noise[b.noise_re] + 1j * noise[b.noise_im])
-        flat[b.received] = y
+    for b in plan.pairs:
+        cols_i, cols_j = b.cols_ij
+        for tx, cols_tx, cols_rx, at, noise_at in ((b.gi, cols_i, cols_j, b.y_ij, b.n_ij),
+                                                   (b.gj, cols_j, cols_i, b.y_ji, b.n_ji)):
+            y = gain[cols_rx[:, :, None], cols_tx[:, None, :]] @ pilots.stacked(tx)
+            if noise is not None:
+                n = noise[noise_at]
+                y = y + sd * (n[0] + 1j * n[1])
+            flat[at] = y
     received.flags.writeable = False
     return MeasurementSet(received, partition, sigma2, plan)
 
@@ -268,6 +276,8 @@ def simulate_noncoherent(partition: AntennaPartition, schedule: NoncoherentSched
     """
     if not schedule.covers(partition.num_groups):
         raise ValueError("every group must be active in at least one slot")
+    if channels is not None and len(channels) != len(schedule.slots):
+        raise ValueError(f"{len(channels)} channels for {len(schedule.slots)} slots")
     out = []
     for t, plan in enumerate(schedule.plans(partition)):
         if channels is not None:

@@ -32,6 +32,7 @@ from .airlink import (
 )
 from .estimators import (
     ConstraintSpec,
+    EstimationReport,
     aml_estimate,
     argos_estimate,
     avalanche_estimate,
@@ -99,9 +100,10 @@ class Trial:
 
 @dataclass(frozen=True)
 class Estimator:
-    """call(trial) gives a CalibrationVector, rescaled when its tag is not the
-    constraint.  noncoherent: stacks a schedule's slots.  partition: its
-    partition rule (partition, who), raising ValueError."""
+    """call(trial) gives an EstimationReport, or a CalibrationVector if it
+    always converges, rescaled when its tag is not the constraint.  noncoherent:
+    stacks a schedule's slots.  partition: its partition rule (partition, who),
+    raising ValueError."""
 
     call: Callable
     noncoherent: bool = False
@@ -113,17 +115,16 @@ def _aml(t: Trial):
     init = None if cfg.aml_init == "ones" else \
         ls_estimate(t.system(), ConstraintSpec.fcc()).f_hat.f
     return aml_estimate(t.data, t.pilots, t.partition, init=init, tol=cfg.aml_tol,
-                        max_iter=cfg.aml_max_iter, constraint=t.spec).f_hat
+                        max_iter=cfg.aml_max_iter, constraint=t.spec)
 
 
 # The calls go through this module's globals, so a wrapper put there (a
 # tracer, a test's monkeypatch) sees them.
 ESTIMATORS = {
-    "ls": Estimator(lambda t: ls_estimate(t.system(), t.spec).f_hat, noncoherent=True),
+    "ls": Estimator(lambda t: ls_estimate(t.system(), t.spec), noncoherent=True),
     "argos": Estimator(lambda t: argos_estimate(t.data, t.pilots, t.partition),
                        partition=lambda p, who: require_tree(p, star(p), who)),
-    "rogalin": Estimator(lambda t: rogalin_estimate(t.data, t.pilots, t.partition,
-                                                    t.spec).f_hat,
+    "rogalin": Estimator(lambda t: rogalin_estimate(t.data, t.pilots, t.partition, t.spec),
                          partition=require_single_antenna_groups),
     "daisy": Estimator(lambda t: daisy_chain_estimate(t.data, t.pilots, t.partition),
                        partition=lambda p, who: require_tree(p, chain(p), who)),
@@ -240,6 +241,7 @@ class ResultRow:
     crb_trace: float
     trials: int
     wall_time: float
+    unconverged: int = 0      # of trials, reported by cli_main; not a CSV column
 
 
 @dataclass
@@ -332,6 +334,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     crb_kind = "FCC" if config.constraint == "FCC" else "NPC"
     for si, snr in enumerate(config.snr_db):
         sq_err = {e: [] for e in config.estimators}
+        unconverged = Counter()
         wall = dict.fromkeys(config.estimators, 0.0)
         crb_traces = []
         for trial in range(config.trials):
@@ -351,13 +354,16 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
             for est in config.estimators:
                 t0 = time.perf_counter()
                 try:
-                    cv = ESTIMATORS[est].call(inputs)
+                    out = ESTIMATORS[est].call(inputs)
+                    cv, converged = (out.f_hat, out.converged) \
+                        if isinstance(out, EstimationReport) else (out, True)
                     f_hat = cv.f if cv.constraint_tag == spec.kind \
                         else normalize_for_constraint(cv.f, spec)
                 except (np.linalg.LinAlgError, ArithmeticError) as e:
                     table.skipped[(est, snr, type(e).__name__)] += 1
                 else:
                     sq_err[est].append(mse(f_hat, f_true))
+                    unconverged[est] += not converged
                 if config.timing:
                     wall[est] += time.perf_counter() - t0
             if config.crb and schedule is None and trial < config.crb_trials:
@@ -376,7 +382,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
             table.rows.append(ResultRow(
                 estimator=est, constraint=config.constraint, snr_db=float(snr),
                 mse=float(np.mean(errs)) if errs else float("nan"),
-                crb_trace=crb_mean, trials=len(errs), wall_time=wall[est]))
+                crb_trace=crb_mean, trials=len(errs), wall_time=wall[est],
+                unconverged=unconverged[est]))
     return table
 
 
@@ -463,6 +470,10 @@ def cli_main(argv=None) -> int:
     for (est, snr), by_cause in causes.items():
         print(f"warning: {sum(by_cause.values())} skipped trials for {est} at {snr} dB ("
               + ", ".join(f"{c}: {n}" for c, n in by_cause.items()) + ")", file=sys.stderr)
+    for r in table.rows:
+        if r.unconverged:
+            print(f"warning: {r.estimator} did not converge on {r.unconverged} of {r.trials} "
+                  f"trials at {r.snr_db} dB", file=sys.stderr)
     if args.command == "crb" and args.out is None:
         for r in table.rows:
             print(f"snr_db={r.snr_db:g} crb_trace={r.crb_trace:.12e}")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -42,21 +41,6 @@ def vec(a: np.ndarray) -> np.ndarray:
 def vec_transpose_index(m: int, n: int) -> np.ndarray:
     """Index permutation t with vec(X)[t] = vec(X^T) for X of shape (m, n)."""
     return vec(np.arange(m * n).reshape(m, n, order="F").T)
-
-
-def aux_channel_blocks(imp: RfImpairments, chan: ChannelRealization,
-                       partition: AntennaPartition) -> dict:
-    """Hc_{i->j} = R_j C_{i->j} R_i^T for every pair i < j (M_j x M_i each)."""
-    out = {}
-    rx = imp.rx_gains
-    for (i, j) in partition.pairs():
-        si, sj = partition.antennas_of(i), partition.antennas_of(j)
-        out[(i, j)] = rx[sj, None] * chan.c[sj, si] * rx[si, None].T
-    return out
-
-
-def stack_h(h_blocks: dict, partition: AntennaPartition) -> np.ndarray:
-    return np.concatenate([vec(h_blocks[p]) for p in partition.pairs()])
 
 
 def pair_observations(measurements, batch) -> np.ndarray:
@@ -210,11 +194,10 @@ class CrbContext:
     Pairs are batched by block shape, as in the plan of the slot in which
     every group is active (model.slot_plan): for batch k of plan.pairs,
     h_pairs[k] = H_p (P, r, M_i + M_j), at the batch's antenna columns, are
-    each pair's rows of H, r = L_iM_j + M_iL_j.  H and F are never formed.
+    each pair's rows of H, r = L_iM_j + M_iL_j.  H, F and h are never formed.
     """
 
     f: np.ndarray
-    h: np.ndarray
     noise_variance: float
     partition: AntennaPartition
     plan: SlotPlan
@@ -236,39 +219,39 @@ class CrbResult:
 
 def context_from_model(imp: RfImpairments, chan: ChannelRealization, pilots,
                        partition: AntennaPartition, noise_variance: float) -> CrbContext:
-    """Pair blocks of H at the true f = t / r and h = [vec(Hc_{i->j})]."""
+    """Pair blocks of H at the true f = t / r and h = [vec(Hc_{i->j})]: each
+    batch's Hc_{i->j} = R_j C_{i->j} R_i^T is R C R^T, formed once, read at
+    the batch's antenna columns."""
     f = imp.tx_gains / imp.rx_gains
-    hc_blocks = aux_channel_blocks(imp, chan, partition)
-    ctx = CrbContext(f, stack_h(hc_blocks, partition), float(noise_variance), partition,
-                     slot_plan(partition, tuple(range(partition.num_groups))), pilots, [])
-    for gi, gj, cols, _, _ in ctx.plan.pairs:
-        p_i, p_j = pilots.stacked(gi), pilots.stacked(gj)
-        mi = p_i.shape[1]
-        bi, bj = pair_h_block(np.stack([hc_blocks[p] for p in zip(gi.tolist(), gj.tolist())]),
-                              p_i, p_j)
-        hp = np.zeros(bi.shape[:1] + (bi.shape[1] + bj.shape[1], cols.shape[1]), complex)
-        hp[:, :bi.shape[1], :mi] = bi
-        hp[:, bi.shape[1]:, mi:] = bj
-        ctx.h_pairs.append(hp)
-    return ctx
+    plan = slot_plan(partition, tuple(range(partition.num_groups)))
+    rcr = imp.rx_gains[:, None] * chan.c * imp.rx_gains[None, :]
+    h_pairs = []
+    for b in plan.pairs:
+        p_i, p_j = pilots.stacked(b.gi), pilots.stacked(b.gj)
+        cols_i, cols_j = b.cols_ij
+        bi, bj = pair_h_block(rcr[cols_j[:, :, None], cols_i[:, None, :]], p_i, p_j)
+        hp = np.zeros(bi.shape[:1] + (bi.shape[1] + bj.shape[1], b.cols.shape[1]), complex)
+        hp[:, :bi.shape[1], :p_i.shape[1]] = bi
+        hp[:, bi.shape[1]:, p_i.shape[1]:] = bj
+        h_pairs.append(hp)
+    return CrbContext(f, float(noise_variance), partition, plan, pilots, h_pairs)
 
 
 def fim(ctx: CrbContext) -> np.ndarray:
-    """Joint FIM over (f, h): J = (1/sigma^2) [H F]^H [H F].  Singular by scale."""
+    """Joint FIM over (f, h): J = (1/sigma^2) [H F]^H [H F], h = [vec(Hc_{i->j})]
+    with the pairs lexicographic.  Singular by scale."""
     if ctx.noise_variance <= 0:
         raise ValueError("FIM requires a positive noise variance")
     m = ctx.f.size
-    sizes = ctx.partition.group_sizes
-    pairs = ctx.partition.pairs()
-    # start of each pair's entries in h (pairs lexicographic, M_iM_j entries each)
-    h_off = dict(zip(pairs, accumulate((sizes[i] * sizes[j] for (i, j) in pairs), initial=0)))
-    n = m + ctx.h.size
+    # each pair's M_iM_j entries in h, and where they start: i < j row-major
+    size = np.triu(np.outer(ctx.partition.group_sizes, ctx.partition.group_sizes), 1)
+    h_off = np.cumsum(size).reshape(size.shape) - size
+    n = m + int(size.sum())
     cols, ws = [], []
     for b, hp in zip(ctx.plan.pairs, ctx.h_pairs):
         fp = pair_f_block(ctx.f, b.cols, ctx.pilots.stacked(b.gi), ctx.pilots.stacked(b.gj))
-        h_cols = m + np.array([h_off[p] for p in zip(b.gi.tolist(), b.gj.tolist())])[:, None] \
-            + np.arange(fp.shape[2])
-        cols.append(np.concatenate((b.cols, h_cols), axis=1))
+        cols.append(np.concatenate((b.cols, m + h_off[b.gi, b.gj][:, None]
+                                    + np.arange(fp.shape[2])), axis=1))
         ws.append(np.concatenate((hp, fp), axis=2))
     return pair_gram(n, gram_index(n, cols), ws) / ctx.noise_variance
 

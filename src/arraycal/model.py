@@ -6,7 +6,8 @@ responses and C is the reciprocal over-the-air propagation channel
 (C_{A->B} = C_{B->A}^T).  The calibration vector is f_m = t_m / r_m; it maps
 the two link directions onto each other and is identifiable up to one complex
 scale.  slot_plan compiles the index structure of one slot of pilot exchanges,
-which depends only on the antenna partition and the active groups.
+which depends only on the antenna partition and the active groups: its
+PairBatches serve the exchange, the stacked system and the CRB alike.
 """
 
 from __future__ import annotations
@@ -97,46 +98,41 @@ def gram_index(n: int, cols: list) -> np.ndarray:
     return np.concatenate([(c[:, :, None] * n + c[:, None, :]).ravel() for c in cols])
 
 
-class ExchangeBatch(NamedTuple):
-    """Ordered pairs i -> j of one shape (M_j, M_i, L_i): the transmit groups
-    tx, and flat indices of R_j C_{i->j} T_i in the M x M gain matrix
-    (P, M_j, M_i), of the real and imaginary parts of the pairs' noise in the
-    slot's draw, and of Y_{i->j} in the received matrix (P, M_j, L_i each)."""
-
-    tx: np.ndarray
-    gain: np.ndarray
-    noise_re: np.ndarray
-    noise_im: np.ndarray
-    received: np.ndarray
-
-
 class PairBatch(NamedTuple):
     """Pairs (gi[p], gj[p]), i < j, of one block shape (M_i, M_j, L_i, L_j):
-    their antenna columns cols (P, M_i + M_j), group i's first, and the flat
+    their antenna columns cols (P, M_i + M_j), group i's first; the flat
     indices in the slot's received matrix of Y_{j->i} (P, M_i, L_j) and
-    Y_{i->j} (P, M_j, L_i)."""
+    Y_{i->j} (P, M_j, L_i); and those in the slot's noise draw of each
+    block's noise, its real part then its imaginary part, (2, P, M_i, L_j)
+    and (2, P, M_j, L_i)."""
 
     gi: np.ndarray
     gj: np.ndarray
     cols: np.ndarray
     y_ji: np.ndarray
     y_ij: np.ndarray
+    n_ji: np.ndarray
+    n_ij: np.ndarray
+
+    @property
+    def cols_ij(self) -> list:
+        """Group i's and group j's antenna columns, (P, M_i) and (P, M_j)."""
+        return np.split(self.cols, [self.y_ji.shape[1]], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
 class SlotPlan:
     """The index structure of one slot, which depends only on the partition
-    and the active groups (ascending).  The exchange: the ordered pairs'
-    batches, the length of the slot's noise draw and the received matrix's
-    shape.  The stacked system: the pairs i < j (lexicographic) batched by
-    block shape in order of first appearance, the rows of Y(P), pair_gram's
-    index over all batches, and their cols, flat.  Every array is read-only."""
+    and the active groups (ascending): the pairs i < j (lexicographic)
+    batched by block shape in order of first appearance, which serve both the
+    exchange and the stacked system; the length of the slot's noise draw; the
+    received matrix's shape; the rows of Y(P); pair_gram's index over all
+    batches; and their cols, flat.  Every array is read-only."""
 
     groups: tuple
-    exchange: tuple
+    pairs: tuple
     noise_size: int
     shape: tuple
-    pairs: tuple
     rows: int
     gram_index: np.ndarray
     cols_index: np.ndarray
@@ -152,35 +148,26 @@ def received_index(partition: AntennaPartition, tx: np.ndarray, rx: np.ndarray) 
         + np.arange(partition.pilot_lengths[tx[0]])
 
 
-def _exchange_batches(partition: AntennaPartition, act: np.ndarray):
-    """The exchange half of slot_plan: its batches, noise length and shape."""
-    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
-    offsets, m = np.asarray(partition.offsets), partition.num_antennas
-    # ordered pairs i -> j, transmitters then receivers ascending: the order
-    # in which each pair's noise, a real then an imaginary M_j x L_i block, is
-    # drawn, so one draw for the slot starts pair p's noise at start[p]
-    tx, rx = np.repeat(act, act.size), np.tile(act, act.size)
-    keep = tx != rx
-    tx, rx = tx[keep], rx[keep]
-    size = sizes[rx] * lens[tx]
-    start = np.cumsum(2 * size) - 2 * size
-    batches = []
-    for sel in batch_indices((sizes[rx], sizes[tx], lens[tx])):
-        ti, rj = tx[sel], rx[sel]
-        mj, mi, li = sizes[rj[0]], sizes[ti[0]], lens[ti[0]]
-        gain = (offsets[rj, None, None] + np.arange(mj)[:, None]) * m \
-            + offsets[ti, None, None] + np.arange(mi)
-        re = start[sel, None, None] + np.arange(mj * li).reshape(mj, li)
-        batches.append(ExchangeBatch(ti, gain, re, re + mj * li,
-                                     received_index(partition, ti, rj)))
-    return tuple(batches), 2 * int(size.sum()), (m, int(lens.sum()))
-
-
-def _pair_batches(partition: AntennaPartition, act: np.ndarray):
-    """The stacked-system half of slot_plan: its batches, rows, gram_index
-    and cols_index."""
+@lru_cache(maxsize=32)
+def slot_plan(partition: AntennaPartition, active: tuple) -> SlotPlan:
+    """The plan of a slot in which the groups active (ascending) exchange,
+    built once per partition and active groups: equal arguments give the same
+    object."""
     sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
     offsets = np.asarray(partition.offsets)
+    act = np.asarray(active, dtype=int)
+    # the noise of Y_{i->j}, a real then an imaginary M_j x L_i block, is drawn
+    # ordered pair by ordered pair, transmitters then receivers ascending: one
+    # draw for the slot holds it from start[i, j] on
+    tx, rx = np.repeat(act, act.size), np.tile(act, act.size)
+    size = np.where(tx != rx, sizes[rx] * lens[tx], 0)
+    start = np.zeros((sizes.size, sizes.size), dtype=int)
+    start[tx, rx] = np.cumsum(2 * size) - 2 * size
+
+    def noise(tx, rx):
+        m, l = sizes[rx[0]], lens[tx[0]]
+        return start[tx, rx][:, None, None] + np.arange(2 * m * l).reshape(2, 1, m, l)
+
     g = act[np.transpose(np.triu_indices(act.size, 1))]
     batches = []
     for sel in batch_indices((*sizes[g].T, *lens[g].T)):
@@ -188,23 +175,13 @@ def _pair_batches(partition: AntennaPartition, act: np.ndarray):
         cols = np.concatenate((offsets[gi, None] + np.arange(sizes[gi[0]]),
                                offsets[gj, None] + np.arange(sizes[gj[0]])), axis=1)
         batches.append(PairBatch(gi, gj, cols, received_index(partition, gj, gi),
-                                 received_index(partition, gi, gj)))
-    return (tuple(batches), int(np.sum(lens[g[:, 0]] * lens[g[:, 1]])),
-            gram_index(partition.num_antennas, [b.cols for b in batches]),
-            np.concatenate([b.cols.ravel() for b in batches]))
-
-
-@lru_cache(maxsize=32)
-def slot_plan(partition: AntennaPartition, active: tuple) -> SlotPlan:
-    """The plan of a slot in which the groups active (ascending) exchange,
-    built once per partition and active groups: equal arguments give the same
-    object.  The exchange half is built first, so its temporaries are freed
-    before the pair half is built."""
-    act = np.asarray(active, dtype=int)
-    exchange = _exchange_batches(partition, act)
-    plan = SlotPlan(tuple(active), *exchange, *_pair_batches(partition, act))
-    for a in (plan.gram_index, plan.cols_index,
-              *(x for b in plan.exchange + plan.pairs for x in b)):
+                                 received_index(partition, gi, gj), noise(gj, gi), noise(gi, gj)))
+    plan = SlotPlan(tuple(active), tuple(batches), 2 * int(size.sum()),
+                    (partition.num_antennas, int(lens.sum())),
+                    int(np.sum(lens[g[:, 0]] * lens[g[:, 1]])),
+                    gram_index(partition.num_antennas, [b.cols for b in batches]),
+                    np.concatenate([b.cols.ravel() for b in batches]))
+    for a in (plan.gram_index, plan.cols_index, *(x for b in plan.pairs for x in b)):
         a.flags.writeable = False
     return plan
 

@@ -105,9 +105,10 @@ def build_stacked(measurements, pilots) -> StackedSystem:
     plan = measurements.plan
     y = measurements.received.ravel()
     blocks = []
-    for gi, gj, cols, y_ji, y_ij in plan.pairs:
-        bi, bj = pair_equation_block(y[y_ji], y[y_ij], pilots.stacked(gi), pilots.stacked(gj))
-        blocks.append((cols, np.concatenate((bi, bj), axis=2)))
+    for b in plan.pairs:
+        bi, bj = pair_equation_block(y[b.y_ji], y[b.y_ij], pilots.stacked(b.gi),
+                                     pilots.stacked(b.gj))
+        blocks.append((b.cols, np.concatenate((bi, bj), axis=2)))
     m = measurements.partition.num_antennas
     system = StackedSystem(pair_gram(m, plan.gram_index, [w for _, w in blocks]), plan.rows,
                            m, blocks, plan.cols_index)

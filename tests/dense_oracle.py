@@ -4,8 +4,10 @@ The package keeps only A = Y(P)^H Y(P).  dense_y and dense_y_noncoherent
 build Y(P) itself, one row block per pair from pair_equation_block, in the
 order row_blocks gives, so tests can check the Gram, null-space and rank
 properties against the explicit matrix.  vec_transpose_perm is the dense
-form of crb.vec_transpose_index, and split_h inverts crb.stack_h for the
-dense H(h, P) of crb.build_h_composite.
+form of crb.vec_transpose_index.  aux_channel_blocks is each pair's
+auxiliary channel Hc_{i->j}, the reference for crb.context_from_model's pair
+blocks and the input of the dense H(h, P) of crb.build_h_composite; stack_h
+stacks them into h, and split_h inverts stack_h.
 exchange_pairs is airlink.simulate_exchange as one loop over ordered pairs.
 constrained_lstsq is the linear-constraint LS of estimators.ls_estimate
 solved by lstsq on the dense Y(P).  perp_projector is the dense projector
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.linalg import null_space, orth
 
 from arraycal.airlink import noise_variance_from_snr
-from arraycal.crb import lstsq_min_norm
+from arraycal.crb import lstsq_min_norm, vec
 from arraycal.grouping import pair_count
 from arraycal.model import received_index
 from arraycal.stacking import pair_equation_block
@@ -85,6 +87,21 @@ def vec_transpose_perm(m: int, n: int) -> np.ndarray:
     cols = np.arange(m * n) // m
     t[cols + rows * n, rows + cols * m] = 1.0
     return t
+
+
+def aux_channel_blocks(imp, chan, partition):
+    """Hc_{i->j} = R_j C_{i->j} R_i^T for every pair i < j (M_j x M_i each)."""
+    out = {}
+    rx = imp.rx_gains
+    for (i, j) in partition.pairs():
+        si, sj = partition.antennas_of(i), partition.antennas_of(j)
+        out[(i, j)] = rx[sj, None] * chan.c[sj, si] * rx[si, None].T
+    return out
+
+
+def stack_h(h_blocks, partition):
+    """h = [vec(Hc_{i->j})], pairs lexicographic."""
+    return np.concatenate([vec(h_blocks[p]) for p in partition.pairs()])
 
 
 def split_h(h, partition):

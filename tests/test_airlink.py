@@ -186,6 +186,27 @@ def test_partial_activation():
         ms.block(0, 1)
 
 
+@pytest.mark.parametrize("groups", [(0, 0, 1), (-1, 2), (0, 5)])
+def test_simulate_exchange_rejects_bad_groups(groups):
+    # a repeated group, a negative one and one past the last are named, not
+    # built into a plan with a pair twice, wrapped round or indexed out of range
+    rng = np.random.default_rng(12)
+    part = AntennaPartition.singleton(3)
+    pilots, imp, chan = _setup(part, rng)
+    with pytest.raises(ValueError, match=rf"groups \({groups[0]}, {groups[1]}"):
+        simulate_exchange(part, pilots, imp, chan, 20.0, rng, groups=groups)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_simulate_noncoherent_needs_one_channel_per_slot(count):
+    rng = np.random.default_rng(13)
+    part = AntennaPartition.singleton(3)
+    pilots, imp, chan = _setup(part, rng)
+    sched = NoncoherentSchedule(((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match=f"{count} channels for 2 slots"):
+        simulate_noncoherent(part, sched, pilots, imp, 20.0, rng, channels=[chan] * count)
+
+
 def test_measurements_csv(tmp_path):
     rng = np.random.default_rng(8)
     part = AntennaPartition((1, 2), (1, 2))
@@ -274,12 +295,15 @@ def test_plans_are_shared_read_only_and_match_gather(case):
     assert parts[0] is not parts[1]
     plan = slot_plan(parts[0], everyone)
     assert slot_plan(parts[1], everyone) is plan
-    arrays = [plan.gram_index, plan.cols_index,
-              *(a for b in plan.exchange + plan.pairs for a in b)]
+    arrays = [plan.gram_index, plan.cols_index, *(a for b in plan.pairs for a in b)]
+    assert len(arrays) == 2 + 7 * len(plan.pairs)
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a.flat[0] = 0
+    # both directions' real and imaginary noise indices cover the slot's draw once
+    drawn = np.concatenate([n.ravel() for b in plan.pairs for n in (b.n_ij, b.n_ji)])
+    assert np.array_equal(np.sort(drawn), np.arange(plan.noise_size))
     # the measurements carry their slot's plan, whose pair indices read the
     # blocks that block and the oracle's gather read, once for every active pair
     rng = np.random.default_rng(seed)
@@ -288,12 +312,12 @@ def test_plans_are_shared_read_only_and_match_gather(case):
     active = everyone if groups is None else tuple(sorted(groups))
     assert ms.groups == active and ms.plan is slot_plan(part, active)
     y, pairs = ms.received.ravel(), []
-    for gi, gj, _, y_ji, y_ij in ms.plan.pairs:
-        assert np.array_equal(y[y_ji], gather(ms, gj, gi))
-        assert np.array_equal(y[y_ij], gather(ms, gi, gj))
-        for p, (i, j) in enumerate(zip(gi.tolist(), gj.tolist())):
-            assert np.array_equal(y[y_ji[p]], ms.block(j, i))
-            assert np.array_equal(y[y_ij[p]], ms.block(i, j))
+    for b in ms.plan.pairs:
+        assert np.array_equal(y[b.y_ji], gather(ms, b.gj, b.gi))
+        assert np.array_equal(y[b.y_ij], gather(ms, b.gi, b.gj))
+        for p, (i, j) in enumerate(zip(b.gi.tolist(), b.gj.tolist())):
+            assert np.array_equal(y[b.y_ji[p]], ms.block(j, i))
+            assert np.array_equal(y[b.y_ij[p]], ms.block(i, j))
             pairs.append((i, j))
     assert sorted(pairs) == [(i, j) for i in active for j in active if i < j]
     # slots with other active groups get other plans

@@ -457,6 +457,22 @@ def test_skipped_trials_are_reported_by_cause(tmp_path, capsys, monkeypatch):
     assert trials["argos"] == "1" and trials["ls"] == "4"
 
 
+def test_unconverged_estimator_calls_are_reported(tmp_path, capsys):
+    # one AML iteration never meets aml_tol; LS's unique solves and the tree
+    # estimators count as converged, and the CSV keeps its columns
+    cfg = _write(tmp_path, "aml.cfg", SMALL_CONFIG.replace("snr_db = inf", "snr_db = 20, 40")
+                 .replace("trials = 2", "trials = 3").replace("daisy", "daisy, aml")
+                 + "aml_max_iter = 1\n")
+    out = tmp_path / "r.csv"
+    assert cli_main(["run", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"warning: aml did not converge on 3 of 3 trials at {snr} dB\n"
+        for snr in ("20.0", "40.0"))
+    header, *rows = out.read_text().splitlines()
+    assert header == "estimator,constraint,snr_db,mse,crb_trace,trials,wall_time"
+    assert len(rows) == 10 and all(r.split(",")[5] == "3" for r in rows)
+
+
 def test_schedule_plans_are_built_once_per_run():
     # 66 pairwise slots cycle slot_plan's cache of 32 plans: every trial
     # rebuilt every slot's plan (0 hits, 1,320 misses in 20 trials)

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dense_oracle import (dense_y, numerical_rank, perp_projector, split_h, svd_pair_solve,
-                          vec_transpose_perm)
+from dense_oracle import (aux_channel_blocks, dense_y, numerical_rank, perp_projector,
+                          split_h, stack_h, svd_pair_solve, vec_transpose_perm)
 from arraycal import crb
 from arraycal.airlink import PilotSet, default_pilots, simulate_exchange
 from arraycal.bench import parse_config, run_experiment
 from arraycal.crb import (
     UNIDENTIFIABLE_RTOL,
-    aux_channel_blocks,
     build_f_composite,
     build_f_perp,
     build_h_composite,
@@ -21,9 +20,9 @@ from arraycal.crb import (
     group_factors,
     ml_compressed_cost,
     pair_f_block,
+    pair_h_block,
     pair_project,
     pair_solve,
-    stack_h,
     stack_observations,
     vec,
     vec_transpose_index,
@@ -108,7 +107,7 @@ def test_fim_properties():
     ctx = context_from_model(imp, chan, pilots, part, 1e-2)
     j = fim(ctx)
     assert np.max(np.abs(j - j.conj().T)) < 1e-12
-    null = np.concatenate([ctx.f, -ctx.h])
+    null = np.concatenate([ctx.f, -stack_h(aux_channel_blocks(imp, chan, part), part)])
     assert np.linalg.norm(j @ null) / np.linalg.norm(j) < 1e-10
     ctx2 = context_from_model(imp, chan, pilots, part, 2e-2)
     assert np.max(np.abs(fim(ctx2) - j / 2)) < 1e-10 * np.max(np.abs(j))
@@ -386,6 +385,29 @@ def test_pair_blocks_equal_dense_oracle(case):
     assert _rel(rep.f_hat.f, f1) <= 1e-10
     cost = np.linalg.norm(y - hm1 @ f1) ** 2     # 0 up to rounding if exactly determined
     assert abs(rep.final_cost - cost) <= 1e-10 * max(cost, 1e-10 * np.vdot(y, y).real)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_partitions())
+@example((AntennaPartition((1, 2, 3), (2, 2, 1)), 0))
+@example((AntennaPartition((2, 1, 2, 1), (1, 3, 1, 3)), 2))   # a batch of three pairs
+def test_context_pair_blocks_equal_per_pair_oracle_to_the_bit(case):
+    # each batch's H_p, read off R C R^T at its columns, is the per-pair
+    # aux_channel_blocks' Hc_{i->j} put through pair_h_block and zero-padded
+    part, seed = case
+    rng = np.random.default_rng(seed)
+    pilots, imp, chan, _ = _instance(part, rng)
+    ctx = context_from_model(imp, chan, pilots, part, 1e-2)
+    hb = aux_channel_blocks(imp, chan, part)
+    assert len(ctx.h_pairs) == len(ctx.plan.pairs)
+    for b, hp in zip(ctx.plan.pairs, ctx.h_pairs):
+        p_i, p_j = pilots.stacked(b.gi), pilots.stacked(b.gj)
+        bi, bj = pair_h_block(np.stack([hb[p] for p in zip(b.gi.tolist(), b.gj.tolist())]),
+                              p_i, p_j)
+        ref = np.zeros((len(b.gi), bi.shape[1] + bj.shape[1], b.cols.shape[1]), complex)
+        ref[:, :bi.shape[1], :p_i.shape[1]] = bi
+        ref[:, bi.shape[1]:, p_i.shape[1]:] = bj
+        assert np.array_equal(hp, ref)
 
 
 def _cgauss(rng, shape):
