@@ -186,7 +186,8 @@ def _solve_linear_constrained(sys: StackedSystem, g: np.ndarray, c: complex):
         p, d, q, full = li.conj().T, 1.0, li, True
     else:
         w, e = np.linalg.eigh(b)
-        keep = np.abs(w) > _rank_tol(w)
+        # B's rank is at most Y(P)'s row count, whatever rounding lifts above the rule
+        keep = (np.abs(w) > _rank_tol(w)) & (np.arange(w.size) >= w.size - sys.rows)
         p, d, full = e[:, keep], 1.0 / w[keep], bool(keep.all())
         q = p.conj().T
     for _ in range(3):
@@ -205,11 +206,13 @@ def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationRep
     estimators sharing one system (LS, Rogalin, AML's start) solve it once.
 
     converged is False when the solve found f not unique: B dropped an
-    eigenvalue, or A's second-smallest eigenvalue failed the same rank rule or
-    tied with the smallest.  That catches a noiseless or structurally singular
-    system; a noisy system whose structure is deficient (CUSTOM sizes 1,2,
-    lengths 2,1 at 30 dB, where B's smallest eigenvalue is of order 1e-4 of
-    its largest) is check_identifiability's to reject.
+    eigenvalue, A's second-smallest eigenvalue failed the same rank rule or
+    tied with the smallest, or Y(P) has fewer than M - 1 rows (rounding in A
+    can lift a zero eigenvalue past the rank rule, but not past that bound).
+    That catches a noiseless or structurally singular system; a noisy system
+    whose structure is deficient (CUSTOM sizes 1,2, lengths 2,1 at 30 dB,
+    where B's smallest eigenvalue is of order 1e-4 of its largest) is
+    check_identifiability's to reject.
     """
     linear = constraint.kind in (FCC, LINEAR)
     if linear:
@@ -222,7 +225,8 @@ def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationRep
     f = normalize_for_constraint(f, constraint) if constraint.kind == NPC else f.copy()
     cost = float(np.real(f.conj() @ sys.gram @ f))
     tag = constraint.kind if constraint.kind != LINEAR else "NONE"
-    return EstimationReport(CalibrationVector(f, tag), 1, cost, converged=unique)
+    return EstimationReport(CalibrationVector(f, tag), 1, cost,
+                            converged=unique and sys.rows >= sys.m - 1)
 
 
 def star(partition: AntennaPartition) -> np.ndarray:

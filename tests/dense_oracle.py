@@ -13,7 +13,8 @@ constrained_lstsq is the linear-constraint LS of estimators.ls_estimate
 solved by lstsq on the dense Y(P).  perp_projector is the dense projector
 that the CRB's per-pair blocks replace, and svd_pair_solve the per-pair
 route crb.pair_project and crb.pair_solve replace: a batched SVD of every
-dense F_p.
+dense F_p, solved by svd_lstsq, the SVD route crb.lstsq_min_norm replaces
+for one unknown.
 numerical_rank is the rank rule the tests read off dense matrices, and
 brute_force_best_pair_count the exhaustive search behind
 grouping.optimal_group_sizes.
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.linalg import null_space, orth
 
 from arraycal.airlink import noise_variance_from_snr
-from arraycal.crb import lstsq_min_norm, vec
+from arraycal.crb import vec
 from arraycal.grouping import pair_count
 from arraycal.model import received_index
 from arraycal.stacking import pair_equation_block
@@ -172,11 +173,22 @@ def range_basis(a):
     return u * keep[..., None, :]
 
 
+def svd_lstsq(a, b):
+    """Minimum-norm lstsq solutions of a stack of systems a x = b (P, r, n)
+    through an SVD of every a, with np.linalg.lstsq's rank rule: the
+    reference for crb.lstsq_min_norm, including its one-unknown projection."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    keep = s > max(a.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    c = np.einsum("prk,pr->pk", u.conj(), b)
+    c = np.where(keep, c / np.where(keep, s, 1.0), 0.0)
+    return np.einsum("pkn,pk->pn", vh.conj(), c)
+
+
 def svd_pair_solve(fp, x):
     """The pair least squares through an SVD of each dense F_p (P, r, n): the
     minimum-norm lstsq solutions w (P, n, c), the residuals P_perp,p x
     (P, r, c) and the kept rank of each F_p."""
-    w = np.stack([lstsq_min_norm(fp, x[:, :, k]) for k in range(x.shape[2])], axis=2)
+    w = np.stack([svd_lstsq(fp, x[:, :, k]) for k in range(x.shape[2])], axis=2)
     q = range_basis(fp)
     return w, x - q @ (q.conj().transpose(0, 2, 1) @ x), np.count_nonzero(q.any(axis=1), axis=1)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dense_oracle import (aux_channel_blocks, dense_y, numerical_rank, perp_projector,
-                          split_h, stack_h, svd_pair_solve, vec_transpose_perm)
+                          split_h, stack_h, svd_lstsq, svd_pair_solve, vec_transpose_perm)
 from arraycal import crb
 from arraycal.airlink import PilotSet, default_pilots, simulate_exchange
 from arraycal.bench import parse_config, run_experiment
@@ -18,6 +18,7 @@ from arraycal.crb import (
     crb_f_known_h,
     fim,
     group_factors,
+    lstsq_min_norm,
     ml_compressed_cost,
     pair_f_block,
     pair_h_block,
@@ -28,6 +29,7 @@ from arraycal.crb import (
     vec_transpose_index,
 )
 from arraycal.estimators import ConstraintSpec, aml_estimate, ls_estimate, mse
+from arraycal.grouping import make_scheme
 from arraycal.model import (
     AntennaPartition,
     IID_RAYLEIGH,
@@ -426,10 +428,13 @@ def _pair_cases(draw):
 @example((2, 3, 3, 1, 2, 2, np.zeros(10, dtype=bool), 0))     # L > M and L < M
 @example((2, 2, 1, 1, 1, 1, np.array([0, 1, 0, 1], dtype=bool), 1))   # f_i, f_j half zero
 @example((1, 1, 1, 1, 2, 1, np.array([1, 1, 0, 1], dtype=bool), 2))   # F_p = 0
+@example((1, 1, 1, 1, 3, 2, np.array([0, 0, 1, 0, 0, 1], dtype=bool), 3))   # 1 x 1 groups
+@example((1, 1, 2, 3, 2, 1, np.array([0, 1, 0, 0], dtype=bool), 4))   # M = 1 < L
 def test_pair_solve_equals_svd_of_each_f_block(case):
     # the rotated solve on the group SVDs gives the minimum-norm solution, the
     # residual Gram and the kept rank of an SVD of every dense F_p, including
-    # F_p that are rank deficient through L < M or zeros in f
+    # F_p that are rank deficient through L < M or zeros in f, and 1 x 1
+    # groups, whose factors are a modulus and a phase
     mi, mj, li, lj, n, c, zero, seed = case
     rng = np.random.default_rng(seed)
     part = AntennaPartition((mi, mj) * n, (li, lj) * n)
@@ -454,6 +459,24 @@ def test_pair_solve_equals_svd_of_each_f_block(case):
     res_eye = pair_project(fac(gi), fac(gj), eye)[1]
     rank = r - np.rint(np.einsum("prk,prk->p", res_eye.conj(), res_eye).real).astype(int)
     assert np.array_equal(rank, rank_ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(-150, 150), st.integers(-150, 150),
+       st.integers(0, 2**32 - 1))
+@example(3, 4, -150, 150, 0)
+@example(3, 4, 150, -150, 1)
+def test_one_unknown_lstsq_is_a_projection(n, r, a_exp, b_exp, seed):
+    # a one-column system, solved as (a / ||a||)^H b / ||a||, is lstsq's
+    # solution at any scale, and exactly 0 where a = 0
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** a_exp * _cgauss(rng, (n, r, 1)) * (rng.random((n, r, 1)) < 0.8)
+    a[rng.random(n) < 0.3] = 0
+    b = 10.0 ** b_exp * _cgauss(rng, (n, r))
+    x = lstsq_min_norm(a, b)
+    ref = np.stack([np.linalg.lstsq(a[p], b[p], rcond=None)[0] for p in range(n)])
+    assert np.all(x[~a.any(axis=(1, 2))] == 0)
+    assert np.all(np.abs(x - ref) <= 1e-12 * np.abs(ref))
 
 
 @st.composite
@@ -507,9 +530,12 @@ def _svd_h_step(fi, fj, x):
 @settings(max_examples=40, deadline=None)
 @given(_partitions())
 @example((AntennaPartition((1, 2, 3), (2, 2, 1)), 0))
+@example((AntennaPartition((1, 1, 1, 1), (1, 1, 1, 1)), 0))
+@example((AntennaPartition((1, 1, 1), (2, 1, 3)), 0))
 def test_aml_with_svd_h_step_takes_the_same_path(case):
     # AML's iterations, convergence and estimate are those of the h-step that
-    # solves each dense F_p through its SVD
+    # solves each dense F_p, and the f-step that solves each group's rows,
+    # through an SVD
     part, seed = case
     if not check_identifiability(part)["ok"]:
         return
@@ -519,6 +545,24 @@ def test_aml_with_svd_h_step_takes_the_same_path(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(crb, "group_factors", _dense_factors)
         mp.setattr(crb, "pair_solve", _svd_h_step)
+        mp.setattr(crb, "lstsq_min_norm", svd_lstsq)
         ref = aml_estimate(ms, pilots, part, max_iter=30)
     assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
     assert _rel(rep.f_hat.f, ref.f_hat.f) <= 1e-10
+
+
+def test_single_antenna_aml_and_crb_take_no_svd(monkeypatch):
+    # with one antenna and one pilot symbol per group, every group factor and
+    # f-step is closed form
+    part = make_scheme("SINGLETON", 8).partition
+    pilots, imp, chan, ms = _instance(part, np.random.default_rng(5), snr=30.0)
+    ctx = context_from_model(imp, chan, pilots, part, 1e-3)
+    init = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc()).f_hat.f
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    rep = aml_estimate(ms, pilots, part, init=init)
+    assert rep.converged and np.all(np.isfinite(rep.f_hat.f))
+    assert all(np.isfinite(crb_f(ctx, c).trace) for c in ("FCC", "NPC"))

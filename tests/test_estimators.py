@@ -131,6 +131,7 @@ def _constrained_cases(draw):
 @example((AntennaPartition((3, 3), (1, 1)), np.inf, True, 0))        # singular B
 @example((AntennaPartition((1, 2), (2, 1)), 20.0, False, 1))
 @example((AntennaPartition((1, 1, 1, 1, 5), (1,) * 5), 30.0, True, 2))
+@example((AntennaPartition((1, 2), (1, 1)), 0.0, False, 160275))   # one row, B's zero rounds up
 def test_linear_constrained_ls_equals_dense_lstsq(case):
     # the eigendecomposition of B = V^H A V against lstsq on the dense Y(P) V
     # with another basis V: the same minimum-norm f, the same rank.  Over
