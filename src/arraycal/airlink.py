@@ -52,14 +52,17 @@ class PilotSet:
 
     @cached_property
     def by_shape(self):
-        """{shape: (groups, their blocks stacked)} and each group's place in it."""
+        """{shape: (groups, their blocks stacked, their antennas (n, M_g),
+        numbered group after group)} and each group's place in it."""
         groups = {}
         for g, b in enumerate(self.blocks):
             groups.setdefault(b.shape, []).append(g)
         place = np.empty(len(self.blocks), dtype=int)
         for gs in groups.values():
             place[gs] = np.arange(len(gs))
-        return {shape: (np.array(gs), np.stack([self.blocks[g] for g in gs]))
+        first = np.cumsum([0] + [b.shape[0] for b in self.blocks])
+        return {shape: (np.array(gs), np.stack([self.blocks[g] for g in gs]),
+                        first[gs, None] + np.arange(shape[0]))
                 for shape, gs in groups.items()}, place
 
     def stacked(self, groups: np.ndarray) -> np.ndarray:
@@ -71,7 +74,7 @@ class PilotSet:
     def _full_rank(self) -> bool:
         """Whether every block has full rank, checked once per object."""
         return all(np.all(np.linalg.matrix_rank(stack) >= min(shape))
-                   for shape, (_, stack) in self.by_shape[0].items())
+                   for shape, (_, stack, _) in self.by_shape[0].items())
 
     def validate(self, partition: AntennaPartition) -> None:
         if len(self.blocks) != partition.num_groups:
@@ -105,10 +108,10 @@ class MeasurementSet:
     """One slot's received samples as a single M x sum(L_i) matrix.
 
     Y_{i->j} = received[antennas of j, pilot columns of i] (M_j x L_i).  Self
-    blocks and the rows and columns of inactive groups hold zeros and are
-    never read.  plan is the slot's index structure (model.slot_plan), from
-    which build_stacked, AML and the compressed cost read the pair blocks.
-    build_stacked keeps its last result in stacked.
+    blocks and the rows and columns of inactive groups hold zeros, which no
+    estimate uses.  plan is the slot's index structure (model.slot_plan), from
+    which build_stacked and the compressed cost read the pair blocks; AML
+    reads the matrix whole.  build_stacked keeps its last result in stacked.
     """
 
     received: np.ndarray

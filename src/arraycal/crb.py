@@ -13,11 +13,14 @@ norm-plus-phase / f-linear constraint.
 Both composites are block structured over group pairs: F is block diagonal,
 and pair p's rows of H touch only groups i and j.  F_p = [A_i kron I_{M_j};
 I_{M_i} kron A_j], A_g = P_g^T diag(f_g), enters only through the SVDs of the
-A_g (pair_project); build_h_composite and build_f_composite are test references.
-A 1 x 1 A_g's SVD is its modulus and phase, and a least squares with one
-unknown (AML's f-step of a single-antenna group) is a projection; both are
-taken in closed form under the SVD's rank rule, so single-antenna groups with
-one pilot symbol cost no LAPACK call.
+A_g (group_factors, pair_project); build_h_composite and build_f_composite are
+test references.  A 1 x 1 A_g's SVD is its modulus and phase, and a least
+squares with one unknown (AML's f-step of a single-antenna group) is a
+projection; both are taken in closed form under the SVD's rank rule, so
+single-antenna groups with one pilot symbol cost no LAPACK call.
+By reciprocity the Hc_{i->j} are the blocks of one symmetric K = R C R^T, so
+AML solves every pair's h at once, as one M x M solve for K in the groups'
+singular bases (estimators.aml_estimate).
 """
 
 from __future__ import annotations
@@ -45,16 +48,6 @@ def vec(a: np.ndarray) -> np.ndarray:
 def vec_transpose_index(m: int, n: int) -> np.ndarray:
     """Index permutation t with vec(X)[t] = vec(X^T) for X of shape (m, n)."""
     return vec(np.arange(m * n).reshape(m, n, order="F").T)
-
-
-def pair_observations(measurements, batch) -> np.ndarray:
-    """Pair p's entries of y, [vec(Y_{i->j}); vec(Y_{j->i}^T)], stacked over
-    a batch of pairs of equal shape (a PairBatch of the slot's plan),
-    (P, L_iM_j + M_iL_j)."""
-    y = measurements.received.ravel()
-    n = len(batch.gi)
-    return np.concatenate((y[batch.y_ij].transpose(0, 2, 1).reshape(n, -1),
-                           y[batch.y_ji].reshape(n, -1)), axis=1)
 
 
 def stack_observations(measurements, partition: AntennaPartition) -> np.ndarray:
@@ -151,22 +144,19 @@ def lstsq_min_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("pkn,pk->pn", vh.conj(), c)
 
 
-def group_factors(f: np.ndarray, pilots, partition: AntennaPartition):
+def shape_factors(f: np.ndarray, pilots) -> dict:
     """Full SVDs U_g S_g V_g^H of every group's A_g = P_g^T diag(f_g), batched by
-    shape: the function stacking (U^H, s zero-padded to M_g, V^H, V) by groups.
+    shape: {(M_g, L_g): (U^H, s zero-padded to M_g, V^H, V)}, each stacked over
+    the shape's groups in pilots.by_shape order.
 
     A 1 x 1 A_g = a is its own SVD, modulus and phase: s = |a|, U = e^{i arg a}
     (1 where a = 0) and V = 1, LAPACK's convention.  Other rank-one shapes
     (M_g = 1 < L_g, L_g = 1 < M_g) need a unitary completed around one vector
-    and stay on the SVD: a batched Householder completion saves only the
-    LAPACK call, and took 78 us against the SVD's 71 us on the 12 groups of
-    FC_II at M = 64 (timeit, 2 CPUs, OpenBLAS).
+    and stay on the SVD, which a batched Householder completion did not beat.
     """
-    stacks, place = pilots.by_shape
-    offsets = np.asarray(partition.offsets)
     svds = {}
-    for (m, l), (gs, p) in stacks.items():
-        a = p.transpose(0, 2, 1) * f[offsets[gs, None, None] + np.arange(m)]
+    for (m, l), (gs, p, rows) in pilots.by_shape[0].items():
+        a = p.transpose(0, 2, 1) * f[rows[:, None]]
         if (m, l) == (1, 1):
             one = np.ones_like(a)
             svds[m, l] = (np.exp(-1j * np.angle(a)), np.abs(a[:, 0]), one, one)
@@ -174,6 +164,12 @@ def group_factors(f: np.ndarray, pilots, partition: AntennaPartition):
             u, s, vh = np.linalg.svd(a)
             s = np.concatenate((s, np.zeros((gs.size, m - s.shape[1]))), axis=1)
             svds[m, l] = (u.conj().transpose(0, 2, 1), s, vh, vh.conj().transpose(0, 2, 1))
+    return svds
+
+
+def group_factors(f: np.ndarray, pilots):
+    """shape_factors as a function stacking groups' (U^H, s, V^H, V) in order."""
+    svds, place = shape_factors(f, pilots), pilots.by_shape[1]
     return lambda groups: tuple(x.take(place[groups], 0) for x in svds[pilots[groups[0]].shape])
 
 
@@ -204,14 +200,6 @@ def pair_project(factors_i, factors_j, x: np.ndarray):
     t[:, :mi] -= s_i * wt[:, :li]
     rot[:, :, :mj] -= s_j * wt[:, :, :lj]
     return wt, np.concatenate((t.reshape(n, li * mj, c), rot.reshape(n, mi * lj, c)), axis=1)
-
-
-def pair_solve(factors_i, factors_j, x: np.ndarray) -> np.ndarray:
-    """Minimum-norm solutions of F_p w = x: the rows of V_i W~ V_j^T, (P, M_iM_j, c)."""
-    wt = pair_project(factors_i, factors_j, x)[0]
-    n, mi, mj, c = wt.shape
-    w = factors_j[3][:, None] @ (factors_i[3] @ wt.reshape(n, mi, mj * c)).reshape(n, mi, mj, c)
-    return w.reshape(n, mi * mj, c)
 
 
 @dataclass
@@ -288,7 +276,7 @@ def compressed_information(ctx: CrbContext) -> np.ndarray:
     times sigma^2.  F is block diagonal over pairs, so its projector splits into
     the pairs' small ones: B = sum_p (P_perp,p H_p)^H (P_perp,p H_p), the
     Grams of pair_project's residuals."""
-    fac = group_factors(ctx.f, ctx.pilots, ctx.partition)
+    fac = group_factors(ctx.f, ctx.pilots)
     ws = [pair_project(fac(b.gi), fac(b.gj), hp)[1] for b, hp in zip(ctx.plan.pairs, ctx.h_pairs)]
     b = pair_gram(ctx.f.size, ctx.plan.gram_index, ws)
     return (b + b.conj().T) / 2
@@ -387,11 +375,11 @@ def ml_compressed_cost(measurements, f: np.ndarray, pilots,
     smaller number and only the direct route is evaluated.
     """
     f = np.asarray(f, dtype=complex)
-    fac = group_factors(f, pilots, partition)
-    cost_direct = 0.0
-    for b in measurements.plan.pairs:
-        res = pair_project(fac(b.gi), fac(b.gj), pair_observations(measurements, b)[..., None])[1]
-        cost_direct += float(np.sum(np.abs(res) ** 2))
+    fac, y, cost_direct = group_factors(f, pilots), measurements.received.ravel(), 0.0
+    for b in measurements.plan.pairs:       # y_p = [vec(Y_{i->j}); vec(Y_{j->i}^T)]
+        y_p = np.concatenate((y[b.y_ij].transpose(0, 2, 1).reshape(len(b.gi), -1, 1),
+                              y[b.y_ji].reshape(len(b.gi), -1, 1)), axis=1)
+        cost_direct += float(np.sum(np.abs(pair_project(fac(b.gi), fac(b.gj), y_p)[1]) ** 2))
     d = np.subtract(partition.pilot_lengths, partition.group_sizes)
     if np.any(np.triu(np.multiply.outer(d, d), 1) < 0):
         return cost_direct

@@ -406,12 +406,18 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
                  constraint: ConstraintSpec | None = None) -> EstimationReport:
     """Alternating maximum likelihood on the bilinear model y = H(h) f = F(f) h.
 
-    Each half-step is an exact quadratic solve, so the residual cost
-    ||y - H f||^2 is non-increasing.  F is block diagonal over pairs, so the
-    h-step is one least-squares solve per pair (crb.pair_solve); each row of
-    H touches one group, so the f-step is one per group.  Both are batched
-    over blocks of equal shape and take the minimum-norm solution, which
-    tolerates a singular F^H F.  Non-convergence is reported, not raised.
+    Each half-step is an exact minimum-norm least squares, so the cost
+    ||y - H f||^2 is non-increasing and a singular F^H F is tolerated;
+    non-convergence is reported, not raised.  Both work on the received
+    matrix Y = K F P (off its self blocks): K = R C R^T is symmetric by
+    reciprocity, F = diag(f) and P = blkdiag(P_g).  The h-step solves every
+    pair's block of K at once: with A_g = P_g^T F_g = U_g S_g V_g^H
+    (crb.shape_factors) and Z = X + X^T, X = Y conj(P)^T conj(F), the normal
+    equations K A^T conj(A) + A^H A K = Z decouple in the V_g bases, so
+    K~ = V^H Z conj(V) / (s_a^2 + s_b^2) where crb.pair_project's rank rule
+    holds, and K = V K~ V^T.  The f-step solves group g's rows
+    B_a = P_g^T diag(K[a, rows_g]) against Y[a, cols_g], a outside g
+    (crb.lstsq_min_norm), batched over groups of equal shape.
     """
     require_aml_settings(tol, max_iter)
     if len(measurements.groups) < partition.num_groups:
@@ -420,49 +426,51 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
         else np.asarray(init, dtype=complex).copy()
     if not np.any(f):
         raise ValueError("init must be nonzero")
-    m = partition.num_antennas
-    # H's rows per group, stacked over groups of one pilot shape (M_g, L_g):
-    # group g has L_g (M - M_g) rows, filled pair by pair
-    stacks, place = pilots.by_shape
-    h_rows = {key: np.zeros((len(gs), key[1] * (m - key[0]), key[0]), dtype=complex)
-              for key, (gs, _) in stacks.items()}
-    y_rows = {key: np.zeros(h.shape[:2], dtype=complex) for key, h in h_rows.items()}
-    filled = [0] * partition.num_groups
-    pairs = []
-    for b in measurements.plan.pairs:
-        p_i, p_j = pilots.stacked(b.gi), pilots.stacked(b.gj)
-        y_p = _crb.pair_observations(measurements, b)
-        top = p_i.shape[2] * p_j.shape[1]       # L_i M_j rows act on f_i
-        sides = []
-        for side, y_side in ((b.gi.tolist(), y_p[:, :top]), (b.gj.tolist(), y_p[:, top:])):
-            start = []
-            for g in side:
-                start.append(filled[g])
-                filled[g] += y_side.shape[1]
-            key = pilots[side[0]].shape
-            dest = (place[side][:, None], np.array(start)[:, None] + np.arange(y_side.shape[1]))
-            y_rows[key][dest] = y_side
-            sides.append((key, dest))
-        pairs.append((b.gi, b.gj, p_i, p_j, y_p[..., None], sides))
-    offsets = np.asarray(partition.offsets)
-    antennas = {key: offsets[gs][:, None] + np.arange(key[0]) for key, (gs, _) in stacks.items()}
+    m, y = partition.num_antennas, measurements.received
+    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
+    m_a, l_a = np.repeat(sizes, sizes), np.repeat(lens, sizes)
+    # pair_project's rank rule per entry: (max(r, M_iM_j) eps)^2, r = L_iM_j + M_iL_j
+    rule = (np.maximum(np.outer(l_a, m_a) + np.outer(m_a, l_a), np.outer(m_a, m_a))
+            * np.finfo(float).eps) ** 2
+    yp = np.empty((m, m), dtype=complex)        # Y conj(P)^T, self blocks zero
+    shapes = []                                 # the f-step's rows, per group shape
+    for (mg, lg), (gs, p, rows) in pilots.by_shape[0].items():
+        cols = np.asarray(partition.pilot_offsets)[gs, None] + np.arange(lg)
+        yp[:, rows] = np.einsum("anl,nkl->ank", y[:, cols], p.conj())
+        yp[rows[:, :, None], rows[:, None, :]] = 0
+        out = np.arange(m - mg) + mg * (np.arange(m - mg) >= rows[:, :1])   # a outside g
+        shapes.append(((mg, lg), rows, out[:, :, None] * m + rows[:, None, :],
+                       p.transpose(0, 2, 1)[:, None],
+                       y[out[:, :, None], cols[:, None, :]].reshape(gs.size, -1)))
+    # a single antenna's V_g is a unit phase, which cancels in K = V K~ V^T
+    spun = [(key, rows) for key, rows, *_ in shapes if key[0] > 1]
 
-    cost = np.inf
-    converged = False
-    it = 0
+    def rotate(z, svds, which):                 # blkdiag(V_g^H or V_g) z, in place
+        for key, rows in spun:
+            z[rows] = svds[key][which] @ z[rows]
+        return z
+
+    cost, converged, it = np.inf, False, 0
     for it in range(1, max_iter + 1):
-        factors = _crb.group_factors(f, pilots, partition)
-        for gi, gj, p_i, p_j, y_p, sides in pairs:
-            h = _crb.pair_solve(factors(gi), factors(gj), y_p)
-            hc = h.reshape(len(h), p_i.shape[1], p_j.shape[1]).transpose(0, 2, 1)
-            for (key, dest), blk in zip(sides, _crb.pair_h_block(hc, p_i, p_j)):
-                h_rows[key][dest] = blk
+        svds = _crb.shape_factors(f, pilots)
+        s2, s2_max = np.empty(m), np.empty(m)
+        for key, rows, *_ in shapes:
+            s2[rows] = svds[key][1] ** 2
+            s2_max[rows] = s2[rows[:, :1]]
+        x = yp * f.conj()
+        zt = rotate(rotate(x + x.T, svds, 2).T, svds, 2)
+        den = s2[:, None] + s2
+        inv = np.divide(1.0, den, out=np.zeros_like(den),
+                        where=den > rule * (s2_max[:, None] + s2_max))
+        # the second rotation writes through a transposed view: the buffer is V K~ V^T
+        k = rotate(rotate(zt * inv, svds, 3).T, svds, 3).T.ravel()
         f_new = np.empty(m, dtype=complex)
         cost = 0.0
-        for key, a in h_rows.items():
-            f_g = _crb.lstsq_min_norm(a, y_rows[key])
-            f_new[antennas[key]] = f_g
-            cost += float(np.sum(np.abs(y_rows[key] - np.einsum("prk,pk->pr", a, f_g)) ** 2))
+        for _, rows, k_at, pt, rhs in shapes:
+            a = (k[k_at][:, :, None] * pt).reshape(rhs.shape + (-1,))
+            f_g = _crb.lstsq_min_norm(a, rhs)
+            f_new[rows] = f_g
+            cost += float(np.sum(np.abs(rhs - np.einsum("prk,pk->pr", a, f_g)) ** 2))
         delta = np.linalg.norm(f_new - f) / np.linalg.norm(f)
         f = f_new
         if delta < tol:

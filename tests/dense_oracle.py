@@ -12,9 +12,14 @@ exchange_pairs is airlink.simulate_exchange as one loop over ordered pairs.
 constrained_lstsq is the linear-constraint LS of estimators.ls_estimate
 solved by lstsq on the dense Y(P).  perp_projector is the dense projector
 that the CRB's per-pair blocks replace, and svd_pair_solve the per-pair
-route crb.pair_project and crb.pair_solve replace: a batched SVD of every
+route crb.pair_project and pair_solve replace: a batched SVD of every
 dense F_p, solved by svd_lstsq, the SVD route crb.lstsq_min_norm replaces
-for one unknown.
+for one unknown.  pair_solve is crb.pair_project's minimum-norm solution,
+and pair_observations a pair batch's entries of y.  pairwise_aml is the
+alternating ML of estimators.aml_estimate written pair by pair, as that
+function was before it worked on the received matrix: pair_solve's h-step
+on each pair's observations, and svd_lstsq's f-step on each group's rows
+of H, filled pair by pair.
 numerical_rank is the rank rule the tests read off dense matrices, and
 brute_force_best_pair_count the exhaustive search behind
 grouping.optimal_group_sizes.
@@ -24,7 +29,7 @@ import numpy as np
 from scipy.linalg import null_space, orth
 
 from arraycal.airlink import noise_variance_from_snr
-from arraycal.crb import vec
+from arraycal.crb import group_factors, pair_h_block, pair_project, vec
 from arraycal.grouping import pair_count
 from arraycal.model import received_index
 from arraycal.stacking import pair_equation_block
@@ -191,6 +196,76 @@ def svd_pair_solve(fp, x):
     w = np.stack([svd_lstsq(fp, x[:, :, k]) for k in range(x.shape[2])], axis=2)
     q = range_basis(fp)
     return w, x - q @ (q.conj().transpose(0, 2, 1) @ x), np.count_nonzero(q.any(axis=1), axis=1)
+
+
+def pair_solve(factors_i, factors_j, x):
+    """Minimum-norm solutions of F_p w = x: the rows of V_i W~ V_j^T, (P, M_iM_j, c)."""
+    wt = pair_project(factors_i, factors_j, x)[0]
+    n, mi, mj, c = wt.shape
+    w = factors_j[3][:, None] @ (factors_i[3] @ wt.reshape(n, mi, mj * c)).reshape(n, mi, mj, c)
+    return w.reshape(n, mi * mj, c)
+
+
+def pair_observations(measurements, batch):
+    """Pair p's entries of y, [vec(Y_{i->j}); vec(Y_{j->i}^T)], stacked over
+    a batch of pairs of equal shape (a PairBatch of the slot's plan),
+    (P, L_iM_j + M_iL_j)."""
+    y = measurements.received.ravel()
+    n = len(batch.gi)
+    return np.concatenate((y[batch.y_ij].transpose(0, 2, 1).reshape(n, -1),
+                           y[batch.y_ji].reshape(n, -1)), axis=1)
+
+
+def pairwise_aml(measurements, pilots, partition, init=None, tol=1e-6, max_iter=100):
+    """Alternating ML pair by pair, from init (ones by default): the h-step
+    solves each pair's observations y_p = F_p h_p (pair_solve), and the
+    f-step each group's rows of H (svd_lstsq), which H's pair blocks fill
+    pair by pair.  Returns (f, iterations, final cost, converged), with the
+    iterates, cost and stopping rule of estimators.aml_estimate."""
+    f = np.ones(partition.num_antennas, dtype=complex) if init is None \
+        else np.asarray(init, dtype=complex).copy()
+    m = partition.num_antennas
+    stacks, place = pilots.by_shape
+    h_rows = {key: np.zeros((len(gs), key[1] * (m - key[0]), key[0]), dtype=complex)
+              for key, (gs, _, _) in stacks.items()}
+    y_rows = {key: np.zeros(h.shape[:2], dtype=complex) for key, h in h_rows.items()}
+    filled = [0] * partition.num_groups
+    pairs = []
+    for b in measurements.plan.pairs:
+        p_i, p_j = pilots.stacked(b.gi), pilots.stacked(b.gj)
+        y_p = pair_observations(measurements, b)
+        top = p_i.shape[2] * p_j.shape[1]       # L_i M_j rows act on f_i
+        sides = []
+        for side, y_side in ((b.gi.tolist(), y_p[:, :top]), (b.gj.tolist(), y_p[:, top:])):
+            start = []
+            for g in side:
+                start.append(filled[g])
+                filled[g] += y_side.shape[1]
+            key = pilots[side[0]].shape
+            dest = (place[side][:, None], np.array(start)[:, None] + np.arange(y_side.shape[1]))
+            y_rows[key][dest] = y_side
+            sides.append((key, dest))
+        pairs.append((b.gi, b.gj, p_i, p_j, y_p[..., None], sides))
+    cost, converged, it = np.inf, False, 0
+    for it in range(1, max_iter + 1):
+        factors = group_factors(f, pilots)
+        for gi, gj, p_i, p_j, y_p, sides in pairs:
+            h = pair_solve(factors(gi), factors(gj), y_p)
+            hc = h.reshape(len(h), p_i.shape[1], p_j.shape[1]).transpose(0, 2, 1)
+            for (key, dest), blk in zip(sides, pair_h_block(hc, p_i, p_j)):
+                h_rows[key][dest] = blk
+        f_new = np.empty(m, dtype=complex)
+        cost = 0.0
+        for key, a in h_rows.items():
+            f_g = svd_lstsq(a, y_rows[key])
+            f_new[stacks[key][2]] = f_g
+            cost += float(np.sum(np.abs(y_rows[key] - np.einsum("prk,pk->pr", a, f_g)) ** 2))
+        delta = np.linalg.norm(f_new - f) / np.linalg.norm(f)
+        f = f_new
+        if delta < tol:
+            converged = True
+            break
+    return f, it, cost, converged
 
 
 def numerical_rank(a):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from dense_oracle import (aux_channel_blocks, dense_y, numerical_rank, perp_projector,
-                          split_h, stack_h, svd_lstsq, svd_pair_solve, vec_transpose_perm)
+from dense_oracle import (aux_channel_blocks, dense_y, numerical_rank, pair_solve,
+                          pairwise_aml, perp_projector, split_h, stack_h, svd_pair_solve,
+                          vec_transpose_perm)
 from arraycal import crb
 from arraycal.airlink import PilotSet, default_pilots, simulate_exchange
 from arraycal.bench import parse_config, run_experiment
@@ -23,7 +24,6 @@ from arraycal.crb import (
     pair_f_block,
     pair_h_block,
     pair_project,
-    pair_solve,
     stack_observations,
     vec,
     vec_transpose_index,
@@ -446,7 +446,7 @@ def test_pair_solve_equals_svd_of_each_f_block(case):
     fp = pair_f_block(f, cols, pilots.stacked(gi), pilots.stacked(gj))
     r = fp.shape[1]
     x = _cgauss(rng, (n, r, c))
-    fac = group_factors(f, pilots, part)
+    fac = group_factors(f, pilots)
     w, res = pair_solve(fac(gi), fac(gj), x), pair_project(fac(gi), fac(gj), x)[1]
     w_ref, res_ref, rank_ref = svd_pair_solve(fp, x)
     assert np.max(np.abs(w - w_ref), initial=0) <= 1e-12 * np.max(np.abs(w_ref), initial=0)
@@ -512,43 +512,44 @@ def test_f_perp_spans_complement_iff_same_sign(case):
         assert numerical_rank(fperp) < complement
 
 
-def _dense_factors(f, pilots, partition):
-    """group_factors' stand-in for the SVD-of-F_p h-step: each group's f,
-    antenna columns and pilot blocks, from which _svd_h_step forms F_p."""
-    offsets = np.asarray(partition.offsets)
-    return lambda groups: (f, offsets[groups, None] + np.arange(partition.group_sizes[groups[0]]),
-                           pilots.stacked(groups))
+@st.composite
+def _aml_cases(draw):
+    """An identifiable partition of 2-4 groups of 1-3 antennas, random or
+    IDENTITY pilots (L_g = M_g; else L_g in 1..3, so L_g < M_g, L_g = M_g
+    and L_g > M_g all occur), an SNR of 10 or 30 dB, and the ones or the LS
+    start."""
+    kind = draw(st.sampled_from(["UNIT_PHASE_RANDOM", "IDENTITY"]))
+    g = draw(st.integers(2, 4))
+    sizes = tuple(draw(st.integers(1, 3)) for _ in range(g))
+    lens = sizes if kind == "IDENTITY" else tuple(draw(st.integers(1, 3)) for _ in range(g))
+    part = AntennaPartition(sizes, lens)
+    assume(check_identifiability(part)["ok"])
+    return (part, kind, draw(st.sampled_from([10.0, 30.0])), draw(st.sampled_from(["ones", "ls"])),
+            draw(st.integers(0, 2**32 - 1)))
 
 
-def _svd_h_step(fi, fj, x):
-    f, cols_i, p_i = fi
-    _, cols_j, p_j = fj
-    return svd_pair_solve(pair_f_block(f, np.concatenate((cols_i, cols_j), axis=1),
-                                       p_i, p_j), x)[0]
-
-
-@settings(max_examples=40, deadline=None)
-@given(_partitions())
-@example((AntennaPartition((1, 2, 3), (2, 2, 1)), 0))
-@example((AntennaPartition((1, 1, 1, 1), (1, 1, 1, 1)), 0))
-@example((AntennaPartition((1, 1, 1), (2, 1, 3)), 0))
-def test_aml_with_svd_h_step_takes_the_same_path(case):
-    # AML's iterations, convergence and estimate are those of the h-step that
-    # solves each dense F_p, and the f-step that solves each group's rows,
-    # through an SVD
-    part, seed = case
-    if not check_identifiability(part)["ok"]:
-        return
+@settings(max_examples=80, deadline=None)
+@given(_aml_cases())
+@example((AntennaPartition((1, 2, 3), (2, 2, 1)), "UNIT_PHASE_RANDOM", 30.0, "ones", 0))
+@example((AntennaPartition((1, 1, 1, 1), (1, 1, 1, 1)), "UNIT_PHASE_RANDOM", 30.0, "ones", 0))
+@example((AntennaPartition((1, 1, 1), (2, 1, 3)), "UNIT_PHASE_RANDOM", 30.0, "ones", 0))
+@example((make_scheme("FC_II", 24, 8).partition, "UNIT_PHASE_RANDOM", 30.0, "ls", 3))
+def test_aml_takes_the_pairwise_path(case):
+    # AML's one M x M h-step on the received matrix and its f-step per group
+    # give the iterations, convergence, estimate and cost of the pair-by-pair
+    # h-step and the SVD f-step (dense_oracle.pairwise_aml); FC_II's rank-one
+    # groups run for about 100 iterations.  The cost's floor is relative to
+    # ||y||^2, since an exactly determined system has a cost of about 0
+    part, kind, snr, start, seed = case
     rng = np.random.default_rng(seed)
-    pilots, imp, chan, ms = _instance(part, rng, snr=30.0)
-    rep = aml_estimate(ms, pilots, part, max_iter=30)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(crb, "group_factors", _dense_factors)
-        mp.setattr(crb, "pair_solve", _svd_h_step)
-        mp.setattr(crb, "lstsq_min_norm", svd_lstsq)
-        ref = aml_estimate(ms, pilots, part, max_iter=30)
-    assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
-    assert _rel(rep.f_hat.f, ref.f_hat.f) <= 1e-10
+    pilots, imp, chan, ms = _instance(part, rng, snr=snr, kind=kind)
+    init = None if start == "ones" else \
+        ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc()).f_hat.f
+    rep = aml_estimate(ms, pilots, part, init=init)
+    f, iterations, cost, converged = pairwise_aml(ms, pilots, part, init=init)
+    assert (rep.iterations, rep.converged) == (iterations, converged)
+    assert _rel(rep.f_hat.f, f) <= 1e-10
+    assert abs(rep.final_cost - cost) <= 1e-10 * np.vdot(ms.received, ms.received).real
 
 
 def test_single_antenna_aml_and_crb_take_no_svd(monkeypatch):

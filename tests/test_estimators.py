@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dense_oracle import argos_ratios, constrained_lstsq, daisy_ratios, dense_y
 from arraycal.airlink import MeasurementSet, default_pilots, require_pilot_kind, simulate_exchange
@@ -339,19 +339,38 @@ def test_tree_equals_ratio_oracles(m, snr, seed):
 
 
 @st.composite
-def _trees(draw, exact):
+def _trees(draw):
     """A random tree of 2-5 groups (parent[c] < c) with M_0 = 1 and a
-    partition on it: with exact, L_0 = 1, L_c in 1..2 and M_c = L_p L_c, so
-    every edge has exactly M_c rows; else any sizes and lengths in 1..3."""
+    partition on it with L_0 = 1, L_c in 1..2 and M_c = L_p L_c, so every
+    edge has exactly M_c rows."""
     g = draw(st.integers(2, 5))
     parent = np.array([-1] + [draw(st.integers(0, c - 1)) for c in range(1, g)])
-    if exact:
-        lens = [1] + [draw(st.integers(1, 2)) for _ in range(1, g)]
-        sizes = [1] + [lens[parent[c]] * lens[c] for c in range(1, g)]
-    else:
-        sizes = [1] + [draw(st.integers(1, 3)) for _ in range(1, g)]
-        lens = [draw(st.integers(1, 3)) for _ in range(g)]
+    lens = [1] + [draw(st.integers(1, 2)) for _ in range(1, g)]
+    sizes = [1] + [lens[parent[c]] * lens[c] for c in range(1, g)]
     return AntennaPartition(tuple(sizes), tuple(lens)), parent, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def _admitted_trees(draw):
+    """A pilot kind, a random tree of 2-5 groups and a partition on it that
+    the kind and require_tree admit: L_g from the kind (1 for ALL_ONES, M_g
+    for IDENTITY, else 1..3), M_0 = 1, and each child's M_c in 1..3 at most
+    L_c r_p, r_p = min(L_p, M_p), which is require_tree's edge rule
+    min(L_c, M_c) r_p >= M_c."""
+    kind = draw(st.sampled_from(["UNIT_PHASE_RANDOM", "ALL_ONES", "IDENTITY"]))
+    g = draw(st.integers(2, 5))
+    parent = np.array([-1] + [draw(st.integers(0, c - 1)) for c in range(1, g)])
+    sizes, lens = [1], [1 if kind != "UNIT_PHASE_RANDOM" else draw(st.integers(1, 3))]
+    for c in range(1, g):
+        if kind == "IDENTITY":
+            lens.append(draw(st.integers(1, 3)))
+            sizes.append(lens[-1])
+        else:
+            lens.append(1 if kind == "ALL_ONES" else draw(st.integers(1, 3)))
+            r_p = min(lens[parent[c]], sizes[parent[c]])
+            sizes.append(draw(st.integers(1, min(3, lens[-1] * r_p))))
+    part = AntennaPartition(tuple(sizes), tuple(lens))
+    return part, parent, kind, draw(st.integers(0, 2**32 - 1))
 
 
 def _tree_pairs(parent):
@@ -359,7 +378,7 @@ def _tree_pairs(parent):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_trees(exact=True), st.sampled_from([10.0, 30.0]))
+@given(_trees(), st.sampled_from([10.0, 30.0]))
 def test_tree_equals_ls_on_the_tree_pairs(case, snr):
     # each edge gives its child exactly M_c equations, so the substitution is
     # the joint LS of the tree's pair equations, with random pilots and noise.
@@ -380,16 +399,13 @@ def test_tree_equals_ls_on_the_tree_pairs(case, snr):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_trees(exact=False), st.sampled_from(["UNIT_PHASE_RANDOM", "ALL_ONES", "IDENTITY"]))
-def test_tree_recovers_f_where_the_rule_admits(case, kind):
+@given(_admitted_trees())
+def test_tree_recovers_f_where_the_rule_admits(case):
     # no partition that require_tree admits has been found whose noiseless
     # edges the solve rejects
-    part, parent, seed = case
-    try:
-        require_tree(part, parent, "tree")
-        require_pilot_kind(part, kind)
-    except ValueError:
-        assume(False)
+    part, parent, kind, seed = case
+    require_tree(part, parent, "tree")
+    require_pilot_kind(part, kind)
     rng = np.random.default_rng(seed)
     pilots, imp, chan, ms = _instance(part, rng, kind=kind)
     f_true = calibration_vector(imp).f
