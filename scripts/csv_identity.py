@@ -62,6 +62,9 @@ CONFIGS = {
     "custom-1231": "m = 7\nscheme = CUSTOM\ngroup_sizes = 1, 2, 3, 1\n"
                    "pilot_lengths = 2, 2, 1, 3\nestimators = ls, aml\nsnr_db = 20, 40\n"
                    "trials = 5\n",
+    # FC_I's 11 block shapes: the Gram, the exchange and Avalanche batch by shape
+    "fc1-64": "m = 64\nscheme = FC_I\ng = 12\nconstraint = NPC\nestimators = ls, avalanche\n"
+              "snr_db = 20, 40\ntrials = 3\n",
     # rank-one groups (L_g = 1 < M_g = 3): AML runs to aml_max_iter, so its
     # rounding accumulates over about 100 iterations
     "fc2-24-aml": "m = 24\nscheme = FC_II\ng = 8\npilots = UNIT_PHASE_RANDOM\nconstraint = NPC\n"

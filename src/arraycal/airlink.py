@@ -52,18 +52,28 @@ class PilotSet:
 
     @cached_property
     def by_shape(self):
-        """{shape: (groups, their blocks stacked, their antennas (n, M_g),
-        numbered group after group)} and each group's place in it."""
+        """{shape: (groups, blocks stacked, antennas (n, M_g), pilot columns
+        (n, L_g)), numbered group after group} and each group's place in it."""
         groups = {}
         for g, b in enumerate(self.blocks):
             groups.setdefault(b.shape, []).append(g)
         place = np.empty(len(self.blocks), dtype=int)
         for gs in groups.values():
             place[gs] = np.arange(len(gs))
-        first = np.cumsum([0] + [b.shape[0] for b in self.blocks])
-        return {shape: (np.array(gs), np.stack([self.blocks[g] for g in gs]),
-                        first[gs, None] + np.arange(shape[0]))
-                for shape, gs in groups.items()}, place
+        first = np.cumsum([(0, 0)] + [b.shape for b in self.blocks], axis=0)
+        return {(m, l): (np.array(gs), np.stack([self.blocks[g] for g in gs]),
+                         first[gs, 0, None] + np.arange(m), first[gs, 1, None] + np.arange(l))
+                for (m, l), gs in groups.items()}, place
+
+    @cached_property
+    def shape_order(self):
+        """The antennas and the pilot columns, each shape's groups together
+        (by_shape order), and per shape (P_g stacked, antennas, their slices)."""
+        stacks = list(self.by_shape[0].values())
+        r, c = (np.cumsum([0] + [x[k].size for x in stacks]) for k in (2, 3))
+        return (*(np.concatenate([x[k].ravel() for x in stacks]) for k in (2, 3)),
+                [(p, rows, slice(*r[k:k + 2]), slice(*c[k:k + 2]))
+                 for k, (_, p, rows, _) in enumerate(stacks)])
 
     def stacked(self, groups: np.ndarray) -> np.ndarray:
         """The blocks P_g of groups of one block shape, stacked (P, M_g, L_g)."""
@@ -74,7 +84,7 @@ class PilotSet:
     def _full_rank(self) -> bool:
         """Whether every block has full rank, checked once per object."""
         return all(np.all(np.linalg.matrix_rank(stack) >= min(shape))
-                   for shape, (_, stack, _) in self.by_shape[0].items())
+                   for shape, (_, stack, *_) in self.by_shape[0].items())
 
     def validate(self, partition: AntennaPartition) -> None:
         if len(self.blocks) != partition.num_groups:
@@ -108,10 +118,9 @@ class MeasurementSet:
     """One slot's received samples as a single M x sum(L_i) matrix.
 
     Y_{i->j} = received[antennas of j, pilot columns of i] (M_j x L_i).  Self
-    blocks and the rows and columns of inactive groups hold zeros, which no
-    estimate uses.  plan is the slot's index structure (model.slot_plan), from
-    which build_stacked and the compressed cost read the pair blocks; AML
-    reads the matrix whole.  build_stacked keeps its last result in stacked.
+    blocks and the rows and columns of inactive groups hold zeros, so every
+    estimator reads the matrix whole.  plan is the slot's model.slot_plan.
+    build_stacked keeps its last result in stacked.
     """
 
     received: np.ndarray
@@ -227,10 +236,10 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
     (distinct, of 0..G-1; all by default), or those of plan, their slot_plan,
     if the caller holds it (NoncoherentSchedule.plans).
 
-    snr_db = +inf gives the exact noiseless blocks.  Diagonal (self) blocks
-    are never produced: a group does not hear its own transmission.  Each
-    batch of the plan's pairs gives one stacked product R_j C_{i->j} T_i P_i
-    per direction, R C T read at the batch's antenna columns.
+    snr_db = +inf gives the exact noiseless blocks.  The blocks R_j C_{i->j}
+    T_i P_i are one stacked product per transmit and receive block shape
+    (PilotSet.by_shape); self blocks (a group does not hear itself) and
+    inactive groups are zeroed, and the noise added through plan.noise_index.
     """
     pilots.validate(partition)
     if imp.num_antennas != partition.num_antennas or chan.num_antennas != partition.num_antennas:
@@ -245,20 +254,23 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
             raise ValueError("at least two groups must be active")
         plan = slot_plan(partition, active)
     sigma2 = noise_variance_from_snr(snr_db, chan)
-    sd = np.sqrt(sigma2 / 2.0)
-    noise = rng.standard_normal(plan.noise_size) if sigma2 > 0 else None
     gain = imp.rx_gains[:, None] * chan.c * imp.tx_gains[None, :]   # R C T
-    received = np.zeros(plan.shape, dtype=complex)
-    flat = received.reshape(-1)
-    for b in plan.pairs:
-        cols_i, cols_j = b.cols_ij
-        for tx, cols_tx, cols_rx, at, noise_at in ((b.gi, cols_i, cols_j, b.y_ij, b.n_ij),
-                                                   (b.gj, cols_j, cols_i, b.y_ji, b.n_ji)):
-            y = gain[cols_rx[:, :, None], cols_tx[:, None, :]] @ pilots.stacked(tx)
-            if noise is not None:
-                n = noise[noise_at]
-                y = y + sd * (n[0] + 1j * n[1])
-            flat[at] = y
+    received = np.empty(plan.shape, dtype=complex)
+    shapes = pilots.by_shape[0].values()
+    for _, p, rows_t, cols_t in shapes:
+        for _, _, rows_r, _ in shapes:
+            r = rows_r[:, None, :, None]
+            received[r, cols_t[:, None, :]] = gain[r, rows_t[:, None, :]] @ p
+    for _, _, rows, cols in shapes:
+        received[rows[:, :, None], cols[:, None, :]] = 0.0
+    for g in set(range(partition.num_groups)) - set(plan.groups):
+        received[partition.antennas_of(g)] = 0.0
+        received[:, partition.pilot_columns(g)] = 0.0
+    if sigma2 > 0:
+        noise = np.zeros(plan.noise_size + 1)       # the draw, and a zero for the rest
+        rng.standard_normal(out=noise[:-1])
+        noise *= np.sqrt(sigma2 / 2.0)
+        received.view(float).reshape(plan.noise_index.shape)[...] += noise[plan.noise_index]
     received.flags.writeable = False
     return MeasurementSet(received, partition, sigma2, plan)
 

@@ -30,9 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (AntennaPartition, ChannelRealization, RfImpairments, SlotPlan, gram_index,
-                    slot_plan)
-from .stacking import khatri_rao_t, pair_gram
+from .model import (AntennaPartition, ChannelRealization, RfImpairments, SlotPlan,
+                    received_index, slot_plan)
+from .stacking import khatri_rao_t
 
 # B's second-smallest eigenvalue relative to its largest, at or below which f
 # is not identifiable: rank-deficient B reaches 4e-16 by rounding, identifiable
@@ -96,6 +96,18 @@ def build_f_composite(f: np.ndarray, pilots, partition: AntennaPartition) -> np.
     return out
 
 
+def pair_gram(n: int, cols: list, ws: list) -> np.ndarray:
+    """The n x n sum of w_p^H w_p over the pairs p of the batches ws
+    [(P, r, k), ...], each at its columns cols [(P, k), ...].  One bincount
+    per part sums every entry's terms in np.add.at's order, to the bit."""
+    index = np.concatenate([(c[:, :, None] * n + c[:, None, :]).ravel() for c in cols])
+    val = np.concatenate([np.einsum("pri,prj->pij", w.conj(), w).ravel() for w in ws])
+    out = np.empty(n * n, dtype=complex)
+    out.real = np.bincount(index, val.real, n * n)
+    out.imag = np.bincount(index, val.imag, n * n)
+    return out.reshape(n, n)
+
+
 def pair_h_block(hc: np.ndarray, p_i: np.ndarray, p_j: np.ndarray):
     """The two nonzero blocks of pair p's rows of H(h, P), batched over pairs.
 
@@ -155,7 +167,7 @@ def shape_factors(f: np.ndarray, pilots) -> dict:
     and stay on the SVD, which a batched Householder completion did not beat.
     """
     svds = {}
-    for (m, l), (gs, p, rows) in pilots.by_shape[0].items():
+    for (m, l), (gs, p, rows, _) in pilots.by_shape[0].items():
         a = p.transpose(0, 2, 1) * f[rows[:, None]]
         if (m, l) == (1, 1):
             one = np.ones_like(a)
@@ -243,7 +255,7 @@ def context_from_model(imp: RfImpairments, chan: ChannelRealization, pilots,
     h_pairs = []
     for b in plan.pairs:
         p_i, p_j = pilots.stacked(b.gi), pilots.stacked(b.gj)
-        cols_i, cols_j = b.cols_ij
+        cols_i, cols_j = b.cols[:, :p_i.shape[1]], b.cols[:, p_i.shape[1]:]
         bi, bj = pair_h_block(rcr[cols_j[:, :, None], cols_i[:, None, :]], p_i, p_j)
         hp = np.zeros(bi.shape[:1] + (bi.shape[1] + bj.shape[1], b.cols.shape[1]), complex)
         hp[:, :bi.shape[1], :p_i.shape[1]] = bi
@@ -268,7 +280,7 @@ def fim(ctx: CrbContext) -> np.ndarray:
         cols.append(np.concatenate((b.cols, m + h_off[b.gi, b.gj][:, None]
                                     + np.arange(fp.shape[2])), axis=1))
         ws.append(np.concatenate((hp, fp), axis=2))
-    return pair_gram(n, gram_index(n, cols), ws) / ctx.noise_variance
+    return pair_gram(n, cols, ws) / ctx.noise_variance
 
 
 def compressed_information(ctx: CrbContext) -> np.ndarray:
@@ -278,7 +290,7 @@ def compressed_information(ctx: CrbContext) -> np.ndarray:
     Grams of pair_project's residuals."""
     fac = group_factors(ctx.f, ctx.pilots)
     ws = [pair_project(fac(b.gi), fac(b.gj), hp)[1] for b, hp in zip(ctx.plan.pairs, ctx.h_pairs)]
-    b = pair_gram(ctx.f.size, ctx.plan.gram_index, ws)
+    b = pair_gram(ctx.f.size, [b.cols for b in ctx.plan.pairs], ws)
     return (b + b.conj().T) / 2
 
 
@@ -321,7 +333,7 @@ def crb_f_known_h(ctx: CrbContext, constraint: str = "FCC") -> CrbResult:
     Replaces the nuisance projector by identity (B = sum_p H_p^H H_p); this
     underestimates the achievable MSE of joint estimators.
     """
-    b = pair_gram(ctx.f.size, ctx.plan.gram_index, ctx.h_pairs)
+    b = pair_gram(ctx.f.size, [b.cols for b in ctx.plan.pairs], ctx.h_pairs)
     b = (b + b.conj().T) / 2
     v = np.eye(ctx.f.size, dtype=complex)[:, 1:] if constraint == "FCC" else ctx.v_f
     crb = _constrained_inverse(b, v, ctx.noise_variance)
@@ -377,8 +389,9 @@ def ml_compressed_cost(measurements, f: np.ndarray, pilots,
     f = np.asarray(f, dtype=complex)
     fac, y, cost_direct = group_factors(f, pilots), measurements.received.ravel(), 0.0
     for b in measurements.plan.pairs:       # y_p = [vec(Y_{i->j}); vec(Y_{j->i}^T)]
-        y_p = np.concatenate((y[b.y_ij].transpose(0, 2, 1).reshape(len(b.gi), -1, 1),
-                              y[b.y_ji].reshape(len(b.gi), -1, 1)), axis=1)
+        y_ij, y_ji = (y[received_index(partition, *g)] for g in ((b.gi, b.gj), (b.gj, b.gi)))
+        y_p = np.concatenate((y_ij.transpose(0, 2, 1).reshape(len(b.gi), -1, 1),
+                              y_ji.reshape(len(b.gi), -1, 1)), axis=1)
         cost_direct += float(np.sum(np.abs(pair_project(fac(b.gi), fac(b.gj), y_p)[1]) ** 2))
     d = np.subtract(partition.pilot_lengths, partition.group_sizes)
     if np.any(np.triu(np.multiply.outer(d, d), 1) < 0):

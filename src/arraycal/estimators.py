@@ -1,10 +1,11 @@
 """Calibration estimators: constrained LS, Argos, Rogalin, daisy chain, Avalanche, AML.
 
-All but AML solve the pair equations Y(P) f = 0 of stacking, on different
-pairs: LS and Rogalin (LS on single antennas) every pair jointly; Argos and
-the daisy chain the spanning trees {(0, c)} and {(c - 1, c)}, by substitution
-(tree_estimate, their joint LS where each edge is exactly determined);
-Avalanche each group against all earlier ones, which is not a tree.
+Every estimator reads the slot's received matrix Y.  All but AML solve the
+pair equations Y(P) f = 0 of stacking, on different pairs: LS and Rogalin
+(LS on single antennas) every pair jointly, from the Gram matrix built on Y;
+Argos and the daisy chain the trees {(0, c)} and {(c - 1, c)}, whose edges'
+blocks they read from Y (tree_estimate); Avalanche each group against all
+earlier ones, from slices of Y.
 
 All estimators determine f only up to one complex scale; a ConstraintSpec
 resolves the ambiguity.  FCC pins the first coefficient to 1; NPC pins the
@@ -15,10 +16,11 @@ eigenvector of the Gram matrix Y(P)^H Y(P).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .model import AntennaPartition, CalibrationVector
+from .model import AntennaPartition, CalibrationVector, batch_indices, received_index
 from . import crb as _crb
 from .stacking import StackedSystem, build_stacked, pair_equation_block
 
@@ -229,6 +231,12 @@ def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationRep
                             converged=unique and sys.rows >= sys.m - 1)
 
 
+def require_full_slot(measurements, who: str) -> None:
+    """The rule of the estimators that read one slot whole: all groups active."""
+    if len(measurements.groups) < measurements.partition.num_groups:
+        raise ValueError(f"{who} needs a slot in which every group is active")
+
+
 def star(partition: AntennaPartition) -> np.ndarray:
     """Argos's tree: group c's parent is group 0 (parent[0] = -1, the root)."""
     return np.minimum(np.arange(partition.num_groups) - 1, 0)
@@ -252,6 +260,24 @@ def require_tree(partition: AntennaPartition, parent: np.ndarray, who: str) -> N
         p, c = parent[short[0]], short[0]
         raise ValueError(f"{who}: the exchange of groups {p} and {c} gives {r[p] * r[c]} "
                          f"independent equations for the {m[c]} antennas of group {c}")
+
+
+@lru_cache(maxsize=32)
+def tree_edges(partition: AntennaPartition, parent: tuple) -> tuple:
+    """A tree's edges (parent[c], c) by block shape: (parents, children,
+    received_index of Y_{c->p} and of Y_{p->c}), read-only, once per tree."""
+    parent = np.asarray(parent)
+    require_tree(partition, parent, "tree_estimate")
+    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
+    child, edges = np.arange(1, sizes.size), []
+    for sel in batch_indices((sizes[parent[child]], sizes[child], lens[parent[child]],
+                              lens[child])):
+        gc = child[sel]
+        edges.append((parent[gc], gc, received_index(partition, gc, parent[gc]),
+                      received_index(partition, parent[gc], gc)))
+    for a in (x for e in edges for x in e):
+        a.flags.writeable = False
+    return tuple(edges)
 
 
 def _edge_transfers(b_p: np.ndarray, b_c: np.ndarray):
@@ -286,30 +312,23 @@ def tree_estimate(measurements, pilots, parent: np.ndarray) -> CalibrationVector
     rejects it too, and for M_c = 1 the rules are the same.  The T_c, zero-padded
     to K x K (K = max M_g), are composed by pointer jumping: each round sets
     T_c <- T_c T_a(c) and a(c) <- a(a(c)), so a path of G groups takes log2 G
-    batched products, not G - 1 Python steps.  The padding costs G K^2 memory
-    and G K^3 work per round, far above the edges' own size only where many
-    small groups hang in a deep tree above a large one.
+    batched products (G K^3 work and G K^2 memory per round).
     """
     partition = measurements.partition
     parent = np.asarray(parent)
-    require_tree(partition, parent, "tree_estimate")
-    if len(measurements.groups) < partition.num_groups:
-        raise ValueError("the tree solve needs a slot in which every group is active")
+    require_full_slot(measurements, "the tree solve")
     sizes = np.asarray(partition.group_sizes)
     t = np.zeros((sizes.size, sizes.max(), sizes.max()), dtype=complex)
     t[0, 0, 0] = 1.0                        # f_0 = 1; group 0 is its own parent
     y = measurements.received.ravel()
-    for b in measurements.plan.pairs:
-        on = np.flatnonzero(parent[b.gj] == b.gi)
-        if on.size:
-            gp, gc = b.gi[on], b.gj[on]
-            t_c, full = _edge_transfers(*pair_equation_block(
-                y[b.y_ji[on]], y[b.y_ij[on]], pilots.stacked(gp), pilots.stacked(gc)))
-            if not full.all():
-                e = np.argmin(full)
-                raise np.linalg.LinAlgError(f"tree edge {gp[e]}-{gc[e]}: the pair "
-                                            f"equations have rank < M_{gc[e]}")
-            t[gc, :t_c.shape[1], :t_c.shape[2]] = t_c
+    for gp, gc, y_cp, y_pc in tree_edges(partition, tuple(parent.tolist())):
+        t_c, full = _edge_transfers(*pair_equation_block(
+            y[y_cp], y[y_pc], pilots.stacked(gp), pilots.stacked(gc)))
+        if not full.all():
+            e = np.argmin(full)
+            raise np.linalg.LinAlgError(f"tree edge {gp[e]}-{gc[e]}: the pair "
+                                        f"equations have rank < M_{gc[e]}")
+        t[gc, :t_c.shape[1], :t_c.shape[2]] = t_c
     a = np.maximum(parent, 0)
     while a.any():
         t, a = t @ t[a], a[a]
@@ -368,27 +387,20 @@ def avalanche_estimate(measurements, pilots, partition: AntennaPartition) -> Cal
 
     Requires L_i = 1 pilots, a single-antenna first group seeding f_1 = 1, and
     M_i <= i-1 so each group's LS subproblem is (at least) exactly determined.
+    With L = 1, column j of the received matrix Y is group j's pilot: group
+    g's rows are Y[rows_g, :g]^T diag(p_g), and its right side the sums of
+    p_a f_a Y[a, g] over each earlier group's antennas a.
     """
     require_avalanche_partition(partition, "avalanche")
-    m = partition.num_antennas
-    f = np.empty(m, dtype=complex)
-    f_groups = [np.ones(1, dtype=complex)]
-    f[partition.antennas_of(0)] = f_groups[0]
-    for g0 in range(1, partition.num_groups):
-        pg = pilots[g0][:, 0]
-        rows = []
-        rhs = []
-        for j in range(g0):
-            y_jg = measurements.block(j, g0)[:, 0]   # received at group g0
-            y_gj = measurements.block(g0, j)[:, 0]   # received at group j
-            rows.append(y_jg * pg)
-            rhs.append((pilots[j][:, 0] * y_gj) @ f_groups[j])
-        y_mat = np.array(rows)
-        sol, _, rank, _ = np.linalg.lstsq(y_mat, np.array(rhs), rcond=None)
-        if rank < partition.group_sizes[g0]:
-            raise np.linalg.LinAlgError(f"avalanche: rank-deficient system at group {g0}")
-        f_groups.append(sol)
-        f[partition.antennas_of(g0)] = sol
+    require_full_slot(measurements, "avalanche")
+    y, p = measurements.received, np.concatenate([b[:, 0] for b in pilots.blocks])
+    f = np.ones(partition.num_antennas, dtype=complex)      # f_0 = 1
+    for g in range(1, partition.num_groups):
+        rows = partition.antennas_of(g)
+        rhs = np.add.reduceat((p * f * y[:, g])[:rows.start], partition.offsets[:g])
+        f[rows], _, rank, _ = np.linalg.lstsq(y[rows, :g].T * p[rows], rhs, rcond=None)
+        if rank < partition.group_sizes[g]:
+            raise np.linalg.LinAlgError(f"avalanche: rank-deficient system at group {g}")
     return CalibrationVector(f, "FCC")
 
 
@@ -412,32 +424,28 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     matrix Y = K F P (off its self blocks): K = R C R^T is symmetric by
     reciprocity, F = diag(f) and P = blkdiag(P_g).  The h-step solves every
     pair's block of K at once: with A_g = P_g^T F_g = U_g S_g V_g^H
-    (crb.shape_factors) and Z = X + X^T, X = Y conj(P)^T conj(F), the normal
-    equations K A^T conj(A) + A^H A K = Z decouple in the V_g bases, so
-    K~ = V^H Z conj(V) / (s_a^2 + s_b^2) where crb.pair_project's rank rule
-    holds, and K = V K~ V^T.  The f-step solves group g's rows
-    B_a = P_g^T diag(K[a, rows_g]) against Y[a, cols_g], a outside g
-    (crb.lstsq_min_norm), batched over groups of equal shape.
+    (crb.shape_factors) and Z = X + X^T, X = W conj(F) (W = Y P^H from
+    build_stacked), the normal equations K A^T conj(A) + A^H A K = Z
+    decouple in the V_g bases, so K~ = V^H Z conj(V) / (s_a^2 + s_b^2) where
+    crb.pair_project's rank rule holds, and K = V K~ V^T.  The f-step solves
+    group g's rows B_a = P_g^T diag(K[a, rows_g]) against Y[a, cols_g], a
+    outside g (crb.lstsq_min_norm), batched over groups of equal shape.
     """
     require_aml_settings(tol, max_iter)
-    if len(measurements.groups) < partition.num_groups:
-        raise ValueError("AML needs a slot in which every group is active")
+    require_full_slot(measurements, "AML")
     f = np.ones(partition.num_antennas, dtype=complex) if init is None \
         else np.asarray(init, dtype=complex).copy()
     if not np.any(f):
         raise ValueError("init must be nonzero")
     m, y = partition.num_antennas, measurements.received
+    yp = build_stacked(measurements, pilots).slots[0][2]      # W = Y P^H
     sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
     m_a, l_a = np.repeat(sizes, sizes), np.repeat(lens, sizes)
     # pair_project's rank rule per entry: (max(r, M_iM_j) eps)^2, r = L_iM_j + M_iL_j
     rule = (np.maximum(np.outer(l_a, m_a) + np.outer(m_a, l_a), np.outer(m_a, m_a))
             * np.finfo(float).eps) ** 2
-    yp = np.empty((m, m), dtype=complex)        # Y conj(P)^T, self blocks zero
     shapes = []                                 # the f-step's rows, per group shape
-    for (mg, lg), (gs, p, rows) in pilots.by_shape[0].items():
-        cols = np.asarray(partition.pilot_offsets)[gs, None] + np.arange(lg)
-        yp[:, rows] = np.einsum("anl,nkl->ank", y[:, cols], p.conj())
-        yp[rows[:, :, None], rows[:, None, :]] = 0
+    for (mg, lg), (gs, p, rows, cols) in pilots.by_shape[0].items():
         out = np.arange(m - mg) + mg * (np.arange(m - mg) >= rows[:, :1])   # a outside g
         shapes.append(((mg, lg), rows, out[:, :, None] * m + rows[:, None, :],
                        p.transpose(0, 2, 1)[:, None],

@@ -6,8 +6,7 @@ responses and C is the reciprocal over-the-air propagation channel
 (C_{A->B} = C_{B->A}^T).  The calibration vector is f_m = t_m / r_m; it maps
 the two link directions onto each other and is identifiable up to one complex
 scale.  slot_plan compiles the index structure of one slot of pilot exchanges,
-which depends only on the antenna partition and the active groups: its
-PairBatches serve the exchange, the stacked system and the CRB alike.
+which depends only on the antenna partition and the active groups.
 """
 
 from __future__ import annotations
@@ -92,50 +91,32 @@ def batch_indices(keys) -> list:
     return out
 
 
-def gram_index(n: int, cols: list) -> np.ndarray:
-    """pair_gram's index for batches with the columns cols [(P, k), ...]:
-    pair p's k x k block at the flat places cols_p[a] n + cols_p[b]."""
-    return np.concatenate([(c[:, :, None] * n + c[:, None, :]).ravel() for c in cols])
-
-
 class PairBatch(NamedTuple):
-    """Pairs (gi[p], gj[p]), i < j, of one block shape (M_i, M_j, L_i, L_j):
-    their antenna columns cols (P, M_i + M_j), group i's first; the flat
-    indices in the slot's received matrix of Y_{j->i} (P, M_i, L_j) and
-    Y_{i->j} (P, M_j, L_i); and those in the slot's noise draw of each
-    block's noise, its real part then its imaginary part, (2, P, M_i, L_j)
-    and (2, P, M_j, L_i)."""
+    """Pairs (gi[p], gj[p]), i < j, of one block shape (M_i, M_j, L_i, L_j),
+    and their antenna columns cols (P, M_i + M_j), group i's first.  Only
+    the CRB reads pair batches."""
 
     gi: np.ndarray
     gj: np.ndarray
     cols: np.ndarray
-    y_ji: np.ndarray
-    y_ij: np.ndarray
-    n_ji: np.ndarray
-    n_ij: np.ndarray
-
-    @property
-    def cols_ij(self) -> list:
-        """Group i's and group j's antenna columns, (P, M_i) and (P, M_j)."""
-        return np.split(self.cols, [self.y_ji.shape[1]], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
 class SlotPlan:
-    """The index structure of one slot, which depends only on the partition
-    and the active groups (ascending): the pairs i < j (lexicographic)
-    batched by block shape in order of first appearance, which serve both the
-    exchange and the stacked system; the length of the slot's noise draw; the
-    received matrix's shape; the rows of Y(P); pair_gram's index over all
-    batches; and their cols, flat.  Every array is read-only."""
+    """One slot's index structure, for the active groups (ascending).  Its
+    noise is one draw of noise_size values, ordered pair by ordered pair
+    (transmitters, then receivers, ascending), each M_j x L_i block of
+    Y_{i->j} row-major, real part first; noise_index (M, sum(L_i), 2) holds
+    each received entry's places in it, or noise_size in self blocks and
+    inactive groups.  rows counts the rows of Y(P); pairs (i < j,
+    lexicographic, batched by block shape) serve the CRB.  Read-only."""
 
     groups: tuple
-    pairs: tuple
     noise_size: int
+    noise_index: np.ndarray
     shape: tuple
     rows: int
-    gram_index: np.ndarray
-    cols_index: np.ndarray
+    pairs: tuple
 
 
 def received_index(partition: AntennaPartition, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
@@ -154,34 +135,28 @@ def slot_plan(partition: AntennaPartition, active: tuple) -> SlotPlan:
     built once per partition and active groups: equal arguments give the same
     object."""
     sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
-    offsets = np.asarray(partition.offsets)
-    act = np.asarray(active, dtype=int)
-    # the noise of Y_{i->j}, a real then an imaginary M_j x L_i block, is drawn
-    # ordered pair by ordered pair, transmitters then receivers ascending: one
-    # draw for the slot holds it from start[i, j] on
-    tx, rx = np.repeat(act, act.size), np.tile(act, act.size)
-    size = np.where(tx != rx, sizes[rx] * lens[tx], 0)
-    start = np.zeros((sizes.size, sizes.size), dtype=int)
-    start[tx, rx] = np.cumsum(2 * size) - 2 * size
-
-    def noise(tx, rx):
-        m, l = sizes[rx[0]], lens[tx[0]]
-        return start[tx, rx][:, None, None] + np.arange(2 * m * l).reshape(2, 1, m, l)
-
+    offsets, act = np.asarray(partition.offsets), np.asarray(active, dtype=int)
+    # Y_{i->j} has size[i, j] entries, whose noise starts at start[i, j] in the draw
+    on = np.isin(np.arange(sizes.size), act)
+    size = np.outer(lens, sizes) * (on[:, None] & on & ~np.eye(sizes.size, dtype=bool))
+    start = (np.cumsum(2 * size) - 2 * size.ravel()).reshape(size.shape)
+    rx = np.repeat(np.arange(sizes.size), sizes)[:, None]       # each row's group
+    tx = np.repeat(np.arange(sizes.size), lens)                 # each column's group
+    block = size[tx, rx]                                        # each entry's block size
+    re = start[tx, rx] + (np.arange(rx.size)[:, None] - offsets[rx]) * lens[tx] \
+        + np.arange(tx.size) - np.asarray(partition.pilot_offsets)[tx]
+    noise_size = 2 * int(size.sum())
+    noise_index = np.where(block[:, :, None] > 0, np.stack((re, re + block), axis=2), noise_size)
     g = act[np.transpose(np.triu_indices(act.size, 1))]
     batches = []
     for sel in batch_indices((*sizes[g].T, *lens[g].T)):
         gi, gj = g[sel, 0], g[sel, 1]
-        cols = np.concatenate((offsets[gi, None] + np.arange(sizes[gi[0]]),
-                               offsets[gj, None] + np.arange(sizes[gj[0]])), axis=1)
-        batches.append(PairBatch(gi, gj, cols, received_index(partition, gj, gi),
-                                 received_index(partition, gi, gj), noise(gj, gi), noise(gi, gj)))
-    plan = SlotPlan(tuple(active), tuple(batches), 2 * int(size.sum()),
-                    (partition.num_antennas, int(lens.sum())),
-                    int(np.sum(lens[g[:, 0]] * lens[g[:, 1]])),
-                    gram_index(partition.num_antennas, [b.cols for b in batches]),
-                    np.concatenate([b.cols.ravel() for b in batches]))
-    for a in (plan.gram_index, plan.cols_index, *(x for b in plan.pairs for x in b)):
+        batches.append(PairBatch(gi, gj, np.concatenate(
+            (offsets[gi, None] + np.arange(sizes[gi[0]]),
+             offsets[gj, None] + np.arange(sizes[gj[0]])), axis=1)))
+    plan = SlotPlan(tuple(active), noise_size, noise_index, noise_index.shape[:2],
+                    int(np.sum(lens[g[:, 0]] * lens[g[:, 1]])), tuple(batches))
+    for a in (noise_index, *(x for b in batches for x in b)):
         a.flags.writeable = False
     return plan
 

@@ -6,9 +6,9 @@ Eliminating the reciprocal channel from the pair (i, j) exchanges gives
 
 (* is the Khatri-Rao, i.e. column-wise Kronecker, product).  Stacking all
 pairs i < j yields Y(P) f = n, a matrix with sum_{i<j} L_i L_j rows whose
-null space is spanned by the true f in the noiseless case.  Y(P) is kept
-as its per-pair row blocks and the M x M Gram matrix A = Y(P)^H Y(P), the
-sum of the pairs' contributions; the dense Y(P) is never formed.
+null space is spanned by the true f in the noiseless case.  Y(P) is never
+formed: with P = blkdiag(P_g) and F = diag(f), the pair residuals are the
+blocks E_ij of E = S - S^T, S = P^T F Y, on the slot's received matrix Y.
 """
 
 from __future__ import annotations
@@ -22,28 +22,38 @@ from .model import AntennaPartition
 
 @dataclass
 class StackedSystem:
-    """Y(P) as per-pair row blocks, with its Gram matrix A = Y(P)^H Y(P).
+    """Y(P) through its slots' received matrices, with A = Y(P)^H Y(P).
 
-    blocks batches pairs of equal shape as (cols, w): the rows of Y(P) for
-    pair p are w[p], at the antenna columns cols[p].  cols_index is every
-    block's cols, flat, in order.  solutions holds the estimators' solves of
-    this system, keyed by constraint.
+    slots holds each slot's Y and conj(Y) in PilotSet.shape_order, and
+    W = Y P^H; inactive groups' rows and columns of Y are zero.  solutions
+    holds the estimators' solves of this system, keyed by constraint.
     """
 
     gram: np.ndarray          # M x M, Hermitian PSD
     rows: int                 # rows of Y(P)
     m: int
-    blocks: list              # [(cols (P, k) int, w (P, r, k) complex), ...]
-    cols_index: np.ndarray
+    slots: tuple              # ((Y, conj(Y) in shape order, W), ...)
+    pilots: object
     solutions: dict = field(default_factory=dict, repr=False, compare=False)
 
     def apply_gram(self, f: np.ndarray) -> np.ndarray:
-        """A f as Y(P)^H (Y(P) f) from the pair blocks: unlike gram @ f, its
-        rounding error does not scale with cond(A) = cond(Y(P))^2."""
-        yf = [np.einsum("prk,pk->pr", w, f[cols]) for cols, w in self.blocks]
-        return _scatter_add(self.m, self.cols_index,
-                            [np.einsum("prk,pr->pk", w.conj(), r)
-                             for (_, w), r in zip(self.blocks, yf)])
+        """A f, summed over the slots as (A f)_a = sum_{c in cols of g(a)}
+        conj(P_ac) (E Y^H)_ca from the residuals E = S - S^T, S = P^T F Y:
+        unlike gram @ f, its rounding error does not scale with cond(A)."""
+        shapes = self.pilots.shape_order[2]
+        out = np.zeros(self.m, dtype=complex)
+        for y, y_conj, _ in self.slots:
+            s = np.empty((y.shape[1],) * 2, dtype=complex)
+            for p, rows, r, c in shapes:
+                n, m, l = p.shape
+                np.matmul((p * f[rows, None]).transpose(0, 2, 1), y[r].reshape(n, m, -1),
+                          out=s[c].reshape(n, l, -1))
+            e = s - s.T
+            for p, rows, r, c in shapes:
+                n, m, l = p.shape
+                out[rows] += np.einsum("nml,nlm->nm", p.conj(), e[c].reshape(n, l, -1)
+                                       @ y_conj[r].reshape(n, m, -1).transpose(0, 2, 1))
+        return out
 
 
 def khatri_rao_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,51 +77,32 @@ def pair_equation_block(y_ji: np.ndarray, y_ij: np.ndarray,
     return khatri_rao_t(y_ji, p_i), -khatri_rao_t(p_j, y_ij)   # (L_i L_j) x M_i, x M_j
 
 
-def _scatter_add(n: int, index: np.ndarray, values: list) -> np.ndarray:
-    """Length-n complex vector with the values[k].flat, concatenated, added at
-    index.
-
-    One bincount per part over all the batches in order: every entry sums its
-    terms in the order np.add.at, batch after batch, would, so the result is
-    the same to the bit.
-    """
-    val = np.concatenate([v.ravel() for v in values])
-    out = np.empty(n, dtype=complex)
-    out.real = np.bincount(index, val.real, n)
-    out.imag = np.bincount(index, val.imag, n)
-    return out
-
-
-def pair_gram(n: int, index: np.ndarray, ws: list) -> np.ndarray:
-    """The n x n sum of w_p^H w_p over every pair p of the batches ws
-    [(P, r, k), ...], each k x k block added at its place in index
-    (model.gram_index)."""
-    return _scatter_add(n * n, index, [np.einsum("pri,prj->pij", w.conj(), w)
-                                       for w in ws]).reshape(n, n)
-
-
 def build_stacked(measurements, pilots) -> StackedSystem:
     """Stacked system of one slot's measurements: the pairs i < j of its
-    active groups, lexicographic.
+    active groups.
 
-    Pairs of equal block shape are batched (the slot's plan); pair (i, j)
-    adds W^H W, with W = [block_i, block_j], to the Gram at the antennas of
-    groups i and j.  The result is kept on the measurements and returned
-    again to a call with the same pilots object.
+    With W = Y P^H (zero self blocks, as Y's), A = conj(P P^H) o conj(Y Y^H)
+    - W^T o conj(W), o the entrywise product; only the group diagonal blocks
+    of Y Y^H are formed, as P P^H is block diagonal.  The result is kept on
+    the measurements and returned again to a call with the same pilots object.
     """
     kept = measurements.stacked
     if kept is not None and kept[0] is pilots:
         return kept[1]
-    plan = measurements.plan
-    y = measurements.received.ravel()
-    blocks = []
-    for b in plan.pairs:
-        bi, bj = pair_equation_block(y[b.y_ji], y[b.y_ij], pilots.stacked(b.gi),
-                                     pilots.stacked(b.gj))
-        blocks.append((b.cols, np.concatenate((bi, bj), axis=2)))
-    m = measurements.partition.num_antennas
-    system = StackedSystem(pair_gram(m, plan.gram_index, [w for _, w in blocks]), plan.rows,
-                           m, blocks, plan.cols_index)
+    y, (ants, cols, shapes) = measurements.received, pilots.shape_order
+    ys = y[ants][:, cols]
+    ys_conj = ys.conj()
+    w = np.empty((y.shape[0],) * 2, dtype=complex)
+    for _, p, rows, c in pilots.by_shape[0].values():
+        w[:, rows] = np.einsum("anl,nkl->ank", y[:, c], p.conj())
+    gram = w.conj()
+    gram *= w.T
+    np.negative(gram, out=gram)
+    for p, rows, r, _ in shapes:
+        n, m, _ = p.shape
+        gram[rows[:, :, None], rows[:, None, :]] += np.conj(p @ p.conj().transpose(0, 2, 1)) \
+            * (ys_conj[r].reshape(n, m, -1) @ ys[r].reshape(n, m, -1).transpose(0, 2, 1))
+    system = StackedSystem(gram, measurements.plan.rows, y.shape[0], ((ys, ys_conj, w),), pilots)
     measurements.stacked = (pilots, system)
     return system
 
@@ -122,8 +113,7 @@ def build_stacked_noncoherent(slot_measurements: list, pilots) -> StackedSystem:
         raise ValueError("no slots to stack")
     systems = [build_stacked(ms, pilots) for ms in slot_measurements]
     return StackedSystem(sum(s.gram for s in systems), sum(s.rows for s in systems),
-                         systems[0].m, [b for s in systems for b in s.blocks],
-                         np.concatenate([s.cols_index for s in systems]))
+                         systems[0].m, tuple(x for s in systems for x in s.slots), pilots)
 
 
 def independent_equations(partition: AntennaPartition, schedule=None):

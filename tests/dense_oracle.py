@@ -210,10 +210,10 @@ def pair_observations(measurements, batch):
     """Pair p's entries of y, [vec(Y_{i->j}); vec(Y_{j->i}^T)], stacked over
     a batch of pairs of equal shape (a PairBatch of the slot's plan),
     (P, L_iM_j + M_iL_j)."""
-    y = measurements.received.ravel()
     n = len(batch.gi)
-    return np.concatenate((y[batch.y_ij].transpose(0, 2, 1).reshape(n, -1),
-                           y[batch.y_ji].reshape(n, -1)), axis=1)
+    return np.concatenate((gather(measurements, batch.gi, batch.gj).transpose(0, 2, 1)
+                           .reshape(n, -1),
+                           gather(measurements, batch.gj, batch.gi).reshape(n, -1)), axis=1)
 
 
 def pairwise_aml(measurements, pilots, partition, init=None, tol=1e-6, max_iter=100):
@@ -227,7 +227,7 @@ def pairwise_aml(measurements, pilots, partition, init=None, tol=1e-6, max_iter=
     m = partition.num_antennas
     stacks, place = pilots.by_shape
     h_rows = {key: np.zeros((len(gs), key[1] * (m - key[0]), key[0]), dtype=complex)
-              for key, (gs, _, _) in stacks.items()}
+              for key, (gs, *_) in stacks.items()}
     y_rows = {key: np.zeros(h.shape[:2], dtype=complex) for key, h in h_rows.items()}
     filled = [0] * partition.num_groups
     pairs = []

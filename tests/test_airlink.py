@@ -6,6 +6,7 @@ from arraycal.airlink import (
     ALL_ONES,
     IDENTITY,
     UNIT_PHASE_RANDOM,
+    MeasurementSet,
     NoncoherentSchedule,
     PilotSet,
     default_pilots,
@@ -287,6 +288,7 @@ def test_simulate_exchange_equals_pair_loop(case):
 def test_plans_are_shared_read_only_and_match_gather(case):
     part, kind, snr, groups, seed = case
     everyone = tuple(range(part.num_groups))
+    active = everyone if groups is None else tuple(sorted(groups))
     # equal partitions from two freshly built configs share one plan
     parts = [ExperimentConfig(m=part.num_antennas, scheme="CUSTOM", crb=False,
                               group_sizes=part.group_sizes,
@@ -295,33 +297,48 @@ def test_plans_are_shared_read_only_and_match_gather(case):
     assert parts[0] is not parts[1]
     plan = slot_plan(parts[0], everyone)
     assert slot_plan(parts[1], everyone) is plan
-    arrays = [plan.gram_index, plan.cols_index, *(a for b in plan.pairs for a in b)]
-    assert len(arrays) == 2 + 7 * len(plan.pairs)
-    for a in arrays:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a.flat[0] = 0
-    # both directions' real and imaginary noise indices cover the slot's draw once
-    drawn = np.concatenate([n.ravel() for b in plan.pairs for n in (b.n_ij, b.n_ji)])
-    assert np.array_equal(np.sort(drawn), np.arange(plan.noise_size))
-    # the measurements carry their slot's plan, whose pair indices read the
-    # blocks that block and the oracle's gather read, once for every active pair
+    some = slot_plan(parts[1], active)
+    assert (some is plan) == (active == everyone)
+    for p in (plan, some):
+        for a in (p.noise_index, *(x for b in p.pairs for x in b)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
+    # each position of the slot's draw is read exactly once, and no
+    # self-block or inactive entry reads one (they read noise_size)
+    index, n = some.noise_index, some.noise_size
+    assert index.shape == some.shape + (2,) and np.all(index <= n)
+    assert np.array_equal(np.bincount(index.ravel(), minlength=n + 1)[:n], np.ones(n, int))
+    group = np.repeat(everyone, part.group_sizes)[:, None]
+    sender = np.repeat(everyone, part.pilot_lengths)
+    idle = (group == sender) | ~np.isin(group, active) | ~np.isin(sender, active)
+    assert np.array_equal(index == n, np.repeat(idle[:, :, None], 2, axis=2))
+    # the draw is read block after block in the pair loop's order
+    # (transmitters then receivers ascending, real part then imaginary part),
+    # into the entries that gather reads
+    where = MeasurementSet(np.arange(index.size // 2).reshape(some.shape), part, 0.0, some)
+    expected, start = np.full((where.received.size, 2), n), 0
+    for i in active:
+        for j in active:
+            if i != j:
+                at = gather(where, [i], [j]).ravel()
+                expected[at] = start + np.arange(2 * at.size).reshape(2, -1).T
+                start += 2 * at.size
+    assert start == n and np.array_equal(index.reshape(-1, 2), expected)
+    # the exchange adds the draw there and leaves zeros elsewhere
     rng = np.random.default_rng(seed)
-    pilots, imp, chan = _setup(parts[1], rng, kind)
-    ms = simulate_exchange(parts[1], pilots, imp, chan, snr, rng, groups=groups)
-    active = everyone if groups is None else tuple(sorted(groups))
-    assert ms.groups == active and ms.plan is slot_plan(part, active)
-    y, pairs = ms.received.ravel(), []
-    for b in ms.plan.pairs:
-        assert np.array_equal(y[b.y_ji], gather(ms, b.gj, b.gi))
-        assert np.array_equal(y[b.y_ij], gather(ms, b.gi, b.gj))
-        for p, (i, j) in enumerate(zip(b.gi.tolist(), b.gj.tolist())):
-            assert np.array_equal(y[b.y_ji[p]], ms.block(j, i))
-            assert np.array_equal(y[b.y_ij[p]], ms.block(i, j))
-            pairs.append((i, j))
-    assert sorted(pairs) == [(i, j) for i in active for j in active if i < j]
-    # slots with other active groups get other plans
-    assert (ms.plan is plan) == (active == everyone)
+    pilots, imp, chan = _setup(part, rng, kind)
+    ms = simulate_exchange(part, pilots, imp, chan, snr, np.random.default_rng(seed), plan=some)
+    clean = simulate_exchange(part, pilots, imp, chan, np.inf, rng, plan=some)
+    assert ms.plan is some and ms.groups == active
+    assert not np.any(ms.received[idle])
+    if np.isfinite(snr):
+        sd = np.sqrt(noise_variance_from_snr(snr, chan) / 2)
+        draw = sd * np.random.default_rng(seed).standard_normal(n)
+        noise = (ms.received - clean.received)[~idle]
+        np.testing.assert_allclose(np.stack((noise.real, noise.imag), axis=1),
+                                   draw[index[~idle]],
+                                   rtol=0, atol=1e-12 * np.max(np.abs(ms.received)))
 
 
 def test_build_stacked_is_reused_per_measurement_set():

@@ -32,7 +32,7 @@ from arraycal.model import (
     gen_impairments,
 )
 from arraycal.bench import ExperimentConfig, run_experiment
-from arraycal.stacking import StackedSystem, build_stacked, check_identifiability
+from arraycal.stacking import build_stacked, check_identifiability
 
 CFG = ImpairmentConfig(0.5, fix_first_to_one=True)
 
@@ -389,9 +389,15 @@ def test_tree_equals_ls_on_the_tree_pairs(case, snr):
     rng = np.random.default_rng(seed)
     pilots, imp, chan, ms = _instance(part, rng, snr=snr, kind="UNIT_PHASE_RANDOM")
     y = dense_y(ms, pilots, part, _tree_pairs(parent))
-    m = part.num_antennas
-    tree_system = StackedSystem(y.conj().T @ y, y.shape[0], m, [(np.arange(m)[None], y[None])],
-                                np.arange(m))
+    # the received matrix with the blocks off the tree zeroed stacks the
+    # tree's pair equations and zero rows
+    tree_only = ms.received.copy()
+    for i in range(part.num_groups):
+        for j in range(part.num_groups):
+            if i != j and parent[i] != j and parent[j] != i:
+                tree_only[part.antennas_of(j), part.pilot_columns(i)] = 0.0
+    tree_system = build_stacked(MeasurementSet(tree_only, part, ms.noise_variance, ms.plan),
+                                pilots)
     f_ls = ls_estimate(tree_system, ConstraintSpec.fcc()).f_hat.f
     f = tree_estimate(ms, pilots, parent).f
     tol = max(1e-12, 4 * np.finfo(float).eps * np.linalg.cond(y[:, 1:]))
@@ -538,6 +544,25 @@ def test_aml_constraint_applied():
     some = simulate_exchange(part, pilots, imp, chan, 25.0, rng, groups=(0, 1, 2, 3))
     with pytest.raises(ValueError, match="every group"):
         aml_estimate(some, pilots, part)
+
+
+@pytest.mark.parametrize("estimate, scheme", [(argos_estimate, "SINGLETON"),
+                                              (aml_estimate, "AVALANCHE"),
+                                              (avalanche_estimate, "AVALANCHE")])
+def test_whole_slot_estimators_refuse_an_idle_group(estimate, scheme):
+    # a slot without group 5 holds zeros where its blocks would be: the tree
+    # solve, AML and Avalanche refuse it (Avalanche once raised a bare
+    # KeyError), and run on the slot in which every group is active
+    part = ExperimentConfig(m=6 if scheme == "SINGLETON" else 16, scheme=scheme,
+                            g=6 if scheme == "AVALANCHE" else None, crb=False
+                            ).group_scheme.partition
+    rng = np.random.default_rng(17)
+    pilots, imp, chan, ms = _instance(part, rng, snr=30.0)
+    some = simulate_exchange(part, pilots, imp, chan, 30.0, rng, groups=(0, 1, 2, 3, 4))
+    with pytest.raises(ValueError, match="needs a slot in which every group is active"):
+        estimate(some, pilots, part)
+    f = estimate(ms, pilots, part)
+    assert np.all(np.isfinite(getattr(f, "f_hat", f).f))
 
 
 def test_normalize_for_constraint():

@@ -205,6 +205,9 @@ def _partitions_and_schedules(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_partitions_and_schedules())
+@example((AntennaPartition.singleton(16), None, 1))      # the ALL_ONES partition, L_g = 1
+@example((AntennaPartition((2, 1, 3, 1, 2), (1, 2, 1, 3, 2)),
+          NoncoherentSchedule(((0, 1, 2), (2, 3), (0, 3, 4))), 5))   # idle groups per slot
 def test_gram_equals_dense_oracle(case):
     # the pair-by-pair Gram and A f equal the products of the dense Y(P)
     part, sched, seed = case
