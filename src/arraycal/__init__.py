@@ -50,12 +50,9 @@ from .estimators import (
 from .crb import (
     CrbContext,
     CrbResult,
-    build_f_perp,
     context_from_model,
     crb_f,
     crb_f_known_h,
-    fim,
-    ml_compressed_cost,
 )
 from .grouping import (
     GroupScheme,

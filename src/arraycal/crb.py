@@ -1,4 +1,4 @@
-"""Bilinear estimation model, Fisher information, and constrained Cramer-Rao bounds.
+"""Bilinear estimation model and constrained Cramer-Rao bounds on f.
 
 The received pilot blocks are linear in the calibration vector f for a fixed
 auxiliary channel h, and linear in h for fixed f:
@@ -6,32 +6,32 @@ auxiliary channel h, and linear in h for fixed f:
     y = H(h, P) f + n = F(f, P) h + n,
 
 where the auxiliary (nuisance) channel per pair is the reciprocal
-Hc_{i->j} = R_j C_{i->j} R_i^T.  The joint FIM is singular (scale ambiguity),
-so the CRB is computed under either the first-coefficient constraint or a
-norm-plus-phase / f-linear constraint.
+Hc_{i->j} = R_j C_{i->j} R_i^T.  By reciprocity the Hc_{i->j} are the blocks
+of one symmetric K = R C R^T, and a slot's received matrix is Y = K F P off
+its self blocks (F = diag(f), P = blkdiag(P_g)).  The bound is computed from
+K: B = H^H P_F_perp H, the information on f with h profiled out, is H^H H
+(block diagonal over groups) less the part F(f, P) explains, which decouples
+in the singular bases of the groups' A_g = P_g^T diag(f_g) (shape_factors,
+pair_weights), as AML's h-step does.  The joint FIM is singular (scale
+ambiguity), so the CRB is computed under either the first-coefficient
+constraint or a norm-plus-phase constraint.
 
-Both composites are block structured over group pairs: F is block diagonal,
-and pair p's rows of H touch only groups i and j.  F_p = [A_i kron I_{M_j};
-I_{M_i} kron A_j], A_g = P_g^T diag(f_g), enters only through the SVDs of the
-A_g (group_factors, pair_project); build_h_composite and build_f_composite are
-test references.  A 1 x 1 A_g's SVD is its modulus and phase, and a least
-squares with one unknown (AML's f-step of a single-antenna group) is a
-projection; both are taken in closed form under the SVD's rank rule, so
-single-antenna groups with one pilot symbol cost no LAPACK call.
-By reciprocity the Hc_{i->j} are the blocks of one symmetric K = R C R^T, so
-AML solves every pair's h at once, as one M x M solve for K in the groups'
-singular bases (estimators.aml_estimate).
+A 1 x 1 A_g's SVD is its modulus, and a least squares with one unknown
+(AML's f-step of a single-antenna group) is a projection; both are taken in
+closed form under the SVD's rank rule, so single-antenna groups with one
+pilot symbol cost no LAPACK call.  build_h_composite, build_f_composite and
+stack_observations are the dense H(h, P), F(f, P) and y, test references.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .model import (AntennaPartition, ChannelRealization, RfImpairments, SlotPlan,
-                    received_index, slot_plan)
+from .model import AntennaPartition, ChannelRealization, RfImpairments, batch_indices
 from .stacking import khatri_rao_t
 
 # B's second-smallest eigenvalue relative to its largest, at or below which f
@@ -43,11 +43,6 @@ UNIDENTIFIABLE_RTOL = 1e-12
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-major vectorization."""
     return np.asarray(a).reshape(-1, order="F")
-
-
-def vec_transpose_index(m: int, n: int) -> np.ndarray:
-    """Index permutation t with vec(X)[t] = vec(X^T) for X of shape (m, n)."""
-    return vec(np.arange(m * n).reshape(m, n, order="F").T)
 
 
 def stack_observations(measurements, partition: AntennaPartition) -> np.ndarray:
@@ -96,41 +91,6 @@ def build_f_composite(f: np.ndarray, pilots, partition: AntennaPartition) -> np.
     return out
 
 
-def pair_gram(n: int, cols: list, ws: list) -> np.ndarray:
-    """The n x n sum of w_p^H w_p over the pairs p of the batches ws
-    [(P, r, k), ...], each at its columns cols [(P, k), ...].  One bincount
-    per part sums every entry's terms in np.add.at's order, to the bit."""
-    index = np.concatenate([(c[:, :, None] * n + c[:, None, :]).ravel() for c in cols])
-    val = np.concatenate([np.einsum("pri,prj->pij", w.conj(), w).ravel() for w in ws])
-    out = np.empty(n * n, dtype=complex)
-    out.real = np.bincount(index, val.real, n * n)
-    out.imag = np.bincount(index, val.imag, n * n)
-    return out.reshape(n, n)
-
-
-def pair_h_block(hc: np.ndarray, p_i: np.ndarray, p_j: np.ndarray):
-    """The two nonzero blocks of pair p's rows of H(h, P), batched over pairs.
-
-    hc is Hc_{i->j} (P, M_j, M_i); the blocks act on f_i for the L_i M_j rows
-    vec(Y_{i->j}) and on f_j for the M_i L_j rows vec(Y_{j->i}^T).
-    """
-    return (khatri_rao_t(p_i, hc.transpose(0, 2, 1)),    # P x L_iM_j x M_i
-            khatri_rao_t(hc, p_j))                         # P x M_iL_j x M_j
-
-
-def pair_f_block(f: np.ndarray, cols: np.ndarray, p_i: np.ndarray,
-                 p_j: np.ndarray) -> np.ndarray:
-    """Diagonal blocks F_p of F(f, P) for a batch of pairs with antenna columns
-    cols, (P, L_iM_j + M_iL_j, M_iM_j)."""
-    n, mi, li = p_i.shape
-    mj, lj = p_j.shape[1:]
-    a_i = p_i.transpose(0, 2, 1) * f[cols[:, None, :mi]]      # P_i^T F_i
-    b_j = p_j.transpose(0, 2, 1) * f[cols[:, None, mi:]]      # P_j^T F_j
-    top = np.einsum("pak,bc->pabkc", a_i, np.eye(mj)).reshape(n, li * mj, mi * mj)
-    bot = np.einsum("ak,pbc->pabkc", np.eye(mi), b_j).reshape(n, mi * lj, mi * mj)
-    return np.concatenate((top, bot), axis=1)
-
-
 def complement_basis(f: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span{f}'s complement, M x (M-1), as null_space(f^H)."""
     return np.linalg.svd(f.conj()[None, :])[2][1:].conj().T
@@ -157,79 +117,92 @@ def lstsq_min_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def shape_factors(f: np.ndarray, pilots) -> dict:
-    """Full SVDs U_g S_g V_g^H of every group's A_g = P_g^T diag(f_g), batched by
-    shape: {(M_g, L_g): (U^H, s zero-padded to M_g, V^H, V)}, each stacked over
-    the shape's groups in pilots.by_shape order.
+    """The SVDs A_g = U_g S_g V_g^H of every group's A_g = P_g^T diag(f_g),
+    batched by shape, without U_g: {(M_g, L_g): (s zero-padded to M_g, V^H,
+    V)}, each stacked over the shape's groups in pilots.by_shape order.
 
-    A 1 x 1 A_g = a is its own SVD, modulus and phase: s = |a|, U = e^{i arg a}
-    (1 where a = 0) and V = 1, LAPACK's convention.  Other rank-one shapes
-    (M_g = 1 < L_g, L_g = 1 < M_g) need a unitary completed around one vector
-    and stay on the SVD, which a batched Householder completion did not beat.
+    A 1 x 1 A_g = a has s = |a| and V = 1, LAPACK's convention.  Other
+    rank-one shapes (M_g = 1 < L_g, L_g = 1 < M_g) stay on the SVD, which a
+    batched Householder completion did not beat.
     """
     svds = {}
     for (m, l), (gs, p, rows, _) in pilots.by_shape[0].items():
         a = p.transpose(0, 2, 1) * f[rows[:, None]]
         if (m, l) == (1, 1):
             one = np.ones_like(a)
-            svds[m, l] = (np.exp(-1j * np.angle(a)), np.abs(a[:, 0]), one, one)
+            svds[m, l] = (np.abs(a[:, 0]), one, one)
         else:
-            u, s, vh = np.linalg.svd(a)
+            s, vh = np.linalg.svd(a)[1:]
             s = np.concatenate((s, np.zeros((gs.size, m - s.shape[1]))), axis=1)
-            svds[m, l] = (u.conj().transpose(0, 2, 1), s, vh, vh.conj().transpose(0, 2, 1))
+            svds[m, l] = (s, vh, vh.conj().transpose(0, 2, 1))
     return svds
 
 
-def group_factors(f: np.ndarray, pilots):
-    """shape_factors as a function stacking groups' (U^H, s, V^H, V) in order."""
-    svds, place = shape_factors(f, pilots), pilots.by_shape[1]
-    return lambda groups: tuple(x.take(place[groups], 0) for x in svds[pilots[groups[0]].shape])
+@lru_cache(maxsize=32)
+def _rank_rule(partition: AntennaPartition):
+    """Per pair of antennas k, l (rows of the groups' singular bases): the
+    pair (g(k), g(l))'s lstsq rank rule (max(r, M_iM_j) eps)^2, r = L_iM_j +
+    M_iL_j, and whether k and l are in different groups.  Read-only."""
+    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
+    m_a, l_a = np.repeat(sizes, sizes), np.repeat(lens, sizes)
+    rule = (np.maximum(np.outer(l_a, m_a) + np.outer(m_a, l_a), np.outer(m_a, m_a))
+            * np.finfo(float).eps) ** 2
+    group = np.repeat(np.arange(sizes.size), sizes)
+    off = group[:, None] != group
+    rule.flags.writeable = off.flags.writeable = False
+    return rule, off
 
 
-def pair_project(factors_i, factors_j, x: np.ndarray):
-    """Least squares F_p w = x, x (P, r, c), for pairs of one block shape, in
-    the singular bases of their groups' stacked group_factors.
+@lru_cache(maxsize=32)
+def _group_pairs(partition: AntennaPartition) -> tuple:
+    """The ordered pairs (g, h), g != h, of groups, batched by their ranks
+    r = min(M, L): per batch, the antennas of g and of h (P, max M_g),
+    padded with the index M, and the first r_g and r_h of them, the rank
+    rows of the groups' singular bases.  Read-only."""
+    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
+    offsets, rank, m = np.asarray(partition.offsets), np.minimum(sizes, lens), int(sizes.sum())
+    g, h = np.nonzero(~np.eye(sizes.size, dtype=bool))
 
-    F_p maps W (M_i x M_j, w = its rows) to (A_i W, W A_j^T).  Rotated to
-    T = U_i^H X_top conj(V_j) and R = V_i^H X_bot conj(U_j), it decouples:
-    W~_kl = (s_ik T_kl + s_jl R_kl) / sigma_kl^2 where F_p's singular value
-    sigma_kl = (s_ik^2 + s_jl^2)^(1/2) > max(r, M_iM_j) eps sigma_max (lstsq's
-    rank rule), else 0.  Returns W~ (P, M_i, M_j, c) and the rotated residual
-    (P, r, c), whose Gram is that of P_perp,p x.
-    """
-    (uh_i, s_i, vh_i, _), (uh_j, s_j, vh_j, _) = factors_i, factors_j
-    n, r, c = x.shape
-    li, mi, lj, mj = uh_i.shape[2], s_i.shape[1], uh_j.shape[2], s_j.shape[1]
-    t = vh_j[:, None] @ (uh_i @ x[:, :li * mj].reshape(n, li, mj * c)).reshape(n, li, mj, c)
-    rot = uh_j[:, None] @ (vh_i @ x[:, li * mj:].reshape(n, mi, lj * c)).reshape(n, mi, lj, c)
-    sig2 = s_i[:, :, None] ** 2 + s_j[:, None, :] ** 2
-    tol = (max(r, mi * mj) * np.finfo(float).eps) ** 2 * sig2[:, :1, :1]   # s is descending
-    inv = np.divide(1.0, sig2, out=np.zeros_like(sig2), where=sig2 > tol)
-    s_i, s_j = s_i[:, :li, None, None], s_j[:, None, :lj, None]    # s_g = 0 past L_g
-    wt = np.zeros((n, mi, mj, c), dtype=complex)
-    wt[:, :li] = s_i * t[:, :mi]
-    wt[:, :, :lj] += s_j * rot[:, :, :mj]
-    wt *= inv[..., None]
-    t[:, :mi] -= s_i * wt[:, :li]
-    rot[:, :, :mj] -= s_j * wt[:, :, :lj]
-    return wt, np.concatenate((t.reshape(n, li * mj, c), rot.reshape(n, mi * lj, c)), axis=1)
+    def antennas(x, n):
+        return np.where(np.arange(n) < sizes[x, None], offsets[x, None] + np.arange(n), m)
+
+    batches = []
+    for sel in batch_indices((rank[g], rank[h])):
+        gs, hs = g[sel], h[sel]
+        batches.append((antennas(gs, sizes[gs].max()), antennas(hs, sizes[hs].max()),
+                        antennas(gs, rank[gs[0]]), antennas(hs, rank[hs[0]])))
+    for x in (x for batch in batches for x in batch):
+        x.flags.writeable = False
+    return tuple(batches)
+
+
+def pair_weights(svds: dict, pilots, partition: AntennaPartition) -> np.ndarray:
+    """W_kl = 1 / (s_k^2 + s_l^2), M x M, with s_k the k-th singular value of
+    its group's A_g (shape_factors): the inverse of F(f, P)^H F(f, P) in the
+    groups' singular bases.  The pair's F_p has singular values (s_k^2 +
+    s_l^2)^(1/2); one at or below max(r, M_iM_j) eps sigma_max counts as zero
+    (lstsq's rank rule on F_p), and so does every weight inside a group's
+    diagonal block, where K has no unknowns."""
+    m = partition.num_antennas
+    s2, s2_max = np.empty(m), np.empty(m)
+    for key, (_, _, rows, _) in pilots.by_shape[0].items():
+        s2[rows] = svds[key][0] ** 2
+        s2_max[rows] = s2[rows[:, :1]]             # s is descending
+    rule, off = _rank_rule(partition)
+    den = s2[:, None] + s2
+    return np.divide(1.0, den, out=np.zeros_like(den),
+                     where=(den > rule * (s2_max[:, None] + s2_max)) & off)
 
 
 @dataclass
 class CrbContext:
-    """The bilinear model y = H(h, P) f = F(f, P) h at (f, h), as pair blocks.
-
-    Pairs are batched by block shape, as in the plan of the slot in which
-    every group is active (model.slot_plan): for batch k of plan.pairs,
-    h_pairs[k] = H_p (P, r, M_i + M_j), at the batch's antenna columns, are
-    each pair's rows of H, r = L_iM_j + M_iL_j.  H, F and h are never formed.
-    """
+    """The model Y = K F P (off its self blocks) at the true f and K = R C R^T."""
 
     f: np.ndarray
     noise_variance: float
     partition: AntennaPartition
-    plan: SlotPlan
     pilots: object
-    h_pairs: list
+    k: np.ndarray
 
     @cached_property
     def v_f(self) -> np.ndarray:
@@ -239,171 +212,156 @@ class CrbContext:
 
 @dataclass
 class CrbResult:
-    crb_matrix: np.ndarray
+    """A bound's trace; its matrix is formed on first read."""
+
     trace: float
     constraint_kind: str
+    _matrix: Callable = field(repr=False)
+
+    @cached_property
+    def crb_matrix(self) -> np.ndarray:
+        return self._matrix()
 
 
 def context_from_model(imp: RfImpairments, chan: ChannelRealization, pilots,
                        partition: AntennaPartition, noise_variance: float) -> CrbContext:
-    """Pair blocks of H at the true f = t / r and h = [vec(Hc_{i->j})]: each
-    batch's Hc_{i->j} = R_j C_{i->j} R_i^T is R C R^T, formed once, read at
-    the batch's antenna columns."""
-    f = imp.tx_gains / imp.rx_gains
-    plan = slot_plan(partition, tuple(range(partition.num_groups)))
-    rcr = imp.rx_gains[:, None] * chan.c * imp.rx_gains[None, :]
-    h_pairs = []
-    for b in plan.pairs:
-        p_i, p_j = pilots.stacked(b.gi), pilots.stacked(b.gj)
-        cols_i, cols_j = b.cols[:, :p_i.shape[1]], b.cols[:, p_i.shape[1]:]
-        bi, bj = pair_h_block(rcr[cols_j[:, :, None], cols_i[:, None, :]], p_i, p_j)
-        hp = np.zeros(bi.shape[:1] + (bi.shape[1] + bj.shape[1], b.cols.shape[1]), complex)
-        hp[:, :bi.shape[1], :p_i.shape[1]] = bi
-        hp[:, bi.shape[1]:, p_i.shape[1]:] = bj
-        h_pairs.append(hp)
-    return CrbContext(f, float(noise_variance), partition, plan, pilots, h_pairs)
+    """The model at the true f = t / r and K = R C R^T."""
+    k = imp.rx_gains[:, None] * chan.c * imp.rx_gains[None, :]
+    return CrbContext(imp.tx_gains / imp.rx_gains, float(noise_variance), partition, pilots, k)
 
 
-def fim(ctx: CrbContext) -> np.ndarray:
-    """Joint FIM over (f, h): J = (1/sigma^2) [H F]^H [H F], h = [vec(Hc_{i->j})]
-    with the pairs lexicographic.  Singular by scale."""
-    if ctx.noise_variance <= 0:
-        raise ValueError("FIM requires a positive noise variance")
-    m = ctx.f.size
-    # each pair's M_iM_j entries in h, and where they start: i < j row-major
-    size = np.triu(np.outer(ctx.partition.group_sizes, ctx.partition.group_sizes), 1)
-    h_off = np.cumsum(size).reshape(size.shape) - size
-    n = m + int(size.sum())
-    cols, ws = [], []
-    for b, hp in zip(ctx.plan.pairs, ctx.h_pairs):
-        fp = pair_f_block(ctx.f, b.cols, ctx.pilots.stacked(b.gi), ctx.pilots.stacked(b.gj))
-        cols.append(np.concatenate((b.cols, m + h_off[b.gi, b.gj][:, None]
-                                    + np.arange(fp.shape[2])), axis=1))
-        ws.append(np.concatenate((hp, fp), axis=2))
-    return pair_gram(n, cols, ws) / ctx.noise_variance
+def known_h_information(k: np.ndarray, pilots, partition: AntennaPartition) -> np.ndarray:
+    """H^H H (M x M), from the channel K (its group blocks are ignored):
+    dY/df_a = u_a P[a, :] with u_a = K[:, a] off g(a), so H^H H is block
+    diagonal, conj(P_g P_g^H) o (U_g^H U_g) with U_g = K's columns of group g
+    off its block."""
+    u = np.where(_rank_rule(partition)[1], k, 0)
+    b = np.zeros(u.shape, dtype=complex)
+    for _, p, rows, _ in pilots.by_shape[0].values():
+        ug = u[:, rows].transpose(1, 0, 2)                  # (n, M, M_g)
+        b[rows[:, :, None], rows[:, None, :]] = (p.conj() @ p.transpose(0, 2, 1)) \
+            * (ug.conj().transpose(0, 2, 1) @ ug)
+    return b
 
 
-def compressed_information(ctx: CrbContext) -> np.ndarray:
-    """B = H^H P_F_perp H (M x M), the information on f with h profiled out,
-    times sigma^2.  F is block diagonal over pairs, so its projector splits into
-    the pairs' small ones: B = sum_p (P_perp,p H_p)^H (P_perp,p H_p), the
-    Grams of pair_project's residuals."""
-    fac = group_factors(ctx.f, ctx.pilots)
-    ws = [pair_project(fac(b.gi), fac(b.gj), hp)[1] for b, hp in zip(ctx.plan.pairs, ctx.h_pairs)]
-    b = pair_gram(ctx.f.size, [b.cols for b in ctx.plan.pairs], ws)
+def compressed_information(f: np.ndarray, k: np.ndarray, pilots,
+                           partition: AntennaPartition) -> np.ndarray:
+    """B = H^H P_F_perp H (M x M), the information on f with K profiled out,
+    times sigma^2, from the M x M channel K (its group blocks are ignored; a
+    group's rows and columns set to zero leave it out, as an idle group).
+    f has no zeros, as the model's f = t / r.
+
+    F^H takes dY/df_a = u_a P[a, :] (u_a = K[:, a] off g(a)) to Z_a = X_a +
+    X_a^T, X_a = u_a q_a^T with q_a[s] = (P P^H)[a, s] conj(f_s), supported
+    on g(a).  In the groups' singular bases (V = blkdiag(V_g)) F^H F is the
+    weight 1 / W (pair_weights), so B = H^H H - C with C_ab = 1/2 sum_kl
+    conj(Z~_a)_kl (Z~_b)_kl W_kl, Z~_a = V^H Z_a conj(V) = u~_a q~_a^T +
+    q~_a u~_a^T, u~ = V^H u, and Q~_g = V_g^H A_g^H P_g^T = S_g^T U_g^H P_g^T,
+    whose rows past rank r_g = min(M_g, L_g) are zero.  As W is symmetric and
+    zero in group blocks, with k and l running over rank rows only:
+      a, b in one group g: H^H H's block conj(P_g P_g^H) o (U_g^H U_g) is
+        sum_{k in g, l outside g} conj(Q~[k, a] U~[l, a]) Q~[k, b] U~[l, b]
+        / s_k^2 (U_g^H P_g^T has no rows past rank, as f_g has no zeros),
+        and C's block the same sum weighted by W_kl, so B's block is the sum
+        weighted by (1 - s_k^2 W_kl) / s_k^2 = s_l^2 W_kl / s_k^2 (1 / s_k^2
+        where the rank rule drops W_kl), formed with no cancellation;
+      other groups: -C_ab = -sum_{k in g(a), l in g(b)} W_kl conj(Q~[k, a])
+        Q~[l, b] conj(U~[l, a]) U~[k, b].
+    The first is one batched product per pilot shape, the second one per
+    ordered pair of groups, batched by the pair's ranks (_group_pairs); each
+    costs what the pair blocks of F would.
+    """
+    m = f.size
+    svds = shape_factors(f, pilots)
+    w = pair_weights(svds, pilots, partition)
+    # U~ and Q~ (Q~[k, a], k a rank row of a's group), and B, each with a
+    # zero row and column M, the padding of _group_pairs
+    ut = np.zeros((m + 1, m + 1), dtype=complex)
+    ut[:m, :m] = np.where(_rank_rule(partition)[1], k, 0)
+    qt, b, s2, shapes = np.zeros_like(ut), np.zeros_like(ut), np.empty(m), []
+    for key, (_, p, rows, _) in pilots.by_shape[0].items():
+        q = np.conj(f[rows])[:, :, None] * (p.conj() @ p.transpose(0, 2, 1))
+        if key[0] > 1:
+            ut[rows] = svds[key][1] @ ut[rows]
+            q = svds[key][1] @ q
+        q = q[:, :min(key)]
+        qt[rows[:, :q.shape[1], None], rows[:, None, :]] = q
+        s2[rows] = svds[key][0] ** 2
+        shapes.append((rows, q))
+    for rows, q in shapes:                      # the group diagonal blocks
+        (n, r, mg), l = q.shape, m - rows.shape[1]
+        out = np.arange(l) + mg * (np.arange(l) >= rows[:, :1])     # the antennas outside g
+        x = (q[:, :, None, :] * ut[out[:, :, None], rows[:, None, :]][:, None]).reshape(n, -1, mg)
+        wkl = w[rows[:, :r, None], out[:, None, :]]
+        wkl = np.divide(np.where(wkl > 0, wkl * s2[out][:, None, :], 1.0),
+                        s2[rows[:, :r]][:, :, None], out=np.zeros_like(wkl),
+                        where=s2[rows[:, :r]][:, :, None] > 0)
+        b[rows[:, :, None], rows[:, None, :]] = (wkl.reshape(n, -1, 1) * x.conj()) \
+            .transpose(0, 2, 1) @ x                 # x: Q~[k, a] U~[l, a]
+    for ag, ah, kg, kh in _group_pairs(partition):      # off the group blocks, -C
+        n, ka, la = len(ag), kg[:, None, :, None], kh[:, None, None, :]
+        x = (qt[ka, ag[:, :, None, None]] * ut[la, ag[:, :, None, None]]).conj() \
+            * w[kg[:, None, :, None], kh[:, None, None, :]]    # conj(Q~[k, a] U~[l, a]) W_kl
+        y = qt[la, ah[:, :, None, None]] * ut[ka, ah[:, :, None, None]]     # Q~[l, b] U~[k, b]
+        b[ag[:, :, None], ah[:, None, :]] = -np.einsum(
+            "pax,pbx->pab", x.reshape(n, ag.shape[1], -1), y.reshape(n, ah.shape[1], -1))
+    b = b[:m, :m]
     return (b + b.conj().T) / 2
 
 
-def _constrained_inverse(b: np.ndarray, v: np.ndarray, sigma2: float) -> np.ndarray:
-    inner = v.conj().T @ b @ v
+def _inverse(inner: np.ndarray) -> np.ndarray:
     try:
-        inv = np.linalg.inv(inner)
+        return np.linalg.inv(inner)
     except np.linalg.LinAlgError as e:
         raise np.linalg.LinAlgError(f"unidentifiable configuration: {e}") from e
-    return sigma2 * v @ inv @ v.conj().T
+
+
+def _subspace_bound(b: np.ndarray, v: np.ndarray | None, sigma2: float,
+                    constraint: str) -> CrbResult:
+    """sigma^2 V (V^H B V)^-1 V^H, with V the columns 1.. of I where v is None
+    (FCC), and its trace, sigma^2 tr((V^H B V)^-1)."""
+    inv = _inverse(b[1:, 1:] if v is None else v.conj().T @ b @ v)
+    v = np.eye(b.shape[0])[:, 1:] if v is None else v
+    return CrbResult(sigma2 * float(np.real(np.trace(inv))), constraint,
+                     lambda: sigma2 * v @ inv @ v.conj().T)
 
 
 def crb_f(ctx: CrbContext, constraint: str = "FCC") -> CrbResult:
     """Constrained CRB for f with h as nuisance (Stoica & Ng, IEEE SPL 1998).
 
-    FCC uses the identity-minus-first-column subspace; NPC yields the
-    pseudo-inverse of the nuisance-compressed information sigma^-2 B at its
-    rank M - 1.  B always has f in its null space; a second null direction
-    (lambda_2 <= UNIDENTIFIABLE_RTOL lambda_max) means f is not identifiable,
-    and raises LinAlgError instead of returning a meaningless bound.
+    FCC inverts B without its first row and column; NPC is the pseudo-inverse
+    of the nuisance-compressed information sigma^-2 B at its rank M - 1, whose
+    trace is sigma^2 sum_{i >= 1} 1 / lambda_i.  B always has f in its null
+    space; a second null direction (lambda_2 <= UNIDENTIFIABLE_RTOL
+    lambda_max) means f is not identifiable, and raises LinAlgError instead of
+    returning a meaningless bound.
     """
     if constraint not in ("FCC", "NPC"):
         raise ValueError(f"unknown CRB constraint {constraint!r}")
-    b = compressed_information(ctx)
-    w, v = np.linalg.eigh(b)
+    b = compressed_information(ctx.f, ctx.k, ctx.pilots, ctx.partition)
+    w = np.linalg.eigvalsh(b)
     if w[1] <= UNIDENTIFIABLE_RTOL * w[-1]:
         raise np.linalg.LinAlgError(
             f"unidentifiable configuration: the compressed information has rank "
             f"< M - 1 (lambda_2 / lambda_max = {w[1] / w[-1] if w[-1] else 0.0:.2e})")
+    sigma2 = ctx.noise_variance
     if constraint == "FCC":
-        crb = _constrained_inverse(b, np.eye(ctx.f.size)[:, 1:], ctx.noise_variance)
-    else:
-        crb = ctx.noise_variance * (v[:, 1:] / w[1:]) @ v[:, 1:].conj().T
-    return CrbResult(crb, float(np.real(np.trace(crb))), constraint)
+        return _subspace_bound(b, None, sigma2, constraint)
+
+    def matrix():
+        lam, v = np.linalg.eigh(b)
+        return sigma2 * (v[:, 1:] / lam[1:]) @ v[:, 1:].conj().T
+
+    return CrbResult(sigma2 * float(np.sum(1.0 / w[1:])), constraint, matrix)
 
 
 def crb_f_known_h(ctx: CrbContext, constraint: str = "FCC") -> CrbResult:
     """Comparison bound assuming the internal channel h is known.
 
-    Replaces the nuisance projector by identity (B = sum_p H_p^H H_p); this
+    Replaces the nuisance projector by identity (B = H^H H); this
     underestimates the achievable MSE of joint estimators.
     """
-    b = pair_gram(ctx.f.size, [b.cols for b in ctx.plan.pairs], ctx.h_pairs)
+    b = known_h_information(ctx.k, ctx.pilots, ctx.partition)
     b = (b + b.conj().T) / 2
-    v = np.eye(ctx.f.size, dtype=complex)[:, 1:] if constraint == "FCC" else ctx.v_f
-    crb = _constrained_inverse(b, v, ctx.noise_variance)
-    return CrbResult(crb, float(np.real(np.trace(crb))), constraint)
-
-
-def build_f_perp(f: np.ndarray, pilots, partition: AntennaPartition) -> np.ndarray:
-    """Columns orthogonal to the column space of F(f, P), one L_i L_j block per pair.
-
-    Block diagonal over pairs; signs and row order are fixed so that
-    F_perp^H y reproduces the stacked residual Y(P) f exactly (including the
-    noise realization).  Requires full-rank pilots.  For f without zeros,
-    the columns span the whole orthogonal complement exactly when every pair
-    has (L_i - M_i)(L_j - M_j) >= 0: pair p's complement has dimension
-    L_iL_j - (L_i - M_i)(L_j - M_j) + d_i d_j, with d_i = max(M_i - L_i, 0),
-    which exceeds its L_iL_j columns only where the signs differ.
-    """
-    f = np.asarray(f, dtype=complex)
-    sizes = partition.group_sizes
-    lens = partition.pilot_lengths
-    pairs = partition.pairs()
-    pilots.validate(partition)
-    n_rows = sum(lens[i] * sizes[j] + sizes[i] * lens[j] for (i, j) in pairs)
-    n_cols = sum(lens[i] * lens[j] for (i, j) in pairs)
-    out = np.zeros((n_rows, n_cols), dtype=complex)
-    r = c = 0
-    for (i, j) in pairs:
-        mi, mj, li, lj = sizes[i], sizes[j], lens[i], lens[j]
-        a_i = pilots[i].T * f[partition.antennas_of(i)][None, :]    # P_i^T F_i
-        b_j = f[partition.antennas_of(j)][:, None] * pilots[j]      # F_j P_j
-        # rows of Y(P)f block as a map on [vec(Y_{i->j}); vec(Y_{j->i}^T)]
-        top = -np.kron(b_j.T, np.eye(li))[:, vec_transpose_index(li, mj)]
-        bot = np.kron(np.eye(lj), a_i)[:, vec_transpose_index(mi, lj)]
-        blk_h = np.hstack([top, bot])                               # L_iL_j x pair rows
-        out[r:r + blk_h.shape[1], c:c + blk_h.shape[0]] = blk_h.conj().T
-        r += blk_h.shape[1]
-        c += blk_h.shape[0]
-    return out
-
-
-def ml_compressed_cost(measurements, f: np.ndarray, pilots,
-                       partition: AntennaPartition, rel_tol: float = 1e-8) -> float:
-    """y^H P_F_perp y for y = stack_observations(measurements), the pairs of
-    a slot in which every group is active.
-
-    The direct route sums the squared norms of pair_project's residuals.  Where
-    build_f_perp spans the whole complement of F's columns (no pair with
-    (L_i - M_i)(L_j - M_j) < 0), the cost is also evaluated through the
-    weighted F_perp form, an optimally weighted LS cost on Y(P) f, and
-    disagreement beyond rel_tol raises.  Elsewhere the weighted form gives a
-    smaller number and only the direct route is evaluated.
-    """
-    f = np.asarray(f, dtype=complex)
-    fac, y, cost_direct = group_factors(f, pilots), measurements.received.ravel(), 0.0
-    for b in measurements.plan.pairs:       # y_p = [vec(Y_{i->j}); vec(Y_{j->i}^T)]
-        y_ij, y_ji = (y[received_index(partition, *g)] for g in ((b.gi, b.gj), (b.gj, b.gi)))
-        y_p = np.concatenate((y_ij.transpose(0, 2, 1).reshape(len(b.gi), -1, 1),
-                              y_ji.reshape(len(b.gi), -1, 1)), axis=1)
-        cost_direct += float(np.sum(np.abs(pair_project(fac(b.gi), fac(b.gj), y_p)[1]) ** 2))
-    d = np.subtract(partition.pilot_lengths, partition.group_sizes)
-    if np.any(np.triu(np.multiply.outer(d, d), 1) < 0):
-        return cost_direct
-    y = stack_observations(measurements, partition)
-    fperp = build_f_perp(f, pilots, partition)
-    w = fperp.conj().T @ y
-    gram = fperp.conj().T @ fperp
-    cost_weighted = float(np.real(w.conj() @ np.linalg.pinv(gram, hermitian=True) @ w))
-    tol = rel_tol * max(abs(cost_direct), abs(cost_weighted)) \
-        + 1e-12 * float(np.real(y.conj() @ y))
-    if abs(cost_direct - cost_weighted) > tol:
-        raise ArithmeticError(
-            f"compressed-cost routes disagree: {cost_direct} vs {cost_weighted}")
-    return cost_direct
+    return _subspace_bound(b, None if constraint == "FCC" else ctx.v_f,
+                           ctx.noise_variance, constraint)

@@ -426,8 +426,9 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     pair's block of K at once: with A_g = P_g^T F_g = U_g S_g V_g^H
     (crb.shape_factors) and Z = X + X^T, X = W conj(F) (W = Y P^H from
     build_stacked), the normal equations K A^T conj(A) + A^H A K = Z
-    decouple in the V_g bases, so K~ = V^H Z conj(V) / (s_a^2 + s_b^2) where
-    crb.pair_project's rank rule holds, and K = V K~ V^T.  The f-step solves
+    decouple in the V_g bases, so K~ = V^H Z conj(V) o W_ab with the weights
+    W_ab = 1 / (s_a^2 + s_b^2) of crb.pair_weights (0 where the pair's lstsq
+    rank rule drops s_a^2 + s_b^2), and K = V K~ V^T.  The f-step solves
     group g's rows B_a = P_g^T diag(K[a, rows_g]) against Y[a, cols_g], a
     outside g (crb.lstsq_min_norm), batched over groups of equal shape.
     """
@@ -439,11 +440,6 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
         raise ValueError("init must be nonzero")
     m, y = partition.num_antennas, measurements.received
     yp = build_stacked(measurements, pilots).slots[0][2]      # W = Y P^H
-    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
-    m_a, l_a = np.repeat(sizes, sizes), np.repeat(lens, sizes)
-    # pair_project's rank rule per entry: (max(r, M_iM_j) eps)^2, r = L_iM_j + M_iL_j
-    rule = (np.maximum(np.outer(l_a, m_a) + np.outer(m_a, l_a), np.outer(m_a, m_a))
-            * np.finfo(float).eps) ** 2
     shapes = []                                 # the f-step's rows, per group shape
     for (mg, lg), (gs, p, rows, cols) in pilots.by_shape[0].items():
         out = np.arange(m - mg) + mg * (np.arange(m - mg) >= rows[:, :1])   # a outside g
@@ -461,17 +457,11 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     cost, converged, it = np.inf, False, 0
     for it in range(1, max_iter + 1):
         svds = _crb.shape_factors(f, pilots)
-        s2, s2_max = np.empty(m), np.empty(m)
-        for key, rows, *_ in shapes:
-            s2[rows] = svds[key][1] ** 2
-            s2_max[rows] = s2[rows[:, :1]]
         x = yp * f.conj()
-        zt = rotate(rotate(x + x.T, svds, 2).T, svds, 2)
-        den = s2[:, None] + s2
-        inv = np.divide(1.0, den, out=np.zeros_like(den),
-                        where=den > rule * (s2_max[:, None] + s2_max))
+        zt = rotate(rotate(x + x.T, svds, 1).T, svds, 1)
         # the second rotation writes through a transposed view: the buffer is V K~ V^T
-        k = rotate(rotate(zt * inv, svds, 3).T, svds, 3).T.ravel()
+        k = rotate(rotate(zt * _crb.pair_weights(svds, pilots, partition), svds, 2).T,
+                   svds, 2).T.ravel()
         f_new = np.empty(m, dtype=complex)
         cost = 0.0
         for _, rows, k_at, pt, rhs in shapes:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -91,16 +90,6 @@ def batch_indices(keys) -> list:
     return out
 
 
-class PairBatch(NamedTuple):
-    """Pairs (gi[p], gj[p]), i < j, of one block shape (M_i, M_j, L_i, L_j),
-    and their antenna columns cols (P, M_i + M_j), group i's first.  Only
-    the CRB reads pair batches."""
-
-    gi: np.ndarray
-    gj: np.ndarray
-    cols: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class SlotPlan:
     """One slot's index structure, for the active groups (ascending).  Its
@@ -108,15 +97,13 @@ class SlotPlan:
     (transmitters, then receivers, ascending), each M_j x L_i block of
     Y_{i->j} row-major, real part first; noise_index (M, sum(L_i), 2) holds
     each received entry's places in it, or noise_size in self blocks and
-    inactive groups.  rows counts the rows of Y(P); pairs (i < j,
-    lexicographic, batched by block shape) serve the CRB.  Read-only."""
+    inactive groups.  rows counts the rows of Y(P).  Read-only."""
 
     groups: tuple
     noise_size: int
     noise_index: np.ndarray
     shape: tuple
     rows: int
-    pairs: tuple
 
 
 def received_index(partition: AntennaPartition, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
@@ -148,17 +135,9 @@ def slot_plan(partition: AntennaPartition, active: tuple) -> SlotPlan:
     noise_size = 2 * int(size.sum())
     noise_index = np.where(block[:, :, None] > 0, np.stack((re, re + block), axis=2), noise_size)
     g = act[np.transpose(np.triu_indices(act.size, 1))]
-    batches = []
-    for sel in batch_indices((*sizes[g].T, *lens[g].T)):
-        gi, gj = g[sel, 0], g[sel, 1]
-        batches.append(PairBatch(gi, gj, np.concatenate(
-            (offsets[gi, None] + np.arange(sizes[gi[0]]),
-             offsets[gj, None] + np.arange(sizes[gj[0]])), axis=1)))
-    plan = SlotPlan(tuple(active), noise_size, noise_index, noise_index.shape[:2],
-                    int(np.sum(lens[g[:, 0]] * lens[g[:, 1]])), tuple(batches))
-    for a in (noise_index, *(x for b in batches for x in b)):
-        a.flags.writeable = False
-    return plan
+    noise_index.flags.writeable = False
+    return SlotPlan(tuple(active), noise_size, noise_index, noise_index.shape[:2],
+                    int(np.sum(lens[g[:, 0]] * lens[g[:, 1]])))
 
 
 @dataclass(frozen=True)

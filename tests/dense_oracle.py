@@ -4,35 +4,49 @@ The package keeps only A = Y(P)^H Y(P).  dense_y and dense_y_noncoherent
 build Y(P) itself, one row block per pair from pair_equation_block, in the
 order row_blocks gives, so tests can check the Gram, null-space and rank
 properties against the explicit matrix.  vec_transpose_perm is the dense
-form of crb.vec_transpose_index.  aux_channel_blocks is each pair's
-auxiliary channel Hc_{i->j}, the reference for crb.context_from_model's pair
-blocks and the input of the dense H(h, P) of crb.build_h_composite; stack_h
-stacks them into h, and split_h inverts stack_h.
+form of vec_transpose_index.  aux_channel_blocks is each pair's auxiliary
+channel Hc_{i->j}, the input of the dense H(h, P) of crb.build_h_composite;
+stack_h stacks them into h, and split_h inverts stack_h.
 exchange_pairs is airlink.simulate_exchange as one loop over ordered pairs.
 constrained_lstsq is the linear-constraint LS of estimators.ls_estimate
 solved by lstsq on the dense Y(P).  perp_projector is the dense projector
-that the CRB's per-pair blocks replace, and svd_pair_solve the per-pair
-route crb.pair_project and pair_solve replace: a batched SVD of every
-dense F_p, solved by svd_lstsq, the SVD route crb.lstsq_min_norm replaces
-for one unknown.  pair_solve is crb.pair_project's minimum-norm solution,
-and pair_observations a pair batch's entries of y.  pairwise_aml is the
-alternating ML of estimators.aml_estimate written pair by pair, as that
-function was before it worked on the received matrix: pair_solve's h-step
-on each pair's observations, and svd_lstsq's f-step on each group's rows
-of H, filled pair by pair.
+that the CRB's closed form replaces.
+
+The pair route is the CRB and the compressed cost as they were computed
+before they worked on the M x M channel K: F(f, P) is block diagonal over
+the pairs i < j, pair_batches batches them by block shape, and
+pair_context holds each batch's rows H_p of H(h, P).  group_factors takes
+the full SVD U_g S_g V_g^H of every A_g = P_g^T diag(f_g), and pair_project
+solves a batch of pairs' least squares F_p w = x in their singular bases;
+pair_information sums the Grams of its residuals (B = H^H P_F_perp H),
+pair_known_h_information those of H_p, and fim the joint FIM over (f, h).
+ml_compressed_cost is y^H P_F_perp y, cross-checked against the weighted
+F_perp form of build_f_perp.  svd_pair_solve is the route pair_project
+replaces: a batched SVD of every dense F_p, solved by svd_lstsq, the SVD
+route crb.lstsq_min_norm replaces for one unknown.  pair_solve is
+pair_project's minimum-norm solution, and pair_observations a pair batch's
+entries of y.  pairwise_aml is the alternating ML of
+estimators.aml_estimate written pair by pair, as that function was before
+it worked on the received matrix: pair_solve's h-step on each pair's
+observations, and svd_lstsq's f-step on each group's rows of H, filled pair
+by pair.
 numerical_rank is the rank rule the tests read off dense matrices, and
 brute_force_best_pair_count the exhaustive search behind
 grouping.optimal_group_sizes.
 """
 
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
+
 import numpy as np
 from scipy.linalg import null_space, orth
 
 from arraycal.airlink import noise_variance_from_snr
-from arraycal.crb import group_factors, pair_h_block, pair_project, vec
+from arraycal.crb import complement_basis, stack_observations, vec
 from arraycal.grouping import pair_count
-from arraycal.model import received_index
-from arraycal.stacking import pair_equation_block
+from arraycal.model import batch_indices, received_index
+from arraycal.stacking import khatri_rao_t, pair_equation_block
 
 
 def exchange_pairs(partition, pilots, imp, chan, snr_db, rng, groups=None):
@@ -164,6 +178,253 @@ def constrained_lstsq(y, g, c):
     return f0 + v @ z, rank
 
 
+def vec_transpose_index(m, n):
+    """Index permutation t with vec(X)[t] = vec(X^T) for X of shape (m, n)."""
+    return vec(np.arange(m * n).reshape(m, n, order="F").T)
+
+
+class PairBatch(NamedTuple):
+    """Pairs (gi[p], gj[p]), i < j, of one block shape (M_i, M_j, L_i, L_j),
+    and their antenna columns cols (P, M_i + M_j), group i's first."""
+
+    gi: np.ndarray
+    gj: np.ndarray
+    cols: np.ndarray
+
+
+def pair_batches(partition, active=None):
+    """The pairs i < j of the active groups (all when None), lexicographic,
+    batched by block shape."""
+    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
+    offsets = np.asarray(partition.offsets)
+    act = np.arange(sizes.size) if active is None else np.asarray(active, dtype=int)
+    g = act[np.transpose(np.triu_indices(act.size, 1))]
+    batches = []
+    for sel in batch_indices((*sizes[g].T, *lens[g].T)):
+        gi, gj = g[sel, 0], g[sel, 1]
+        batches.append(PairBatch(gi, gj, np.concatenate(
+            (offsets[gi, None] + np.arange(sizes[gi[0]]),
+             offsets[gj, None] + np.arange(sizes[gj[0]])), axis=1)))
+    return batches
+
+
+def pair_gram(n, cols, ws):
+    """The n x n sum of w_p^H w_p over the pairs p of the batches ws
+    [(P, r, k), ...], each at its columns cols [(P, k), ...]."""
+    index = np.concatenate([(c[:, :, None] * n + c[:, None, :]).ravel() for c in cols])
+    val = np.concatenate([np.einsum("pri,prj->pij", w.conj(), w).ravel() for w in ws])
+    out = np.empty(n * n, dtype=complex)
+    out.real = np.bincount(index, val.real, n * n)
+    out.imag = np.bincount(index, val.imag, n * n)
+    return out.reshape(n, n)
+
+
+def pair_h_block(hc, p_i, p_j):
+    """The two nonzero blocks of pair p's rows of H(h, P), batched over pairs.
+
+    hc is Hc_{i->j} (P, M_j, M_i); the blocks act on f_i for the L_i M_j rows
+    vec(Y_{i->j}) and on f_j for the M_i L_j rows vec(Y_{j->i}^T).
+    """
+    return (khatri_rao_t(p_i, hc.transpose(0, 2, 1)),    # P x L_iM_j x M_i
+            khatri_rao_t(hc, p_j))                         # P x M_iL_j x M_j
+
+
+def pair_f_block(f, cols, p_i, p_j):
+    """Diagonal blocks F_p of F(f, P) for a batch of pairs with antenna columns
+    cols, (P, L_iM_j + M_iL_j, M_iM_j)."""
+    n, mi, li = p_i.shape
+    mj, lj = p_j.shape[1:]
+    a_i = p_i.transpose(0, 2, 1) * f[cols[:, None, :mi]]      # P_i^T F_i
+    b_j = p_j.transpose(0, 2, 1) * f[cols[:, None, mi:]]      # P_j^T F_j
+    top = np.einsum("pak,bc->pabkc", a_i, np.eye(mj)).reshape(n, li * mj, mi * mj)
+    bot = np.einsum("ak,pbc->pabkc", np.eye(mi), b_j).reshape(n, mi * lj, mi * mj)
+    return np.concatenate((top, bot), axis=1)
+
+
+def group_factors(f, pilots):
+    """Full SVDs (U^H, s zero-padded to M_g, V^H, V) of every group's
+    A_g = P_g^T diag(f_g), as a function stacking groups' factors in order.
+    A 1 x 1 A_g = a is s = |a|, U = e^{i arg a} and V = 1 (LAPACK's
+    convention), with no SVD call."""
+    svds, place = {}, pilots.by_shape[1]
+    for (m, l), (gs, p, rows, _) in pilots.by_shape[0].items():
+        a = p.transpose(0, 2, 1) * f[rows[:, None]]
+        if (m, l) == (1, 1):
+            one = np.ones_like(a)
+            svds[m, l] = (np.exp(-1j * np.angle(a)), np.abs(a[:, 0]), one, one)
+        else:
+            u, s, vh = np.linalg.svd(a)
+            s = np.concatenate((s, np.zeros((gs.size, m - s.shape[1]))), axis=1)
+            svds[m, l] = (u.conj().transpose(0, 2, 1), s, vh, vh.conj().transpose(0, 2, 1))
+    return lambda groups: tuple(x.take(place[groups], 0) for x in svds[pilots[groups[0]].shape])
+
+
+def pair_project(factors_i, factors_j, x):
+    """Least squares F_p w = x, x (P, r, c), for pairs of one block shape, in
+    the singular bases of their groups' stacked group_factors.
+
+    F_p maps W (M_i x M_j, w = its rows) to (A_i W, W A_j^T).  Rotated to
+    T = U_i^H X_top conj(V_j) and R = V_i^H X_bot conj(U_j), it decouples:
+    W~_kl = (s_ik T_kl + s_jl R_kl) / sigma_kl^2 where F_p's singular value
+    sigma_kl = (s_ik^2 + s_jl^2)^(1/2) > max(r, M_iM_j) eps sigma_max (lstsq's
+    rank rule), else 0.  Returns W~ (P, M_i, M_j, c) and the rotated residual
+    (P, r, c), whose Gram is that of P_perp,p x.
+    """
+    (uh_i, s_i, vh_i, _), (uh_j, s_j, vh_j, _) = factors_i, factors_j
+    n, r, c = x.shape
+    li, mi, lj, mj = uh_i.shape[2], s_i.shape[1], uh_j.shape[2], s_j.shape[1]
+    t = vh_j[:, None] @ (uh_i @ x[:, :li * mj].reshape(n, li, mj * c)).reshape(n, li, mj, c)
+    rot = uh_j[:, None] @ (vh_i @ x[:, li * mj:].reshape(n, mi, lj * c)).reshape(n, mi, lj, c)
+    sig2 = s_i[:, :, None] ** 2 + s_j[:, None, :] ** 2
+    tol = (max(r, mi * mj) * np.finfo(float).eps) ** 2 * sig2[:, :1, :1]   # s is descending
+    inv = np.divide(1.0, sig2, out=np.zeros_like(sig2), where=sig2 > tol)
+    s_i, s_j = s_i[:, :li, None, None], s_j[:, None, :lj, None]    # s_g = 0 past L_g
+    wt = np.zeros((n, mi, mj, c), dtype=complex)
+    wt[:, :li] = s_i * t[:, :mi]
+    wt[:, :, :lj] += s_j * rot[:, :, :mj]
+    wt *= inv[..., None]
+    t[:, :mi] -= s_i * wt[:, :li]
+    rot[:, :, :mj] -= s_j * wt[:, :, :lj]
+    return wt, np.concatenate((t.reshape(n, li * mj, c), rot.reshape(n, mi * lj, c)), axis=1)
+
+
+@dataclass
+class PairContext:
+    """The bilinear model y = H(h, P) f = F(f, P) h at (f, h), as pair blocks:
+    for batch k of pairs, h_pairs[k] = H_p (P, r, M_i + M_j), at the batch's
+    antenna columns, are each pair's rows of H, r = L_iM_j + M_iL_j."""
+
+    f: np.ndarray
+    noise_variance: float
+    partition: object
+    pairs: list
+    pilots: object
+    h_pairs: list
+
+    @cached_property
+    def v_f(self):
+        return complement_basis(self.f)
+
+
+def pair_context(imp, chan, pilots, partition, noise_variance, active=None):
+    """Pair blocks of H at the true f = t / r and h = [vec(Hc_{i->j})], over
+    the pairs of the active groups (all when None): each batch's
+    Hc_{i->j} = R_j C_{i->j} R_i^T is read off R C R^T at its columns."""
+    f = imp.tx_gains / imp.rx_gains
+    pairs = pair_batches(partition, active)
+    rcr = imp.rx_gains[:, None] * chan.c * imp.rx_gains[None, :]
+    h_pairs = []
+    for b in pairs:
+        p_i, p_j = pilots.stacked(b.gi), pilots.stacked(b.gj)
+        cols_i, cols_j = b.cols[:, :p_i.shape[1]], b.cols[:, p_i.shape[1]:]
+        bi, bj = pair_h_block(rcr[cols_j[:, :, None], cols_i[:, None, :]], p_i, p_j)
+        hp = np.zeros(bi.shape[:1] + (bi.shape[1] + bj.shape[1], b.cols.shape[1]), complex)
+        hp[:, :bi.shape[1], :p_i.shape[1]] = bi
+        hp[:, bi.shape[1]:, p_i.shape[1]:] = bj
+        h_pairs.append(hp)
+    return PairContext(f, float(noise_variance), partition, pairs, pilots, h_pairs)
+
+
+def fim(ctx):
+    """Joint FIM over (f, h): J = (1/sigma^2) [H F]^H [H F], h = [vec(Hc_{i->j})]
+    with the pairs lexicographic.  Singular by scale."""
+    if ctx.noise_variance <= 0:
+        raise ValueError("FIM requires a positive noise variance")
+    m = ctx.f.size
+    # each pair's M_iM_j entries in h, and where they start: i < j row-major
+    size = np.triu(np.outer(ctx.partition.group_sizes, ctx.partition.group_sizes), 1)
+    h_off = np.cumsum(size).reshape(size.shape) - size
+    n = m + int(size.sum())
+    cols, ws = [], []
+    for b, hp in zip(ctx.pairs, ctx.h_pairs):
+        fp = pair_f_block(ctx.f, b.cols, ctx.pilots.stacked(b.gi), ctx.pilots.stacked(b.gj))
+        cols.append(np.concatenate((b.cols, m + h_off[b.gi, b.gj][:, None]
+                                    + np.arange(fp.shape[2])), axis=1))
+        ws.append(np.concatenate((hp, fp), axis=2))
+    return pair_gram(n, cols, ws) / ctx.noise_variance
+
+
+def pair_information(ctx):
+    """B = H^H P_F_perp H = sum_p (P_perp,p H_p)^H (P_perp,p H_p), the Grams of
+    pair_project's residuals."""
+    fac = group_factors(ctx.f, ctx.pilots)
+    ws = [pair_project(fac(b.gi), fac(b.gj), hp)[1] for b, hp in zip(ctx.pairs, ctx.h_pairs)]
+    b = pair_gram(ctx.f.size, [b.cols for b in ctx.pairs], ws)
+    return (b + b.conj().T) / 2
+
+
+def pair_known_h_information(ctx):
+    """H^H H = sum_p H_p^H H_p."""
+    b = pair_gram(ctx.f.size, [b.cols for b in ctx.pairs], ctx.h_pairs)
+    return (b + b.conj().T) / 2
+
+
+def build_f_perp(f, pilots, partition):
+    """Columns orthogonal to the column space of F(f, P), one L_i L_j block per pair.
+
+    Block diagonal over pairs; signs and row order are fixed so that
+    F_perp^H y reproduces the stacked residual Y(P) f exactly (including the
+    noise realization).  Requires full-rank pilots.  For f without zeros,
+    the columns span the whole orthogonal complement exactly when every pair
+    has (L_i - M_i)(L_j - M_j) >= 0: pair p's complement has dimension
+    L_iL_j - (L_i - M_i)(L_j - M_j) + d_i d_j, with d_i = max(M_i - L_i, 0),
+    which exceeds its L_iL_j columns only where the signs differ.
+    """
+    f = np.asarray(f, dtype=complex)
+    sizes = partition.group_sizes
+    lens = partition.pilot_lengths
+    pairs = partition.pairs()
+    pilots.validate(partition)
+    n_rows = sum(lens[i] * sizes[j] + sizes[i] * lens[j] for (i, j) in pairs)
+    n_cols = sum(lens[i] * lens[j] for (i, j) in pairs)
+    out = np.zeros((n_rows, n_cols), dtype=complex)
+    r = c = 0
+    for (i, j) in pairs:
+        mi, mj, li, lj = sizes[i], sizes[j], lens[i], lens[j]
+        a_i = pilots[i].T * f[partition.antennas_of(i)][None, :]    # P_i^T F_i
+        b_j = f[partition.antennas_of(j)][:, None] * pilots[j]      # F_j P_j
+        # rows of Y(P)f block as a map on [vec(Y_{i->j}); vec(Y_{j->i}^T)]
+        top = -np.kron(b_j.T, np.eye(li))[:, vec_transpose_index(li, mj)]
+        bot = np.kron(np.eye(lj), a_i)[:, vec_transpose_index(mi, lj)]
+        blk_h = np.hstack([top, bot])                               # L_iL_j x pair rows
+        out[r:r + blk_h.shape[1], c:c + blk_h.shape[0]] = blk_h.conj().T
+        r += blk_h.shape[1]
+        c += blk_h.shape[0]
+    return out
+
+
+def ml_compressed_cost(measurements, f, pilots, partition, rel_tol=1e-8):
+    """y^H P_F_perp y for y = stack_observations(measurements), the pairs of
+    a slot in which every group is active.
+
+    The direct route sums the squared norms of pair_project's residuals.  Where
+    build_f_perp spans the whole complement of F's columns (no pair with
+    (L_i - M_i)(L_j - M_j) < 0), the cost is also evaluated through the
+    weighted F_perp form, an optimally weighted LS cost on Y(P) f, and
+    disagreement beyond rel_tol raises.  Elsewhere the weighted form gives a
+    smaller number and only the direct route is evaluated.
+    """
+    f = np.asarray(f, dtype=complex)
+    fac, cost_direct = group_factors(f, pilots), 0.0
+    for b in pair_batches(partition, measurements.groups):
+        y_p = pair_observations(measurements, b)[:, :, None]
+        cost_direct += float(np.sum(np.abs(pair_project(fac(b.gi), fac(b.gj), y_p)[1]) ** 2))
+    d = np.subtract(partition.pilot_lengths, partition.group_sizes)
+    if np.any(np.triu(np.multiply.outer(d, d), 1) < 0):
+        return cost_direct
+    y = stack_observations(measurements, partition)
+    fperp = build_f_perp(f, pilots, partition)
+    w = fperp.conj().T @ y
+    gram = fperp.conj().T @ fperp
+    cost_weighted = float(np.real(w.conj() @ np.linalg.pinv(gram, hermitian=True) @ w))
+    tol = rel_tol * max(abs(cost_direct), abs(cost_weighted)) \
+        + 1e-12 * float(np.real(y.conj() @ y))
+    if abs(cost_direct - cost_weighted) > tol:
+        raise ArithmeticError(
+            f"compressed-cost routes disagree: {cost_direct} vs {cost_weighted}")
+    return cost_direct
+
+
 def perp_projector(a):
     """Dense projector onto the orthogonal complement of a's columns."""
     q = orth(a)
@@ -208,7 +469,7 @@ def pair_solve(factors_i, factors_j, x):
 
 def pair_observations(measurements, batch):
     """Pair p's entries of y, [vec(Y_{i->j}); vec(Y_{j->i}^T)], stacked over
-    a batch of pairs of equal shape (a PairBatch of the slot's plan),
+    a batch of pairs of equal shape (a PairBatch of pair_batches),
     (P, L_iM_j + M_iL_j)."""
     n = len(batch.gi)
     return np.concatenate((gather(measurements, batch.gi, batch.gj).transpose(0, 2, 1)
@@ -231,7 +492,7 @@ def pairwise_aml(measurements, pilots, partition, init=None, tol=1e-6, max_iter=
     y_rows = {key: np.zeros(h.shape[:2], dtype=complex) for key, h in h_rows.items()}
     filled = [0] * partition.num_groups
     pairs = []
-    for b in measurements.plan.pairs:
+    for b in pair_batches(partition, measurements.groups):
         p_i, p_j = pilots.stacked(b.gi), pilots.stacked(b.gj)
         y_p = pair_observations(measurements, b)
         top = p_i.shape[2] * p_j.shape[1]       # L_i M_j rows act on f_i

@@ -300,10 +300,9 @@ def test_plans_are_shared_read_only_and_match_gather(case):
     some = slot_plan(parts[1], active)
     assert (some is plan) == (active == everyone)
     for p in (plan, some):
-        for a in (p.noise_index, *(x for b in p.pairs for x in b)):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a.flat[0] = 0
+        assert not p.noise_index.flags.writeable
+        with pytest.raises(ValueError):
+            p.noise_index.flat[0] = 0
     # each position of the slot's draw is read exactly once, and no
     # self-block or inactive entry reads one (they read noise_size)
     index, n = some.noise_index, some.noise_size

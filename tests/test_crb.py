@@ -2,31 +2,26 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dense_oracle import (aux_channel_blocks, dense_y, numerical_rank, pair_solve,
-                          pairwise_aml, perp_projector, split_h, stack_h, svd_pair_solve,
-                          vec_transpose_perm)
+from dense_oracle import (aux_channel_blocks, build_f_perp, dense_y, fim, group_factors,
+                          ml_compressed_cost, numerical_rank, pair_context, pair_f_block,
+                          pair_h_block, pair_information, pair_known_h_information,
+                          pair_project, pair_solve, pairwise_aml, perp_projector, split_h,
+                          stack_h, svd_pair_solve, vec_transpose_index, vec_transpose_perm)
 from arraycal import crb
 from arraycal.airlink import PilotSet, default_pilots, simulate_exchange
 from arraycal.bench import parse_config, run_experiment
 from arraycal.crb import (
     UNIDENTIFIABLE_RTOL,
     build_f_composite,
-    build_f_perp,
     build_h_composite,
     context_from_model,
     compressed_information,
     crb_f,
     crb_f_known_h,
-    fim,
-    group_factors,
+    known_h_information,
     lstsq_min_norm,
-    ml_compressed_cost,
-    pair_f_block,
-    pair_h_block,
-    pair_project,
     stack_observations,
     vec,
-    vec_transpose_index,
 )
 from arraycal.estimators import ConstraintSpec, aml_estimate, ls_estimate, mse
 from arraycal.grouping import make_scheme
@@ -106,15 +101,15 @@ def test_fim_properties():
     rng = np.random.default_rng(3)
     part = AntennaPartition((2, 2, 1), (2, 1, 1))
     pilots, imp, chan, _ = _instance(part, rng)
-    ctx = context_from_model(imp, chan, pilots, part, 1e-2)
+    ctx = pair_context(imp, chan, pilots, part, 1e-2)
     j = fim(ctx)
     assert np.max(np.abs(j - j.conj().T)) < 1e-12
     null = np.concatenate([ctx.f, -stack_h(aux_channel_blocks(imp, chan, part), part)])
     assert np.linalg.norm(j @ null) / np.linalg.norm(j) < 1e-10
-    ctx2 = context_from_model(imp, chan, pilots, part, 2e-2)
+    ctx2 = pair_context(imp, chan, pilots, part, 2e-2)
     assert np.max(np.abs(fim(ctx2) - j / 2)) < 1e-10 * np.max(np.abs(j))
     with pytest.raises(ValueError):
-        fim(context_from_model(imp, chan, pilots, part, 0.0))
+        fim(pair_context(imp, chan, pilots, part, 0.0))
 
 
 def test_crb_hermitian_psd_and_sigma_linearity():
@@ -323,7 +318,7 @@ def test_crb_rejects_rank_deficient_information():
     part = AntennaPartition((1, 2), (2, 1))
     pilots, imp, chan, _ = _instance(part, rng)
     ctx = context_from_model(imp, chan, pilots, part, 1e-3)
-    assert np.linalg.matrix_rank(compressed_information(ctx)) == 1
+    assert np.linalg.matrix_rank(compressed_information(ctx.f, ctx.k, pilots, part)) == 1
     for kind in ("FCC", "NPC"):
         with pytest.raises(np.linalg.LinAlgError, match="unidentifiable configuration"):
             crb_f(ctx, kind)
@@ -356,9 +351,11 @@ def test_pair_blocks_equal_dense_oracle(case):
     hm = build_h_composite(aux_channel_blocks(imp, chan, part), pilots, part)
     fm = build_f_composite(ctx.f, pilots, part)
     b = hm.conj().T @ perp_projector(fm) @ hm
-    assert _rel(compressed_information(ctx), b) <= 1e-10
+    assert _rel(compressed_information(ctx.f, ctx.k, pilots, part), b) <= 1e-10
+    assert _rel(pair_information(pair_context(imp, chan, pilots, part, sigma2)), b) <= 1e-10
     j = np.hstack([hm, fm])
-    assert _rel(fim(ctx), j.conj().T @ j / sigma2) <= 1e-10
+    assert _rel(fim(pair_context(imp, chan, pilots, part, sigma2)), j.conj().T @ j / sigma2) \
+        <= 1e-10
 
     # rank-deficient B has lambda_2 / lambda_max <= 4e-16 and identifiable B
     # >= 9e-8 (4,000 random partitions).  A bound's relative rounding error is
@@ -399,10 +396,10 @@ def test_context_pair_blocks_equal_per_pair_oracle_to_the_bit(case):
     part, seed = case
     rng = np.random.default_rng(seed)
     pilots, imp, chan, _ = _instance(part, rng)
-    ctx = context_from_model(imp, chan, pilots, part, 1e-2)
+    ctx = pair_context(imp, chan, pilots, part, 1e-2)
     hb = aux_channel_blocks(imp, chan, part)
-    assert len(ctx.h_pairs) == len(ctx.plan.pairs)
-    for b, hp in zip(ctx.plan.pairs, ctx.h_pairs):
+    assert len(ctx.h_pairs) == len(ctx.pairs)
+    for b, hp in zip(ctx.pairs, ctx.h_pairs):
         p_i, p_j = pilots.stacked(b.gi), pilots.stacked(b.gj)
         bi, bj = pair_h_block(np.stack([hb[p] for p in zip(b.gi.tolist(), b.gj.tolist())]),
                               p_i, p_j)
@@ -410,6 +407,70 @@ def test_context_pair_blocks_equal_per_pair_oracle_to_the_bit(case):
         ref[:, :bi.shape[1], :p_i.shape[1]] = bi
         ref[:, bi.shape[1]:, p_i.shape[1]:] = bj
         assert np.array_equal(hp, ref)
+
+
+
+@st.composite
+def _information_cases(draw):
+    """2-5 groups of 1-3 antennas, random pilots with L_g in 1..3 (so L_g <
+    M_g, L_g = M_g and L_g > M_g all occur) or IDENTITY pilots (L_g = M_g),
+    and a group to leave idle."""
+    kind = draw(st.sampled_from(["UNIT_PHASE_RANDOM", "IDENTITY"]))
+    g = draw(st.integers(2, 5))
+    sizes = tuple(draw(st.integers(1, 3)) for _ in range(g))
+    lens = sizes if kind == "IDENTITY" else tuple(draw(st.integers(1, 3)) for _ in range(g))
+    return (AntennaPartition(sizes, lens), kind, draw(st.integers(0, g - 1)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_information_cases())
+@example((AntennaPartition((1, 2, 3), (2, 2, 1)), "UNIT_PHASE_RANDOM", 1, 0))
+@example((AntennaPartition((3, 3, 2, 1, 2), (3, 3, 2, 1, 2)), "IDENTITY", 4, 1))
+@example((AntennaPartition((1, 1, 1), (1, 1, 1)), "UNIT_PHASE_RANDOM", 0, 2))
+@example((AntennaPartition((1, 2), (2, 1)), "UNIT_PHASE_RANDOM", 0, 3))     # rank(B) < M - 1
+def test_information_from_k_equals_pair_oracle(case):
+    # B and H^H H from the M x M channel K equal the pair route's sums over
+    # pair blocks, also with an idle group's rows and columns of K set to
+    # zero, against the pairs of the slot without that group
+    part, kind, idle, seed = case
+    rng = np.random.default_rng(seed)
+    pilots, imp, chan, _ = _instance(part, rng, kind=kind)
+    ctx = context_from_model(imp, chan, pilots, part, 1e-2)
+    oracle = pair_context(imp, chan, pilots, part, 1e-2)
+
+    def close(b, ref):
+        return np.max(np.abs(b - ref)) <= 1e-12 * np.linalg.norm(ref, 2)
+
+    assert close(compressed_information(ctx.f, ctx.k, pilots, part), pair_information(oracle))
+    assert close(known_h_information(ctx.k, pilots, part), pair_known_h_information(oracle))
+    if part.num_groups > 2:
+        active = tuple(g for g in range(part.num_groups) if g != idle)
+        k = ctx.k.copy()
+        k[part.antennas_of(idle)] = k[:, part.antennas_of(idle)] = 0
+        ref = pair_information(pair_context(imp, chan, pilots, part, 1e-2, active))
+        assert close(compressed_information(ctx.f, k, pilots, part), ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_information_cases())
+@example((AntennaPartition((1, 2, 3), (2, 2, 1)), "UNIT_PHASE_RANDOM", 0, 0))
+def test_bound_trace_equals_trace_of_its_matrix(case):
+    # crb_f's trace, sigma^2 tr((B[1:, 1:])^-1) for FCC and sigma^2 sum 1/lambda_i
+    # (eigvalsh) for NPC, is the trace of the matrix formed on first read.
+    # The NPC matrix takes its eigenvalues from eigh, which differ from
+    # eigvalsh's by about eps ||B||, so 1 / lambda_1 moves by about eps
+    # lambda_max / lambda_1 relative: compared where that is <= 1e-12
+    part, kind, _, seed = case
+    rng = np.random.default_rng(seed)
+    pilots, imp, chan, _ = _instance(part, rng, kind=kind)
+    ctx = context_from_model(imp, chan, pilots, part, 10 ** -rng.uniform(0, 4))
+    w = np.linalg.eigvalsh(compressed_information(ctx.f, ctx.k, pilots, part))
+    assume(w[1] > UNIDENTIFIABLE_RTOL * w[-1])
+    for kind in ("FCC", "NPC"):
+        r = crb_f(ctx, kind)
+        if kind == "FCC" or w[-1] / w[1] <= 1e3:
+            assert abs(np.trace(r.crb_matrix).real - r.trace) <= 1e-12 * r.trace
 
 
 def _cgauss(rng, shape):
