@@ -16,11 +16,11 @@ pair_weights), as AML's h-step does.  The joint FIM is singular (scale
 ambiguity), so the CRB is computed under either the first-coefficient
 constraint or a norm-plus-phase constraint.
 
-A 1 x 1 A_g's SVD is its modulus, and a least squares with one unknown
-(AML's f-step of a single-antenna group) is a projection; both are taken in
-closed form under the SVD's rank rule, so single-antenna groups with one
-pilot symbol cost no LAPACK call.  build_h_composite, build_f_composite and
-stack_observations are the dense H(h, P), F(f, P) and y, test references.
+A single-antenna group's A_g = f_g p_g^T has s^2 = |f_g|^2 ||p_g||^2 and
+V_g = 1, and its AML f-step is a projection (column_projection), both in
+closed form for any pilot length, so such groups cost no LAPACK call.
+build_h_composite, build_f_composite and stack_observations are the dense
+H(h, P), F(f, P) and y, test references.
 """
 
 from __future__ import annotations
@@ -98,17 +98,7 @@ def complement_basis(f: np.ndarray) -> np.ndarray:
 
 def lstsq_min_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solutions of a stack of systems a x = b,
-    with np.linalg.lstsq's rank rule (rcond=None).
-
-    A system with one unknown (a of shape (P, r, 1), the f-step of a
-    single-antenna group) is a projection: x = (a / s)^H b / s with s = ||a||,
-    taken as a chained hypot so it cannot overflow.  The rank rule
-    s > max(r, 1) eps s keeps every s > 0, and x = 0 where s = 0.
-    """
-    if a.shape[-1] == 1:
-        s = np.hypot.reduce(np.abs(a[..., 0]), axis=-1)
-        s = np.where(s > 0, s, 1.0)     # a = 0 there, so x = 0
-        return (np.einsum("pr,pr->p", (a[..., 0] / s[:, None]).conj(), b) / s)[:, None]
+    with np.linalg.lstsq's rank rule (rcond=None)."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     keep = s > max(a.shape[-2:]) * np.finfo(float).eps * s[..., :1]
     c = np.einsum("prk,pr->pk", u.conj(), b)
@@ -116,41 +106,51 @@ def lstsq_min_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("pkn,pk->pn", vh.conj(), c)
 
 
-def shape_factors(f: np.ndarray, pilots) -> dict:
-    """The SVDs A_g = U_g S_g V_g^H of every group's A_g = P_g^T diag(f_g),
-    batched by shape, without U_g: {(M_g, L_g): (s zero-padded to M_g, V^H,
-    V)}, each stacked over the shape's groups in pilots.by_shape order.
+def column_projection(k: np.ndarray, w: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """AML's f-step of single-antenna groups, one per column of k = K, w = W =
+    Y P^H and p2 = ||p_g||^2: the rows f_g K[a, g] p_g^T of Y[a, cols_g] are
+    one column, so f_g = sum_a conj(K[a, g]) W[a, g] / (p2 sum_a |K[a, g]|^2)
+    (K[g, g] = W[g, g] = 0).  The norm is a chained hypot, so it cannot
+    overflow; lstsq's rank rule keeps every norm > 0, and f_g = 0 if K[:, g] = 0."""
+    s = np.hypot.reduce(np.abs(k), axis=0)
+    s = np.where(s > 0, s, 1.0)                 # k = 0 there, so f_g = 0
+    return np.einsum("ag,ag->g", (k / s).conj(), w) / (s * p2)
 
-    A 1 x 1 A_g = a has s = |a| and V = 1, LAPACK's convention.  Other
-    rank-one shapes (M_g = 1 < L_g, L_g = 1 < M_g) stay on the SVD, which a
-    batched Householder completion did not beat.
-    """
-    svds = {}
-    for (m, l), (gs, p, rows, _) in pilots.by_shape[0].items():
+
+def shape_factors(f: np.ndarray, pilots):
+    """Every group's A_g = P_g^T diag(f_g), batched by shape: its squared
+    singular values s^2 on the M antennas (descending in a group, 0 past
+    rank), and for M_g > 1 the bases {(M_g, L_g): (V^H, V)} of A_g = U_g S_g
+    V_g^H, stacked in pilots.by_shape order.  A single-antenna group has
+    s^2 = |f_g|^2 ||p_g||^2 and V_g = 1, in closed form for any L_g."""
+    s2, bases = np.empty(f.size), {}
+    for (m, l), (_, p, rows, _) in pilots.by_shape[0].items():
         a = p.transpose(0, 2, 1) * f[rows[:, None]]
-        if (m, l) == (1, 1):
-            one = np.ones_like(a)
-            svds[m, l] = (np.abs(a[:, 0]), one, one)
+        if m == 1:
+            s2[rows[:, 0]] = np.sum(np.abs(a[:, :, 0]) ** 2, axis=1)
         else:
             s, vh = np.linalg.svd(a)[1:]
-            s = np.concatenate((s, np.zeros((gs.size, m - s.shape[1]))), axis=1)
-            svds[m, l] = (s, vh, vh.conj().transpose(0, 2, 1))
-    return svds
+            s2[rows[:, :s.shape[1]]], s2[rows[:, s.shape[1]:]] = s ** 2, 0.0
+            bases[m, l] = (vh, vh.conj().transpose(0, 2, 1))
+    return s2, bases
 
 
 @lru_cache(maxsize=32)
 def _rank_rule(partition: AntennaPartition):
     """Per pair of antennas k, l (rows of the groups' singular bases): the
     pair (g(k), g(l))'s lstsq rank rule (max(r, M_iM_j) eps)^2, r = L_iM_j +
-    M_iL_j, and whether k and l are in different groups.  Read-only."""
+    M_iL_j (1 inside a group); whether they are in different groups; per
+    antenna, the first antenna of its group.  Read-only."""
     sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
     m_a, l_a = np.repeat(sizes, sizes), np.repeat(lens, sizes)
     rule = (np.maximum(np.outer(l_a, m_a) + np.outer(m_a, l_a), np.outer(m_a, m_a))
             * np.finfo(float).eps) ** 2
     group = np.repeat(np.arange(sizes.size), sizes)
     off = group[:, None] != group
-    rule.flags.writeable = off.flags.writeable = False
-    return rule, off
+    rule[~off] = 1.0
+    first = np.repeat(partition.offsets, sizes)
+    rule.flags.writeable = off.flags.writeable = first.flags.writeable = False
+    return rule, off, first
 
 
 @lru_cache(maxsize=32)
@@ -176,22 +176,19 @@ def _group_pairs(partition: AntennaPartition) -> tuple:
     return tuple(batches)
 
 
-def pair_weights(svds: dict, pilots, partition: AntennaPartition) -> np.ndarray:
-    """W_kl = 1 / (s_k^2 + s_l^2), M x M, with s_k the k-th singular value of
-    its group's A_g (shape_factors): the inverse of F(f, P)^H F(f, P) in the
-    groups' singular bases.  The pair's F_p has singular values (s_k^2 +
-    s_l^2)^(1/2); one at or below max(r, M_iM_j) eps sigma_max counts as zero
-    (lstsq's rank rule on F_p), and so does every weight inside a group's
-    diagonal block, where K has no unknowns."""
-    m = partition.num_antennas
-    s2, s2_max = np.empty(m), np.empty(m)
-    for key, (_, _, rows, _) in pilots.by_shape[0].items():
-        s2[rows] = svds[key][0] ** 2
-        s2_max[rows] = s2[rows[:, :1]]             # s is descending
-    rule, off = _rank_rule(partition)
+def pair_weights(s2: np.ndarray, partition: AntennaPartition) -> np.ndarray:
+    """W_kl = 1 / (s_k^2 + s_l^2), M x M, with s_k^2 the k-th squared singular
+    value of its group's A_g (shape_factors): the inverse of F(f, P)^H F(f, P)
+    in the groups' singular bases.  The pair's F_p has singular values (s_k^2
+    + s_l^2)^(1/2); one at or below max(r, M_iM_j) eps sigma_max counts as
+    zero (lstsq's rank rule on F_p), and so does every weight inside a
+    group's diagonal block, where K has no unknowns: there the rule is 1 and
+    s_k^2 + s_l^2 <= 2 s_max^2, as s is descending in a group."""
+    rule, _, first = _rank_rule(partition)
+    s2_max = s2[first]
     den = s2[:, None] + s2
     return np.divide(1.0, den, out=np.zeros_like(den),
-                     where=(den > rule * (s2_max[:, None] + s2_max)) & off)
+                     where=den > rule * (s2_max[:, None] + s2_max))
 
 
 @dataclass
@@ -272,21 +269,20 @@ def compressed_information(f: np.ndarray, k: np.ndarray, pilots,
     costs what the pair blocks of F would.
     """
     m = f.size
-    svds = shape_factors(f, pilots)
-    w = pair_weights(svds, pilots, partition)
+    s2, bases = shape_factors(f, pilots)
+    w = pair_weights(s2, partition)
     # U~ and Q~ (Q~[k, a], k a rank row of a's group), and B, each with a
     # zero row and column M, the padding of _group_pairs
     ut = np.zeros((m + 1, m + 1), dtype=complex)
     ut[:m, :m] = np.where(_rank_rule(partition)[1], k, 0)
-    qt, b, s2, shapes = np.zeros_like(ut), np.zeros_like(ut), np.empty(m), []
+    qt, b, shapes = np.zeros_like(ut), np.zeros_like(ut), []
     for key, (_, p, rows, _) in pilots.by_shape[0].items():
         q = np.conj(f[rows])[:, :, None] * (p.conj() @ p.transpose(0, 2, 1))
-        if key[0] > 1:
-            ut[rows] = svds[key][1] @ ut[rows]
-            q = svds[key][1] @ q
+        if key in bases:
+            ut[rows] = bases[key][0] @ ut[rows]
+            q = bases[key][0] @ q
         q = q[:, :min(key)]
         qt[rows[:, :q.shape[1], None], rows[:, None, :]] = q
-        s2[rows] = svds[key][0] ** 2
         shapes.append((rows, q))
     for rows, q in shapes:                      # the group diagonal blocks
         (n, r, mg), l = q.shape, m - rows.shape[1]

@@ -430,7 +430,9 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     W_ab = 1 / (s_a^2 + s_b^2) of crb.pair_weights (0 where the pair's lstsq
     rank rule drops s_a^2 + s_b^2), and K = V K~ V^T.  The f-step solves
     group g's rows B_a = P_g^T diag(K[a, rows_g]) against Y[a, cols_g], a
-    outside g (crb.lstsq_min_norm), batched over groups of equal shape.
+    outside g: on all of K and W for single antennas (crb.column_projection),
+    by crb.lstsq_min_norm on the gathered rows, batched by shape, for others.
+    The cost ||Y - K F P||_F^2 is formed after the last iteration.
     """
     require_aml_settings(tol, max_iter)
     require_full_slot(measurements, "AML")
@@ -440,45 +442,45 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
         raise ValueError("init must be nonzero")
     m, y = partition.num_antennas, measurements.received
     yp = build_stacked(measurements, pilots).slots[0][2]      # W = Y P^H
-    shapes = []                                 # the f-step's rows, per group shape
+    p2, shapes = np.ones(m), []                 # ||p_g||^2 on single antennas
     for (mg, lg), (gs, p, rows, cols) in pilots.by_shape[0].items():
+        if mg == 1:
+            p2[rows[:, 0]] = np.sum(np.abs(p[:, 0]) ** 2, axis=1)
+            continue
         out = np.arange(m - mg) + mg * (np.arange(m - mg) >= rows[:, :1])   # a outside g
         shapes.append(((mg, lg), rows, out[:, :, None] * m + rows[:, None, :],
                        p.transpose(0, 2, 1)[:, None],
                        y[out[:, :, None], cols[:, None, :]].reshape(gs.size, -1)))
-    # a single antenna's V_g is a unit phase, which cancels in K = V K~ V^T
-    spun = [(key, rows) for key, rows, *_ in shapes if key[0] > 1]
 
-    def rotate(z, svds, which):                 # blkdiag(V_g^H or V_g) z, in place
-        for key, rows in spun:
-            z[rows] = svds[key][which] @ z[rows]
+    def rotate(z, bases, which):                # blkdiag(V_g^H or V_g) z, in place
+        for key, rows, *_ in shapes:
+            z[rows] = bases[key][which] @ z[rows]
         return z
 
-    cost, converged, it = np.inf, False, 0
-    for it in range(1, max_iter + 1):
-        svds = _crb.shape_factors(f, pilots)
+    for it in range(1, max_iter + 1):          # max_iter >= 1: k and converged are set
+        s2, bases = _crb.shape_factors(f, pilots)
         x = yp * f.conj()
-        zt = rotate(rotate(x + x.T, svds, 1).T, svds, 1)
+        zt = rotate(rotate(x + x.T, bases, 0).T, bases, 0)
         # the second rotation writes through a transposed view: the buffer is V K~ V^T
-        k = rotate(rotate(zt * _crb.pair_weights(svds, pilots, partition), svds, 2).T,
-                   svds, 2).T.ravel()
-        f_new = np.empty(m, dtype=complex)
-        cost = 0.0
+        k = rotate(rotate(zt * _crb.pair_weights(s2, partition), bases, 1).T, bases, 1).T
+        # every column's projection; the lstsq overwrites multi-antenna groups
+        f_new = _crb.column_projection(k, yp, p2)
         for _, rows, k_at, pt, rhs in shapes:
-            a = (k[k_at][:, :, None] * pt).reshape(rhs.shape + (-1,))
-            f_g = _crb.lstsq_min_norm(a, rhs)
-            f_new[rows] = f_g
-            cost += float(np.sum(np.abs(rhs - np.einsum("prk,pk->pr", a, f_g)) ** 2))
-        delta = np.linalg.norm(f_new - f) / np.linalg.norm(f)
+            a = (k.ravel()[k_at][:, :, None] * pt).reshape(rhs.shape + (-1,))
+            f_new[rows] = _crb.lstsq_min_norm(a, rhs)
+        d = f_new - f
+        converged = bool(np.sqrt(np.vdot(d, d).real / np.vdot(f, f).real) < tol)
         f = f_new
-        if delta < tol:
-            converged = True
+        if converged:
             break
+    r, kf = y.copy(), k * f                     # Y - K F P, zero on the self blocks
+    for _, p, rows, cols in pilots.by_shape[0].values():
+        r[:, cols] -= np.einsum("anm,nml->anl", kf[:, rows], p)
     tag = "NONE"
     if constraint is not None:
         f = normalize_for_constraint(f, constraint)
         tag = constraint.kind if constraint.kind in ("FCC", "NPC", "UNIT_NORM") else "NONE"
-    return EstimationReport(CalibrationVector(f, tag), it, cost, converged)
+    return EstimationReport(CalibrationVector(f, tag), it, float(np.vdot(r, r).real), converged)
 
 
 def mse(f_hat, f_true) -> float:

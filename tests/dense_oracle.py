@@ -23,7 +23,7 @@ pair_known_h_information those of H_p, and fim the joint FIM over (f, h).
 ml_compressed_cost is y^H P_F_perp y, cross-checked against the weighted
 F_perp form of build_f_perp.  svd_pair_solve is the route pair_project
 replaces: a batched SVD of every dense F_p, solved by svd_lstsq, the SVD
-route crb.lstsq_min_norm replaces for one unknown.  pair_solve is
+route that crb.column_projection replaces for one unknown.  pair_solve is
 pair_project's minimum-norm solution, and pair_observations a pair batch's
 entries of y.  pairwise_aml is the alternating ML of
 estimators.aml_estimate written pair by pair, as that function was before
@@ -442,7 +442,7 @@ def range_basis(a):
 def svd_lstsq(a, b):
     """Minimum-norm lstsq solutions of a stack of systems a x = b (P, r, n)
     through an SVD of every a, with np.linalg.lstsq's rank rule: the
-    reference for crb.lstsq_min_norm, including its one-unknown projection."""
+    reference for crb.lstsq_min_norm and crb.column_projection."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     keep = s > max(a.shape[-2:]) * np.finfo(float).eps * s[..., :1]
     c = np.einsum("prk,pr->pk", u.conj(), b)

@@ -19,7 +19,6 @@ from arraycal.crb import (
     crb_f,
     crb_f_known_h,
     known_h_information,
-    lstsq_min_norm,
     stack_observations,
     vec,
 )
@@ -523,20 +522,24 @@ def test_pair_solve_equals_svd_of_each_f_block(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 6), st.integers(-150, 150), st.integers(-150, 150),
-       st.integers(0, 2**32 - 1))
-@example(3, 4, -150, 150, 0)
-@example(3, 4, 150, -150, 1)
-def test_one_unknown_lstsq_is_a_projection(n, r, a_exp, b_exp, seed):
-    # a one-column system, solved as (a / ||a||)^H b / ||a||, is lstsq's
-    # solution at any scale, and exactly 0 where a = 0
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 3), st.integers(-150, 150),
+       st.integers(-150, 150), st.integers(0, 2**32 - 1))
+@example(3, 4, 2, -150, 150, 0)
+@example(3, 4, 1, 150, -150, 1)
+def test_one_unknown_lstsq_is_a_projection(n, r, l, k_exp, y_exp, seed):
+    # the f-step of n single-antenna groups, each one unknown f_g behind the
+    # rows Y[a, cols_g] = f_g K[a, g] p_g^T, is lstsq's solution at any scale,
+    # and exactly 0 where K's column is 0
     rng = np.random.default_rng(seed)
-    a = 10.0 ** a_exp * _cgauss(rng, (n, r, 1)) * (rng.random((n, r, 1)) < 0.8)
-    a[rng.random(n) < 0.3] = 0
-    b = 10.0 ** b_exp * _cgauss(rng, (n, r))
-    x = lstsq_min_norm(a, b)
-    ref = np.stack([np.linalg.lstsq(a[p], b[p], rcond=None)[0] for p in range(n)])
-    assert np.all(x[~a.any(axis=(1, 2))] == 0)
+    k = 10.0 ** k_exp * _cgauss(rng, (r, n)) * (rng.random((r, n)) < 0.8)
+    k[:, rng.random(n) < 0.3] = 0
+    p = _cgauss(rng, (n, l))
+    y = 10.0 ** y_exp * _cgauss(rng, (r, n, l))
+    x = crb.column_projection(k, np.einsum("agl,gl->ag", y, p.conj()),
+                              np.sum(np.abs(p) ** 2, axis=1))
+    ref = np.array([np.linalg.lstsq((k[:, g, None] * p[g]).reshape(-1, 1), y[:, g].ravel(),
+                                    rcond=None)[0][0] for g in range(n)])
+    assert np.all(x[~k.any(axis=0)] == 0)
     assert np.all(np.abs(x - ref) <= 1e-12 * np.abs(ref))
 
 
@@ -595,6 +598,7 @@ def _aml_cases(draw):
 @example((AntennaPartition((1, 1, 1, 1), (1, 1, 1, 1)), "UNIT_PHASE_RANDOM", 30.0, "ones", 0))
 @example((AntennaPartition((1, 1, 1), (2, 1, 3)), "UNIT_PHASE_RANDOM", 30.0, "ones", 0))
 @example((make_scheme("FC_II", 24, 8).partition, "UNIT_PHASE_RANDOM", 30.0, "ls", 3))
+@example((AntennaPartition((1, 2, 3, 1), (2, 2, 1, 3)), "UNIT_PHASE_RANDOM", 10.0, "ls", 1))
 def test_aml_takes_the_pairwise_path(case):
     # AML's one M x M h-step on the received matrix and its f-step per group
     # give the iterations, convergence, estimate and cost of the pair-by-pair
@@ -614,17 +618,17 @@ def test_aml_takes_the_pairwise_path(case):
 
 
 def test_single_antenna_aml_and_crb_take_no_svd(monkeypatch):
-    # with one antenna and one pilot symbol per group, every group factor and
-    # f-step is closed form
-    part = make_scheme("SINGLETON", 8).partition
-    pilots, imp, chan, ms = _instance(part, np.random.default_rng(5), snr=30.0)
-    ctx = context_from_model(imp, chan, pilots, part, 1e-3)
-    init = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc()).f_hat.f
-
+    # a single-antenna group's factor s^2 = |f_g|^2 ||p_g||^2 and its f-step
+    # are closed form for any pilot length
     def no_svd(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
 
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    rep = aml_estimate(ms, pilots, part, init=init)
-    assert rep.converged and np.all(np.isfinite(rep.f_hat.f))
-    assert all(np.isfinite(crb_f(ctx, c).trace) for c in ("FCC", "NPC"))
+    for part in (make_scheme("SINGLETON", 8).partition, AntennaPartition((1, 1, 1), (2, 1, 3))):
+        pilots, imp, chan, ms = _instance(part, np.random.default_rng(5), snr=30.0)
+        ctx = context_from_model(imp, chan, pilots, part, 1e-3)
+        init = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc()).f_hat.f
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "svd", no_svd)
+            rep = aml_estimate(ms, pilots, part, init=init)
+            assert rep.converged and np.all(np.isfinite(rep.f_hat.f))
+            assert all(np.isfinite(crb_f(ctx, c).trace) for c in ("FCC", "NPC"))
