@@ -17,6 +17,11 @@ the cold measurement: ten fresh interpreters per side, alternating, each
 timing one ``arraycal run`` call of the workload's config after its imports,
 so work done on first use (such as building a partition's plans) shows.
 
+With ``--null`` the second side is another ``git archive`` export of the
+base instead of the working tree, run through the same pairs, cold calls and
+JSON: a null A/B, whose win fractions and median shifts show what the pairing
+reports for identical code on this machine (side and drift effects).
+
 The JSON written to ``--out`` holds, per workload and end-to-end metric, each
 side's runs, median and quartiles, and the fraction of pairs the change wins
 (ties count for neither side); the same for the cold call's seconds
@@ -163,18 +168,25 @@ def main(argv=None) -> int:
     ap.add_argument("--base", default="HEAD", help="git revision to compare against")
     ap.add_argument("--seed", type=int, default=1, help="perfbench --seed of every run")
     ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--null", action="store_true",
+                    help="run the base against a second export of itself")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    result = {"base": git("rev-parse", args.base),
-              "change": f"working tree on {git('rev-parse', 'HEAD')}",
-              "seed": args.seed, "pairs": PAIRS, "run_seconds": seconds,
+    base = git("rev-parse", args.base)
+    result = {"base": base,
+              "change": f"second export of {base}" if args.null
+              else f"working tree on {git('rev-parse', 'HEAD')}",
+              "null": args.null, "seed": args.seed, "pairs": PAIRS, "run_seconds": seconds,
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
         trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         export_revision(args.base, trees["base"])
-        copy_working_tree(trees["change"])
+        if args.null:
+            export_revision(args.base, trees["change"])
+        else:
+            copy_working_tree(trees["change"])
         for wl in spec["workloads"]:
             name = wl["name"]
             runs = {"base": [], "change": []}

@@ -9,8 +9,6 @@ from .model import (
     IID_RAYLEIGH,
     ImpairmentConfig,
     RfImpairments,
-    calibration_vector,
-    compose_digital_channel,
     gen_channel,
     gen_impairments,
     permute_channel,
@@ -23,7 +21,6 @@ from .airlink import (
     PilotSet,
     UNIT_PHASE_RANDOM,
     default_pilots,
-    measurements_to_csv,
     noise_variance_from_snr,
     simulate_exchange,
     simulate_noncoherent,
@@ -60,8 +57,6 @@ from .grouping import (
     make_scheme,
     max_calibratable,
     optimal_group_sizes,
-    scheme_from_text,
-    scheme_to_text,
 )
 from .bench import (
     ExperimentConfig,

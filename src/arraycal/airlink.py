@@ -68,10 +68,15 @@ class PilotSet:
     @cached_property
     def shape_order(self):
         """The antennas and the pilot columns, each shape's groups together
-        (by_shape order), and per shape (P_g stacked, antennas, their slices)."""
+        (by_shape order), the inverse orders, and per shape (P_g stacked,
+        antennas, their slices in that order).  The orders are slice(None)
+        where that order is Y's own, so reading Y in it copies nothing."""
         stacks = list(self.by_shape[0].values())
         r, c = (np.cumsum([0] + [x[k].size for x in stacks]) for k in (2, 3))
-        return (*(np.concatenate([x[k].ravel() for x in stacks]) for k in (2, 3)),
+        order = [np.concatenate([x[k].ravel() for x in stacks]) for k in (2, 3)]
+        if np.array_equal(order[1], np.arange(order[1].size)):
+            order = [slice(None)] * 2
+        return (*order, *(o if isinstance(o, slice) else np.argsort(o) for o in order),
                 [(p, rows, slice(*r[k:k + 2]), slice(*c[k:k + 2]))
                  for k, (_, p, rows, _) in enumerate(stacks)])
 
@@ -236,9 +241,11 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
     (distinct, of 0..G-1; all by default), or those of plan, their slot_plan,
     if the caller holds it (NoncoherentSchedule.plans).
 
-    snr_db = +inf gives the exact noiseless blocks.  The blocks R_j C_{i->j}
-    T_i P_i are one stacked product per transmit and receive block shape
-    (PilotSet.by_shape); self blocks (a group does not hear itself) and
+    snr_db = +inf gives the exact noiseless blocks.  Y = R C T P is formed
+    with its columns in PilotSet.shape_order: a single-antenna transmit shape
+    is one broadcast product (R C T)[:, a_g] P_g over all receive rows, in
+    place, and a multi-antenna one a stacked product per receive block shape
+    (PilotSet.by_shape).  Self blocks (a group does not hear itself) and
     inactive groups are zeroed, and the noise added through plan.noise_index.
     """
     pilots.validate(partition)
@@ -254,15 +261,22 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
             raise ValueError("at least two groups must be active")
         plan = slot_plan(partition, active)
     sigma2 = noise_variance_from_snr(snr_db, chan)
-    gain = imp.rx_gains[:, None] * chan.c * imp.tx_gains[None, :]   # R C T
-    received = np.empty(plan.shape, dtype=complex)
-    shapes = pilots.by_shape[0].values()
-    for _, p, rows_t, cols_t in shapes:
-        for _, _, rows_r, _ in shapes:
-            r = rows_r[:, None, :, None]
-            received[r, cols_t[:, None, :]] = gain[r, rows_t[:, None, :]] @ p
-    for _, _, rows, cols in shapes:
-        received[rows[:, :, None], cols[:, None, :]] = 0.0
+    gain = imp.rx_gains[:, None] * chan.c
+    gain *= imp.tx_gains                           # R C T
+    ants, _, _, cols_back, shapes = pilots.shape_order
+    tx_gain = gain[:, ants]
+    ys = np.empty(plan.shape, dtype=complex)       # Y, its columns in shape order
+    for p, rows_t, r, c in shapes:
+        n, m, l = p.shape
+        y_t = ys[:, c].reshape(-1, n, l)            # the shape's columns, (M, n, L_g)
+        if m == 1:
+            np.einsum("at,tl->atl", tx_gain[:, r], p[:, 0, :], out=y_t)
+        else:
+            for _, _, rows_r, _ in pilots.by_shape[0].values():
+                y_t[rows_r] = (gain[rows_r[:, None, :, None], rows_t[:, None, :]] @ p
+                               ).transpose(0, 2, 1, 3)
+        y_t[rows_t, np.arange(n)[:, None]] = 0.0    # self blocks
+    received = np.ascontiguousarray(ys[:, cols_back])
     for g in set(range(partition.num_groups)) - set(plan.groups):
         received[partition.antennas_of(g)] = 0.0
         received[:, partition.pilot_columns(g)] = 0.0
@@ -302,12 +316,3 @@ def simulate_noncoherent(partition: AntennaPartition, schedule: NoncoherentSched
         chan = permute_channel(chan, permutation)
         out.append(simulate_exchange(partition, pilots, imp, chan, snr_db, rng, plan=plan))
     return out
-
-
-def measurements_to_csv(ms: MeasurementSet, path) -> None:
-    """Textual dump (pair, row, col, re, im) for cross-language comparison."""
-    with open(path, "w") as fh:
-        fh.write("tx_group,rx_group,row,col,re,im\n")
-        for (i, j) in sorted(ms.blocks):
-            for (r, c), v in np.ndenumerate(ms.block(i, j)):
-                fh.write(f"{i},{j},{r},{c},{v.real:.17g},{v.imag:.17g}\n")

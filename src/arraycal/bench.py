@@ -13,7 +13,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -279,8 +279,13 @@ _CONVERTERS = {
 }
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key = value format (',' lists, ';'-separated slot lists)."""
+def parse_config(text: str, seed: int | None = None, crb_sweep: bool = False) -> ExperimentConfig:
+    """Parse the flat key = value format (',' lists, ';'-separated slot lists).
+
+    seed, if given, replaces the config's; crb_sweep makes it the CRB-only
+    sweep of `arraycal crb`, LS alone on crb_trials draws per SNR.  Both apply
+    to the parsed values, so the config's checks and grouping scheme run once.
+    """
     kv, lines = {}, {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -305,6 +310,11 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = _CONVERTERS[key](raw)
         except (TypeError, ValueError) as e:
             raise ValueError(f"config key {key!r}: {e}") from e
+    if seed is not None:
+        values["seed"] = seed
+    if crb_sweep:
+        values.update(estimators=("ls",), crb=True,
+                      trials=values.get("crb_trials", ExperimentConfig.crb_trials))
     return ExperimentConfig(**values)
 
 
@@ -435,9 +445,7 @@ def cli_main(argv=None) -> int:
         return 0
     try:
         with open(args.config) as fh:
-            cfg = parse_config(fh.read())
-        if getattr(args, "seed", None) is not None:
-            cfg = replace(cfg, seed=args.seed)
+            cfg = parse_config(fh.read(), getattr(args, "seed", None), args.command == "crb")
     except (OSError, ValueError, KeyError) as e:
         print(f"error: cannot parse config: {e}", file=sys.stderr)
         return 2
@@ -454,8 +462,6 @@ def cli_main(argv=None) -> int:
             return 2
         print(f"warning: {why}; crb_trace is nan", file=sys.stderr)
     try:
-        if args.command == "crb":
-            cfg = replace(cfg, estimators=("ls",), trials=cfg.crb_trials, crb=True)
         table = run_experiment(cfg)
     except UnidentifiableError as e:
         print(f"error: {e}", file=sys.stderr)

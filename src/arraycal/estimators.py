@@ -161,14 +161,17 @@ def _solve_linear_constrained(sys: StackedSystem, g: np.ndarray, c: complex):
 
     V is an orthonormal basis of g's complement, the columns 1.. of the
     Householder reflector H = I - u u^H / tau that maps g onto e_0, so V^H x =
-    (H x)[1:] and V z = H [0, z] cost O(M).  A Cholesky factor of B, certified
-    to be far from singular (_certified_inverse_factor), gives B^{-1}.
+    (H x)[1:] and V z = H [0, z] cost O(M).  H changes only the rows and
+    columns up to u's last nonzero, so only those of A^H are updated: for
+    FCC (u = 2 e_0), B is A[1:, 1:]^H, with no M x M pass.  A Cholesky
+    factor of B, certified to be far from singular
+    (_certified_inverse_factor), gives B^{-1}.
     Otherwise one eigendecomposition of B gives its pseudo-inverse, with the
     eigenvalues that lstsq's rank rule would drop left out: f = f0 + V z stays
     the minimum-norm solution, and is exact in the noiseless (singular-A)
     case.  A solve with A squares cond(Y(P)); three refinement steps, with
-    A f taken from the pair blocks, recover the accuracy of a least-squares
-    solve on Y(P).
+    A f taken from the residuals (StackedSystem.apply_gram), recover the
+    accuracy of a least-squares solve on Y(P).
     """
     gnorm2 = np.real(g.conj() @ g)
     if gnorm2 == 0:
@@ -177,12 +180,18 @@ def _solve_linear_constrained(sys: StackedSystem, g: np.ndarray, c: complex):
     u = g.copy()
     u[0] += np.exp(1j * np.angle(g[0])) * np.sqrt(gnorm2)
     tau = np.real(u.conj() @ u) / 2
+    k = np.flatnonzero(u)[-1] + 1             # u[k:] = 0, so H changes rows :k only
+    u_k, u_k_conj = u[:k], u[:k].conj()
 
-    def reflect(x):                           # H x, column by column
-        return x - np.multiply.outer(u, u.conj() @ x / tau)
+    def reflect(x):                           # H x, in place, column by column
+        x[:k] -= np.multiply.outer(u_k, u_k_conj @ x[:k] / tau)
+        return x
 
-    # H A H is Hermitian; cholesky and eigh read its lower triangle
-    b = reflect(reflect(sys.gram).conj().T)[1:, 1:]
+    # B = (H A^H H)[1:, 1:], Hermitian; cholesky and eigh read its lower
+    # triangle.  A^H H changes only A^H's columns :k
+    b = sys.gram.conj().T
+    b[:, :k] -= np.multiply.outer(b[:, :k] @ u_k / tau, u_k_conj)
+    b = reflect(b)[1:, 1:]
     li = _certified_inverse_factor(b)
     if li is not None:                        # B^{-1} = p diag(d) q
         p, d, q, full = li.conj().T, 1.0, li, True

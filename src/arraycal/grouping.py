@@ -127,33 +127,3 @@ def custom_scheme(sizes, pilot_lengths=None) -> GroupScheme:
     lens = tuple(pilot_lengths) if pilot_lengths is not None else (1,) * len(sizes)
     return GroupScheme(AntennaPartition(sizes, lens), np.repeat(np.arange(len(sizes)), sizes),
                        CUSTOM)
-
-
-def scheme_to_text(scheme: GroupScheme) -> str:
-    """Structured-text serialization (label, sizes, pilot lengths, assignment)."""
-    p = scheme.partition
-    return "\n".join([
-        f"label = {scheme.label}",
-        f"group_sizes = {','.join(map(str, p.group_sizes))}",
-        f"pilot_lengths = {','.join(map(str, p.pilot_lengths))}",
-        f"assignment = {','.join(map(str, scheme.assignment))}",
-    ]) + "\n"
-
-
-def scheme_from_text(text: str) -> GroupScheme:
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    try:
-        label = fields["label"]
-        sizes = tuple(int(x) for x in fields["group_sizes"].split(","))
-        lens = tuple(int(x) for x in fields["pilot_lengths"].split(","))
-        assignment = tuple(int(x) for x in fields["assignment"].split(","))
-    except (KeyError, ValueError) as e:
-        raise ValueError(f"malformed scheme text: {e}") from e
-    return GroupScheme(AntennaPartition(sizes, lens), assignment, label)
-

@@ -258,11 +258,6 @@ def gen_impairments(config: ImpairmentConfig, m: int, rng: np.random.Generator) 
     return RfImpairments(tx, rx)
 
 
-def calibration_vector(imp: RfImpairments) -> CalibrationVector:
-    """f_m = t_m / r_m, the diagonal case of R^{-T} T (RfImpairments has no zero gain)."""
-    return CalibrationVector(imp.tx_gains / imp.rx_gains, "NONE")
-
-
 def gen_channel(m: int, model: str, rng: np.random.Generator,
                 geometry: GeometryConfig | None = None) -> ChannelRealization:
     """Draw one reciprocal intra-array channel realization.
@@ -303,12 +298,3 @@ def permute_channel(chan: ChannelRealization, perm: np.ndarray | None) -> Channe
     if perm is None:
         return chan
     return ChannelRealization(chan.c[np.ix_(perm, perm)], chan.model_tag, chan.ref_gain)
-
-
-def compose_digital_channel(imp_tx: RfImpairments, imp_rx: RfImpairments,
-                            c: np.ndarray) -> np.ndarray:
-    """Digital channel R_B C T_A for diagonal impairments (side A transmits)."""
-    c = np.asarray(c, dtype=complex)
-    if c.ndim != 2 or c.shape != (imp_rx.num_antennas, imp_tx.num_antennas):
-        raise ValueError("channel block shape must be (rx antennas, tx antennas)")
-    return imp_rx.rx_gains[:, None] * c * imp_tx.tx_gains[None, :]

@@ -24,9 +24,10 @@ from .model import AntennaPartition
 class StackedSystem:
     """Y(P) through its slots' received matrices, with A = Y(P)^H Y(P).
 
-    slots holds each slot's Y and conj(Y) in PilotSet.shape_order, and
-    W = Y P^H; inactive groups' rows and columns of Y are zero.  solutions
-    holds the estimators' solves of this system, keyed by constraint.
+    slots holds each slot's Y and conj(Y) in PilotSet.shape_order (views of
+    the received matrix where that is its own order), and W = Y P^H; inactive
+    groups' rows and columns of Y are zero.  solutions holds the estimators'
+    solves of this system, keyed by constraint.
     """
 
     gram: np.ndarray          # M x M, Hermitian PSD
@@ -35,24 +36,36 @@ class StackedSystem:
     slots: tuple              # ((Y, conj(Y) in shape order, W), ...)
     pilots: object
     solutions: dict = field(default_factory=dict, repr=False, compare=False)
+    _work: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def apply_gram(self, f: np.ndarray) -> np.ndarray:
         """A f, summed over the slots as (A f)_a = sum_{c in cols of g(a)}
         conj(P_ac) (E Y^H)_ca from the residuals E = S - S^T, S = P^T F Y:
-        unlike gram @ f, its rounding error does not scale with cond(A)."""
-        shapes = self.pilots.shape_order[2]
+        unlike gram @ f, its rounding error does not scale with cond(A).
+        For a single-antenna shape, S's rows are a broadcast product and
+        (E Y^H)'s blocks row sums, with no per-group matrix product; S and E
+        are kept on the system for its next call."""
+        shapes = self.pilots.shape_order[-1]
+        n_cols = self.slots[0][0].shape[1]
+        if self._work is None:
+            self._work = np.empty((2, n_cols, n_cols), dtype=complex)
+        s, e = self._work
         out = np.zeros(self.m, dtype=complex)
         for y, y_conj, _ in self.slots:
-            s = np.empty((y.shape[1],) * 2, dtype=complex)
             for p, rows, r, c in shapes:
                 n, m, l = p.shape
-                np.matmul((p * f[rows, None]).transpose(0, 2, 1), y[r].reshape(n, m, -1),
-                          out=s[c].reshape(n, l, -1))
-            e = s - s.T
+                (np.multiply if m == 1 else np.matmul)(
+                    (p * f[rows, None]).transpose(0, 2, 1), y[r].reshape(n, m, -1),
+                    out=s[c].reshape(n, l, -1))
+            np.subtract(s, s.T, out=e)
             for p, rows, r, c in shapes:
                 n, m, l = p.shape
-                out[rows] += np.einsum("nml,nlm->nm", p.conj(), e[c].reshape(n, l, -1)
-                                       @ y_conj[r].reshape(n, m, -1).transpose(0, 2, 1))
+                if m == 1:
+                    out[rows[:, 0]] += np.einsum("nl,nlk,nk->n", p[:, 0].conj(),
+                                                 e[c].reshape(n, l, -1), y_conj[r])
+                else:
+                    out[rows] += np.einsum("nml,nlm->nm", p.conj(), e[c].reshape(n, l, -1)
+                                           @ y_conj[r].reshape(n, m, -1).transpose(0, 2, 1))
         return out
 
 
@@ -83,21 +96,28 @@ def build_stacked(measurements, pilots) -> StackedSystem:
 
     With W = Y P^H (zero self blocks, as Y's), A = conj(P P^H) o conj(Y Y^H)
     - W^T o conj(W), o the entrywise product; only the group diagonal blocks
-    of Y Y^H are formed, as P P^H is block diagonal.  The result is kept on
-    the measurements and returned again to a call with the same pilots object.
+    of Y Y^H are formed, as P P^H is block diagonal.  Y is read in
+    PilotSet.shape_order, each shape's pilot columns as one slice, so where
+    that order is Y's own nothing is gathered or copied.  The result is kept
+    on the measurements and returned again to a call with the same pilots
+    object.
     """
     kept = measurements.stacked
     if kept is not None and kept[0] is pilots:
         return kept[1]
-    y, (ants, cols, shapes) = measurements.received, pilots.shape_order
-    ys = y[ants][:, cols]
-    ys_conj = ys.conj()
-    w = np.empty((y.shape[0],) * 2, dtype=complex)
-    for _, p, rows, c in pilots.by_shape[0].values():
-        w[:, rows] = np.einsum("anl,nkl->ank", y[:, c], p.conj())
+    y, (ants, cols, ants_back, _, shapes) = measurements.received, pilots.shape_order
+    y_cols = y[:, cols]
+    ys = y_cols[ants]
+    w = np.empty((y.shape[0],) * 2, dtype=complex)     # its columns in shape order
+    for p, _, r, c in shapes:
+        n, m, l = p.shape
+        np.einsum("anl,nkl->ank", y_cols[:, c].reshape(-1, n, l), p.conj(),
+                  out=w[:, r].reshape(-1, n, m))
+    w = w[:, ants_back]
     gram = w.conj()
     gram *= w.T
     np.negative(gram, out=gram)
+    ys_conj = ys.conj()
     for p, rows, r, _ in shapes:
         n, m, _ = p.shape
         gram[rows[:, :, None], rows[:, None, :]] += np.conj(p @ p.conj().transpose(0, 2, 1)) \

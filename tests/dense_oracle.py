@@ -33,6 +33,10 @@ by pair.
 numerical_rank is the rank rule the tests read off dense matrices, and
 brute_force_best_pair_count the exhaustive search behind
 grouping.optimal_group_sizes.
+calibration_vector is the true f of a trial's impairments, and
+compose_digital_channel a digital channel block R_B C T_A.
+scheme_to_text and scheme_from_text serialise a GroupScheme, and
+measurements_to_csv dumps a slot's blocks pair by pair as text.
 """
 
 from dataclasses import dataclass
@@ -42,10 +46,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import null_space, orth
 
-from arraycal.airlink import noise_variance_from_snr
+from arraycal.airlink import MeasurementSet, noise_variance_from_snr
 from arraycal.crb import complement_basis, stack_observations, vec
-from arraycal.grouping import pair_count
-from arraycal.model import batch_indices, received_index
+from arraycal.grouping import GroupScheme, pair_count
+from arraycal.model import (AntennaPartition, CalibrationVector, RfImpairments, batch_indices,
+                            received_index)
 from arraycal.stacking import khatri_rao_t, pair_equation_block
 
 
@@ -557,3 +562,55 @@ def brute_force_best_pair_count(k):
 
     rec(k, [])
     return best, best_comp
+
+
+def calibration_vector(imp: RfImpairments) -> CalibrationVector:
+    """f_m = t_m / r_m, the diagonal case of R^{-T} T (RfImpairments has no zero gain)."""
+    return CalibrationVector(imp.tx_gains / imp.rx_gains, "NONE")
+
+
+def compose_digital_channel(imp_tx: RfImpairments, imp_rx: RfImpairments,
+                            c: np.ndarray) -> np.ndarray:
+    """Digital channel R_B C T_A for diagonal impairments (side A transmits)."""
+    c = np.asarray(c, dtype=complex)
+    if c.ndim != 2 or c.shape != (imp_rx.num_antennas, imp_tx.num_antennas):
+        raise ValueError("channel block shape must be (rx antennas, tx antennas)")
+    return imp_rx.rx_gains[:, None] * c * imp_tx.tx_gains[None, :]
+
+
+def scheme_to_text(scheme: GroupScheme) -> str:
+    """Structured-text serialization (label, sizes, pilot lengths, assignment)."""
+    p = scheme.partition
+    return "\n".join([
+        f"label = {scheme.label}",
+        f"group_sizes = {','.join(map(str, p.group_sizes))}",
+        f"pilot_lengths = {','.join(map(str, p.pilot_lengths))}",
+        f"assignment = {','.join(map(str, scheme.assignment))}",
+    ]) + "\n"
+
+
+def scheme_from_text(text: str) -> GroupScheme:
+    fields = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        fields[key.strip()] = value.strip()
+    try:
+        label = fields["label"]
+        sizes = tuple(int(x) for x in fields["group_sizes"].split(","))
+        lens = tuple(int(x) for x in fields["pilot_lengths"].split(","))
+        assignment = tuple(int(x) for x in fields["assignment"].split(","))
+    except (KeyError, ValueError) as e:
+        raise ValueError(f"malformed scheme text: {e}") from e
+    return GroupScheme(AntennaPartition(sizes, lens), assignment, label)
+
+
+def measurements_to_csv(ms: MeasurementSet, path) -> None:
+    """Textual dump (pair, row, col, re, im) for cross-language comparison."""
+    with open(path, "w") as fh:
+        fh.write("tx_group,rx_group,row,col,re,im\n")
+        for (i, j) in sorted(ms.blocks):
+            for (r, c), v in np.ndenumerate(ms.block(i, j)):
+                fh.write(f"{i},{j},{r},{c},{v.real:.17g},{v.imag:.17g}\n")

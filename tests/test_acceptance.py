@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from dense_oracle import (aux_channel_blocks, brute_force_best_pair_count, build_f_perp,
-                          dense_y, fim, ml_compressed_cost, pair_context, perp_projector,
+                          calibration_vector, dense_y, fim, ml_compressed_cost, pair_context, perp_projector,
                           stack_h)
 from arraycal.airlink import (
     NoncoherentSchedule,
@@ -45,7 +45,6 @@ from arraycal.model import (
     GeometryConfig,
     IID_RAYLEIGH,
     ImpairmentConfig,
-    calibration_vector,
     gen_channel,
     gen_impairments,
     permute_channel,

@@ -10,7 +10,6 @@ from arraycal.airlink import (
     NoncoherentSchedule,
     PilotSet,
     default_pilots,
-    measurements_to_csv,
     noise_variance_from_snr,
     simulate_exchange,
     simulate_noncoherent,
@@ -23,14 +22,14 @@ from arraycal.model import (
     IID_RAYLEIGH,
     ImpairmentConfig,
     RfImpairments,
-    calibration_vector,
     gen_channel,
     gen_impairments,
     slot_plan,
 )
 from arraycal.bench import ExperimentConfig
 from arraycal.stacking import build_stacked
-from dense_oracle import dense_y, exchange_pairs, gather
+from dense_oracle import (calibration_vector, dense_y, exchange_pairs, gather,
+                          measurements_to_csv)
 
 CFG = ImpairmentConfig(0.5, fix_first_to_one=True)
 
@@ -266,6 +265,9 @@ def _exchanges(draw):
 @example((AntennaPartition((2, 3, 1, 2), (3, 3, 2, 1)), UNIT_PHASE_RANDOM, 20.0, None, 1))
 @example((AntennaPartition((1,) * 5, (1,) * 5), ALL_ONES, np.inf, {0, 2, 4}, 2))
 @example((AntennaPartition((2, 3), (2, 3)), IDENTITY, 0.0, None, 3))
+# single antennas with L = 1, 2, 3 beside a two-antenna group; groups 0 and 4
+# share a shape, so the shape order is not Y's own
+@example((AntennaPartition((1, 2, 1, 1, 1), (2, 1, 3, 1, 2)), UNIT_PHASE_RANDOM, 20.0, None, 4))
 def test_simulate_exchange_equals_pair_loop(case):
     # every block bit for bit, and the rest of the trial's random stream intact
     part, kind, snr, groups, seed = case

@@ -284,6 +284,19 @@ def test_cli_schemes_and_crb(tmp_path, capsys):
     assert "crb_trace=" in out and "snr_db=20" in out
 
 
+def test_cli_builds_the_config_once(tmp_path, monkeypatch):
+    # --seed and crb's sweep replace parsed values, so each call checks the
+    # config and makes its grouping scheme once (the seed and the sweep were
+    # applied with dataclasses.replace, which made the scheme again)
+    made, real = [], bench.make_scheme
+    monkeypatch.setattr(bench, "make_scheme", lambda *a: made.append(a) or real(*a))
+    cfg = _write(tmp_path, "once.cfg", "m = 4\nscheme = SINGLETON\npilots = ALL_ONES\n"
+                 "snr_db = 20\ntrials = 1\ncrb_trials = 2\nconstraint = FCC\n")
+    assert cli_main(["run", cfg, "--out", str(tmp_path / "r.csv"), "--seed", "3"]) == 0
+    assert cli_main(["crb", cfg, "--seed", "3"]) == 0
+    assert len(made) == 2
+
+
 @pytest.mark.parametrize("text", [
     "m = 8\nestimators = ls, argos\n",
     "m = 8\nestimators = daisy\nconstraint = FCC\n",

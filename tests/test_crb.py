@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dense_oracle import (aux_channel_blocks, build_f_perp, dense_y, fim, group_factors,
-                          ml_compressed_cost, numerical_rank, pair_context, pair_f_block,
+from dense_oracle import (aux_channel_blocks, build_f_perp, calibration_vector, dense_y, fim,
+                          group_factors, ml_compressed_cost, numerical_rank, pair_context,
+                          pair_f_block,
                           pair_h_block, pair_information, pair_known_h_information,
                           pair_project, pair_solve, pairwise_aml, perp_projector, split_h,
                           stack_h, svd_pair_solve, vec_transpose_index, vec_transpose_perm)
@@ -28,7 +29,6 @@ from arraycal.model import (
     AntennaPartition,
     IID_RAYLEIGH,
     ImpairmentConfig,
-    calibration_vector,
     gen_channel,
     gen_impairments,
 )

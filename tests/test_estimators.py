@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dense_oracle import argos_ratios, constrained_lstsq, daisy_ratios, dense_y
+from dense_oracle import (argos_ratios, calibration_vector, constrained_lstsq, daisy_ratios,
+                          dense_y)
 from arraycal.airlink import MeasurementSet, default_pilots, require_pilot_kind, simulate_exchange
 from arraycal.estimators import (
     CHOLESKY_MARGIN,
@@ -27,11 +28,11 @@ from arraycal.model import (
     IID_RAYLEIGH,
     ImpairmentConfig,
     RfImpairments,
-    calibration_vector,
     gen_channel,
     gen_impairments,
 )
 from arraycal.bench import ExperimentConfig, run_experiment
+from arraycal.grouping import make_scheme
 from arraycal.stacking import build_stacked, check_identifiability
 
 CFG = ImpairmentConfig(0.5, fix_first_to_one=True)
@@ -199,6 +200,30 @@ def test_one_factorisation_per_system_and_constraint(monkeypatch):
                                     estimators=("ls", "rogalin", "aml"), constraint="FCC",
                                     crb=False))
     assert calls() == [(4, 4)] * 3
+
+
+@pytest.mark.parametrize("part, kind", [
+    (AntennaPartition.singleton(16), "ALL_ONES"),
+    (make_scheme("FC_II", 24, 8).partition, "UNIT_PHASE_RANDOM"),
+    (AntennaPartition((1, 2, 1, 1, 1), (2, 1, 3, 1, 2)), "UNIT_PHASE_RANDOM"),
+])
+def test_fcc_complement_gram_is_the_full_householder_route(monkeypatch, part, kind):
+    # FCC's reflector u = 2 e_0 leaves A^H's rows and columns 1.. as they are,
+    # so B = (H A^H H)[1:, 1:], updated on row and column 0 alone, is bit for
+    # bit the two full M x M reflections of the dense route
+    factored = []
+    _spy(monkeypatch, "cholesky", factored)
+    pilots, imp, chan, ms = _instance(part, np.random.default_rng(5), snr=30.0, kind=kind)
+    ss = build_stacked(ms, pilots)
+    ls_estimate(ss, ConstraintSpec.fcc())
+    u = np.zeros(part.num_antennas, dtype=complex)
+    u[0] = 2.0
+
+    def reflect(x):
+        return x - np.multiply.outer(u, u.conj() @ x / 2.0)
+
+    assert len(factored) == 1
+    assert np.array_equal(factored[0], reflect(reflect(ss.gram).conj().T)[1:, 1:])
 
 
 def test_lower_inverse_matches_inv():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_oracle import calibration_vector, compose_digital_channel
 from arraycal.model import (
     AntennaPartition,
     GEOMETRIC,
@@ -8,8 +9,6 @@ from arraycal.model import (
     IID_RAYLEIGH,
     ImpairmentConfig,
     RfImpairments,
-    calibration_vector,
-    compose_digital_channel,
     gen_channel,
     gen_impairments,
 )

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import khatri_rao
 
-from dense_oracle import dense_y, dense_y_noncoherent, numerical_rank, row_blocks
+from dense_oracle import (calibration_vector, dense_y, dense_y_noncoherent, numerical_rank,
+                          row_blocks)
 from arraycal.airlink import NoncoherentSchedule, default_pilots, simulate_exchange, simulate_noncoherent
 from arraycal.model import (
     AntennaPartition,
     IID_RAYLEIGH,
     ImpairmentConfig,
-    calibration_vector,
     gen_channel,
     gen_impairments,
 )
@@ -208,6 +208,7 @@ def _partitions_and_schedules(draw):
 @example((AntennaPartition.singleton(16), None, 1))      # the ALL_ONES partition, L_g = 1
 @example((AntennaPartition((2, 1, 3, 1, 2), (1, 2, 1, 3, 2)),
           NoncoherentSchedule(((0, 1, 2), (2, 3), (0, 3, 4))), 5))   # idle groups per slot
+@example((AntennaPartition((1, 2, 1, 1, 1), (2, 1, 3, 1, 2)), None, 6))   # shape order not Y's
 def test_gram_equals_dense_oracle(case):
     # the pair-by-pair Gram and A f equal the products of the dense Y(P)
     part, sched, seed = case
