@@ -22,9 +22,10 @@ base instead of the working tree, run through the same pairs, cold calls and
 JSON: a null A/B, whose win fractions and median shifts show what the pairing
 reports for identical code on this machine (side and drift effects).
 
-The JSON written to ``--out`` holds, per workload and end-to-end metric, each
-side's runs, median and quartiles, and the fraction of pairs the change wins
-(ties count for neither side); the same for the cold call's seconds
+The JSON written to ``--out`` holds each side's line count of
+``src/arraycal/*.py`` (``src_lines``); per workload and end-to-end metric,
+each side's runs, median and quartiles, and the fraction of pairs the change
+wins (ties count for neither side); the same for the cold call's seconds
 (``cold_call_s``); the ``correct``/``attempted``/``failed`` tallies of every
 run; the per-layer metrics of the traced runs; and the environment perfbench
 reports (nproc, BLAS threads, library versions).
@@ -159,6 +160,11 @@ def compare_cold(trees: dict, workload: str, seed: int) -> dict:
             "base_quartile_spread": base["q3"] - base["q1"]}
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of the package's modules, as ``wc -l src/arraycal/*.py`` counts them."""
+    return sum(len(f.read_bytes().splitlines()) for f in (tree / "src" / "arraycal").glob("*.py"))
+
+
 def tallies(runs: list) -> dict:
     return {key: [r[key] for r in runs] for key in ("correct", "attempted", "failed")}
 
@@ -187,6 +193,7 @@ def main(argv=None) -> int:
             export_revision(args.base, trees["change"])
         else:
             copy_working_tree(trees["change"])
+        result["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for wl in spec["workloads"]:
             name = wl["name"]
             runs = {"base": [], "change": []}

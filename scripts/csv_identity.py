@@ -65,6 +65,10 @@ CONFIGS = {
     # FC_I's 11 block shapes: the Gram, the exchange and Avalanche batch by shape
     "fc1-64": "m = 64\nscheme = FC_I\ng = 12\nconstraint = NPC\nestimators = ls, avalanche\n"
               "snr_db = 20, 40\ntrials = 3\n",
+    # sizes (1, 1, 2, 3, 4, 5, 3, 1): shapes (3, 1) and (1, 1) recur apart, so
+    # AML, the CRB and Avalanche run on runs of equal shape split in two
+    "fc1-20": "m = 20\nscheme = FC_I\ng = 8\nconstraint = NPC\n"
+              "estimators = ls, aml, avalanche\nsnr_db = 20, 40\ntrials = 4\n",
     # rank-one groups (L_g = 1 < M_g = 3): AML runs to aml_max_iter, so its
     # rounding accumulates over about 100 iterations
     "fc2-24-aml": "m = 24\nscheme = FC_II\ng = 8\npilots = UNIT_PHASE_RANDOM\nconstraint = NPC\n"

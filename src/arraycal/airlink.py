@@ -28,6 +28,7 @@ from .model import (
     SlotPlan,
     gen_channel,
     permute_channel,
+    shape_runs,
     slot_plan,
 )
 
@@ -51,45 +52,24 @@ class PilotSet:
         return self.blocks[i]
 
     @cached_property
-    def by_shape(self):
-        """{shape: (groups, blocks stacked, antennas (n, M_g), pilot columns
-        (n, L_g)), numbered group after group} and each group's place in it."""
-        groups = {}
-        for g, b in enumerate(self.blocks):
-            groups.setdefault(b.shape, []).append(g)
-        place = np.empty(len(self.blocks), dtype=int)
-        for gs in groups.values():
-            place[gs] = np.arange(len(gs))
+    def runs(self) -> tuple:
+        """One entry per maximal run of consecutive groups of equal block
+        shape (model.shape_runs), in group order: (P_g stacked (n, M_g,
+        L_g), the antennas (n, M_g), the pilot columns (n, L_g), and the
+        run's row and column slices of the received matrix)."""
         first = np.cumsum([(0, 0)] + [b.shape for b in self.blocks], axis=0)
-        return {(m, l): (np.array(gs), np.stack([self.blocks[g] for g in gs]),
-                         first[gs, 0, None] + np.arange(m), first[gs, 1, None] + np.arange(l))
-                for (m, l), gs in groups.items()}, place
-
-    @cached_property
-    def shape_order(self):
-        """The antennas and the pilot columns, each shape's groups together
-        (by_shape order), the inverse orders, and per shape (P_g stacked,
-        antennas, their slices in that order).  The orders are slice(None)
-        where that order is Y's own, so reading Y in it copies nothing."""
-        stacks = list(self.by_shape[0].values())
-        r, c = (np.cumsum([0] + [x[k].size for x in stacks]) for k in (2, 3))
-        order = [np.concatenate([x[k].ravel() for x in stacks]) for k in (2, 3)]
-        if np.array_equal(order[1], np.arange(order[1].size)):
-            order = [slice(None)] * 2
-        return (*order, *(o if isinstance(o, slice) else np.argsort(o) for o in order),
-                [(p, rows, slice(*r[k:k + 2]), slice(*c[k:k + 2]))
-                 for k, (_, p, rows, _) in enumerate(stacks)])
-
-    def stacked(self, groups: np.ndarray) -> np.ndarray:
-        """The blocks P_g of groups of one block shape, stacked (P, M_g, L_g)."""
-        stacks, place = self.by_shape
-        return stacks[self.blocks[groups[0]].shape][1][place[groups]]
+        out = []
+        for gs in shape_runs(b.shape for b in self.blocks):
+            (r0, c0), (r1, c1) = first[gs.start], first[gs.stop]
+            p = np.stack(self.blocks[gs.start:gs.stop])
+            out.append((p, np.arange(r0, r1).reshape(len(gs), -1),
+                        np.arange(c0, c1).reshape(len(gs), -1), slice(r0, r1), slice(c0, c1)))
+        return tuple(out)
 
     @cached_property
     def _full_rank(self) -> bool:
         """Whether every block has full rank, checked once per object."""
-        return all(np.all(np.linalg.matrix_rank(stack) >= min(shape))
-                   for shape, (_, stack, *_) in self.by_shape[0].items())
+        return all(np.all(np.linalg.matrix_rank(p) >= min(p.shape[1:])) for p, *_ in self.runs)
 
     def validate(self, partition: AntennaPartition) -> None:
         if len(self.blocks) != partition.num_groups:
@@ -242,11 +222,12 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
     if the caller holds it (NoncoherentSchedule.plans).
 
     snr_db = +inf gives the exact noiseless blocks.  Y = R C T P is formed
-    with its columns in PilotSet.shape_order: a single-antenna transmit shape
-    is one broadcast product (R C T)[:, a_g] P_g over all receive rows, in
-    place, and a multi-antenna one a stacked product per receive block shape
-    (PilotSet.by_shape).  Self blocks (a group does not hear itself) and
-    inactive groups are zeroed, and the noise added through plan.noise_index.
+    run by run of groups of equal shape (PilotSet.runs), each a slice of Y's
+    columns: a single-antenna transmit run is one broadcast product
+    (R C T)[:, a_g] P_g over all receive rows, in place, and a multi-antenna
+    one a stacked product per receive run.  Self blocks (a group does not
+    hear itself) and inactive groups are zeroed, and the noise added through
+    plan.noise_index.
     """
     pilots.validate(partition)
     if imp.num_antennas != partition.num_antennas or chan.num_antennas != partition.num_antennas:
@@ -263,20 +244,17 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
     sigma2 = noise_variance_from_snr(snr_db, chan)
     gain = imp.rx_gains[:, None] * chan.c
     gain *= imp.tx_gains                           # R C T
-    ants, _, _, cols_back, shapes = pilots.shape_order
-    tx_gain = gain[:, ants]
-    ys = np.empty(plan.shape, dtype=complex)       # Y, its columns in shape order
-    for p, rows_t, r, c in shapes:
+    received = np.empty(plan.shape, dtype=complex)
+    for p, rows_t, _, r, c in pilots.runs:
         n, m, l = p.shape
-        y_t = ys[:, c].reshape(-1, n, l)            # the shape's columns, (M, n, L_g)
+        y_t = received[:, c].reshape(-1, n, l)      # the run's columns, (M, n, L_g)
         if m == 1:
-            np.einsum("at,tl->atl", tx_gain[:, r], p[:, 0, :], out=y_t)
+            np.einsum("at,tl->atl", gain[:, r], p[:, 0, :], out=y_t)
         else:
-            for _, _, rows_r, _ in pilots.by_shape[0].values():
+            for _, rows_r, *_ in pilots.runs:
                 y_t[rows_r] = (gain[rows_r[:, None, :, None], rows_t[:, None, :]] @ p
                                ).transpose(0, 2, 1, 3)
         y_t[rows_t, np.arange(n)[:, None]] = 0.0    # self blocks
-    received = np.ascontiguousarray(ys[:, cols_back])
     for g in set(range(partition.num_groups)) - set(plan.groups):
         received[partition.antennas_of(g)] = 0.0
         received[:, partition.pilot_columns(g)] = 0.0

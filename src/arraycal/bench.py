@@ -335,7 +335,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     perm = scheme.permutation
     if np.array_equal(perm, np.arange(config.m)):
         perm = None
-    imp_cfg = ImpairmentConfig(config.delta, fix_first_to_one=True)
+    imp_cfg = ImpairmentConfig(config.delta)
     # ALL_ONES and IDENTITY pilots draw nothing: one set serves every trial
     fixed_pilots = None if config.pilots == UNIT_PHASE_RANDOM \
         else default_pilots(partition, config.pilots)

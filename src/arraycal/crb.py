@@ -118,20 +118,21 @@ def column_projection(k: np.ndarray, w: np.ndarray, p2: np.ndarray) -> np.ndarra
 
 
 def shape_factors(f: np.ndarray, pilots):
-    """Every group's A_g = P_g^T diag(f_g), batched by shape: its squared
-    singular values s^2 on the M antennas (descending in a group, 0 past
-    rank), and for M_g > 1 the bases {(M_g, L_g): (V^H, V)} of A_g = U_g S_g
-    V_g^H, stacked in pilots.by_shape order.  A single-antenna group has
-    s^2 = |f_g|^2 ||p_g||^2 and V_g = 1, in closed form for any L_g."""
+    """Every group's A_g = P_g^T diag(f_g), batched by run of equal shape
+    (PilotSet.runs): its squared singular values s^2 on the M antennas
+    (descending in a group, 0 past rank), and for M_g > 1 the bases {run
+    index: (V^H, V)} of A_g = U_g S_g V_g^H, stacked in the run's group
+    order.  A single-antenna group has s^2 = |f_g|^2 ||p_g||^2 and V_g = 1,
+    in closed form for any L_g."""
     s2, bases = np.empty(f.size), {}
-    for (m, l), (_, p, rows, _) in pilots.by_shape[0].items():
+    for k, (p, rows, *_) in enumerate(pilots.runs):
         a = p.transpose(0, 2, 1) * f[rows[:, None]]
-        if m == 1:
+        if p.shape[1] == 1:
             s2[rows[:, 0]] = np.sum(np.abs(a[:, :, 0]) ** 2, axis=1)
         else:
             s, vh = np.linalg.svd(a)[1:]
             s2[rows[:, :s.shape[1]]], s2[rows[:, s.shape[1]:]] = s ** 2, 0.0
-            bases[m, l] = (vh, vh.conj().transpose(0, 2, 1))
+            bases[k] = (vh, vh.conj().transpose(0, 2, 1))
     return s2, bases
 
 
@@ -234,7 +235,7 @@ def known_h_information(k: np.ndarray, pilots, partition: AntennaPartition) -> n
     off its block."""
     u = np.where(_rank_rule(partition)[1], k, 0)
     b = np.zeros(u.shape, dtype=complex)
-    for _, p, rows, _ in pilots.by_shape[0].values():
+    for p, rows, *_ in pilots.runs:
         ug = u[:, rows].transpose(1, 0, 2)                  # (n, M, M_g)
         b[rows[:, :, None], rows[:, None, :]] = (p.conj() @ p.transpose(0, 2, 1)) \
             * (ug.conj().transpose(0, 2, 1) @ ug)
@@ -264,9 +265,9 @@ def compressed_information(f: np.ndarray, k: np.ndarray, pilots,
         where the rank rule drops W_kl), formed with no cancellation;
       other groups: -C_ab = -sum_{k in g(a), l in g(b)} W_kl conj(Q~[k, a])
         Q~[l, b] conj(U~[l, a]) U~[k, b].
-    The first is one batched product per pilot shape, the second one per
-    ordered pair of groups, batched by the pair's ranks (_group_pairs); each
-    costs what the pair blocks of F would.
+    The first is one batched product per run of equal shape, the second one
+    per ordered pair of groups, batched by the pair's ranks (_group_pairs);
+    each costs what the pair blocks of F would.
     """
     m = f.size
     s2, bases = shape_factors(f, pilots)
@@ -276,12 +277,12 @@ def compressed_information(f: np.ndarray, k: np.ndarray, pilots,
     ut = np.zeros((m + 1, m + 1), dtype=complex)
     ut[:m, :m] = np.where(_rank_rule(partition)[1], k, 0)
     qt, b, shapes = np.zeros_like(ut), np.zeros_like(ut), []
-    for key, (_, p, rows, _) in pilots.by_shape[0].items():
+    for key, (p, rows, *_) in enumerate(pilots.runs):
         q = np.conj(f[rows])[:, :, None] * (p.conj() @ p.transpose(0, 2, 1))
         if key in bases:
             ut[rows] = bases[key][0] @ ut[rows]
             q = bases[key][0] @ q
-        q = q[:, :min(key)]
+        q = q[:, :min(p.shape[1:])]
         qt[rows[:, :q.shape[1], None], rows[:, None, :]] = q
         shapes.append((rows, q))
     for rows, q in shapes:                      # the group diagonal blocks

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import AntennaPartition, CalibrationVector, batch_indices, received_index
+from .model import AntennaPartition, CalibrationVector, batch_indices, shape_runs
 from . import crb as _crb
 from .stacking import StackedSystem, build_stacked, pair_equation_block
 
@@ -273,18 +273,21 @@ def require_tree(partition: AntennaPartition, parent: np.ndarray, who: str) -> N
 
 @lru_cache(maxsize=32)
 def tree_edges(partition: AntennaPartition, parent: tuple) -> tuple:
-    """A tree's edges (parent[c], c) by block shape: (parents, children,
-    received_index of Y_{c->p} and of Y_{p->c}), read-only, once per tree."""
+    """A tree's edges (parent[c], c), batched by the runs of equal block
+    shape (model.shape_runs, as PilotSet.runs) of parent and child: per
+    batch (parents, children, the two runs, and each group's place in its
+    run), read-only, once per tree."""
     parent = np.asarray(parent)
     require_tree(partition, parent, "tree_estimate")
-    sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
-    child, edges = np.arange(1, sizes.size), []
-    for sel in batch_indices((sizes[parent[child]], sizes[child], lens[parent[child]],
-                              lens[child])):
+    run, place = np.empty((2, partition.num_groups), dtype=int)
+    for k, gs in enumerate(shape_runs(zip(partition.group_sizes, partition.pilot_lengths))):
+        run[gs], place[gs] = k, np.arange(len(gs))
+    child, edges = np.arange(1, partition.num_groups), []
+    for sel in batch_indices((run[parent[child]], run[child])):
         gc = child[sel]
-        edges.append((parent[gc], gc, received_index(partition, gc, parent[gc]),
-                      received_index(partition, parent[gc], gc)))
-    for a in (x for e in edges for x in e):
+        gp = parent[gc]
+        edges.append((gp, gc, int(run[gp[0]]), int(run[gc[0]]), place[gp], place[gc]))
+    for a in (x for e in edges for x in e if isinstance(x, np.ndarray)):
         a.flags.writeable = False
     return tuple(edges)
 
@@ -329,10 +332,13 @@ def tree_estimate(measurements, pilots, parent: np.ndarray) -> CalibrationVector
     sizes = np.asarray(partition.group_sizes)
     t = np.zeros((sizes.size, sizes.max(), sizes.max()), dtype=complex)
     t[0, 0, 0] = 1.0                        # f_0 = 1; group 0 is its own parent
-    y = measurements.received.ravel()
-    for gp, gc, y_cp, y_pc in tree_edges(partition, tuple(parent.tolist())):
+    y = measurements.received
+    for gp, gc, run_p, run_c, at_p, at_c in tree_edges(partition, tuple(parent.tolist())):
+        p_p, rows_p, cols_p = pilots.runs[run_p][:3]
+        p_c, rows_c, cols_c = pilots.runs[run_c][:3]
         t_c, full = _edge_transfers(*pair_equation_block(
-            y[y_cp], y[y_pc], pilots.stacked(gp), pilots.stacked(gc)))
+            y[rows_p[at_p, :, None], cols_c[at_c, None, :]],        # Y_{c->p}
+            y[rows_c[at_c, :, None], cols_p[at_p, None, :]], p_p[at_p], p_c[at_c]))
         if not full.all():
             e = np.argmin(full)
             raise np.linalg.LinAlgError(f"tree edge {gp[e]}-{gc[e]}: the pair "
@@ -440,7 +446,8 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     rank rule drops s_a^2 + s_b^2), and K = V K~ V^T.  The f-step solves
     group g's rows B_a = P_g^T diag(K[a, rows_g]) against Y[a, cols_g], a
     outside g: on all of K and W for single antennas (crb.column_projection),
-    by crb.lstsq_min_norm on the gathered rows, batched by shape, for others.
+    by crb.lstsq_min_norm on the gathered rows, batched by run of equal shape
+    (PilotSet.runs), for others.
     The cost ||Y - K F P||_F^2 is formed after the last iteration.
     """
     require_aml_settings(tol, max_iter)
@@ -451,18 +458,19 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
         raise ValueError("init must be nonzero")
     m, y = partition.num_antennas, measurements.received
     yp = build_stacked(measurements, pilots).slots[0][2]      # W = Y P^H
-    p2, shapes = np.ones(m), []                 # ||p_g||^2 on single antennas
-    for (mg, lg), (gs, p, rows, cols) in pilots.by_shape[0].items():
+    p2, runs = np.ones(m), []                   # ||p_g||^2 on single antennas
+    for key, (p, rows, cols, *_) in enumerate(pilots.runs):
+        mg = p.shape[1]
         if mg == 1:
             p2[rows[:, 0]] = np.sum(np.abs(p[:, 0]) ** 2, axis=1)
             continue
         out = np.arange(m - mg) + mg * (np.arange(m - mg) >= rows[:, :1])   # a outside g
-        shapes.append(((mg, lg), rows, out[:, :, None] * m + rows[:, None, :],
-                       p.transpose(0, 2, 1)[:, None],
-                       y[out[:, :, None], cols[:, None, :]].reshape(gs.size, -1)))
+        runs.append((key, rows, out[:, :, None] * m + rows[:, None, :],
+                     p.transpose(0, 2, 1)[:, None],
+                     y[out[:, :, None], cols[:, None, :]].reshape(len(p), -1)))
 
     def rotate(z, bases, which):                # blkdiag(V_g^H or V_g) z, in place
-        for key, rows, *_ in shapes:
+        for key, rows, *_ in runs:
             z[rows] = bases[key][which] @ z[rows]
         return z
 
@@ -474,7 +482,7 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
         k = rotate(rotate(zt * _crb.pair_weights(s2, partition), bases, 1).T, bases, 1).T
         # every column's projection; the lstsq overwrites multi-antenna groups
         f_new = _crb.column_projection(k, yp, p2)
-        for _, rows, k_at, pt, rhs in shapes:
+        for _, rows, k_at, pt, rhs in runs:
             a = (k.ravel()[k_at][:, :, None] * pt).reshape(rhs.shape + (-1,))
             f_new[rows] = _crb.lstsq_min_norm(a, rhs)
         d = f_new - f
@@ -483,7 +491,7 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
         if converged:
             break
     r, kf = y.copy(), k * f                     # Y - K F P, zero on the self blocks
-    for _, p, rows, cols in pilots.by_shape[0].values():
+    for p, rows, cols, *_ in pilots.runs:
         r[:, cols] -= np.einsum("anm,nml->anl", kf[:, rows], p)
     tag = "NONE"
     if constraint is not None:

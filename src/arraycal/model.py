@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -106,14 +106,11 @@ class SlotPlan:
     rows: int
 
 
-def received_index(partition: AntennaPartition, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-    """Flat indices of Y_{tx[p]->rx[p]} in a slot's M x sum(L_i) received
-    matrix, for pairs of one block shape, (P, M_rx, L_tx)."""
-    width = sum(partition.pilot_lengths)
-    rows = np.asarray(partition.offsets)[rx, None, None] \
-        + np.arange(partition.group_sizes[rx[0]])[:, None]
-    return rows * width + np.asarray(partition.pilot_offsets)[tx, None, None] \
-        + np.arange(partition.pilot_lengths[tx[0]])
+def shape_runs(shapes) -> list:
+    """The maximal runs of consecutive groups of equal block shape (M_g, L_g),
+    given one shape per group, in group order: a range of groups each."""
+    stops = list(accumulate(len(list(run)) for _, run in groupby(shapes)))
+    return [range(a, b) for a, b in zip([0] + stops, stops)]
 
 
 @lru_cache(maxsize=32)
@@ -206,7 +203,6 @@ class ImpairmentConfig:
     """Amplitude spread delta in [0, 1); phases are always uniform in [-pi, pi]."""
 
     amplitude_spread: float = 0.1
-    fix_first_to_one: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.amplitude_spread < 1.0):
@@ -239,8 +235,9 @@ class ChannelRealization:
 def gen_impairments(config: ImpairmentConfig, m: int, rng: np.random.Generator) -> RfImpairments:
     """Draw Tx/Rx gains with amplitude uniform in [1-delta, 1+delta] and uniform phase.
 
-    With fix_first_to_one, the first Rx gain is tied to the first Tx gain so
-    that f[0] = t_0 / r_0 = 1 exactly (amplitudes stay in range).
+    The first Rx gain is tied to the first Tx gain, so that f[0] = t_0 / r_0
+    = 1 exactly (amplitudes stay in range), as the first-coefficient
+    constraint's truth needs.
     """
     if m < 2:
         raise ValueError("need at least 2 antennas")
@@ -253,8 +250,7 @@ def gen_impairments(config: ImpairmentConfig, m: int, rng: np.random.Generator) 
 
     tx = draw()
     rx = draw()
-    if config.fix_first_to_one:
-        rx[0] = tx[0]
+    rx[0] = tx[0]
     return RfImpairments(tx, rx)
 
 

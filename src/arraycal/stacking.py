@@ -24,16 +24,15 @@ from .model import AntennaPartition
 class StackedSystem:
     """Y(P) through its slots' received matrices, with A = Y(P)^H Y(P).
 
-    slots holds each slot's Y and conj(Y) in PilotSet.shape_order (views of
-    the received matrix where that is its own order), and W = Y P^H; inactive
-    groups' rows and columns of Y are zero.  solutions holds the estimators'
-    solves of this system, keyed by constraint.
+    slots holds each slot's received matrix Y, conj(Y) and W = Y P^H;
+    inactive groups' rows and columns of Y are zero.  solutions holds the
+    estimators' solves of this system, keyed by constraint.
     """
 
     gram: np.ndarray          # M x M, Hermitian PSD
     rows: int                 # rows of Y(P)
     m: int
-    slots: tuple              # ((Y, conj(Y) in shape order, W), ...)
+    slots: tuple              # ((Y, conj(Y), W), ...)
     pilots: object
     solutions: dict = field(default_factory=dict, repr=False, compare=False)
     _work: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -42,23 +41,23 @@ class StackedSystem:
         """A f, summed over the slots as (A f)_a = sum_{c in cols of g(a)}
         conj(P_ac) (E Y^H)_ca from the residuals E = S - S^T, S = P^T F Y:
         unlike gram @ f, its rounding error does not scale with cond(A).
-        For a single-antenna shape, S's rows are a broadcast product and
-        (E Y^H)'s blocks row sums, with no per-group matrix product; S and E
-        are kept on the system for its next call."""
-        shapes = self.pilots.shape_order[-1]
+        Each run of groups of equal shape (PilotSet.runs) is a slice of Y's
+        rows and of S's.  For a single-antenna run, S's rows are a broadcast
+        product and (E Y^H)'s blocks row sums, with no per-group matrix
+        product; S and E are kept on the system for its next call."""
         n_cols = self.slots[0][0].shape[1]
         if self._work is None:
             self._work = np.empty((2, n_cols, n_cols), dtype=complex)
         s, e = self._work
         out = np.zeros(self.m, dtype=complex)
         for y, y_conj, _ in self.slots:
-            for p, rows, r, c in shapes:
+            for p, rows, _, r, c in self.pilots.runs:
                 n, m, l = p.shape
                 (np.multiply if m == 1 else np.matmul)(
                     (p * f[rows, None]).transpose(0, 2, 1), y[r].reshape(n, m, -1),
                     out=s[c].reshape(n, l, -1))
             np.subtract(s, s.T, out=e)
-            for p, rows, r, c in shapes:
+            for p, rows, _, r, c in self.pilots.runs:
                 n, m, l = p.shape
                 if m == 1:
                     out[rows[:, 0]] += np.einsum("nl,nlk,nk->n", p[:, 0].conj(),
@@ -96,33 +95,30 @@ def build_stacked(measurements, pilots) -> StackedSystem:
 
     With W = Y P^H (zero self blocks, as Y's), A = conj(P P^H) o conj(Y Y^H)
     - W^T o conj(W), o the entrywise product; only the group diagonal blocks
-    of Y Y^H are formed, as P P^H is block diagonal.  Y is read in
-    PilotSet.shape_order, each shape's pilot columns as one slice, so where
-    that order is Y's own nothing is gathered or copied.  The result is kept
+    of Y Y^H are formed, as P P^H is block diagonal.  Each run of groups of
+    equal shape (PilotSet.runs) is a slice of Y's rows and columns and of
+    W's, so Y is read in place and nothing is gathered.  The result is kept
     on the measurements and returned again to a call with the same pilots
     object.
     """
     kept = measurements.stacked
     if kept is not None and kept[0] is pilots:
         return kept[1]
-    y, (ants, cols, ants_back, _, shapes) = measurements.received, pilots.shape_order
-    y_cols = y[:, cols]
-    ys = y_cols[ants]
-    w = np.empty((y.shape[0],) * 2, dtype=complex)     # its columns in shape order
-    for p, _, r, c in shapes:
+    y = measurements.received
+    w = np.empty((y.shape[0],) * 2, dtype=complex)
+    for p, _, _, r, c in pilots.runs:
         n, m, l = p.shape
-        np.einsum("anl,nkl->ank", y_cols[:, c].reshape(-1, n, l), p.conj(),
+        np.einsum("anl,nkl->ank", y[:, c].reshape(-1, n, l), p.conj(),
                   out=w[:, r].reshape(-1, n, m))
-    w = w[:, ants_back]
     gram = w.conj()
     gram *= w.T
     np.negative(gram, out=gram)
-    ys_conj = ys.conj()
-    for p, rows, r, _ in shapes:
+    y_conj = y.conj()
+    for p, rows, _, r, _ in pilots.runs:
         n, m, _ = p.shape
         gram[rows[:, :, None], rows[:, None, :]] += np.conj(p @ p.conj().transpose(0, 2, 1)) \
-            * (ys_conj[r].reshape(n, m, -1) @ ys[r].reshape(n, m, -1).transpose(0, 2, 1))
-    system = StackedSystem(gram, measurements.plan.rows, y.shape[0], ((ys, ys_conj, w),), pilots)
+            * (y_conj[r].reshape(n, m, -1) @ y[r].reshape(n, m, -1).transpose(0, 2, 1))
+    system = StackedSystem(gram, measurements.plan.rows, y.shape[0], ((y, y_conj, w),), pilots)
     measurements.stacked = (pilots, system)
     return system
 

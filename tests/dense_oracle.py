@@ -8,6 +8,9 @@ form of vec_transpose_index.  aux_channel_blocks is each pair's auxiliary
 channel Hc_{i->j}, the input of the dense H(h, P) of crb.build_h_composite;
 stack_h stacks them into h, and split_h inverts stack_h.
 exchange_pairs is airlink.simulate_exchange as one loop over ordered pairs.
+The pair oracles read the received matrix through received_index (the flat
+indices of a batch of blocks Y_{i->j}) and the pilots through by_shape
+(every group of a block shape, adjacent or not) and stacked.
 constrained_lstsq is the linear-constraint LS of estimators.ls_estimate
 solved by lstsq on the dense Y(P).  perp_projector is the dense projector
 that the CRB's closed form replaces.
@@ -49,8 +52,7 @@ from scipy.linalg import null_space, orth
 from arraycal.airlink import MeasurementSet, noise_variance_from_snr
 from arraycal.crb import complement_basis, stack_observations, vec
 from arraycal.grouping import GroupScheme, pair_count
-from arraycal.model import (AntennaPartition, CalibrationVector, RfImpairments, batch_indices,
-                            received_index)
+from arraycal.model import AntennaPartition, CalibrationVector, RfImpairments, batch_indices
 from arraycal.stacking import khatri_rao_t, pair_equation_block
 
 
@@ -74,6 +76,37 @@ def exchange_pairs(partition, pilots, imp, chan, snr_db, rng, groups=None):
                 y = y + sd * (rng.standard_normal(shp) + 1j * rng.standard_normal(shp))
             blocks[(i, j)] = y
     return blocks
+
+
+def received_index(partition, tx, rx):
+    """Flat indices of Y_{tx[p]->rx[p]} in a slot's M x sum(L_i) received
+    matrix, for pairs of one block shape, (P, M_rx, L_tx)."""
+    width = sum(partition.pilot_lengths)
+    rows = np.asarray(partition.offsets)[rx, None, None] \
+        + np.arange(partition.group_sizes[rx[0]])[:, None]
+    return rows * width + np.asarray(partition.pilot_offsets)[tx, None, None] \
+        + np.arange(partition.pilot_lengths[tx[0]])
+
+
+def by_shape(pilots):
+    """{shape: (groups, blocks stacked, antennas (n, M_g), pilot columns
+    (n, L_g)), numbered group after group} over every group of each block
+    shape, adjacent or not, and each group's place in its shape."""
+    groups = {}
+    for g, b in enumerate(pilots.blocks):
+        groups.setdefault(b.shape, []).append(g)
+    place = np.empty(len(pilots.blocks), dtype=int)
+    for gs in groups.values():
+        place[gs] = np.arange(len(gs))
+    first = np.cumsum([(0, 0)] + [b.shape for b in pilots.blocks], axis=0)
+    return {(m, l): (np.array(gs), np.stack([pilots[g] for g in gs]),
+                     first[gs, 0, None] + np.arange(m), first[gs, 1, None] + np.arange(l))
+            for (m, l), gs in groups.items()}, place
+
+
+def stacked(pilots, groups):
+    """The blocks P_g of groups of one block shape, stacked (P, M_g, L_g)."""
+    return np.stack([pilots[g] for g in groups])
 
 
 def gather(measurements, tx, rx):
@@ -251,8 +284,9 @@ def group_factors(f, pilots):
     A_g = P_g^T diag(f_g), as a function stacking groups' factors in order.
     A 1 x 1 A_g = a is s = |a|, U = e^{i arg a} and V = 1 (LAPACK's
     convention), with no SVD call."""
-    svds, place = {}, pilots.by_shape[1]
-    for (m, l), (gs, p, rows, _) in pilots.by_shape[0].items():
+    stacks, place = by_shape(pilots)
+    svds = {}
+    for (m, l), (gs, p, rows, _) in stacks.items():
         a = p.transpose(0, 2, 1) * f[rows[:, None]]
         if (m, l) == (1, 1):
             one = np.ones_like(a)
@@ -320,7 +354,7 @@ def pair_context(imp, chan, pilots, partition, noise_variance, active=None):
     rcr = imp.rx_gains[:, None] * chan.c * imp.rx_gains[None, :]
     h_pairs = []
     for b in pairs:
-        p_i, p_j = pilots.stacked(b.gi), pilots.stacked(b.gj)
+        p_i, p_j = stacked(pilots, b.gi), stacked(pilots, b.gj)
         cols_i, cols_j = b.cols[:, :p_i.shape[1]], b.cols[:, p_i.shape[1]:]
         bi, bj = pair_h_block(rcr[cols_j[:, :, None], cols_i[:, None, :]], p_i, p_j)
         hp = np.zeros(bi.shape[:1] + (bi.shape[1] + bj.shape[1], b.cols.shape[1]), complex)
@@ -342,7 +376,8 @@ def fim(ctx):
     n = m + int(size.sum())
     cols, ws = [], []
     for b, hp in zip(ctx.pairs, ctx.h_pairs):
-        fp = pair_f_block(ctx.f, b.cols, ctx.pilots.stacked(b.gi), ctx.pilots.stacked(b.gj))
+        fp = pair_f_block(ctx.f, b.cols, stacked(ctx.pilots, b.gi),
+                          stacked(ctx.pilots, b.gj))
         cols.append(np.concatenate((b.cols, m + h_off[b.gi, b.gj][:, None]
                                     + np.arange(fp.shape[2])), axis=1))
         ws.append(np.concatenate((hp, fp), axis=2))
@@ -491,14 +526,14 @@ def pairwise_aml(measurements, pilots, partition, init=None, tol=1e-6, max_iter=
     f = np.ones(partition.num_antennas, dtype=complex) if init is None \
         else np.asarray(init, dtype=complex).copy()
     m = partition.num_antennas
-    stacks, place = pilots.by_shape
+    stacks, place = by_shape(pilots)
     h_rows = {key: np.zeros((len(gs), key[1] * (m - key[0]), key[0]), dtype=complex)
               for key, (gs, *_) in stacks.items()}
     y_rows = {key: np.zeros(h.shape[:2], dtype=complex) for key, h in h_rows.items()}
     filled = [0] * partition.num_groups
     pairs = []
     for b in pair_batches(partition, measurements.groups):
-        p_i, p_j = pilots.stacked(b.gi), pilots.stacked(b.gj)
+        p_i, p_j = stacked(pilots, b.gi), stacked(pilots, b.gj)
         y_p = pair_observations(measurements, b)
         top = p_i.shape[2] * p_j.shape[1]       # L_i M_j rows act on f_i
         sides = []

@@ -51,7 +51,7 @@ from arraycal.model import (
 )
 from arraycal.stacking import build_stacked, build_stacked_noncoherent, check_identifiability
 
-CFG5 = ImpairmentConfig(0.5, fix_first_to_one=True)
+CFG5 = ImpairmentConfig(0.5)
 
 
 def _report(num, desc, ok):
@@ -61,8 +61,7 @@ def _report(num, desc, ok):
 
 def _simulate(part, rng, snr=np.inf, kind="UNIT_PHASE_RANDOM", delta=0.5):
     pilots = default_pilots(part, kind, rng)
-    imp = gen_impairments(ImpairmentConfig(delta, fix_first_to_one=True),
-                          part.num_antennas, rng)
+    imp = gen_impairments(ImpairmentConfig(delta), part.num_antennas, rng)
     chan = gen_channel(part.num_antennas, IID_RAYLEIGH, rng)
     ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
     return pilots, imp, chan, ms

@@ -24,14 +24,16 @@ from arraycal.model import (
     RfImpairments,
     gen_channel,
     gen_impairments,
+    shape_runs,
     slot_plan,
 )
 from arraycal.bench import ExperimentConfig
+from arraycal.grouping import make_scheme
 from arraycal.stacking import build_stacked
 from dense_oracle import (calibration_vector, dense_y, exchange_pairs, gather,
                           measurements_to_csv)
 
-CFG = ImpairmentConfig(0.5, fix_first_to_one=True)
+CFG = ImpairmentConfig(0.5)
 
 
 def _setup(part, rng, pilot_kind="ALL_ONES"):
@@ -77,6 +79,32 @@ def test_pilot_rank_is_checked_once_per_object(monkeypatch):
     assert svds == [(2, 2, 2), (1, 1, 1)]
     with pytest.raises(ValueError, match="shape"):        # shapes are checked every call
         pilots.validate(AntennaPartition((2, 1, 2), (2, 1, 2)))
+
+
+def test_runs_are_the_maximal_runs_of_equal_shape_in_group_order():
+    # each run of PilotSet.runs is a slice of the received matrix's rows and
+    # columns, at the partition's offsets; equal shapes apart are two runs
+    cases = ((AntennaPartition((1, 2, 1, 2), (1, 2, 1, 2)), 4),
+             (AntennaPartition((2, 2, 1), (2, 2, 1)), 2),
+             (AntennaPartition.singleton(5), 1),
+             (make_scheme("FC_I", 64, 12).partition, 11))
+    for part, count in cases:
+        shapes = list(zip(part.group_sizes, part.pilot_lengths))
+        runs = shape_runs(shapes)
+        assert len(runs) == count
+        assert [g for gs in runs for g in gs] == list(range(part.num_groups))
+        assert all(len({shapes[g] for g in gs}) == 1 for gs in runs)
+        assert all(shapes[a[-1]] != shapes[b[0]] for a, b in zip(runs, runs[1:]))
+        ants = np.append(part.offsets, part.num_antennas)
+        cols = np.append(part.pilot_offsets, sum(part.pilot_lengths))
+        pilots = default_pilots(part, "UNIT_PHASE_RANDOM", np.random.default_rng(0))
+        assert len(pilots.runs) == count
+        for gs, (p, rows_g, cols_g, r, c) in zip(runs, pilots.runs):
+            assert np.array_equal(p, np.stack([pilots[g] for g in gs]))
+            assert (r, c) == (slice(ants[gs.start], ants[gs.stop]),
+                              slice(cols[gs.start], cols[gs.stop]))
+            assert np.array_equal(rows_g, [np.arange(ants[g], ants[g + 1]) for g in gs])
+            assert np.array_equal(cols_g, [np.arange(cols[g], cols[g + 1]) for g in gs])
 
 
 def test_fixed_pilots_are_built_once_per_partition():

@@ -7,7 +7,7 @@ from dense_oracle import (aux_channel_blocks, build_f_perp, calibration_vector, 
                           pair_f_block,
                           pair_h_block, pair_information, pair_known_h_information,
                           pair_project, pair_solve, pairwise_aml, perp_projector, split_h,
-                          stack_h, svd_pair_solve, vec_transpose_index, vec_transpose_perm)
+                          stack_h, stacked, svd_pair_solve, vec_transpose_index, vec_transpose_perm)
 from arraycal import crb
 from arraycal.airlink import PilotSet, default_pilots, simulate_exchange
 from arraycal.bench import parse_config, run_experiment
@@ -34,7 +34,7 @@ from arraycal.model import (
 )
 from arraycal.stacking import build_stacked, check_identifiability
 
-CFG = ImpairmentConfig(0.5, fix_first_to_one=True)
+CFG = ImpairmentConfig(0.5)
 
 
 def _instance(part, rng, snr=np.inf, kind="UNIT_PHASE_RANDOM"):
@@ -399,7 +399,7 @@ def test_context_pair_blocks_equal_per_pair_oracle_to_the_bit(case):
     hb = aux_channel_blocks(imp, chan, part)
     assert len(ctx.h_pairs) == len(ctx.pairs)
     for b, hp in zip(ctx.pairs, ctx.h_pairs):
-        p_i, p_j = pilots.stacked(b.gi), pilots.stacked(b.gj)
+        p_i, p_j = stacked(pilots, b.gi), stacked(pilots, b.gj)
         bi, bj = pair_h_block(np.stack([hb[p] for p in zip(b.gi.tolist(), b.gj.tolist())]),
                               p_i, p_j)
         ref = np.zeros((len(b.gi), bi.shape[1] + bj.shape[1], b.cols.shape[1]), complex)
@@ -428,6 +428,7 @@ def _information_cases(draw):
 @example((AntennaPartition((3, 3, 2, 1, 2), (3, 3, 2, 1, 2)), "IDENTITY", 4, 1))
 @example((AntennaPartition((1, 1, 1), (1, 1, 1)), "UNIT_PHASE_RANDOM", 0, 2))
 @example((AntennaPartition((1, 2), (2, 1)), "UNIT_PHASE_RANDOM", 0, 3))     # rank(B) < M - 1
+@example((AntennaPartition((1, 2, 1, 2), (1, 2, 1, 2)), "UNIT_PHASE_RANDOM", 0, 5))   # split runs
 def test_information_from_k_equals_pair_oracle(case):
     # B and H^H H from the M x M channel K equal the pair route's sums over
     # pair blocks, also with an idle group's rows and columns of K set to
@@ -503,7 +504,7 @@ def test_pair_solve_equals_svd_of_each_f_block(case):
     f = np.where(zero, 0.0, _cgauss(rng, zero.size))
     gi, gj = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
     cols = np.arange(f.size).reshape(n, mi + mj)
-    fp = pair_f_block(f, cols, pilots.stacked(gi), pilots.stacked(gj))
+    fp = pair_f_block(f, cols, stacked(pilots, gi), stacked(pilots, gj))
     r = fp.shape[1]
     x = _cgauss(rng, (n, r, c))
     fac = group_factors(f, pilots)
@@ -599,6 +600,8 @@ def _aml_cases(draw):
 @example((AntennaPartition((1, 1, 1), (2, 1, 3)), "UNIT_PHASE_RANDOM", 30.0, "ones", 0))
 @example((make_scheme("FC_II", 24, 8).partition, "UNIT_PHASE_RANDOM", 30.0, "ls", 3))
 @example((AntennaPartition((1, 2, 3, 1), (2, 2, 1, 3)), "UNIT_PHASE_RANDOM", 10.0, "ls", 1))
+# both shapes split into two runs of PilotSet.runs
+@example((AntennaPartition((1, 2, 1, 2), (1, 2, 1, 2)), "UNIT_PHASE_RANDOM", 30.0, "ls", 0))
 def test_aml_takes_the_pairwise_path(case):
     # AML's one M x M h-step on the received matrix and its f-step per group
     # give the iterations, convergence, estimate and cost of the pair-by-pair

@@ -50,7 +50,7 @@ def test_impairments_zero_spread_unit_amplitude():
 def test_impairments_fix_first_and_ratio_bounds():
     rng = np.random.default_rng(1)
     d = 0.1
-    imp = gen_impairments(ImpairmentConfig(d, fix_first_to_one=True), 64, rng)
+    imp = gen_impairments(ImpairmentConfig(d), 64, rng)
     f = calibration_vector(imp).f
     assert f[0] == 1.0 + 0.0j
     lo, hi = (1 - d) / (1 + d), (1 + d) / (1 - d)

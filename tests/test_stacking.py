@@ -22,7 +22,7 @@ from arraycal.stacking import (
     pair_equation_block,
 )
 
-CFG = ImpairmentConfig(0.5, fix_first_to_one=True)
+CFG = ImpairmentConfig(0.5)
 
 
 def _instance(part, rng, snr=np.inf, kind="UNIT_PHASE_RANDOM"):
