@@ -68,8 +68,11 @@ class PilotSet:
 
     @cached_property
     def _full_rank(self) -> bool:
-        """Whether every block has full rank, checked once per object."""
-        return all(np.all(np.linalg.matrix_rank(p) >= min(p.shape[1:])) for p, *_ in self.runs)
+        """Whether every block has full rank, checked once per object.  A
+        vector block (one row or column) has it when some entry is nonzero,
+        matrix_rank's verdict on a finite vector, with no SVD."""
+        return all(np.all(p.any(axis=(1, 2)) if 1 in p.shape[1:] else
+                          np.linalg.matrix_rank(p) >= min(p.shape[1:])) for p, *_ in self.runs)
 
     def validate(self, partition: AntennaPartition) -> None:
         if len(self.blocks) != partition.num_groups:
@@ -187,11 +190,10 @@ def default_pilots(partition: AntennaPartition, kind: str,
     require_pilot_kind(partition, kind)
     if kind != UNIT_PHASE_RANDOM:
         return _fixed_pilots(partition, kind)
-    sizes = partition.group_sizes
     if rng is None:
         raise ValueError("random pilots need an rng")
     return PilotSet(tuple(np.exp(1j * rng.uniform(-np.pi, np.pi, size=(m, l)))
-                          for m, l in zip(sizes, partition.pilot_lengths)))
+                          for m, l in zip(partition.group_sizes, partition.pilot_lengths)))
 
 
 def require_snr_db(snr_db) -> None:
@@ -287,10 +289,8 @@ def simulate_noncoherent(partition: AntennaPartition, schedule: NoncoherentSched
         raise ValueError(f"{len(channels)} channels for {len(schedule.slots)} slots")
     out = []
     for t, plan in enumerate(schedule.plans(partition)):
-        if channels is not None:
-            chan = channels[t]
-        else:
-            chan = gen_channel(partition.num_antennas, channel_model, rng, geometry)
-        chan = permute_channel(chan, permutation)
-        out.append(simulate_exchange(partition, pilots, imp, chan, snr_db, rng, plan=plan))
+        chan = channels[t] if channels is not None else \
+            gen_channel(partition.num_antennas, channel_model, rng, geometry)
+        out.append(simulate_exchange(partition, pilots, imp, permute_channel(chan, permutation),
+                                     snr_db, rng, plan=plan))
     return out

@@ -113,35 +113,37 @@ def column_projection(k: np.ndarray, w: np.ndarray, p2: np.ndarray) -> np.ndarra
     (K[g, g] = W[g, g] = 0).  The norm is a chained hypot, so it cannot
     overflow; lstsq's rank rule keeps every norm > 0, and f_g = 0 if K[:, g] = 0."""
     s = np.hypot.reduce(np.abs(k), axis=0)
-    s = np.where(s > 0, s, 1.0)                 # k = 0 there, so f_g = 0
-    return np.einsum("ag,ag->g", (k / s).conj(), w) / (s * p2)
+    s[s == 0] = 1.0                             # k = 0 there, so f_g = 0
+    kn = k / s
+    return np.einsum("ag,ag->g", np.conjugate(kn, out=kn), w) / (s * p2)
 
 
 def shape_factors(f: np.ndarray, pilots):
     """Every group's A_g = P_g^T diag(f_g), batched by run of equal shape
-    (PilotSet.runs): its squared singular values s^2 on the M antennas
-    (descending in a group, 0 past rank), and for M_g > 1 the bases {run
-    index: (V^H, V)} of A_g = U_g S_g V_g^H, stacked in the run's group
-    order.  A single-antenna group has s^2 = |f_g|^2 ||p_g||^2 and V_g = 1,
-    in closed form for any L_g."""
+    (PilotSet.runs, read through each run's row slice): its squared singular
+    values s^2 on the M antennas (descending in a group, 0 past rank), and
+    for M_g > 1 the bases {run index: (V^H, V)} of A_g = U_g S_g V_g^H,
+    stacked in the run's group order.  A single-antenna group has s^2 =
+    |f_g|^2 ||p_g||^2 and V_g = 1, in closed form for any L_g."""
     s2, bases = np.empty(f.size), {}
-    for k, (p, rows, *_) in enumerate(pilots.runs):
-        a = p.transpose(0, 2, 1) * f[rows[:, None]]
+    for k, (p, _, _, r, _) in enumerate(pilots.runs):
         if p.shape[1] == 1:
-            s2[rows[:, 0]] = np.sum(np.abs(a[:, :, 0]) ** 2, axis=1)
-        else:
-            s, vh = np.linalg.svd(a)[1:]
-            s2[rows[:, :s.shape[1]]], s2[rows[:, s.shape[1]:]] = s ** 2, 0.0
-            bases[k] = (vh, vh.conj().transpose(0, 2, 1))
+            np.add.reduce(np.abs(p[:, 0] * f[r, None]) ** 2, axis=1, out=s2[r])
+            continue
+        s, vh = np.linalg.svd(p.transpose(0, 2, 1) * f[r].reshape(len(p), 1, -1))[1:]
+        s2r = s2[r].reshape(len(p), -1)
+        s2r[:, :s.shape[1]], s2r[:, s.shape[1]:] = s ** 2, 0.0
+        bases[k] = (vh, vh.conj().transpose(0, 2, 1))
     return s2, bases
 
 
 @lru_cache(maxsize=32)
-def _rank_rule(partition: AntennaPartition):
+def rank_rule(partition: AntennaPartition):
     """Per pair of antennas k, l (rows of the groups' singular bases): the
     pair (g(k), g(l))'s lstsq rank rule (max(r, M_iM_j) eps)^2, r = L_iM_j +
     M_iL_j (1 inside a group); whether they are in different groups; per
-    antenna, the first antenna of its group.  Read-only."""
+    antenna, the first antenna of its group, or None where every group has
+    one antenna.  Read-only; pair_weights takes the first and the last."""
     sizes, lens = np.asarray(partition.group_sizes), np.asarray(partition.pilot_lengths)
     m_a, l_a = np.repeat(sizes, sizes), np.repeat(lens, sizes)
     rule = (np.maximum(np.outer(l_a, m_a) + np.outer(m_a, l_a), np.outer(m_a, m_a))
@@ -151,7 +153,7 @@ def _rank_rule(partition: AntennaPartition):
     rule[~off] = 1.0
     first = np.repeat(partition.offsets, sizes)
     rule.flags.writeable = off.flags.writeable = first.flags.writeable = False
-    return rule, off, first
+    return rule, off, first if sizes.max() > 1 else None
 
 
 @lru_cache(maxsize=32)
@@ -177,19 +179,19 @@ def _group_pairs(partition: AntennaPartition) -> tuple:
     return tuple(batches)
 
 
-def pair_weights(s2: np.ndarray, partition: AntennaPartition) -> np.ndarray:
+def pair_weights(s2: np.ndarray, rule: np.ndarray, first: np.ndarray | None) -> np.ndarray:
     """W_kl = 1 / (s_k^2 + s_l^2), M x M, with s_k^2 the k-th squared singular
     value of its group's A_g (shape_factors): the inverse of F(f, P)^H F(f, P)
     in the groups' singular bases.  The pair's F_p has singular values (s_k^2
     + s_l^2)^(1/2); one at or below max(r, M_iM_j) eps sigma_max counts as
     zero (lstsq's rank rule on F_p), and so does every weight inside a
     group's diagonal block, where K has no unknowns: there the rule is 1 and
-    s_k^2 + s_l^2 <= 2 s_max^2, as s is descending in a group."""
-    rule, _, first = _rank_rule(partition)
-    s2_max = s2[first]
+    s_k^2 + s_l^2 <= 2 s_max^2, as s is descending in a group.  rule and
+    first are rank_rule's (first None: sigma_max^2 is s_k^2 + s_l^2)."""
     den = s2[:, None] + s2
-    return np.divide(1.0, den, out=np.zeros_like(den),
-                     where=den > rule * (s2_max[:, None] + s2_max))
+    top = den if first is None else s2[first][:, None] + s2[first]     # sigma_max^2
+    den[den <= rule * top] = np.inf             # so that its weight is 1 / inf = 0
+    return np.divide(1.0, den, out=den)
 
 
 @dataclass
@@ -233,7 +235,7 @@ def known_h_information(k: np.ndarray, pilots, partition: AntennaPartition) -> n
     dY/df_a = u_a P[a, :] with u_a = K[:, a] off g(a), so H^H H is block
     diagonal, conj(P_g P_g^H) o (U_g^H U_g) with U_g = K's columns of group g
     off its block."""
-    u = np.where(_rank_rule(partition)[1], k, 0)
+    u = np.where(rank_rule(partition)[1], k, 0)
     b = np.zeros(u.shape, dtype=complex)
     for p, rows, *_ in pilots.runs:
         ug = u[:, rows].transpose(1, 0, 2)                  # (n, M, M_g)
@@ -270,12 +272,13 @@ def compressed_information(f: np.ndarray, k: np.ndarray, pilots,
     each costs what the pair blocks of F would.
     """
     m = f.size
+    rule, off, first = rank_rule(partition)
     s2, bases = shape_factors(f, pilots)
-    w = pair_weights(s2, partition)
+    w = pair_weights(s2, rule, first)
     # U~ and Q~ (Q~[k, a], k a rank row of a's group), and B, each with a
     # zero row and column M, the padding of _group_pairs
     ut = np.zeros((m + 1, m + 1), dtype=complex)
-    ut[:m, :m] = np.where(_rank_rule(partition)[1], k, 0)
+    ut[:m, :m] = np.where(off, k, 0)
     qt, b, shapes = np.zeros_like(ut), np.zeros_like(ut), []
     for key, (p, rows, *_) in enumerate(pilots.runs):
         q = np.conj(f[rows])[:, :, None] * (p.conj() @ p.transpose(0, 2, 1))
@@ -306,18 +309,14 @@ def compressed_information(f: np.ndarray, k: np.ndarray, pilots,
     return (b + b.conj().T) / 2
 
 
-def _inverse(inner: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(inner)
-    except np.linalg.LinAlgError as e:
-        raise np.linalg.LinAlgError(f"unidentifiable configuration: {e}") from e
-
-
 def _subspace_bound(b: np.ndarray, v: np.ndarray | None, sigma2: float,
                     constraint: str) -> CrbResult:
     """sigma^2 V (V^H B V)^-1 V^H, with V the columns 1.. of I where v is None
     (FCC), and its trace, sigma^2 tr((V^H B V)^-1)."""
-    inv = _inverse(b[1:, 1:] if v is None else v.conj().T @ b @ v)
+    try:
+        inv = np.linalg.inv(b[1:, 1:] if v is None else v.conj().T @ b @ v)
+    except np.linalg.LinAlgError as e:
+        raise np.linalg.LinAlgError(f"unidentifiable configuration: {e}") from e
     v = np.eye(b.shape[0])[:, 1:] if v is None else v
     return CrbResult(sigma2 * float(np.real(np.trace(inv))), constraint,
                      lambda: sigma2 * v @ inv @ v.conj().T)

@@ -15,6 +15,7 @@ eigenvector of the Gram matrix Y(P)^H Y(P).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -171,7 +172,9 @@ def _solve_linear_constrained(sys: StackedSystem, g: np.ndarray, c: complex):
     the minimum-norm solution, and is exact in the noiseless (singular-A)
     case.  A solve with A squares cond(Y(P)); three refinement steps, with
     A f taken from the residuals (StackedSystem.apply_gram), recover the
-    accuracy of a least-squares solve on Y(P).
+    accuracy of a least-squares solve on Y(P).  They also refine the dropped
+    eigenvectors, which eigh tilts towards the kept ones by about eps ||B|| /
+    lambda, and then f's part in their span is removed.
     """
     gnorm2 = np.real(g.conj() @ g)
     if gnorm2 == 0:
@@ -194,17 +197,24 @@ def _solve_linear_constrained(sys: StackedSystem, g: np.ndarray, c: complex):
     b = reflect(b)[1:, 1:]
     li = _certified_inverse_factor(b)
     if li is not None:                        # B^{-1} = p diag(d) q
-        p, d, q, full = li.conj().T, 1.0, li, True
+        p, d, q, null = li.conj().T, 1.0, li, []
     else:
         w, e = np.linalg.eigh(b)
         # B's rank is at most Y(P)'s row count, whatever rounding lifts above the rule
         keep = (np.abs(w) > _rank_tol(w)) & (np.arange(w.size) >= w.size - sys.rows)
-        p, d, full = e[:, keep], 1.0 / w[keep], bool(keep.all())
-        q = p.conj().T
+        p, d, q = e[:, keep], 1.0 / w[keep], e[:, keep].conj().T
+        null = [reflect(np.concatenate(([0.0], n))) for n in e[:, ~keep].T]     # V n
+
+    def step(x):                              # x - V B^+ V^H A x, A x from the residuals
+        z = p @ (d * (q @ reflect(sys.apply_gram(x))[1:]))
+        return x - reflect(np.concatenate(([0.0], z)))
+
     for _ in range(3):
-        z = p @ (d * (q @ reflect(sys.apply_gram(f))[1:]))
-        f = f - reflect(np.concatenate(([0.0], z)))
-    return f, full
+        f, null = step(f), [step(n) for n in null]
+    if null:                                  # the minimum-norm f has no part in B's null space
+        n = np.linalg.qr(np.stack(null, axis=1))[0]
+        f = f - n @ (n.conj().T @ f)
+    return f, not null
 
 
 def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationReport:
@@ -443,12 +453,12 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     build_stacked), the normal equations K A^T conj(A) + A^H A K = Z
     decouple in the V_g bases, so K~ = V^H Z conj(V) o W_ab with the weights
     W_ab = 1 / (s_a^2 + s_b^2) of crb.pair_weights (0 where the pair's lstsq
-    rank rule drops s_a^2 + s_b^2), and K = V K~ V^T.  The f-step solves
-    group g's rows B_a = P_g^T diag(K[a, rows_g]) against Y[a, cols_g], a
-    outside g: on all of K and W for single antennas (crb.column_projection),
-    by crb.lstsq_min_norm on the gathered rows, batched by run of equal shape
-    (PilotSet.runs), for others.
-    The cost ||Y - K F P||_F^2 is formed after the last iteration.
+    rank rule drops s_a^2 + s_b^2), and K = V K~ V^T; with no multi-antenna
+    group, V = I and K = Z o W.  The f-step solves group g's rows B_a =
+    P_g^T diag(K[a, rows_g]) against Y[a, cols_g], a outside g: on all of K
+    and W for single antennas (crb.column_projection), by crb.lstsq_min_norm
+    on the gathered rows, batched by run of equal shape (PilotSet.runs), for
+    others.  The cost ||Y - K F P||_F^2 is formed after the last iteration.
     """
     require_aml_settings(tol, max_iter)
     require_full_slot(measurements, "AML")
@@ -458,11 +468,12 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
         raise ValueError("init must be nonzero")
     m, y = partition.num_antennas, measurements.received
     yp = build_stacked(measurements, pilots).slots[0][2]      # W = Y P^H
+    rule, _, first = _crb.rank_rule(partition)
     p2, runs = np.ones(m), []                   # ||p_g||^2 on single antennas
-    for key, (p, rows, cols, *_) in enumerate(pilots.runs):
+    for key, (p, rows, cols, r, _) in enumerate(pilots.runs):
         mg = p.shape[1]
         if mg == 1:
-            p2[rows[:, 0]] = np.sum(np.abs(p[:, 0]) ** 2, axis=1)
+            p2[r] = np.sum(np.abs(p[:, 0]) ** 2, axis=1)
             continue
         out = np.arange(m - mg) + mg * (np.arange(m - mg) >= rows[:, :1])   # a outside g
         runs.append((key, rows, out[:, :, None] * m + rows[:, None, :],
@@ -476,27 +487,29 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
 
     for it in range(1, max_iter + 1):          # max_iter >= 1: k and converged are set
         s2, bases = _crb.shape_factors(f, pilots)
-        x = yp * f.conj()
-        zt = rotate(rotate(x + x.T, bases, 0).T, bases, 0)
-        # the second rotation writes through a transposed view: the buffer is V K~ V^T
-        k = rotate(rotate(zt * _crb.pair_weights(s2, partition), bases, 1).T, bases, 1).T
+        k = yp * f.conj()
+        k = k + k.T                             # Z, symmetric: Z^T is Z
+        if runs:                                # Z~ = V^H Z conj(V), in C order
+            k = rotate(rotate(k.T, bases, 0).T, bases, 0)
+        k *= _crb.pair_weights(s2, rule, first)
+        if runs:                                # the buffer is V K~ V^T
+            k = rotate(rotate(k, bases, 1).T, bases, 1).T
         # every column's projection; the lstsq overwrites multi-antenna groups
         f_new = _crb.column_projection(k, yp, p2)
         for _, rows, k_at, pt, rhs in runs:
             a = (k.ravel()[k_at][:, :, None] * pt).reshape(rhs.shape + (-1,))
             f_new[rows] = _crb.lstsq_min_norm(a, rhs)
         d = f_new - f
-        converged = bool(np.sqrt(np.vdot(d, d).real / np.vdot(f, f).real) < tol)
+        converged = math.sqrt(np.vdot(d, d).real / np.vdot(f, f).real) < tol
         f = f_new
         if converged:
             break
     r, kf = y.copy(), k * f                     # Y - K F P, zero on the self blocks
     for p, rows, cols, *_ in pilots.runs:
         r[:, cols] -= np.einsum("anm,nml->anl", kf[:, rows], p)
-    tag = "NONE"
     if constraint is not None:
         f = normalize_for_constraint(f, constraint)
-        tag = constraint.kind if constraint.kind in ("FCC", "NPC", "UNIT_NORM") else "NONE"
+    tag = "NONE" if constraint is None or constraint.kind == LINEAR else constraint.kind
     return EstimationReport(CalibrationVector(f, tag), it, float(np.vdot(r, r).real), converged)
 
 

@@ -12,7 +12,7 @@ which depends only on the antenna partition and the active groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, groupby
 
 import numpy as np
@@ -64,12 +64,8 @@ class AntennaPartition:
 
     def pairs(self):
         """All group pairs (i, j) with i < j, in lexicographic order."""
-        return list(self._pairs)
-
-    @cached_property
-    def _pairs(self) -> tuple:
         g = self.num_groups
-        return tuple([(i, j) for i in range(g) for j in range(i + 1, g)])
+        return [(i, j) for i in range(g) for j in range(i + 1, g)]
 
     @staticmethod
     def singleton(m: int, pilot_length: int = 1) -> "AntennaPartition":
@@ -242,14 +238,8 @@ def gen_impairments(config: ImpairmentConfig, m: int, rng: np.random.Generator) 
     if m < 2:
         raise ValueError("need at least 2 antennas")
     d = config.amplitude_spread
-
-    def draw():
-        amp = rng.uniform(1.0 - d, 1.0 + d, size=m)
-        ph = rng.uniform(-np.pi, np.pi, size=m)
-        return amp * np.exp(1j * ph)
-
-    tx = draw()
-    rx = draw()
+    tx, rx = (rng.uniform(1.0 - d, 1.0 + d, m) * np.exp(1j * rng.uniform(-np.pi, np.pi, m))
+              for _ in range(2))                # amplitudes, then phases; tx, then rx
     rx[0] = tx[0]
     return RfImpairments(tx, rx)
 
@@ -263,11 +253,9 @@ def gen_channel(m: int, model: str, rng: np.random.Generator,
     i.i.d. uniform phases, mirrored.  The diagonal is unused and left at zero.
     """
     if model == IID_RAYLEIGH:
-        g = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
-        c = np.triu(g, 1)
-        c = c + c.T
-        return ChannelRealization(c, model, ref_gain=1.0)
-    if model == GEOMETRIC:
+        c = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
+        ref = 1.0
+    elif model == GEOMETRIC:
         if geometry is None:
             raise ValueError("geometric channel model requires a GeometryConfig")
         if geometry.num_antennas != m:
@@ -277,12 +265,12 @@ def gen_channel(m: int, model: str, rng: np.random.Generator,
         with np.errstate(divide="ignore"):
             mag = 1.0 / (4.0 * np.pi * dist)
         np.fill_diagonal(mag, 0.0)
-        ph = rng.uniform(-np.pi, np.pi, size=(m, m))
-        c = np.triu(mag * np.exp(1j * ph), 1)
-        c = c + c.T
+        c = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(m, m)))
         ref = 1.0 / (4.0 * np.pi * dist[dist > 0].min())
-        return ChannelRealization(c, model, ref_gain=ref)
-    raise ValueError(f"unknown channel model {model!r}")
+    else:
+        raise ValueError(f"unknown channel model {model!r}")
+    c = np.triu(c, 1)
+    return ChannelRealization(c + c.T, model, ref_gain=ref)
 
 
 def permute_channel(chan: ChannelRealization, perm: np.ndarray | None) -> ChannelRealization:

@@ -20,7 +20,9 @@ before they worked on the M x M channel K: F(f, P) is block diagonal over
 the pairs i < j, pair_batches batches them by block shape, and
 pair_context holds each batch's rows H_p of H(h, P).  group_factors takes
 the full SVD U_g S_g V_g^H of every A_g = P_g^T diag(f_g), and pair_project
-solves a batch of pairs' least squares F_p w = x in their singular bases;
+solves a batch of pairs' least squares F_p w = x in their singular bases
+(pair_weights is crb.pair_weights, its weights on the M x M channel, entry
+by entry);
 pair_information sums the Grams of its residuals (B = H^H P_F_perp H),
 pair_known_h_information those of H_p, and fim the joint FIM over (f, h).
 ml_compressed_cost is y^H P_F_perp y, cross-checked against the weighted
@@ -296,6 +298,27 @@ def group_factors(f, pilots):
             s = np.concatenate((s, np.zeros((gs.size, m - s.shape[1]))), axis=1)
             svds[m, l] = (u.conj().transpose(0, 2, 1), s, vh, vh.conj().transpose(0, 2, 1))
     return lambda groups: tuple(x.take(place[groups], 0) for x in svds[pilots[groups[0]].shape])
+
+
+def pair_weights(s2, partition):
+    """crb.pair_weights written entry by entry from the partition: W_kl = 1 /
+    (s_k^2 + s_l^2) where that sum exceeds rule_kl (s_max(k)^2 + s_max(l)^2),
+    s_max(k)^2 the s^2 of the first antenna of k's group, else 0.  rule_kl
+    is (max(r, M_iM_j) eps)^2, r = L_iM_j + M_iL_j, for groups i != j, and 1
+    inside a group."""
+    sizes, lens = partition.group_sizes, partition.pilot_lengths
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    first = np.repeat(partition.offsets, sizes)
+    w = np.zeros((s2.size, s2.size))
+    for k, i in enumerate(group):
+        for l, j in enumerate(group):
+            t = max(lens[i] * sizes[j] + sizes[i] * lens[j], sizes[i] * sizes[j]) \
+                * np.finfo(float).eps
+            rule = 1.0 if i == j else t * t
+            den = s2[k] + s2[l]
+            if den > rule * (s2[first[k]] + s2[first[l]]):
+                w[k, l] = 1.0 / den
+    return w
 
 
 def pair_project(factors_i, factors_j, x):

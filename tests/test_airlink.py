@@ -76,9 +76,25 @@ def test_pilot_rank_is_checked_once_per_object(monkeypatch):
     pilots = PilotSet(tuple(np.eye(m) for m in part.group_sizes))
     for _ in range(3):
         pilots.validate(part)
-    assert svds == [(2, 2, 2), (1, 1, 1)]
+    assert svds == [(2, 2, 2)]              # the (1, 1) run is a vector: no SVD
     with pytest.raises(ValueError, match="shape"):        # shapes are checked every call
         pilots.validate(AntennaPartition((2, 1, 2), (2, 1, 2)))
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (4, 1), (1, 1), (3, 2)])
+def test_vector_blocks_rank_as_matrix_rank_does(shape):
+    # a block with one row or one column has full rank iff some entry is
+    # nonzero, with no SVD; every verdict is matrix_rank's, also on blocks
+    # scaled to 1e-300, zero blocks and blocks with one tiny entry
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tiny = np.zeros(shape, dtype=complex)
+    tiny[-1, -1] = 1e-300
+    blocks = [z, 1e-300 * z, np.zeros(shape), tiny, np.outer(z[:, 0], z[0])]   # last: rank 1
+    for b in blocks:
+        full = np.linalg.matrix_rank(b) >= min(shape)
+        assert PilotSet((b,))._full_rank == full
+        assert PilotSet((z, b, z))._full_rank == full        # one run of three groups
 
 
 def test_runs_are_the_maximal_runs_of_equal_shape_in_group_order():

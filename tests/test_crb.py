@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from dense_oracle import (aux_channel_blocks, build_f_perp, calibration_vector, dense_y, fim,
                           group_factors, ml_compressed_cost, numerical_rank, pair_context,
-                          pair_f_block,
+                          pair_f_block, pair_weights,
                           pair_h_block, pair_information, pair_known_h_information,
                           pair_project, pair_solve, pairwise_aml, perp_projector, split_h,
                           stack_h, stacked, svd_pair_solve, vec_transpose_index, vec_transpose_perm)
@@ -602,6 +602,10 @@ def _aml_cases(draw):
 @example((AntennaPartition((1, 2, 3, 1), (2, 2, 1, 3)), "UNIT_PHASE_RANDOM", 10.0, "ls", 1))
 # both shapes split into two runs of PilotSet.runs
 @example((AntennaPartition((1, 2, 1, 2), (1, 2, 1, 2)), "UNIT_PHASE_RANDOM", 30.0, "ls", 0))
+# the benchmark's AML: single antennas only, so no rotation
+@example((make_scheme("SINGLETON", 16).partition, "ALL_ONES", 10.0, "ls", 0))
+# single-antenna runs split by a multi-antenna group with L_g > 1
+@example((AntennaPartition((1, 1, 2, 1, 1), (2, 2, 1, 3, 3)), "UNIT_PHASE_RANDOM", 10.0, "ls", 0))
 def test_aml_takes_the_pairwise_path(case):
     # AML's one M x M h-step on the received matrix and its f-step per group
     # give the iterations, convergence, estimate and cost of the pair-by-pair
@@ -618,6 +622,37 @@ def test_aml_takes_the_pairwise_path(case):
     assert (rep.iterations, rep.converged) == (iterations, converged)
     assert _rel(rep.f_hat.f, f) <= 1e-10
     assert abs(rep.final_cost - cost) <= 1e-10 * np.vdot(ms.received, ms.received).real
+
+
+@st.composite
+def _weight_cases(draw):
+    """A partition of 2-6 groups, of single antennas only or of 1-3
+    antennas, random pilots with L_g in 1..3 (L_g < M_g leaves s^2 = 0),
+    and a seed for f, whose entries are zero or span 40 decades."""
+    g = draw(st.integers(2, 6))
+    sizes = (1,) * g if draw(st.booleans()) else tuple(draw(st.integers(1, 3)) for _ in range(g))
+    lens = tuple(draw(st.integers(1, 3)) for _ in range(g))
+    return AntennaPartition(sizes, lens), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weight_cases())
+@example((make_scheme("SINGLETON", 16).partition, 0))
+@example((AntennaPartition((3, 1, 2), (1, 2, 1)), 1))
+def test_pair_weights_equal_the_formula_entry_by_entry(case):
+    # pair_weights on rank_rule's thresholds, computed once by its caller,
+    # is the rule written out per entry, bit for bit; rank_rule gives no
+    # first antennas where every group has one antenna
+    part, seed = case
+    rng = np.random.default_rng(seed)
+    m = part.num_antennas
+    pilots = default_pilots(part, "UNIT_PHASE_RANDOM", rng)
+    f = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 10.0 ** rng.uniform(-20, 20, m)
+    f[rng.random(m) < 0.2] = 0
+    s2 = crb.shape_factors(f, pilots)[0]
+    rule, _, first = crb.rank_rule(part)
+    assert (first is None) == (max(part.group_sizes) == 1)
+    assert np.array_equal(crb.pair_weights(s2, rule, first), pair_weights(s2, part))
 
 
 def test_single_antenna_aml_and_crb_take_no_svd(monkeypatch):
