@@ -18,6 +18,15 @@ per iteration is the difference of the calls with ITERS[1] and ITERS[0]
 iterations over the difference of their iteration counts.  A stage's time is
 the minimum, over --repeat runs, of timeit's autorange count of calls.
 
+Last, the CLI's fixed cost per call: for each workload of ``BENCHMARK.json``,
+its perfbench config is run through ``bench.cli_main(["run", cfg, "--out",
+csv, "--seed", s])`` CALLS times in one interpreter, after WARMUP untimed
+calls, with the call seeds perfbench uses at ``--seed 1`` and the files in
+the tree's ``.bench_out`` (where perfbench writes its CSVs).  The fixed cost
+is the median over the calls of the call's wall time minus that of the
+``run_experiment`` it makes: parsing, checks, scheme and verdict, and the
+CSV write.
+
 Every side runs in fresh interpreters with OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS set to --threads (1 by default), on its
 own ``src``.  With --base REV the revision is exported with ``git archive``
@@ -25,9 +34,9 @@ and the working tree copied beside it (as ``scripts/ab_bench.py`` does), and
 the sides run --rounds times, alternating which goes first; a side's time
 per stage is the minimum over its rounds.  The JSON written to --out holds
 each round's times in seconds, those minima, the ratio change / base per
-stage, AML's iteration counts, each side's line count of
-``src/arraycal/*.py``, and the environment perfbench reports (nproc, BLAS
-threads, library versions) per side.
+stage, the same for the CLI's fixed cost (``cli_fixed_s``), AML's iteration
+counts, each side's line count of ``src/arraycal/*.py``, and the environment
+perfbench reports (nproc, BLAS threads, library versions) per side.
 """
 
 from __future__ import annotations
@@ -35,9 +44,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import timeit
 from pathlib import Path
 
@@ -51,6 +62,46 @@ CASES = {f"{name}{m}": (scheme, m, g, pilots, constraint, snr)
          for m, g in groups.items()}
 ITERS = (2, 12)
 TOL = 5e-324            # AML stops only on a step of exactly zero
+CALLS, WARMUP = 200, 5  # cli_main calls per workload in the fixed-cost measurement
+
+
+def cli_fixed_cost(tree: Path) -> dict:
+    """Per BENCHMARK.json workload, the median over CALLS cli_main calls of
+    the call's seconds minus those of its run_experiment."""
+    import run as perfrun
+    from arraycal import bench
+
+    inner, real = [], bench.run_experiment
+
+    def timed(cfg):
+        t0 = time.perf_counter()
+        try:
+            return real(cfg)
+        finally:
+            inner.append(time.perf_counter() - t0)
+
+    out_dir = tree / ".bench_out"
+    out_dir.mkdir(exist_ok=True)
+    fixed = {}
+    bench.run_experiment = timed       # cli_main calls it through the module's globals
+    try:
+        for wl in json.loads((tree / "BENCHMARK.json").read_text())["workloads"]:
+            name = wl["name"]
+            cfg, csv = out_dir / f"cli_fixed.{name}.cfg", out_dir / f"cli_fixed.{name}.csv"
+            cfg.write_text(perfrun.config_text(perfrun.WORKLOADS[name]))
+            costs = []
+            for k in range(WARMUP + CALLS):
+                argv = ["run", str(cfg), "--out", str(csv), "--seed",
+                        str(perfrun.call_seed(1, k))]
+                t0 = time.perf_counter()
+                if bench.cli_main(argv) != 0:
+                    raise RuntimeError(f"cli_main failed on {name}")
+                if k >= WARMUP:
+                    costs.append(time.perf_counter() - t0 - inner[-1])
+            fixed[name] = statistics.median(costs)
+    finally:
+        bench.run_experiment = real
+    return fixed
 
 
 def measure(tree: Path, repeat: int) -> dict:
@@ -112,7 +163,8 @@ def measure(tree: Path, repeat: int) -> dict:
         t["aml_per_iteration"] = (calls[1] - calls[0]) / (its[1] - its[0])
         t["crb_f"] = best(lambda: crb_f(ctx, constraint))
         stages[case], iterations[case] = t, its
-    return {"stages": stages, "aml_iterations": iterations, "env": perfrun.environment()}
+    return {"stages": stages, "aml_iterations": iterations, "cli_fixed_s": cli_fixed_cost(tree),
+            "env": perfrun.environment()}
 
 
 def run_side(tree: Path, repeat: int, threads: int) -> dict:
@@ -154,15 +206,18 @@ def main(argv=None) -> int:
             for side in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
                 runs[side].append(run_side(trees[side], args.repeat, args.threads))
                 aml = runs[side][-1]["stages"]["singleton16"]["aml_per_iteration"]
+                fixed = runs[side][-1]["cli_fixed_s"]
                 print(f"round {k + 1}/{args.rounds} {side}: singleton16 AML "
-                      f"{aml * 1e6:.2f} us/iteration", flush=True)
+                      f"{aml * 1e6:.2f} us/iteration, CLI fixed cost " + ", ".join(
+                          f"{name} {v * 1e3:.3f} ms" for name, v in fixed.items()), flush=True)
         result = {"base": git("rev-parse", args.base) if args.base else None,
                   "change": f"working tree on {git('rev-parse', 'HEAD')}",
                   "threads": args.threads, "repeat": args.repeat, "rounds": args.rounds,
                   "iters": ITERS, "src_lines": {side: src_lines(t) for side, t in trees.items()},
                   "cases": {case: dict(zip(("scheme", "m", "g", "pilots", "constraint", "snr_db"),
                                            spec)) for case, spec in CASES.items()},
-                  "stages": {}, "aml_iterations": {}, "env": {}}
+                  "calls": CALLS, "stages": {}, "cli_fixed_s": {}, "aml_iterations": {},
+                  "env": {}}
     for case in CASES:
         out = result["stages"][case] = {}
         for stage in runs["change"][0]["stages"][case]:
@@ -172,6 +227,13 @@ def main(argv=None) -> int:
                 row[side] = {"s": None if None in values else min(values), "rounds": values}
             if "base" in row and row["base"]["s"] and row["change"]["s"] is not None:
                 row["ratio_change_over_base"] = row["change"]["s"] / row["base"]["s"]
+    for name in runs["change"][0]["cli_fixed_s"]:
+        row = result["cli_fixed_s"][name] = {}
+        for side, side_runs in runs.items():
+            values = [r["cli_fixed_s"][name] for r in side_runs]
+            row[side] = {"s": min(values), "rounds": values}
+        if "base" in row:
+            row["ratio_change_over_base"] = row["change"]["s"] / row["base"]["s"]
     for side, side_runs in runs.items():
         result["aml_iterations"][side] = side_runs[-1]["aml_iterations"]
         result["env"][side] = side_runs[-1]["env"]

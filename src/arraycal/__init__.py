@@ -56,7 +56,6 @@ from .grouping import (
     custom_scheme,
     make_scheme,
     max_calibratable,
-    optimal_group_sizes,
 )
 from .bench import (
     ExperimentConfig,

@@ -186,14 +186,17 @@ def _fixed_pilots(partition: AntennaPartition, kind: str) -> PilotSet:
 def default_pilots(partition: AntennaPartition, kind: str,
                    rng: np.random.Generator | None = None) -> PilotSet:
     """Standard pilot choices: unit-modulus random phases, all-ones columns,
-    identity (built once per partition)."""
+    identity (built once per partition).  The random phases are one draw,
+    split into the groups' blocks: the values of one draw per group."""
     require_pilot_kind(partition, kind)
     if kind != UNIT_PHASE_RANDOM:
         return _fixed_pilots(partition, kind)
     if rng is None:
         raise ValueError("random pilots need an rng")
-    return PilotSet(tuple(np.exp(1j * rng.uniform(-np.pi, np.pi, size=(m, l)))
-                          for m, l in zip(partition.group_sizes, partition.pilot_lengths)))
+    shapes = tuple(zip(partition.group_sizes, partition.pilot_lengths))
+    ends = np.cumsum([m * l for m, l in shapes])
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=int(ends[-1])))
+    return PilotSet(tuple(b.reshape(s) for b, s in zip(np.split(phases, ends[:-1]), shapes)))
 
 
 def require_snr_db(snr_db) -> None:

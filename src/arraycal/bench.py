@@ -9,12 +9,14 @@ per (estimator, snr) cell, including the averaged constrained CRB trace.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 import time
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -414,17 +416,22 @@ def identifiability_summary(partition, schedule=None) -> str:
 
 
 def emit_csv(table: ResultTable, path) -> None:
-    """Stable column order; floats printed with 12+ significant digits."""
+    """Stable column order; floats printed with 12+ significant digits.  A
+    regular file is written over in place and cut to length, not truncated to
+    zero first (on ext4 that costs a flush on close); a FIFO is written as is."""
     if not table.rows:
         raise ValueError("empty result table")
-    with open(path, "w") as fh:
-        fh.write("estimator,constraint,snr_db,mse,crb_trace,trials,wall_time\n")
-        for r in table.rows:
-            fh.write(f"{r.estimator},{r.constraint},{r.snr_db:.12g},{r.mse:.12e},"
-                     f"{r.crb_trace:.12e},{r.trials},{r.wall_time:.12e}\n")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write("estimator,constraint,snr_db,mse,crb_trace,trials,wall_time\n" + "".join(
+            f"{r.estimator},{r.constraint},{r.snr_db:.12g},{r.mse:.12e},"
+            f"{r.crb_trace:.12e},{r.trials},{r.wall_time:.12e}\n" for r in table.rows))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
-def cli_main(argv=None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once for every cli_main call of the process."""
     parser = argparse.ArgumentParser(prog="arraycal",
                                      description="Reciprocity calibration benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -438,7 +445,11 @@ def cli_main(argv=None) -> int:
             p.add_argument("--seed", type=int, default=None)
     sub.add_parser("schemes", help="list known grouping schemes").add_argument(
         "--list", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def cli_main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "schemes":
         print("\n".join(SCHEME_LABELS))

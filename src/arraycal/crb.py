@@ -40,14 +40,9 @@ from .stacking import khatri_rao_t
 UNIDENTIFIABLE_RTOL = 1e-12
 
 
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-major vectorization."""
-    return np.asarray(a).reshape(-1, order="F")
-
-
 def stack_observations(measurements, partition: AntennaPartition) -> np.ndarray:
     """y = [vec(Y_{1->2}); vec(Y_{2->1}^T); vec(Y_{1->3}); ...] (pairs lexicographic)."""
-    return np.concatenate([np.concatenate((vec(measurements.block(i, j)),
+    return np.concatenate([np.concatenate((measurements.block(i, j).reshape(-1, order="F"),
                                            measurements.block(j, i).ravel()))
                            for (i, j) in partition.pairs()])
 

@@ -1,4 +1,4 @@
-"""Antenna group schemes and optimal-grouping computations.
+"""Antenna group schemes and the calibration capacity of a channel-use budget.
 
 For a fixed budget of K channel uses, the pair count sum_{i<j} L_i L_j is
 maximized by K single-channel-use groups, so up to K(K-1)/2 + 1 antennas can
@@ -8,7 +8,7 @@ be calibrated in K uses (T times more over T non-coherent slots).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,17 +47,6 @@ class GroupScheme:
         return np.argsort(np.asarray(self.assignment), kind="stable")
 
 
-def pair_count(pilot_lengths) -> int:
-    return sum(a * b for a, b in combinations(pilot_lengths, 2))
-
-
-def optimal_group_sizes(k: int) -> list:
-    """The pilot-length allocation maximizing the pair count for K channel uses."""
-    if k < 2:
-        raise ValueError("need at least 2 channel uses")
-    return [1] * k
-
-
 def max_calibratable(k: int, t: int = 1) -> int:
     """Most antennas calibratable with k channel uses per slot over t slots."""
     if k < 2 or t < 1:
@@ -85,6 +74,7 @@ def _fc2_sizes(m: int, g: int) -> tuple:
     return tuple([base] * (g - extra) + [base + 1] * extra)
 
 
+@lru_cache(maxsize=32)
 def make_scheme(label: str, m: int, g: int | None = None,
                 geometry: GeometryConfig | None = None) -> GroupScheme:
     """Construct one of the named grouping schemes for m antennas.
@@ -122,8 +112,7 @@ def make_scheme(label: str, m: int, g: int | None = None,
                        label)
 
 
-def custom_scheme(sizes, pilot_lengths=None) -> GroupScheme:
-    sizes = tuple(int(s) for s in sizes)
-    lens = tuple(pilot_lengths) if pilot_lengths is not None else (1,) * len(sizes)
-    return GroupScheme(AntennaPartition(sizes, lens), np.repeat(np.arange(len(sizes)), sizes),
-                       CUSTOM)
+@lru_cache(maxsize=32)
+def custom_scheme(sizes: tuple, pilot_lengths: tuple | None = None) -> GroupScheme:
+    part = AntennaPartition(sizes, (1,) * len(sizes) if pilot_lengths is None else pilot_lengths)
+    return GroupScheme(part, np.repeat(np.arange(part.num_groups), part.group_sizes), CUSTOM)

@@ -14,6 +14,8 @@ blocks E_ij of E = S - S^T, S = P^T F Y, on the slot's received matrix Y.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -162,18 +164,19 @@ def group_components(partition: AntennaPartition, schedule=None) -> list:
     return sorted(tuple(sorted(c)) for c in comps)
 
 
-def check_identifiability(partition: AntennaPartition, schedule=None) -> dict:
+@lru_cache(maxsize=32)
+def check_identifiability(partition: AntennaPartition, schedule=None) -> MappingProxyType:
     """Independent equation count vs. the M-1 unknown directions.
 
     rows = sum of e_ij = min(L_i, M_i) min(L_j, M_j) over the pairs (of every
     slot of a non-coherent schedule; see independent_equations).  f is
     determined up to scale only if rows >= M - 1, every group i has at least
     M_i independent equations, and the exchanges connect all groups
-    (group_components).
+    (group_components).  Read-only, and computed once per (partition, schedule).
     """
     rows, per_group = independent_equations(partition, schedule)
     needed = partition.num_antennas - 1
     ok = (rows >= needed and bool(np.all(per_group >= partition.group_sizes))
           and len(group_components(partition, schedule)) == 1)
-    return {"rows": rows, "needed": needed, "ok": ok}
+    return MappingProxyType({"rows": rows, "needed": needed, "ok": ok})
 

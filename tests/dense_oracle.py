@@ -35,9 +35,11 @@ estimators.aml_estimate written pair by pair, as that function was before
 it worked on the received matrix: pair_solve's h-step on each pair's
 observations, and svd_lstsq's f-step on each group's rows of H, filled pair
 by pair.
-numerical_rank is the rank rule the tests read off dense matrices, and
-brute_force_best_pair_count the exhaustive search behind
-grouping.optimal_group_sizes.
+numerical_rank is the rank rule the tests read off dense matrices.
+pair_count is the number of pair equations sum_{i<j} L_i L_j of a set of
+pilot lengths, optimal_group_sizes the allocation of K channel uses that
+maximizes it (K single-use groups), and brute_force_best_pair_count the
+exhaustive search that confirms it.
 calibration_vector is the true f of a trial's impairments, and
 compose_digital_channel a digital channel block R_B C T_A.
 scheme_to_text and scheme_from_text serialise a GroupScheme, and
@@ -46,16 +48,22 @@ measurements_to_csv dumps a slot's blocks pair by pair as text.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import null_space, orth
 
 from arraycal.airlink import MeasurementSet, noise_variance_from_snr
-from arraycal.crb import complement_basis, stack_observations, vec
-from arraycal.grouping import GroupScheme, pair_count
+from arraycal.crb import complement_basis, stack_observations
+from arraycal.grouping import GroupScheme
 from arraycal.model import AntennaPartition, CalibrationVector, RfImpairments, batch_indices
 from arraycal.stacking import khatri_rao_t, pair_equation_block
+
+
+def vec(a: np.ndarray) -> np.ndarray:
+    """Column-major vectorization."""
+    return np.asarray(a).reshape(-1, order="F")
 
 
 def exchange_pairs(partition, pilots, imp, chan, snr_db, rng, groups=None):
@@ -599,6 +607,17 @@ def numerical_rank(a):
         return 0
     tol = max(a.shape) * np.finfo(float).eps * s[0]
     return int(np.sum(s > tol))
+
+
+def pair_count(pilot_lengths) -> int:
+    return sum(a * b for a, b in combinations(pilot_lengths, 2))
+
+
+def optimal_group_sizes(k: int) -> list:
+    """The pilot-length allocation maximizing the pair count for K channel uses."""
+    if k < 2:
+        raise ValueError("need at least 2 channel uses")
+    return [1] * k
 
 
 def brute_force_best_pair_count(k):

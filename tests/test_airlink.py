@@ -59,6 +59,23 @@ def test_default_pilots_kinds():
         default_pilots(part, "SOMETHING", None)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), min_size=2, max_size=12),
+       st.integers(0, 2**32 - 1))
+@example([(5, 1)] * 8 + [(6, 1)] * 4, 1)               # FC_II 64/12
+def test_random_pilots_are_the_per_group_draws(shapes, seed):
+    # one draw of sum M_g L_g phases, split into the groups' blocks, gives
+    # each group's own draw bit for bit and leaves the generator where they do
+    part = AntennaPartition(*zip(*shapes))
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    pilots = default_pilots(part, UNIT_PHASE_RANDOM, ours)
+    assert len(pilots.blocks) == len(shapes)
+    for block, shape in zip(pilots.blocks, shapes):
+        expect = np.exp(1j * ref.uniform(-np.pi, np.pi, size=shape))
+        assert block.shape == shape and block.tobytes() == expect.tobytes()
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
 def test_pilot_validation():
     part = AntennaPartition((2, 2), (2, 2))
     bad = PilotSet((np.ones((2, 2)), np.eye(2)))    # rank-1 first block
@@ -335,11 +352,13 @@ def test_plans_are_shared_read_only_and_match_gather(case):
     part, kind, snr, groups, seed = case
     everyone = tuple(range(part.num_groups))
     active = everyone if groups is None else tuple(sorted(groups))
-    # equal partitions from two freshly built configs share one plan
-    parts = [ExperimentConfig(m=part.num_antennas, scheme="CUSTOM", crb=False,
-                              group_sizes=part.group_sizes,
-                              pilot_lengths=part.pilot_lengths).group_scheme.partition
-             for _ in range(2)]
+    # two freshly built configs share one partition (schemes are made once
+    # per set of arguments), and equal partitions share one plan
+    configs = [ExperimentConfig(m=part.num_antennas, scheme="CUSTOM", crb=False,
+                                group_sizes=part.group_sizes,
+                                pilot_lengths=part.pilot_lengths) for _ in range(2)]
+    assert configs[0].group_scheme.partition is configs[1].group_scheme.partition
+    parts = [part, AntennaPartition(part.group_sizes, part.pilot_lengths)]
     assert parts[0] is not parts[1]
     plan = slot_plan(parts[0], everyone)
     assert slot_plan(parts[1], everyone) is plan

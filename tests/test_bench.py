@@ -1,6 +1,8 @@
+import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from itertools import combinations
 from pathlib import Path
@@ -20,6 +22,7 @@ from arraycal.bench import (
     run_experiment,
 )
 from arraycal.model import slot_plan
+from arraycal.stacking import check_identifiability
 
 FC1_CONFIG = """
 # Fig-5 style sweep on the FC-I grouping
@@ -295,6 +298,53 @@ def test_cli_builds_the_config_once(tmp_path, monkeypatch):
     assert cli_main(["run", cfg, "--out", str(tmp_path / "r.csv"), "--seed", "3"]) == 0
     assert cli_main(["crb", cfg, "--seed", "3"]) == 0
     assert len(made) == 2
+
+
+def test_repeated_cli_calls_share_no_state(tmp_path):
+    # cli_main builds its parser, schemes and verdicts once per process; no
+    # call, failed or not, may change what a later call does or writes
+    cfg = _write(tmp_path, "run.cfg", SMALL_CONFIG)
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    assert cli_main(["run", cfg, "--out", str(before)]) == 0
+    unident = _write(tmp_path, "u.cfg", "m = 3\nscheme = CUSTOM\ngroup_sizes = 1, 2\n"
+                     "pilot_lengths = 2, 1\nsnr_db = 40\ntrials = 2\nconstraint = FCC\n"
+                     "crb = false\n")
+    assert cli_main(["check", cfg]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", cfg])                      # --out missing: an argparse error
+    assert exc.value.code == 2
+    assert cli_main(["crb", cfg, "--seed", "5"]) == 0
+    assert cli_main(["schemes"]) == 0
+    bad = _write(tmp_path, "bad.cfg", SMALL_CONFIG + "wrong = key\n")
+    assert cli_main(["run", bad, "--out", str(after)]) == 2
+    assert cli_main(["check", unident]) == 3
+    for path, code in ((cfg, 0), (unident, 3)):
+        with open(path) as fh:
+            text = fh.read()
+        scheme = parse_config(text).group_scheme
+        assert parse_config(text, seed=9).group_scheme is scheme
+        verdict = check_identifiability(scheme.partition)
+        with pytest.raises(TypeError):
+            verdict["ok"] = not verdict["ok"]
+        assert cli_main(["check", path]) == code
+    # a shorter CSV over a longer file leaves no stale tail
+    after.write_bytes(b"x" * 10 * before.stat().st_size)
+    assert cli_main(["run", cfg, "--out", str(after)]) == 0
+    assert after.read_bytes() == before.read_bytes()
+    # a FIFO is written, not truncated (which it cannot be)
+    fifo, got = tmp_path / "pipe.csv", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        assert cli_main(["run", cfg, "--out", str(fifo)]) == 0
+    finally:
+        try:                                        # free a reader still waiting to open
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+        reader.join(timeout=60)
+    assert not reader.is_alive() and got == [before.read_bytes()]
 
 
 @pytest.mark.parametrize("text", [

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from dense_oracle import (aux_channel_blocks, build_f_perp, calibration_vector, dense_y, fim,
                           group_factors, ml_compressed_cost, numerical_rank, pair_context,
-                          pair_f_block, pair_weights,
+                          pair_f_block, pair_weights, vec,
                           pair_h_block, pair_information, pair_known_h_information,
                           pair_project, pair_solve, pairwise_aml, perp_projector, split_h,
                           stack_h, stacked, svd_pair_solve, vec_transpose_index, vec_transpose_perm)
@@ -21,7 +21,6 @@ from arraycal.crb import (
     crb_f_known_h,
     known_h_information,
     stack_observations,
-    vec,
 )
 from arraycal.estimators import ConstraintSpec, aml_estimate, ls_estimate, mse
 from arraycal.grouping import make_scheme

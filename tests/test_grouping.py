@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from dense_oracle import brute_force_best_pair_count, scheme_from_text, scheme_to_text
-from arraycal.grouping import (
-    GroupScheme,
-    custom_scheme,
-    make_scheme,
-    max_calibratable,
-    optimal_group_sizes,
-    pair_count,
-)
+from dense_oracle import (brute_force_best_pair_count, optimal_group_sizes, pair_count,
+                          scheme_from_text, scheme_to_text)
+from arraycal.grouping import GroupScheme, custom_scheme, make_scheme, max_calibratable
 from arraycal.model import AntennaPartition, GeometryConfig
 from arraycal.stacking import check_identifiability
 
