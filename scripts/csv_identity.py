@@ -73,6 +73,12 @@ CONFIGS = {
     # rounding accumulates over about 100 iterations
     "fc2-24-aml": "m = 24\nscheme = FC_II\ng = 8\npilots = UNIT_PHASE_RANDOM\nconstraint = NPC\n"
                   "estimators = ls, aml\ncrb = false\nsnr_db = 10, 40\ntrials = 4\n",
+    # the tree solves and Avalanche rescaled from f_0 = 1 to the unit norm
+    "singleton-trees-unit-norm": "m = 8\nscheme = SINGLETON\nconstraint = UNIT_NORM\n"
+                                 "estimators = ls, argos, daisy, aml\nsnr_db = 20, 40\n"
+                                 "trials = 4\n",
+    "avalanche-6-unit-norm": "m = 16\nscheme = AVALANCHE\ng = 6\nconstraint = UNIT_NORM\n"
+                             "estimators = ls, avalanche\nsnr_db = 20, 40\ntrials = 4\n",
 }
 
 RUN = "import sys\nfrom arraycal.bench import cli_main\nsys.exit(cli_main(sys.argv[1:]))\n"

@@ -132,7 +132,8 @@ def measure(tree: Path, repeat: int) -> dict:
         ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
         system = build_stacked(ms, pilots)
         fcc, npc = ConstraintSpec.fcc(), ConstraintSpec.npc(imp.tx_gains / imp.rx_gains)
-        init = ls_estimate(system, fcc).f_hat.f
+        rep = ls_estimate(system, fcc)
+        init = getattr(rep, "f_hat", rep).f     # older revisions wrap f in a CalibrationVector
         ctx = context_from_model(imp, chan, pilots, part, ms.noise_variance)
 
         def stacked():

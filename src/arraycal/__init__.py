@@ -2,7 +2,6 @@
 
 from .model import (
     AntennaPartition,
-    CalibrationVector,
     ChannelRealization,
     GEOMETRIC,
     GeometryConfig,

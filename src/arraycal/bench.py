@@ -34,7 +34,6 @@ from .airlink import (
 )
 from .estimators import (
     ConstraintSpec,
-    EstimationReport,
     aml_estimate,
     argos_estimate,
     avalanche_estimate,
@@ -42,7 +41,6 @@ from .estimators import (
     daisy_chain_estimate,
     ls_estimate,
     mse,
-    normalize_for_constraint,
     require_aml_settings,
     require_avalanche_partition,
     require_single_antenna_groups,
@@ -102,10 +100,9 @@ class Trial:
 
 @dataclass(frozen=True)
 class Estimator:
-    """call(trial) gives an EstimationReport, or a CalibrationVector if it
-    always converges, rescaled when its tag is not the constraint.  noncoherent:
-    stacks a schedule's slots.  partition: its partition rule (partition, who),
-    raising ValueError."""
+    """call(trial) gives an EstimationReport in the trial's constraint.
+    noncoherent: stacks a schedule's slots.  partition: its partition rule
+    (partition, who), raising ValueError."""
 
     call: Callable
     noncoherent: bool = False
@@ -115,7 +112,7 @@ class Estimator:
 def _aml(t: Trial):
     cfg = t.config
     init = None if cfg.aml_init == "ones" else \
-        ls_estimate(t.system(), ConstraintSpec.fcc()).f_hat.f
+        ls_estimate(t.system(), ConstraintSpec.fcc()).f
     return aml_estimate(t.data, t.pilots, t.partition, init=init, tol=cfg.aml_tol,
                         max_iter=cfg.aml_max_iter, constraint=t.spec)
 
@@ -124,13 +121,13 @@ def _aml(t: Trial):
 # tracer, a test's monkeypatch) sees them.
 ESTIMATORS = {
     "ls": Estimator(lambda t: ls_estimate(t.system(), t.spec), noncoherent=True),
-    "argos": Estimator(lambda t: argos_estimate(t.data, t.pilots, t.partition),
+    "argos": Estimator(lambda t: argos_estimate(t.data, t.pilots, t.partition, t.spec),
                        partition=lambda p, who: require_tree(p, star(p), who)),
     "rogalin": Estimator(lambda t: rogalin_estimate(t.data, t.pilots, t.partition, t.spec),
                          partition=require_single_antenna_groups),
-    "daisy": Estimator(lambda t: daisy_chain_estimate(t.data, t.pilots, t.partition),
+    "daisy": Estimator(lambda t: daisy_chain_estimate(t.data, t.pilots, t.partition, t.spec),
                        partition=lambda p, who: require_tree(p, chain(p), who)),
-    "avalanche": Estimator(lambda t: avalanche_estimate(t.data, t.pilots, t.partition),
+    "avalanche": Estimator(lambda t: avalanche_estimate(t.data, t.pilots, t.partition, t.spec),
                            partition=require_avalanche_partition),
     "aml": Estimator(_aml),
 }
@@ -367,15 +364,11 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                 t0 = time.perf_counter()
                 try:
                     out = ESTIMATORS[est].call(inputs)
-                    cv, converged = (out.f_hat, out.converged) \
-                        if isinstance(out, EstimationReport) else (out, True)
-                    f_hat = cv.f if cv.constraint_tag == spec.kind \
-                        else normalize_for_constraint(cv.f, spec)
                 except (np.linalg.LinAlgError, ArithmeticError) as e:
                     table.skipped[(est, snr, type(e).__name__)] += 1
                 else:
-                    sq_err[est].append(mse(f_hat, f_true))
-                    unconverged[est] += not converged
+                    sq_err[est].append(mse(out.f, f_true))
+                    unconverged[est] += not out.converged
                 if config.timing:
                     wall[est] += time.perf_counter() - t0
             if config.crb and schedule is None and trial < config.crb_trials:

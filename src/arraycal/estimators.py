@@ -10,7 +10,8 @@ earlier ones, from slices of Y.
 All estimators determine f only up to one complex scale; a ConstraintSpec
 resolves the ambiguity.  FCC pins the first coefficient to 1; NPC pins the
 norm and the phase of f_hat^H f_true; UNIT_NORM takes the smallest
-eigenvector of the Gram matrix Y(P)^H Y(P).
+eigenvector of the Gram matrix Y(P)^H Y(P).  Every estimator returns an
+EstimationReport whose f satisfies the constraint it was given.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import AntennaPartition, CalibrationVector, batch_indices, shape_runs
+from .model import AntennaPartition, batch_indices, shape_runs
 from . import crb as _crb
 from .stacking import StackedSystem, build_stacked, pair_equation_block
 
@@ -79,15 +80,22 @@ class ConstraintSpec:
 
 @dataclass
 class EstimationReport:
-    f_hat: CalibrationVector
-    iterations: int
-    final_cost: float
-    converged: bool
+    """An estimator's result: f in the estimator's constraint, its
+    iterations, whether it converged, and the cost it stopped at (nan where
+    none is formed)."""
+
+    f: np.ndarray
+    iterations: int = 1
+    converged: bool = True
+    final_cost: float = math.nan
 
 
-def normalize_for_constraint(f: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
-    """Rescale an estimate (defined up to scale) to satisfy the constraint."""
+def normalize_for_constraint(f: np.ndarray, constraint: ConstraintSpec | None) -> np.ndarray:
+    """Rescale an estimate (defined up to scale) to satisfy the constraint;
+    None leaves it as it is."""
     f = np.asarray(f, dtype=complex)
+    if constraint is None:
+        return f
     if constraint.kind == FCC:
         return f / f[0]
     if constraint.kind == UNIT_NORM:
@@ -222,9 +230,9 @@ def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationRep
 
     FCC/LINEAR solve the equality-constrained quadratic program; UNIT_NORM
     takes the smallest eigenvector of A; NPC rescales the unit-norm solution
-    in norm and phase against the true f.  The cost is f^H A f = ||Y(P) f||^2.
-    Each solution is kept on sys, per (g, c) and for the eigenvector, so
-    estimators sharing one system (LS, Rogalin, AML's start) solve it once.
+    in norm and phase against the true f.  Each solution is kept on sys, per
+    (g, c) and for the eigenvector, so estimators sharing one system (LS,
+    Rogalin, AML's start) solve it once.
 
     converged is False when the solve found f not unique: B dropped an
     eigenvalue, A's second-smallest eigenvalue failed the same rank rule or
@@ -244,10 +252,7 @@ def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationRep
                               else _smallest_eigvec(sys.gram))
     f, unique = sys.solutions[key]
     f = normalize_for_constraint(f, constraint) if constraint.kind == NPC else f.copy()
-    cost = float(np.real(f.conj() @ sys.gram @ f))
-    tag = constraint.kind if constraint.kind != LINEAR else "NONE"
-    return EstimationReport(CalibrationVector(f, tag), 1, cost,
-                            converged=unique and sys.rows >= sys.m - 1)
+    return EstimationReport(f, converged=unique and sys.rows >= sys.m - 1)
 
 
 def require_full_slot(measurements, who: str) -> None:
@@ -323,8 +328,10 @@ def _edge_transfers(b_p: np.ndarray, b_c: np.ndarray):
     return a[:, r:, n:], d2.min(axis=1) > (max(r, n) * np.finfo(float).eps) ** 2 * d2.max(axis=1)
 
 
-def tree_estimate(measurements, pilots, parent: np.ndarray) -> CalibrationVector:
-    """The pair equations of a spanning tree of groups, solved by substitution.
+def tree_estimate(measurements, pilots, parent: np.ndarray,
+                  constraint: ConstraintSpec | None = None) -> EstimationReport:
+    """The pair equations of a spanning tree of groups, solved by substitution,
+    from f_0 = 1 and then rescaled to the constraint.
 
     Edge (p, c) is the pair equation B_p f_p + B_c f_c = 0 (pair_equation_block),
     so f_c = T_c f_p, T_c = -B_c^+ B_p, from f_0 = 1.  No other edge constrains
@@ -357,13 +364,15 @@ def tree_estimate(measurements, pilots, parent: np.ndarray) -> CalibrationVector
     a = np.maximum(parent, 0)
     while a.any():
         t, a = t @ t[a], a[a]
-    return CalibrationVector(t[:, :, 0][np.arange(t.shape[1]) < sizes[:, None]], "FCC")
+    f = t[:, :, 0][np.arange(t.shape[1]) < sizes[:, None]]
+    return EstimationReport(normalize_for_constraint(f, constraint))
 
 
-def argos_estimate(measurements, pilots, partition: AntennaPartition) -> CalibrationVector:
+def argos_estimate(measurements, pilots, partition: AntennaPartition,
+                   constraint: ConstraintSpec | None = None) -> EstimationReport:
     """Argos (Shepard et al., MobiCom 2012): the tree solve on the star, each
     group from its exchange with the single-antenna reference group 0."""
-    return tree_estimate(measurements, pilots, star(partition))
+    return tree_estimate(measurements, pilots, star(partition), constraint)
 
 
 def require_single_antenna_groups(partition: AntennaPartition, who: str) -> None:
@@ -389,11 +398,11 @@ def rogalin_estimate(measurements, pilots, partition: AntennaPartition,
     return ls_estimate(rogalin_gram(measurements, pilots, partition), constraint)
 
 
-def daisy_chain_estimate(measurements, pilots,
-                         partition: AntennaPartition) -> CalibrationVector:
+def daisy_chain_estimate(measurements, pilots, partition: AntennaPartition,
+                         constraint: ConstraintSpec | None = None) -> EstimationReport:
     """The daisy chain: the tree solve on the path, each group from its
     exchange with the group before it."""
-    return tree_estimate(measurements, pilots, chain(partition))
+    return tree_estimate(measurements, pilots, chain(partition), constraint)
 
 
 def require_avalanche_partition(partition: AntennaPartition, who: str) -> None:
@@ -407,8 +416,10 @@ def require_avalanche_partition(partition: AntennaPartition, who: str) -> None:
             raise ValueError(f"{who}: group {g} has {sz} antennas > {g} calibrated equations")
 
 
-def avalanche_estimate(measurements, pilots, partition: AntennaPartition) -> CalibrationVector:
-    """Online recursion: each group is solved from already-calibrated groups.
+def avalanche_estimate(measurements, pilots, partition: AntennaPartition,
+                       constraint: ConstraintSpec | None = None) -> EstimationReport:
+    """Online recursion: each group is solved from already-calibrated groups,
+    and f is then rescaled to the constraint.
 
     Requires L_i = 1 pilots, a single-antenna first group seeding f_1 = 1, and
     M_i <= i-1 so each group's LS subproblem is (at least) exactly determined.
@@ -426,7 +437,7 @@ def avalanche_estimate(measurements, pilots, partition: AntennaPartition) -> Cal
         f[rows], _, rank, _ = np.linalg.lstsq(y[rows, :g].T * p[rows], rhs, rcond=None)
         if rank < partition.group_sizes[g]:
             raise np.linalg.LinAlgError(f"avalanche: rank-deficient system at group {g}")
-    return CalibrationVector(f, "FCC")
+    return EstimationReport(normalize_for_constraint(f, constraint))
 
 
 def require_aml_settings(tol: float, max_iter: int) -> None:
@@ -507,16 +518,12 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     r, kf = y.copy(), k * f                     # Y - K F P, zero on the self blocks
     for p, rows, cols, *_ in pilots.runs:
         r[:, cols] -= np.einsum("anm,nml->anl", kf[:, rows], p)
-    if constraint is not None:
-        f = normalize_for_constraint(f, constraint)
-    tag = "NONE" if constraint is None or constraint.kind == LINEAR else constraint.kind
-    return EstimationReport(CalibrationVector(f, tag), it, float(np.vdot(r, r).real), converged)
+    return EstimationReport(normalize_for_constraint(f, constraint), it, converged,
+                            float(np.vdot(r, r).real))
 
 
-def mse(f_hat, f_true) -> float:
+def mse(f_hat: np.ndarray, f_true: np.ndarray) -> float:
     """Squared Euclidean error ||f_hat - f_true||^2 (one trial's contribution)."""
-    a = f_hat.f if isinstance(f_hat, CalibrationVector) else np.asarray(f_hat)
-    b = f_true.f if isinstance(f_true, CalibrationVector) else np.asarray(f_true)
-    if a.shape != b.shape:
+    if f_hat.shape != f_true.shape:
         raise ValueError("estimate and reference must have the same length")
-    return float(np.linalg.norm(a - b) ** 2)
+    return float(np.linalg.norm(f_hat - f_true) ** 2)

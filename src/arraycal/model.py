@@ -156,19 +156,6 @@ class RfImpairments:
 
 
 @dataclass(frozen=True)
-class CalibrationVector:
-    """Per-antenna Tx/Rx ratio, together with the constraint it satisfies."""
-
-    f: np.ndarray
-    constraint_tag: str = "NONE"
-
-    def __post_init__(self):
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=complex))
-        if self.constraint_tag not in ("FCC", "NPC", "UNIT_NORM", "NONE"):
-            raise ValueError(f"unknown constraint tag {self.constraint_tag!r}")
-
-
-@dataclass(frozen=True)
 class GeometryConfig:
     """Rectangular antenna grid; spacing given in wavelengths (d / lambda)."""
 

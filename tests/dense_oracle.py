@@ -57,7 +57,7 @@ from scipy.linalg import null_space, orth
 from arraycal.airlink import MeasurementSet, noise_variance_from_snr
 from arraycal.crb import complement_basis, stack_observations
 from arraycal.grouping import GroupScheme
-from arraycal.model import AntennaPartition, CalibrationVector, RfImpairments, batch_indices
+from arraycal.model import AntennaPartition, RfImpairments, batch_indices
 from arraycal.stacking import khatri_rao_t, pair_equation_block
 
 
@@ -641,9 +641,9 @@ def brute_force_best_pair_count(k):
     return best, best_comp
 
 
-def calibration_vector(imp: RfImpairments) -> CalibrationVector:
+def calibration_vector(imp: RfImpairments) -> np.ndarray:
     """f_m = t_m / r_m, the diagonal case of R^{-T} T (RfImpairments has no zero gain)."""
-    return CalibrationVector(imp.tx_gains / imp.rx_gains, "NONE")
+    return imp.tx_gains / imp.rx_gains
 
 
 def compose_digital_channel(imp_tx: RfImpairments, imp_rx: RfImpairments,

@@ -87,31 +87,31 @@ def test_acceptance_01_noiseless_exact_recovery():
 
     part = make_scheme("ARGOS", 16).partition
     pilots, imp, chan, ms = _simulate(part, rng, kind="IDENTITY")
-    errs["argos"] = _rel_err(argos_estimate(ms, pilots, part).f, calibration_vector(imp).f)
+    errs["argos"] = _rel_err(argos_estimate(ms, pilots, part).f, calibration_vector(imp))
 
     part = AntennaPartition.singleton(16)
     pilots, imp, chan, ms = _simulate(part, rng, kind="ALL_ONES")
-    f_true = calibration_vector(imp).f
+    f_true = calibration_vector(imp)
     errs["rogalin"] = _rel_err(
-        rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f_hat.f, f_true)
+        rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f, f_true)
     errs["daisy"] = _rel_err(daisy_chain_estimate(ms, pilots, part).f, f_true)
 
     part = make_scheme("AVALANCHE", 22, 7).partition
     pilots, imp, chan, ms = _simulate(part, rng, kind="ALL_ONES")
     errs["avalanche"] = _rel_err(avalanche_estimate(ms, pilots, part).f,
-                                 calibration_vector(imp).f)
+                                 calibration_vector(imp))
 
     part = make_scheme("FC_II", 24, 8).partition
     pilots, imp, chan, ms = _simulate(part, rng)
     ss = build_stacked(ms, pilots)
-    errs["group ls"] = _rel_err(ls_estimate(ss, ConstraintSpec.fcc()).f_hat.f,
-                                calibration_vector(imp).f)
+    errs["group ls"] = _rel_err(ls_estimate(ss, ConstraintSpec.fcc()).f,
+                                calibration_vector(imp))
 
     part = AntennaPartition.singleton(12)
     pilots, imp, chan, ms = _simulate(part, rng, kind="ALL_ONES")
-    init = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc()).f_hat.f
+    init = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc()).f
     rep = aml_estimate(ms, pilots, part, init=init, constraint=ConstraintSpec.fcc())
-    errs["aml"] = _rel_err(rep.f_hat.f, calibration_vector(imp).f)
+    errs["aml"] = _rel_err(rep.f, calibration_vector(imp))
 
     elapsed = time.perf_counter() - t0
     worst = max(errs.values())
@@ -163,7 +163,7 @@ def test_acceptance_05_f_perp_construction():
     for _ in range(50):
         part = _random_partition(rng)
         pilots, imp, chan, ms = _simulate(part, rng)
-        f = calibration_vector(imp).f
+        f = calibration_vector(imp)
         fperp = build_f_perp(f, pilots, part)
         fm = build_f_composite(f, pilots, part)
         orth = (np.linalg.norm(fm.conj().T @ fperp)
@@ -213,7 +213,7 @@ def test_acceptance_07_exactly_determined_m67():
         pilots, imp, chan, ms = _simulate(part, rng, snr=30.0, kind="ALL_ONES")
         f_av = avalanche_estimate(ms, pilots, part).f
         rep = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc())
-        worst = max(worst, _rel_err(f_av, rep.f_hat.f))
+        worst = max(worst, _rel_err(f_av, rep.f))
         # B's smallest eigenvalue ratio reaches 8.1e-14 here, above the rank
         # rule's 66 eps = 1.5e-14
         converged = converged and rep.converged
@@ -309,9 +309,9 @@ def test_acceptance_10_low_snr_saturation():
             imp = gen_impairments(CFG5, 16, rng)
             chan = gen_channel(16, IID_RAYLEIGH, rng)
             ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
-            f_true = calibration_vector(imp).f
+            f_true = calibration_vector(imp)
             spec = ConstraintSpec.npc(f_true)
-            f = ls_estimate(build_stacked(ms, pilots), spec).f_hat.f
+            f = ls_estimate(build_stacked(ms, pilots), spec).f
             e = mse(f, f_true)
             bounded = bounded and e <= 4 * spec.c + 1e-9
             errs.append(e)
@@ -331,10 +331,10 @@ def test_acceptance_11_noncoherent_consistency():
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng,
                                  channels=[chan] * 3)
     f_nc = ls_estimate(build_stacked_noncoherent(slots, pilots),
-                       ConstraintSpec.fcc()).f_hat.f
+                       ConstraintSpec.fcc()).f
     coherent = simulate_exchange(part, pilots, imp, chan, np.inf, rng)
     f_c = ls_estimate(build_stacked(coherent, pilots),
-                      ConstraintSpec.fcc()).f_hat.f
+                      ConstraintSpec.fcc()).f
     same = np.max(np.abs(f_nc - f_c)) < 1e-10
 
     # independent channels, pairwise two-antenna slots: T*K(K-1)/2 = 21 >= 6
@@ -345,8 +345,8 @@ def test_acceptance_11_noncoherent_consistency():
     sched7 = NoncoherentSchedule(tuple(pairs))
     slots7 = simulate_noncoherent(part7, sched7, pil7, imp7, np.inf, rng)
     f7 = ls_estimate(build_stacked_noncoherent(slots7, pil7),
-                     ConstraintSpec.fcc()).f_hat.f
-    exact = _rel_err(f7, calibration_vector(imp7).f) < 1e-10
+                     ConstraintSpec.fcc()).f
+    exact = _rel_err(f7, calibration_vector(imp7)) < 1e-10
     _report(11, "non-coherent stack: identical channels match coherent LS, "
                 "independent slots recover exactly", same and exact)
 
@@ -365,7 +365,7 @@ def test_acceptance_12_compressed_cost_agreement():
         snr = float(rng.uniform(0, 30))
         ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
         y = stack_observations(ms, part)
-        f = calibration_vector(imp).f
+        f = calibration_vector(imp)
         direct = float(np.real(y.conj() @ (perp_projector(
             build_f_composite(f, pilots, part)) @ y)))
         # the library call cross-checks both routes and raises on mismatch

@@ -174,7 +174,7 @@ def test_pair_equation_residual_noiseless():
     part = AntennaPartition((2, 3, 1), (2, 2, 1))
     pilots, imp, chan = _setup(part, rng, "UNIT_PHASE_RANDOM")
     ms = simulate_exchange(part, pilots, imp, chan, np.inf, rng)
-    f = calibration_vector(imp).f
+    f = calibration_vector(imp)
     for (i, j) in part.pairs():
         fi = np.diag(f[part.antennas_of(i)])
         fj = np.diag(f[part.antennas_of(j)])

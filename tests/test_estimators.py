@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dense_oracle import (argos_ratios, calibration_vector, constrained_lstsq, daisy_ratios,
                           dense_y)
@@ -31,7 +31,7 @@ from arraycal.model import (
     gen_channel,
     gen_impairments,
 )
-from arraycal.bench import ExperimentConfig, run_experiment
+from arraycal.bench import CONSTRAINTS, ESTIMATORS, ExperimentConfig, Trial, run_experiment
 from arraycal.grouping import make_scheme
 from arraycal.stacking import build_stacked, check_identifiability
 
@@ -53,7 +53,7 @@ def test_ls_identity_impairments():
     imp = RfImpairments(np.ones(6), np.ones(6))
     pilots, imp, chan, ms = _instance(part, rng, imp=imp)
     ss = build_stacked(ms, pilots)
-    f = ls_estimate(ss, ConstraintSpec.fcc()).f_hat.f
+    f = ls_estimate(ss, ConstraintSpec.fcc()).f
     assert np.max(np.abs(f - 1.0)) < 1e-10
 
 
@@ -62,11 +62,11 @@ def test_ls_matches_pairwise_ratio_oracle():
     part = AntennaPartition.singleton(4)
     pilots, imp, chan, ms = _instance(part, rng)
     ss = build_stacked(ms, pilots)
-    f = ls_estimate(ss, ConstraintSpec.fcc()).f_hat.f
+    f = ls_estimate(ss, ConstraintSpec.fcc()).f
     oracle = np.array([1.0 + 0.0j] + [
         ms.block(i, 0).item() / ms.block(0, i).item() for i in range(1, 4)])
     assert np.max(np.abs(f - oracle)) < 1e-10
-    assert np.max(np.abs(f - calibration_vector(imp).f)) < 1e-10
+    assert np.max(np.abs(f - calibration_vector(imp))) < 1e-10
 
 
 def test_ls_unit_norm_collinear_with_fcc():
@@ -74,8 +74,8 @@ def test_ls_unit_norm_collinear_with_fcc():
     part = AntennaPartition.singleton(8)
     pilots, imp, chan, ms = _instance(part, rng)
     ss = build_stacked(ms, pilots)
-    f_fcc = ls_estimate(ss, ConstraintSpec.fcc()).f_hat.f
-    f_un = ls_estimate(ss, ConstraintSpec.unit_norm()).f_hat.f
+    f_fcc = ls_estimate(ss, ConstraintSpec.fcc()).f
+    f_un = ls_estimate(ss, ConstraintSpec.unit_norm()).f
     assert abs(np.linalg.norm(f_un) - 1.0) < 1e-12
     inner = abs(f_un.conj() @ f_fcc)
     assert abs(inner - np.linalg.norm(f_un) * np.linalg.norm(f_fcc)) < 1e-8
@@ -88,7 +88,7 @@ def test_ls_linear_constraint_satisfied():
     ss = build_stacked(ms, pilots)
     g = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     c = 2.0 - 1.0j
-    f = ls_estimate(ss, ConstraintSpec.linear(g, c)).f_hat.f
+    f = ls_estimate(ss, ConstraintSpec.linear(g, c)).f
     assert abs(f.conj() @ g - c) < 1e-10
 
 
@@ -152,7 +152,7 @@ def test_linear_constrained_ls_equals_dense_lstsq(case):
     g, c = spec.resolved_g_c(m)
     rep = ls_estimate(build_stacked(ms, pilots), spec)
     f_ref, rank = constrained_lstsq(dense_y(ms, pilots, part), g, c)
-    f = rep.f_hat.f
+    f = rep.f
     assert rep.converged == (rank == m - 1)
     assert np.linalg.norm(f - f_ref) <= 1e-8 * np.linalg.norm(f_ref)
     assert abs(np.vdot(f, g) - c) <= 1e-12 * np.linalg.norm(f) * np.linalg.norm(g)
@@ -182,19 +182,19 @@ def test_one_factorisation_per_system_and_constraint(monkeypatch):
     part = AntennaPartition.singleton(6)
     pilots, imp, chan, ms = _instance(part, rng, snr=20.0)
     ss = build_stacked(ms, pilots)
-    f_ls = ls_estimate(ss, ConstraintSpec.fcc()).f_hat.f
-    f_rog = rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f_hat.f
+    f_ls = ls_estimate(ss, ConstraintSpec.fcc()).f
+    f_rog = rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f
     assert np.array_equal(f_ls, f_rog) and f_ls is not f_rog
     assert calls() == [(5, 5)]
     # another (g, c) solves afresh, once
     g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    f_lin = [ls_estimate(ss, ConstraintSpec.linear(g, 2.0)).f_hat.f for _ in range(2)]
+    f_lin = [ls_estimate(ss, ConstraintSpec.linear(g, 2.0)).f for _ in range(2)]
     assert np.array_equal(*f_lin) and calls() == [(5, 5)] * 2
     ls_estimate(ss, ConstraintSpec.linear(g, 3.0))
     assert calls() == [(5, 5)] * 3
     # UNIT_NORM and NPC share A's smallest eigenvector
     ls_estimate(ss, ConstraintSpec.unit_norm())
-    ls_estimate(ss, ConstraintSpec.npc(calibration_vector(imp).f))
+    ls_estimate(ss, ConstraintSpec.npc(calibration_vector(imp)))
     assert calls() == [(5, 5)] * 3 + [(6, 6)]
     # a run solves once per trial for LS, Rogalin and AML's LS start
     factored.clear()
@@ -301,7 +301,7 @@ def test_certified_cholesky_solve_matches_eigh_solve(case):
         ref = ls_estimate(ss, spec)
     assert rep.converged == ref.converged
     if fallback:
-        assert np.array_equal(rep.f_hat.f, ref.f_hat.f)
+        assert np.array_equal(rep.f, ref.f)
         return
     assert rep.converged
     # Identifiable partitions agree to 1e-12 (at most 1.3e-13 over 5,335
@@ -314,7 +314,7 @@ def test_certified_cholesky_solve_matches_eigh_solve(case):
     w = np.linalg.eigvalsh(b)
     tol = 1e-12 if check_identifiability(part)["ok"] else \
         max(1e-12, 2 * np.finfo(float).eps * np.sqrt(w[-1] / w[0]))
-    f, f_ref = rep.f_hat.f, ref.f_hat.f
+    f, f_ref = rep.f, ref.f
     assert np.linalg.norm(f - f_ref) <= tol * np.linalg.norm(f_ref)
 
 
@@ -322,7 +322,7 @@ def test_argos_both_partition_flavors():
     rng = np.random.default_rng(5)
     m = 6
     imp = gen_impairments(CFG, m, rng)
-    f_true = calibration_vector(imp).f
+    f_true = calibration_vector(imp)
     part2 = AntennaPartition((1, m - 1), (1, m - 1))
     pilots2 = default_pilots(part2, "IDENTITY", rng)
     chan = gen_channel(m, IID_RAYLEIGH, rng)
@@ -361,7 +361,7 @@ def test_tree_equals_ratio_oracles(m, snr, seed):
                       (daisy_chain_estimate(ms, pilots, single), daisy_ratios(ms)),
                       (argos_estimate(ms_a, pilots_a, argos), argos_ratios(ms_a, argos)),
                       (daisy_chain_estimate(ms_a, pilots_a, argos), argos_ratios(ms_a, argos))):
-        assert f.constraint_tag == "FCC"
+        assert f.f[0] == 1
         assert np.max(np.abs(f.f - oracle) / np.abs(oracle)) <= 1e-12
 
 
@@ -425,7 +425,7 @@ def test_tree_equals_ls_on_the_tree_pairs(case, snr):
                 tree_only[part.antennas_of(j), part.pilot_columns(i)] = 0.0
     tree_system = build_stacked(MeasurementSet(tree_only, part, ms.noise_variance, ms.plan),
                                 pilots)
-    f_ls = ls_estimate(tree_system, ConstraintSpec.fcc()).f_hat.f
+    f_ls = ls_estimate(tree_system, ConstraintSpec.fcc()).f
     f = tree_estimate(ms, pilots, parent).f
     tol = max(1e-12, 4 * np.finfo(float).eps * np.linalg.cond(y[:, 1:]))
     assert np.linalg.norm(f - f_ls) <= tol * np.linalg.norm(f_ls)
@@ -444,7 +444,7 @@ def test_tree_recovers_f_where_the_rule_admits(case):
     require_pilot_kind(part, kind)
     rng = np.random.default_rng(seed)
     pilots, imp, chan, ms = _instance(part, rng, kind=kind)
-    f_true = calibration_vector(imp).f
+    f_true = calibration_vector(imp)
     f = tree_estimate(ms, pilots, parent).f
     assert np.linalg.norm(f - f_true) <= 1e-10 * np.linalg.norm(f_true)
 
@@ -490,8 +490,8 @@ def test_rogalin_equals_generic_ls():
         pilots, imp, chan, ms = _instance(part, rng, snr=20.0, kind=kind)
         ss = build_stacked(ms, pilots)
         for spec in (ConstraintSpec.fcc(), ConstraintSpec.unit_norm()):
-            f_r = rogalin_estimate(ms, pilots, part, spec).f_hat.f
-            f_ls = ls_estimate(ss, spec).f_hat.f
+            f_r = rogalin_estimate(ms, pilots, part, spec).f
+            f_ls = ls_estimate(ss, spec).f
             # eigenvector sign/phase is arbitrary under UNIT_NORM
             if spec.kind == "UNIT_NORM":
                 f_ls = f_ls * np.exp(1j * (np.angle(f_r[0]) - np.angle(f_ls[0])))
@@ -503,7 +503,7 @@ def test_daisy_chain_telescopes():
     part = AntennaPartition.singleton(5)
     pilots, imp, chan, ms = _instance(part, rng)
     f = daisy_chain_estimate(ms, pilots, part).f
-    assert np.max(np.abs(f - calibration_vector(imp).f)) < 1e-10
+    assert np.max(np.abs(f - calibration_vector(imp))) < 1e-10
     prod = 1.0
     for i in range(1, 5):
         prod *= ms.block(i, i - 1).item() / ms.block(i - 1, i).item()
@@ -516,9 +516,9 @@ def test_daisy_chain_noisier_than_rogalin():
     err_d, err_r = 0.0, 0.0
     for _ in range(200):
         pilots, imp, chan, ms = _instance(part, rng, snr=20.0)
-        f_true = calibration_vector(imp).f
+        f_true = calibration_vector(imp)
         err_d += mse(daisy_chain_estimate(ms, pilots, part).f, f_true)
-        err_r += mse(rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f_hat.f,
+        err_r += mse(rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f,
                      f_true)
     assert err_d >= err_r  # error accumulates along the chain
 
@@ -529,7 +529,7 @@ def test_avalanche_structure_and_recovery():
     assert part.num_antennas == 7
     pilots, imp, chan, ms = _instance(part, rng)
     f = avalanche_estimate(ms, pilots, part).f
-    assert np.max(np.abs(f - calibration_vector(imp).f)) < 1e-10
+    assert np.max(np.abs(f - calibration_vector(imp))) < 1e-10
 
 
 def test_avalanche_preconditions():
@@ -552,7 +552,7 @@ def test_aml_fixed_point_and_monotone_cost():
     rng = np.random.default_rng(13)
     part = AntennaPartition.singleton(6)
     pilots, imp, chan, ms = _instance(part, rng)
-    f_true = calibration_vector(imp).f
+    f_true = calibration_vector(imp)
     rep = aml_estimate(ms, pilots, part, init=f_true, max_iter=5)
     assert rep.converged and rep.iterations == 1
     assert rep.final_cost < 1e-20
@@ -568,8 +568,7 @@ def test_aml_constraint_applied():
     part = AntennaPartition.singleton(5)
     pilots, imp, chan, ms = _instance(part, rng, snr=25.0)
     rep = aml_estimate(ms, pilots, part, constraint=ConstraintSpec.fcc())
-    assert abs(rep.f_hat.f[0] - 1.0) < 1e-12
-    assert rep.f_hat.constraint_tag == "FCC"
+    assert abs(rep.f[0] - 1.0) < 1e-12
     # a slot with an idle group has no rows for it: refused, not zero-filled
     some = simulate_exchange(part, pilots, imp, chan, 25.0, rng, groups=(0, 1, 2, 3))
     with pytest.raises(ValueError, match="every group"):
@@ -591,8 +590,50 @@ def test_whole_slot_estimators_refuse_an_idle_group(estimate, scheme):
     some = simulate_exchange(part, pilots, imp, chan, 30.0, rng, groups=(0, 1, 2, 3, 4))
     with pytest.raises(ValueError, match="needs a slot in which every group is active"):
         estimate(some, pilots, part)
-    f = estimate(ms, pilots, part)
-    assert np.all(np.isfinite(getattr(f, "f_hat", f).f))
+    assert np.all(np.isfinite(estimate(ms, pilots, part).f))
+
+
+@st.composite
+def _estimator_cases(draw):
+    """An ESTIMATORS entry, an experiment constraint and a CUSTOM partition
+    of 2-5 groups that the entry's rule admits: single antennas for rogalin;
+    L_g = 1, M_0 = 1 and M_g <= g for avalanche; M_0 = 1 and M_c <= L_c for
+    the tree solves (every edge of the star and the path then has M_c
+    rows); M_g and L_g in 1..3 otherwise."""
+    name = draw(st.sampled_from(sorted(ESTIMATORS)))
+    g = draw(st.integers(2, 5))
+    lens = [1 if name == "avalanche" else draw(st.integers(1, 3)) for _ in range(g)]
+    top = {"rogalin": [1] * g, "avalanche": range(g), "argos": [1] + lens[1:],
+           "daisy": [1] + lens[1:]}.get(name, [3] * g)
+    sizes = [draw(st.integers(1, max(t, 1))) for t in top]
+    return (name, draw(st.sampled_from(sorted(CONSTRAINTS))), AntennaPartition(sizes, lens),
+            draw(st.sampled_from([20.0, 40.0])), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_estimator_cases())
+def test_every_estimator_returns_f_in_the_trials_constraint(case):
+    # the harness's call of each entry, as run_experiment makes it
+    name, kind, part, snr, seed = case
+    assume(check_identifiability(part)["ok"])
+    cfg = ExperimentConfig(m=part.num_antennas, scheme="CUSTOM", group_sizes=part.group_sizes,
+                           pilot_lengths=part.pilot_lengths, estimators=(name,),
+                           constraint=kind, crb=False)
+    pilots, imp, _, ms = _instance(part, np.random.default_rng(seed), snr=snr,
+                                   kind="UNIT_PHASE_RANDOM")
+    f_true = calibration_vector(imp)
+    spec = CONSTRAINTS[kind](f_true)
+    f = ESTIMATORS[name].call(Trial(cfg, spec, ms, pilots, part)).f
+    assert f.shape == f_true.shape
+    if kind == "FCC":
+        # exact where the solve starts from f_0 = 1; AML's f / f_0 may land an ulp off
+        assert abs(f[0] - 1) <= np.finfo(float).eps
+    elif kind == "NPC":
+        assert abs(np.vdot(f, f).real - spec.c) <= 1e-12 * spec.c
+        inner = np.vdot(f, f_true)
+        assert inner.real >= 0 and abs(inner.imag) <= 1e-12 * abs(inner)
+    else:
+        assert abs(np.linalg.norm(f) - 1) <= 1e-12
 
 
 def test_normalize_for_constraint():

@@ -51,7 +51,7 @@ def test_impairments_fix_first_and_ratio_bounds():
     rng = np.random.default_rng(1)
     d = 0.1
     imp = gen_impairments(ImpairmentConfig(d), 64, rng)
-    f = calibration_vector(imp).f
+    f = calibration_vector(imp)
     assert f[0] == 1.0 + 0.0j
     lo, hi = (1 - d) / (1 + d), (1 + d) / (1 - d)
     assert np.all(np.abs(f) >= lo - 1e-12)
@@ -71,9 +71,9 @@ def test_impairments_amplitude_spread_empirical():
 
 def test_calibration_vector_trivia():
     imp = RfImpairments(np.ones(4), np.ones(4))
-    assert np.allclose(calibration_vector(imp).f, 1.0)
+    assert np.allclose(calibration_vector(imp), 1.0)
     imp = RfImpairments(np.array([2.0, 1.0]), np.array([1.0, 2.0]))
-    assert np.allclose(calibration_vector(imp).f, [2.0, 0.5])
+    assert np.allclose(calibration_vector(imp), [2.0, 0.5])
 
 
 def test_channel_symmetry_and_variance():
@@ -136,8 +136,8 @@ def test_reciprocity_identity():
     c_ab = rng.standard_normal((nb, na)) + 1j * rng.standard_normal((nb, na))
     h_ab = compose_digital_channel(imp_a, imp_b, c_ab)
     h_ba = compose_digital_channel(imp_b, imp_a, c_ab.T)
-    f_a = np.diag(calibration_vector(imp_a).f)
-    f_b = np.diag(calibration_vector(imp_b).f)
+    f_a = np.diag(calibration_vector(imp_a))
+    f_b = np.diag(calibration_vector(imp_b))
     lhs = h_ab
     rhs = np.linalg.inv(f_b.T) @ h_ba.T @ f_a
     assert np.max(np.abs(lhs - rhs)) < 1e-12

@@ -52,7 +52,7 @@ def test_null_space_contains_f():
     part = AntennaPartition((1, 2, 3, 2), (2, 2, 1, 2))
     pilots, imp, chan, ms = _instance(part, rng)
     ss = build_stacked(ms, pilots)
-    f = calibration_vector(imp).f
+    f = calibration_vector(imp)
     assert np.linalg.norm(dense_y(ms, pilots, part) @ f) / np.linalg.norm(f) < 1e-10
     assert (np.linalg.norm(ss.gram @ f)
             / (np.linalg.norm(ss.gram, 2) * np.linalg.norm(f))) < 1e-12
@@ -122,7 +122,7 @@ def test_noncoherent_pairwise_recovery_matches_ratios():
     sched = NoncoherentSchedule(((0, 1), (0, 2), (1, 2)))
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng)
     ss = build_stacked_noncoherent(slots, pilots)
-    f = calibration_vector(imp).f
+    f = calibration_vector(imp)
     assert np.linalg.norm(dense_y_noncoherent(slots, pilots, part, sched) @ f) < 1e-10
     assert np.linalg.norm(ss.gram @ f) < 1e-10
     y01 = slots[0].block(0, 1).item()
