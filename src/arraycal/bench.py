@@ -136,7 +136,6 @@ ESTIMATORS = {
 CONSTRAINTS = {
     "FCC": lambda f_true: ConstraintSpec.fcc(),
     "NPC": ConstraintSpec.npc,
-    "UNIT_NORM": lambda f_true: ConstraintSpec.unit_norm(),
 }
 
 
@@ -340,7 +339,6 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         else default_pilots(partition, config.pilots)
 
     table = ResultTable()
-    crb_kind = "FCC" if config.constraint == "FCC" else "NPC"
     for si, snr in enumerate(config.snr_db):
         sq_err = {e: [] for e in config.estimators}
         unconverged = Counter()
@@ -376,8 +374,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                 if sigma2 > 0:
                     ctx = crb_mod.context_from_model(imp, chan, pilots, partition, sigma2)
                     try:
-                        bound = (crb_mod.crb_f_known_h(ctx, crb_kind) if config.crb_known_h
-                                 else crb_mod.crb_f(ctx, crb_kind))
+                        bound = (crb_mod.crb_f_known_h if config.crb_known_h
+                                 else crb_mod.crb_f)(ctx, config.constraint)
                     except np.linalg.LinAlgError as e:
                         raise UnidentifiableError(str(e)) from e
                     crb_traces.append(bound.trace)

@@ -9,9 +9,9 @@ earlier ones, from slices of Y.
 
 All estimators determine f only up to one complex scale; a ConstraintSpec
 resolves the ambiguity.  FCC pins the first coefficient to 1; NPC pins the
-norm and the phase of f_hat^H f_true; UNIT_NORM takes the smallest
-eigenvector of the Gram matrix Y(P)^H Y(P).  Every estimator returns an
-EstimationReport whose f satisfies the constraint it was given.
+norm of f to that of f_true and the phase of f_hat^H f_true to 0.  Every
+estimator returns an EstimationReport whose f satisfies the constraint it
+was given.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .stacking import StackedSystem, build_stacked, pair_equation_block
 
 FCC = "FCC"
 NPC = "NPC"
-UNIT_NORM = "UNIT_NORM"
-LINEAR = "LINEAR"
 
 # Margin of the Cholesky certificate over lstsq's rank rule n eps, n = M - 1
 # (see _certified_inverse_factor).
@@ -38,44 +36,24 @@ CHOLESKY_MARGIN = 1e3
 
 @dataclass(frozen=True)
 class ConstraintSpec:
+    """FCC, or NPC against the trial's true f."""
+
     kind: str
-    g: np.ndarray | None = None
-    c: complex | None = None
     true_f: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (FCC, NPC, UNIT_NORM, LINEAR):
+        if self.kind not in (FCC, NPC):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == LINEAR and (self.g is None or self.c is None):
-            raise ValueError("LINEAR constraint requires g and c")
         if self.kind == NPC and self.true_f is None:
             raise ValueError("NPC requires the reference vector for phase alignment")
 
     @staticmethod
     def fcc() -> "ConstraintSpec":
-        return ConstraintSpec(FCC, c=1.0)
+        return ConstraintSpec(FCC)
 
     @staticmethod
-    def npc(true_f: np.ndarray, c: float | None = None) -> "ConstraintSpec":
-        true_f = np.asarray(true_f, dtype=complex)
-        if c is None:
-            c = float(np.linalg.norm(true_f) ** 2)
-        return ConstraintSpec(NPC, c=c, true_f=true_f)
-
-    @staticmethod
-    def unit_norm() -> "ConstraintSpec":
-        return ConstraintSpec(UNIT_NORM, c=1.0)
-
-    @staticmethod
-    def linear(g: np.ndarray, c: complex) -> "ConstraintSpec":
-        return ConstraintSpec(LINEAR, g=np.asarray(g, dtype=complex), c=c)
-
-    def resolved_g_c(self, m: int):
-        if self.kind == FCC:
-            g = np.zeros(m, dtype=complex)
-            g[0] = 1.0
-            return g, 1.0 + 0.0j
-        return np.asarray(self.g, dtype=complex), complex(self.c)
+    def npc(true_f: np.ndarray) -> "ConstraintSpec":
+        return ConstraintSpec(NPC, np.asarray(true_f, dtype=complex))
 
 
 @dataclass
@@ -97,16 +75,13 @@ def normalize_for_constraint(f: np.ndarray, constraint: ConstraintSpec | None) -
     if constraint is None:
         return f
     if constraint.kind == FCC:
-        return f / f[0]
-    if constraint.kind == UNIT_NORM:
-        return f / np.linalg.norm(f)
-    if constraint.kind == NPC:
-        fu = f / np.linalg.norm(f)
-        c = float(np.real(constraint.c))
-        phi = np.angle(fu.conj() @ constraint.true_f)
-        return np.sqrt(c) * np.exp(1j * phi) * fu
-    g, c = constraint.g, complex(constraint.c)           # LINEAR
-    return f * np.conj(c / (f.conj() @ g))
+        out = f / f[0]
+        out[0] = 1.0                          # f[0] / f[0] may land an ulp off
+        return out
+    fu = f / np.linalg.norm(f)                # NPC
+    c = float(np.linalg.norm(constraint.true_f) ** 2)
+    phi = np.angle(fu.conj() @ constraint.true_f)
+    return np.sqrt(c) * np.exp(1j * phi) * fu
 
 
 def _rank_tol(w: np.ndarray) -> float:
@@ -163,46 +138,27 @@ def _certified_inverse_factor(b: np.ndarray):
     return li if bound > CHOLESKY_MARGIN * b.shape[0] * np.finfo(float).eps else None
 
 
-def _solve_linear_constrained(sys: StackedSystem, g: np.ndarray, c: complex):
-    """min f^H A f s.t. f^H g = c, robust to a singular Gram matrix A; also
-    returns whether B = V^H A V has full rank.  Equal to the closed form
-    c / (g^H A^{-1} g) * A^{-1} g whenever A is invertible.
+def _solve_fcc(sys: StackedSystem):
+    """min f^H A f s.t. f_0 = 1, robust to a singular Gram matrix A; also
+    returns whether B = A[1:, 1:] has full rank.  Equal to the closed form
+    A^{-1} e_0 / (A^{-1})_00 whenever A is invertible.
 
-    V is an orthonormal basis of g's complement, the columns 1.. of the
-    Householder reflector H = I - u u^H / tau that maps g onto e_0, so V^H x =
-    (H x)[1:] and V z = H [0, z] cost O(M).  H changes only the rows and
-    columns up to u's last nonzero, so only those of A^H are updated: for
-    FCC (u = 2 e_0), B is A[1:, 1:]^H, with no M x M pass.  A Cholesky
-    factor of B, certified to be far from singular
+    f = e_0 + [0, z], so only z = f[1:] is solved for, through B.  A
+    Cholesky factor of B, certified to be far from singular
     (_certified_inverse_factor), gives B^{-1}.
     Otherwise one eigendecomposition of B gives its pseudo-inverse, with the
-    eigenvalues that lstsq's rank rule would drop left out: f = f0 + V z stays
-    the minimum-norm solution, and is exact in the noiseless (singular-A)
-    case.  A solve with A squares cond(Y(P)); three refinement steps, with
-    A f taken from the residuals (StackedSystem.apply_gram), recover the
-    accuracy of a least-squares solve on Y(P).  They also refine the dropped
-    eigenvectors, which eigh tilts towards the kept ones by about eps ||B|| /
-    lambda, and then f's part in their span is removed.
+    eigenvalues that lstsq's rank rule would drop left out: f stays the
+    minimum-norm solution, and is exact in the noiseless (singular-A) case.
+    A solve with A squares cond(Y(P)); three refinement steps, with A f taken
+    from the residuals (StackedSystem.apply_gram), recover the accuracy of a
+    least-squares solve on Y(P).  They also refine the dropped eigenvectors,
+    which eigh tilts towards the kept ones by about eps ||B|| / lambda, and
+    then f's part in their span is removed.
     """
-    gnorm2 = np.real(g.conj() @ g)
-    if gnorm2 == 0:
-        raise ValueError("degenerate constraint: g = 0")
-    f = np.conj(c) * g / gnorm2               # satisfies f^H g = c
-    u = g.copy()
-    u[0] += np.exp(1j * np.angle(g[0])) * np.sqrt(gnorm2)
-    tau = np.real(u.conj() @ u) / 2
-    k = np.flatnonzero(u)[-1] + 1             # u[k:] = 0, so H changes rows :k only
-    u_k, u_k_conj = u[:k], u[:k].conj()
-
-    def reflect(x):                           # H x, in place, column by column
-        x[:k] -= np.multiply.outer(u_k, u_k_conj @ x[:k] / tau)
-        return x
-
-    # B = (H A^H H)[1:, 1:], Hermitian; cholesky and eigh read its lower
-    # triangle.  A^H H changes only A^H's columns :k
-    b = sys.gram.conj().T
-    b[:, :k] -= np.multiply.outer(b[:, :k] @ u_k / tau, u_k_conj)
-    b = reflect(b)[1:, 1:]
+    f = np.zeros(sys.m, dtype=complex)
+    f[0] = 1.0
+    # B from A^H, Hermitian: cholesky and eigh read its lower triangle
+    b = sys.gram[1:, 1:].conj().T
     li = _certified_inverse_factor(b)
     if li is not None:                        # B^{-1} = p diag(d) q
         p, d, q, null = li.conj().T, 1.0, li, []
@@ -211,11 +167,10 @@ def _solve_linear_constrained(sys: StackedSystem, g: np.ndarray, c: complex):
         # B's rank is at most Y(P)'s row count, whatever rounding lifts above the rule
         keep = (np.abs(w) > _rank_tol(w)) & (np.arange(w.size) >= w.size - sys.rows)
         p, d, q = e[:, keep], 1.0 / w[keep], e[:, keep].conj().T
-        null = [reflect(np.concatenate(([0.0], n))) for n in e[:, ~keep].T]     # V n
+        null = [np.concatenate(([0.0], n)) for n in e[:, ~keep].T]         # [0, n]
 
-    def step(x):                              # x - V B^+ V^H A x, A x from the residuals
-        z = p @ (d * (q @ reflect(sys.apply_gram(x))[1:]))
-        return x - reflect(np.concatenate(([0.0], z)))
+    def step(x):                              # x - [0, B^+ (A x)[1:]], A x from the residuals
+        return x - np.concatenate(([0.0], p @ (d * (q @ sys.apply_gram(x)[1:]))))
 
     for _ in range(3):
         f, null = step(f), [step(n) for n in null]
@@ -228,10 +183,9 @@ def _solve_linear_constrained(sys: StackedSystem, g: np.ndarray, c: complex):
 def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationReport:
     """Constrained least-squares over the stacked system, from its Gram matrix A.
 
-    FCC/LINEAR solve the equality-constrained quadratic program; UNIT_NORM
-    takes the smallest eigenvector of A; NPC rescales the unit-norm solution
-    in norm and phase against the true f.  Each solution is kept on sys, per
-    (g, c) and for the eigenvector, so estimators sharing one system (LS,
+    FCC solves the equality-constrained quadratic program; NPC rescales A's
+    smallest eigenvector in norm and phase against the true f.  Each solution
+    is kept on sys, per constraint kind, so estimators sharing one system (LS,
     Rogalin, AML's start) solve it once.
 
     converged is False when the solve found f not unique: B dropped an
@@ -243,15 +197,11 @@ def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationRep
     where B's smallest eigenvalue is of order 1e-4 of its largest) is
     check_identifiability's to reject.
     """
-    linear = constraint.kind in (FCC, LINEAR)
-    if linear:
-        g, c = constraint.resolved_g_c(sys.m)
-    key = (g.tobytes(), c) if linear else None
-    if key not in sys.solutions:
-        sys.solutions[key] = (_solve_linear_constrained(sys, g, c) if linear
-                              else _smallest_eigvec(sys.gram))
-    f, unique = sys.solutions[key]
-    f = normalize_for_constraint(f, constraint) if constraint.kind == NPC else f.copy()
+    kind = constraint.kind
+    if kind not in sys.solutions:
+        sys.solutions[kind] = _solve_fcc(sys) if kind == FCC else _smallest_eigvec(sys.gram)
+    f, unique = sys.solutions[kind]
+    f = f.copy() if kind == FCC else normalize_for_constraint(f, constraint)
     return EstimationReport(f, converged=unique and sys.rows >= sys.m - 1)
 
 

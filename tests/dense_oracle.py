@@ -11,8 +11,9 @@ exchange_pairs is airlink.simulate_exchange as one loop over ordered pairs.
 The pair oracles read the received matrix through received_index (the flat
 indices of a batch of blocks Y_{i->j}) and the pilots through by_shape
 (every group of a block shape, adjacent or not) and stacked.
-constrained_lstsq is the linear-constraint LS of estimators.ls_estimate
-solved by lstsq on the dense Y(P).  perp_projector is the dense projector
+constrained_lstsq is the linear-constraint LS f^H g = c solved by lstsq on
+the dense Y(P); with g = e_0 and c = 1 it is estimators.ls_estimate's FCC
+solve.  perp_projector is the dense projector
 that the CRB's closed form replaces.
 
 The pair route is the CRB and the compressed cost as they were computed

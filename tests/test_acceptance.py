@@ -313,7 +313,7 @@ def test_acceptance_10_low_snr_saturation():
             spec = ConstraintSpec.npc(f_true)
             f = ls_estimate(build_stacked(ms, pilots), spec).f
             e = mse(f, f_true)
-            bounded = bounded and e <= 4 * spec.c + 1e-9
+            bounded = bounded and e <= 4 * np.linalg.norm(f_true) ** 2 + 1e-9
             errs.append(e)
         mse_at[snr] = np.mean(errs)
     flat_db = abs(10 * np.log10(mse_at[-10.0] / mse_at[-20.0]))

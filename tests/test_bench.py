@@ -473,6 +473,8 @@ REJECT_BASE = dict(m=8, trials=2, snr_db=(30.0,))
     (dict(scheme="CUSTOM", group_sizes=(4, 4), g=2), "scheme CUSTOM takes no g"),
     (dict(m=6, pilot_lengths=(2,) * 6), "are for CUSTOM schemes only"),   # ran with L_i = 1
     (dict(scheme="FC_II", g=4, group_sizes=(2,) * 4), "are for CUSTOM schemes only"),
+    # a unit-norm f scored against the true f, beside the NPC bound
+    (dict(constraint="UNIT_NORM"), "unsupported experiment constraint"),
 ])
 def test_rules_fire_before_the_first_draw(tmp_path, capsys, changes, message):
     # the rule fires when the config is built, so check and run exit 2 and
@@ -487,6 +489,39 @@ def test_rules_fire_before_the_first_draw(tmp_path, capsys, changes, message):
     assert cli_main(["run", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("constraint", ["LINEAR", "UNIT_NORM"])
+def test_only_fcc_and_npc_reach_a_draw(tmp_path, capsys, monkeypatch, constraint):
+    # the CRB is defined under FCC and NPC alone: a unit-norm f, scored
+    # against a true f of norm about sqrt(m), would sit far above any bound
+    def draw(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(bench, "gen_impairments", draw)
+    cfg = _write(tmp_path, "c.cfg", _config_text(dict(REJECT_BASE, constraint=constraint)))
+    out = tmp_path / "r.csv"
+    for argv in (["check", cfg], ["run", cfg, "--out", str(out)], ["crb", cfg]):
+        assert cli_main(argv) == 2
+        assert "unsupported experiment constraint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_timing_fills_wall_time_only_when_on(tmp_path):
+    text = ("m = 6\nscheme = SINGLETON\npilots = ALL_ONES\nsnr_db = 20, 40\ntrials = 2\n"
+            "estimators = ls, argos\nconstraint = FCC\ncrb = false\n")
+    outs = []
+    for name, timing in (("on", "true"), ("off1", "false"), ("off2", "false")):
+        cfg = _write(tmp_path, f"{name}.cfg", text + f"timing = {timing}\n")
+        outs.append(tmp_path / f"{name}.csv")
+        assert cli_main(["run", cfg, "--out", str(outs[-1])]) == 0
+    rows = [[line.split(",") for line in out.read_text().splitlines()[1:]] for out in outs]
+    assert len(rows[0]) == 4
+    assert all(float(r[6]) > 0 for r in rows[0])
+    assert all(float(r[6]) == 0.0 for r in rows[1])
+    # the clock changes nothing else
+    assert [r[:6] for r in rows[0]] == [r[:6] for r in rows[1]]
+    assert outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def test_bad_boolean_is_a_config_error(tmp_path, capsys):

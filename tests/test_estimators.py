@@ -69,29 +69,6 @@ def test_ls_matches_pairwise_ratio_oracle():
     assert np.max(np.abs(f - calibration_vector(imp))) < 1e-10
 
 
-def test_ls_unit_norm_collinear_with_fcc():
-    rng = np.random.default_rng(2)
-    part = AntennaPartition.singleton(8)
-    pilots, imp, chan, ms = _instance(part, rng)
-    ss = build_stacked(ms, pilots)
-    f_fcc = ls_estimate(ss, ConstraintSpec.fcc()).f
-    f_un = ls_estimate(ss, ConstraintSpec.unit_norm()).f
-    assert abs(np.linalg.norm(f_un) - 1.0) < 1e-12
-    inner = abs(f_un.conj() @ f_fcc)
-    assert abs(inner - np.linalg.norm(f_un) * np.linalg.norm(f_fcc)) < 1e-8
-
-
-def test_ls_linear_constraint_satisfied():
-    rng = np.random.default_rng(3)
-    part = AntennaPartition.singleton(5)
-    pilots, imp, chan, ms = _instance(part, rng, snr=15.0)
-    ss = build_stacked(ms, pilots)
-    g = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    c = 2.0 - 1.0j
-    f = ls_estimate(ss, ConstraintSpec.linear(g, c)).f
-    assert abs(f.conj() @ g - c) < 1e-10
-
-
 def test_ls_reports_unidentifiable():
     rng = np.random.default_rng(4)
     part = AntennaPartition((3, 3), (1, 1))   # 1 row for 5 unknown directions
@@ -115,7 +92,7 @@ def test_ls_converged_follows_the_solve_rank(sizes, lens, snr, kind):
     assert ss.rows >= part.num_antennas - 1
     assert not ls_estimate(ss, ConstraintSpec.fcc()).converged
     if np.isinf(snr):       # A's null space is two-dimensional
-        assert not ls_estimate(ss, ConstraintSpec.unit_norm()).converged
+        assert not ls_estimate(ss, ConstraintSpec.npc(calibration_vector(imp))).converged
 
 
 @st.composite
@@ -124,33 +101,28 @@ def _constrained_cases(draw):
     sizes = tuple(draw(st.integers(1, 3)) for _ in range(g))
     lens = tuple(draw(st.integers(1, 3)) for _ in range(g))
     snr = draw(st.sampled_from([0.0, 20.0, 60.0, np.inf]))
-    return AntennaPartition(sizes, lens), snr, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    return AntennaPartition(sizes, lens), snr, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=120, deadline=None)
 @given(_constrained_cases())
-@example((AntennaPartition((3, 3), (1, 1)), np.inf, True, 0))        # singular B
-@example((AntennaPartition((1, 2), (2, 1)), 20.0, False, 1))
-@example((AntennaPartition((1, 1, 1, 1, 5), (1,) * 5), 30.0, True, 2))
-@example((AntennaPartition((1, 2), (1, 1)), 0.0, False, 160275))   # one row, B's zero rounds up
+@example((AntennaPartition((3, 3), (1, 1)), np.inf, 0))        # singular B
+@example((AntennaPartition((1, 2), (2, 1)), 20.0, 1))
+@example((AntennaPartition((1, 1, 1, 1, 5), (1,) * 5), 30.0, 2))
+@example((AntennaPartition((1, 2), (1, 1)), 0.0, 160275))   # one row, B's zero rounds up
 # two rows, kept eigenvalues 1.4e-7 and 20: eigh's null vector is tilted by 3e-8
-@example((AntennaPartition((3, 1), (1, 2)), 60.0, True, 499))
+@example((AntennaPartition((3, 1), (1, 2)), 60.0, 499))
 def test_linear_constrained_ls_equals_dense_lstsq(case):
-    # the eigendecomposition of B = V^H A V against lstsq on the dense Y(P) V
-    # with another basis V: the same minimum-norm f, the same rank.  Over
-    # 9,000 random cases f agreed to 2.1e-12 at full rank and 1.1e-12 at
-    # rank-deficient ones; the tolerance is 1e-8 of |f|
-    part, snr, fcc, seed = case
+    # the eigendecomposition of B = A[1:, 1:] against lstsq on the dense Y(P) V
+    # with V = null_space(e_0^H): the same minimum-norm f, the same rank.
+    # Over 9,000 random cases f agreed to 2.1e-12 at full rank and 1.1e-12
+    # at rank-deficient ones; the tolerance is 1e-8 of |f|
+    part, snr, seed = case
     rng = np.random.default_rng(seed)
     pilots, imp, chan, ms = _instance(part, rng, snr=snr, kind="UNIT_PHASE_RANDOM")
     m = part.num_antennas
-    if fcc:
-        spec = ConstraintSpec.fcc()
-    else:
-        spec = ConstraintSpec.linear(rng.standard_normal(m) + 1j * rng.standard_normal(m),
-                                     complex(rng.standard_normal(), rng.standard_normal()))
-    g, c = spec.resolved_g_c(m)
-    rep = ls_estimate(build_stacked(ms, pilots), spec)
+    g, c = np.eye(m, dtype=complex)[0], 1.0 + 0.0j
+    rep = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc())
     f_ref, rank = constrained_lstsq(dense_y(ms, pilots, part), g, c)
     f = rep.f
     assert rep.converged == (rank == m - 1)
@@ -186,16 +158,12 @@ def test_one_factorisation_per_system_and_constraint(monkeypatch):
     f_rog = rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f
     assert np.array_equal(f_ls, f_rog) and f_ls is not f_rog
     assert calls() == [(5, 5)]
-    # another (g, c) solves afresh, once
-    g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    f_lin = [ls_estimate(ss, ConstraintSpec.linear(g, 2.0)).f for _ in range(2)]
-    assert np.array_equal(*f_lin) and calls() == [(5, 5)] * 2
-    ls_estimate(ss, ConstraintSpec.linear(g, 3.0))
-    assert calls() == [(5, 5)] * 3
-    # UNIT_NORM and NPC share A's smallest eigenvector
-    ls_estimate(ss, ConstraintSpec.unit_norm())
-    ls_estimate(ss, ConstraintSpec.npc(calibration_vector(imp)))
-    assert calls() == [(5, 5)] * 3 + [(6, 6)]
+    # NPC decomposes A once, for its smallest eigenvector, whatever the true f
+    f_true = calibration_vector(imp)
+    f_npc = [ls_estimate(ss, ConstraintSpec.npc(f_true)).f for _ in range(2)]
+    assert np.array_equal(*f_npc) and calls() == [(5, 5), (6, 6)]
+    ls_estimate(ss, ConstraintSpec.npc(2.0 * f_true))
+    assert calls() == [(5, 5), (6, 6)]
     # a run solves once per trial for LS, Rogalin and AML's LS start
     factored.clear()
     run_experiment(ExperimentConfig(m=5, pilots="ALL_ONES", snr_db=(20.0,), trials=3,
@@ -257,26 +225,24 @@ def _solve_cases(draw):
                                 tuple(draw(st.integers(1, 3)) for _ in range(g)))
         kind = "UNIT_PHASE_RANDOM"
     snr = draw(st.sampled_from([0.0, 20.0, 30.0, 60.0, np.inf]))
-    return part, kind, snr, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    return part, kind, snr, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_solve_cases())
-@example((AntennaPartition((3, 3), (1, 1)), "UNIT_PHASE_RANDOM", np.inf, True, 0))   # singular B
-@example((AntennaPartition((1, 1, 1, 1, 5), (1,) * 5), "ALL_ONES", 30.0, True, 2))
-@example((_ill_conditioned_partition(12), "ALL_ONES", 30.0, True, 7))
-@example((AntennaPartition((3, 1), (1, 3)), "UNIT_PHASE_RANDOM", 60.0, True, 89))  # deficient
+@example((AntennaPartition((3, 3), (1, 1)), "UNIT_PHASE_RANDOM", np.inf, 0))   # singular B
+@example((AntennaPartition((1, 1, 1, 1, 5), (1,) * 5), "ALL_ONES", 30.0, 2))
+@example((_ill_conditioned_partition(12), "ALL_ONES", 30.0, 7))
+@example((AntennaPartition((3, 1), (1, 3)), "UNIT_PHASE_RANDOM", 60.0, 89))  # deficient
 def test_certified_cholesky_solve_matches_eigh_solve(case):
     # the Cholesky path runs exactly when its certificate c = 1 / (tr(B)
     # ||L^-1||_F^2) exceeds CHOLESKY_MARGIN n eps, and then gives the f and
     # the converged flag of the eigendecomposition path it replaces
-    part, kind, snr, fcc, seed = case
+    part, kind, snr, seed = case
     rng = np.random.default_rng(seed)
     pilots, imp, chan, ms = _instance(part, rng, snr=snr, kind=kind)
     m = part.num_antennas
-    spec = ConstraintSpec.fcc() if fcc else ConstraintSpec.linear(
-        rng.standard_normal(m) + 1j * rng.standard_normal(m),
-        complex(rng.standard_normal(), rng.standard_normal()))
+    spec = ConstraintSpec.fcc()
     ss = build_stacked(ms, pilots)
     factored, decomposed = [], []
     with pytest.MonkeyPatch.context() as mp:
@@ -489,12 +455,9 @@ def test_rogalin_equals_generic_ls():
     for kind in ("ALL_ONES", "UNIT_PHASE_RANDOM"):
         pilots, imp, chan, ms = _instance(part, rng, snr=20.0, kind=kind)
         ss = build_stacked(ms, pilots)
-        for spec in (ConstraintSpec.fcc(), ConstraintSpec.unit_norm()):
+        for spec in (ConstraintSpec.fcc(), ConstraintSpec.npc(calibration_vector(imp))):
             f_r = rogalin_estimate(ms, pilots, part, spec).f
             f_ls = ls_estimate(ss, spec).f
-            # eigenvector sign/phase is arbitrary under UNIT_NORM
-            if spec.kind == "UNIT_NORM":
-                f_ls = f_ls * np.exp(1j * (np.angle(f_r[0]) - np.angle(f_ls[0])))
             assert np.max(np.abs(f_r - f_ls)) < 1e-12
 
 
@@ -626,14 +589,12 @@ def test_every_estimator_returns_f_in_the_trials_constraint(case):
     f = ESTIMATORS[name].call(Trial(cfg, spec, ms, pilots, part)).f
     assert f.shape == f_true.shape
     if kind == "FCC":
-        # exact where the solve starts from f_0 = 1; AML's f / f_0 may land an ulp off
-        assert abs(f[0] - 1) <= np.finfo(float).eps
-    elif kind == "NPC":
-        assert abs(np.vdot(f, f).real - spec.c) <= 1e-12 * spec.c
+        assert f[0] == 1
+    else:
+        c = np.vdot(f_true, f_true).real
+        assert abs(np.vdot(f, f).real - c) <= 1e-12 * c
         inner = np.vdot(f, f_true)
         assert inner.real >= 0 and abs(inner.imag) <= 1e-12 * abs(inner)
-    else:
-        assert abs(np.linalg.norm(f) - 1) <= 1e-12
 
 
 def test_normalize_for_constraint():
@@ -644,7 +605,7 @@ def test_normalize_for_constraint():
     assert abs(out[0] - 1.0) < 1e-14
     spec = ConstraintSpec.npc(f_true)
     out = normalize_for_constraint(scaled, spec)
-    assert abs(np.linalg.norm(out) ** 2 - spec.c) < 1e-10
+    assert abs(np.linalg.norm(out) ** 2 - np.linalg.norm(f_true) ** 2) < 1e-10
     assert abs(np.imag(out.conj() @ f_true)) < 1e-10
     # phase picked to minimize distance, so the match is exact here
     assert np.max(np.abs(out - f_true)) < 1e-10
@@ -653,8 +614,9 @@ def test_normalize_for_constraint():
 def test_constraint_spec_validation():
     with pytest.raises(ValueError):
         ConstraintSpec("WHATEVER")
-    with pytest.raises(ValueError):
-        ConstraintSpec("LINEAR")
+    for kind in ("LINEAR", "UNIT_NORM"):
+        with pytest.raises(ValueError):
+            ConstraintSpec(kind)
     with pytest.raises(ValueError):
         ConstraintSpec("NPC")
 
