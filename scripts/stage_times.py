@@ -12,7 +12,8 @@ UNIT_PHASE_RANDOM pilots at 20 dB under NPC.  On it each stage is timed:
 ``simulate_exchange``; ``build_stacked``, its copy kept on the measurements
 dropped; ``ls_estimate`` under FCC and under NPC, the system's kept
 solutions dropped; ``argos_estimate``, where the partition admits it (else
-null); one AML iteration; and ``crb_f`` under the case's constraint.  AML
+null); one AML iteration; ``compressed_information``, the CRB's information
+matrix B alone; and ``crb_f`` under the case's constraint.  AML
 starts from the FCC LS estimate with a tolerance no step meets, and its time
 per iteration is the difference of the calls with ITERS[1] and ITERS[0]
 iterations over the difference of their iteration counts.  A stage's time is
@@ -111,7 +112,7 @@ def measure(tree: Path, repeat: int) -> dict:
     import numpy as np
     import run as perfrun
     from arraycal.airlink import default_pilots, simulate_exchange
-    from arraycal.crb import context_from_model, crb_f
+    from arraycal.crb import compressed_information, context_from_model, crb_f
     from arraycal.estimators import ConstraintSpec, aml_estimate, argos_estimate, ls_estimate
     from arraycal.grouping import make_scheme
     from arraycal.model import IID_RAYLEIGH, ImpairmentConfig, gen_channel, gen_impairments
@@ -162,6 +163,8 @@ def measure(tree: Path, repeat: int) -> dict:
         its = [aml(n).iterations for n in ITERS]
         calls = [best(lambda n=n: aml(n)) for n in ITERS]
         t["aml_per_iteration"] = (calls[1] - calls[0]) / (its[1] - its[0])
+        t["compressed_information"] = best(
+            lambda: compressed_information(ctx.f, ctx.k, pilots, part))
         t["crb_f"] = best(lambda: crb_f(ctx, constraint))
         stages[case], iterations[case] = t, its
     return {"stages": stages, "aml_iterations": iterations, "cli_fixed_s": cli_fixed_cost(tree),

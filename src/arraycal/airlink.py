@@ -175,9 +175,11 @@ def require_pilot_kind(partition: AntennaPartition, kind: str) -> None:
 
 @lru_cache(maxsize=32)
 def _fixed_pilots(partition: AntennaPartition, kind: str) -> PilotSet:
-    """The ALL_ONES or IDENTITY pilots of a partition, built once, read-only."""
+    """The ALL_ONES or IDENTITY pilots of a partition, or for UNIT_PHASE_RANDOM
+    zero blocks, whose runs lay out every draw; built once, read-only."""
     pilots = PilotSet(tuple(np.ones((m, 1)) if kind == ALL_ONES else np.identity(m)
-                            for m in partition.group_sizes))
+                            if kind == IDENTITY else np.zeros((m, l))
+                            for m, l in zip(partition.group_sizes, partition.pilot_lengths)))
     for b in pilots.blocks:
         b.flags.writeable = False
     return pilots
@@ -187,16 +189,21 @@ def default_pilots(partition: AntennaPartition, kind: str,
                    rng: np.random.Generator | None = None) -> PilotSet:
     """Standard pilot choices: unit-modulus random phases, all-ones columns,
     identity (built once per partition).  The random phases are one draw,
-    split into the groups' blocks: the values of one draw per group."""
+    laid out as the partition's zero blocks are: each run's P is a view of
+    it, and the values are those of one draw per group."""
     require_pilot_kind(partition, kind)
     if kind != UNIT_PHASE_RANDOM:
         return _fixed_pilots(partition, kind)
     if rng is None:
         raise ValueError("random pilots need an rng")
-    shapes = tuple(zip(partition.group_sizes, partition.pilot_lengths))
-    ends = np.cumsum([m * l for m, l in shapes])
+    layout = _fixed_pilots(partition, kind).runs
+    ends = np.cumsum([p.size for p, *_ in layout])
     phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=int(ends[-1])))
-    return PilotSet(tuple(b.reshape(s) for b, s in zip(np.split(phases, ends[:-1]), shapes)))
+    runs = tuple((phases[e - p.size:e].reshape(p.shape), *index)
+                 for e, (p, *index) in zip(ends, layout))
+    pilots = PilotSet(tuple(b for p, *_ in runs for b in p))
+    pilots.__dict__["runs"] = runs          # PilotSet.runs, each P a view of the draw
+    return pilots
 
 
 def require_snr_db(snr_db) -> None:

@@ -139,6 +139,14 @@ CONSTRAINTS = {
 }
 
 
+@lru_cache(maxsize=128)
+def _partition_rule(rule: Callable, partition: AntennaPartition, arg: str) -> None:
+    """rule(partition, arg), a rule of the config's partition rules, once per
+    argument triple while it passes: a scan of a large partition costs more
+    than the rest of a parse."""
+    rule(partition, arg)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     m: int
@@ -190,7 +198,7 @@ class ExperimentConfig:
             raise ValueError(f"group_sizes and pilot_lengths are for CUSTOM schemes only, "
                              f"not {self.scheme}")
         partition = self.group_scheme.partition
-        require_pilot_kind(partition, self.pilots)
+        _partition_rule(require_pilot_kind, partition, self.pilots)
         for k, name in enumerate(self.estimators):
             est = ESTIMATORS.get(name)
             if est is None:
@@ -200,7 +208,7 @@ class ExperimentConfig:
             if self.slot_schedule is not None and not est.noncoherent:
                 raise ValueError(f"estimator {name!r} does not support non-coherent schedules")
             if est.partition is not None:
-                est.partition(partition, f"estimator {name!r}")
+                _partition_rule(est.partition, partition, f"estimator {name!r}")
 
     def geometry(self) -> GeometryConfig | None:
         if self.channel != "geometric":

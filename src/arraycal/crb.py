@@ -9,18 +9,18 @@ where the auxiliary (nuisance) channel per pair is the reciprocal
 Hc_{i->j} = R_j C_{i->j} R_i^T.  By reciprocity the Hc_{i->j} are the blocks
 of one symmetric K = R C R^T, and a slot's received matrix is Y = K F P off
 its self blocks (F = diag(f), P = blkdiag(P_g)).  The bound is computed from
-K: B = H^H P_F_perp H, the information on f with h profiled out, is H^H H
-(block diagonal over groups) less the part F(f, P) explains, which decouples
-in the singular bases of the groups' A_g = P_g^T diag(f_g) (shape_factors,
-pair_weights), as AML's h-step does.  The joint FIM is singular (scale
-ambiguity), so the CRB is computed under either the first-coefficient
-constraint or a norm-plus-phase constraint.
+K through B = H^H P_F_perp H, the information on f with h profiled out.  The
+joint FIM is singular (scale ambiguity), so the CRB is computed under either
+the first-coefficient constraint or a norm-plus-phase constraint.
 
-A single-antenna group's A_g = f_g p_g^T has s^2 = |f_g|^2 ||p_g||^2 and
-V_g = 1, and its AML f-step is a projection (column_projection), both in
-closed form for any pilot length, so such groups cost no LAPACK call.
-build_h_composite, build_f_composite and stack_observations are the dense
-H(h, P), F(f, P) and y, test references.
+Where every group sends one pilot symbol (L_g = 1), a pair of groups gives
+one pair equation, whose noise has variance sigma^2 (s_i^2 + s_j^2), s_g^2 =
+||f_g o p_g||^2, so B = Y_0(P)^H Omega^2 Y_0(P): the LS Gram of the noiseless
+exchange with each pair weighted by 1 / (s_i^2 + s_j^2).  LS is the same
+Gram unweighted, so at high SNR it reaches the bound when the pair weights
+are equal.  With longer pilots B is formed in the groups' singular bases, as
+AML's h-step is (_basis_information).  build_h_composite, build_f_composite
+and stack_observations are the dense H(h, P), F(f, P) and y, test references.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .model import AntennaPartition, ChannelRealization, RfImpairments, batch_indices
-from .stacking import khatri_rao_t
+from .stacking import khatri_rao_t, received_gram
 
 # B's second-smallest eigenvalue relative to its largest, at or below which f
 # is not identifiable: rank-deficient B reaches 4e-16 by rounding, identifiable
@@ -246,10 +246,30 @@ def compressed_information(f: np.ndarray, k: np.ndarray, pilots,
     group's rows and columns set to zero leave it out, as an idle group).
     f has no zeros, as the model's f = t / r.
 
-    F^H takes dY/df_a = u_a P[a, :] (u_a = K[:, a] off g(a)) to Z_a = X_a +
-    X_a^T, X_a = u_a q_a^T with q_a[s] = (P P^H)[a, s] conj(f_s), supported
-    on g(a).  In the groups' singular bases (V = blkdiag(V_g)) F^H F is the
-    weight 1 / W (pair_weights), so B = H^H H - C with C_ab = 1/2 sum_kl
+    Where every L_g = 1, B is stacking's received_gram of Y_0 o Omega, Y_0 =
+    K F P off its self blocks and Omega[a, g] = (s_g(a)^2 + s_g^2)^-1/2, or 0
+    where s_g(a)^2 + s_g^2 = 0 (pair_weights' rank rule at L = 1).
+    """
+    if max(partition.pilot_lengths) > 1:
+        return _basis_information(f, k, pilots, partition)
+    offsets, sizes = partition.offsets, partition.group_sizes
+    fp = f * np.concatenate([p.ravel() for p, *_ in pilots.runs])     # f_g o p_g
+    y = np.add.reduceat(k * fp, offsets, axis=1)                        # K F P
+    y[np.arange(f.size), np.repeat(np.arange(len(sizes)), sizes)] = 0   # off its self blocks
+    s2 = np.add.reduceat(np.abs(fp) ** 2, offsets)
+    den = np.sqrt(s2[:, None] + s2)
+    y *= np.repeat(np.divide(1.0, den, out=np.zeros_like(den), where=den > 0), sizes, axis=0)
+    b = received_gram(y, pilots)[0]
+    return (b + b.conj().T) / 2
+
+
+def _basis_information(f: np.ndarray, k: np.ndarray, pilots,
+                       partition: AntennaPartition) -> np.ndarray:
+    """compressed_information's B for any pilot lengths.  F^H takes dY/df_a
+    = u_a P[a, :] (u_a = K[:, a] off g(a)) to Z_a = X_a + X_a^T, X_a = u_a
+    q_a^T with q_a[s] = (P P^H)[a, s] conj(f_s), supported on g(a).  In the
+    groups' singular bases (V = blkdiag(V_g)) F^H F is the weight 1 / W
+    (pair_weights), so B = H^H H - C with C_ab = 1/2 sum_kl
     conj(Z~_a)_kl (Z~_b)_kl W_kl, Z~_a = V^H Z_a conj(V) = u~_a q~_a^T +
     q~_a u~_a^T, u~ = V^H u, and Q~_g = V_g^H A_g^H P_g^T = S_g^T U_g^H P_g^T,
     whose rows past rank r_g = min(M_g, L_g) are zero.  As W is symmetric and

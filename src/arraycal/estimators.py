@@ -93,12 +93,21 @@ def _rank_tol(w: np.ndarray) -> float:
 def _smallest_eigvec(a: np.ndarray):
     """Eigenvector for the smallest eigenvalue of a Hermitian PSD matrix, and
     whether it is unique: the second eigenvalue passes the rank rule and does
-    not tie with the first."""
-    w, v = np.linalg.eigh(a)
-    n = a.shape[0]
+    not tie with the first.  The vector is two solves of inverse iteration
+    from all ones, shifted just below eigvalsh's smallest eigenvalue (one
+    solve left residuals up to 1e4 times eigh's); eigh's if a solve fails."""
+    w = np.linalg.eigvalsh(a)
+    n, eps = a.shape[0], np.finfo(float).eps
     unique = n == 1 or bool(abs(w[1]) > _rank_tol(w)
-                            and w[1] - w[0] > n * np.finfo(float).eps * max(w[-1], 1.0))
-    return v[:, 0].copy(), unique
+                            and w[1] - w[0] > n * eps * max(w[-1], 1.0))
+    shifted, x = a - (w[0] - n * eps * max(abs(w[0]), abs(w[-1]), 1.0)) * np.eye(n), np.ones(n)
+    try:
+        for _ in range(2):
+            x = np.linalg.solve(shifted, x)
+            x /= np.linalg.norm(x)
+    except np.linalg.LinAlgError:
+        x = np.linalg.eigh(a)[1][:, 0].copy()
+    return x, unique
 
 
 def _lower_inverse(l: np.ndarray) -> np.ndarray:

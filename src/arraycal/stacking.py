@@ -91,22 +91,13 @@ def pair_equation_block(y_ji: np.ndarray, y_ij: np.ndarray,
     return khatri_rao_t(y_ji, p_i), -khatri_rao_t(p_j, y_ij)   # (L_i L_j) x M_i, x M_j
 
 
-def build_stacked(measurements, pilots) -> StackedSystem:
-    """Stacked system of one slot's measurements: the pairs i < j of its
-    active groups.
-
-    With W = Y P^H (zero self blocks, as Y's), A = conj(P P^H) o conj(Y Y^H)
-    - W^T o conj(W), o the entrywise product; only the group diagonal blocks
-    of Y Y^H are formed, as P P^H is block diagonal.  Each run of groups of
-    equal shape (PilotSet.runs) is a slice of Y's rows and columns and of
-    W's, so Y is read in place and nothing is gathered.  The result is kept
-    on the measurements and returned again to a call with the same pilots
-    object.
-    """
-    kept = measurements.stacked
-    if kept is not None and kept[0] is pilots:
-        return kept[1]
-    y = measurements.received
+def received_gram(y: np.ndarray, pilots):
+    """A = Y(P)^H Y(P) of a received matrix Y with zero self blocks, and
+    conj(Y) and W = Y P^H: A = conj(P P^H) o conj(Y Y^H) - W^T o conj(W), o
+    the entrywise product; only the group diagonal blocks of Y Y^H are
+    formed, as P P^H is block diagonal.  Each run of groups of equal shape
+    (PilotSet.runs) is a slice of Y's rows and columns and of W's, so Y is
+    read in place and nothing is gathered."""
     w = np.empty((y.shape[0],) * 2, dtype=complex)
     for p, _, _, r, c in pilots.runs:
         n, m, l = p.shape
@@ -120,6 +111,18 @@ def build_stacked(measurements, pilots) -> StackedSystem:
         n, m, _ = p.shape
         gram[rows[:, :, None], rows[:, None, :]] += np.conj(p @ p.conj().transpose(0, 2, 1)) \
             * (y_conj[r].reshape(n, m, -1) @ y[r].reshape(n, m, -1).transpose(0, 2, 1))
+    return gram, y_conj, w
+
+
+def build_stacked(measurements, pilots) -> StackedSystem:
+    """Stacked system of one slot's measurements (the pairs i < j of its
+    active groups), kept on the measurements and returned again to a call
+    with the same pilots object."""
+    kept = measurements.stacked
+    if kept is not None and kept[0] is pilots:
+        return kept[1]
+    y = measurements.received
+    gram, y_conj, w = received_gram(y, pilots)
     system = StackedSystem(gram, measurements.plan.rows, y.shape[0], ((y, y_conj, w),), pilots)
     measurements.stacked = (pilots, system)
     return system

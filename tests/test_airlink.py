@@ -74,6 +74,13 @@ def test_random_pilots_are_the_per_group_draws(shapes, seed):
         expect = np.exp(1j * ref.uniform(-np.pi, np.pi, size=shape))
         assert block.shape == shape and block.tobytes() == expect.tobytes()
     assert ours.bit_generator.state == ref.bit_generator.state
+    # each run's P is a view of the draw, and the runs' index entries are
+    # laid out once per partition
+    again = default_pilots(part, UNIT_PHASE_RANDOM, ours)
+    for gs, (p, *index), (_, *index_again) in zip(shape_runs(shapes), pilots.runs, again.runs):
+        assert p.tobytes() == np.stack(pilots.blocks[gs.start:gs.stop]).tobytes()
+        assert np.shares_memory(p, pilots.blocks[gs.start])
+        assert all(a is b for a, b in zip(index, index_again))
 
 
 def test_pilot_validation():

@@ -300,6 +300,24 @@ def test_cli_builds_the_config_once(tmp_path, monkeypatch):
     assert len(made) == 2
 
 
+def test_partition_rules_run_once_per_partition(monkeypatch):
+    # the pilot kind's and the estimators' partition rules read only the
+    # partition and their argument, so a parse runs each once per (partition,
+    # argument) while it passes; a failing rule fires on every parse
+    kinds, real = [], bench.require_pilot_kind
+    monkeypatch.setattr(bench, "require_pilot_kind",
+                        lambda p, k: kinds.append(k) or real(p, k))
+    text = "m = 40\nscheme = SINGLETON\npilots = ALL_ONES\nestimators = ls, rogalin, daisy\n"
+    for _ in range(3):
+        parse_config(text)
+    assert kinds == ["ALL_ONES"]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="needs single-antenna groups"):
+            parse_config("m = 40\nscheme = FC_II\ng = 8\nestimators = rogalin\n")
+        with pytest.raises(ValueError, match="all-ones pilots use a single channel use"):
+            parse_config("m = 40\nscheme = ARGOS\npilots = ALL_ONES\n")
+
+
 def test_repeated_cli_calls_share_no_state(tmp_path):
     # cli_main builds its parser, schemes and verdicts once per process; no
     # call, failed or not, may change what a later call does or writes
