@@ -16,6 +16,12 @@ write, is
 reported, each differing one with the largest relative difference of its
 ``mse`` and ``crb_trace`` columns per estimator; the exit status is 1 if
 there is any, else 0.
+
+With ``--rtol R`` the differing CSVs whose largest move exceeds R (or that
+cannot be compared: one side failed, or the rows differ) are listed last,
+and the exit status is 1 only if there is any of those:
+
+    python3 scripts/csv_identity.py --base HEAD --seeds 5 7 --rtol 1e-9
 """
 
 from __future__ import annotations
@@ -71,6 +77,11 @@ CONFIGS = {
     # rounding accumulates over about 100 iterations
     "fc2-24-aml": "m = 24\nscheme = FC_II\ng = 8\npilots = UNIT_PHASE_RANDOM\nconstraint = NPC\n"
                   "estimators = ls, aml\ncrb = false\nsnr_db = 10, 40\ntrials = 4\n",
+    # single antennas with pilots of 1-3 uses: AML's closed-form s^2 = ||p_g||^2
+    # |f_g|^2 and the sum over a group's pilot uses differ by rounding
+    "singles-long": "m = 6\nscheme = CUSTOM\ngroup_sizes = 1, 1, 1, 1, 1, 1\n"
+                    "pilot_lengths = 2, 1, 3, 1, 2, 1\nconstraint = FCC\nestimators = ls, aml\n"
+                    "snr_db = 10, 40\ntrials = 4\n",
 }
 
 RUN = "import sys\nfrom arraycal.bench import cli_main\nsys.exit(cli_main(sys.argv[1:]))\n"
@@ -122,12 +133,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", default="HEAD", help="git revision to compare against")
     ap.add_argument("--seeds", type=int, nargs="+", default=[5, 7], help="run seeds")
+    ap.add_argument("--rtol", type=float,
+                    help="list the differing CSVs that move by more than RTOL relative, "
+                         "and exit 1 only for those")
     args = ap.parse_args(argv)
 
     configs = {name: perfrun.config_text(keys) for name, keys in perfrun.WORKLOADS.items()}
     configs.update(CONFIGS)
     print(f"base {git('rev-parse', args.base)} against the working tree", flush=True)
-    differ, total = [], 0
+    differ, beyond, total = [], [], 0
     with tempfile.TemporaryDirectory(prefix="csv_identity_") as tmp:
         tmp = Path(tmp)
         trees = {"base": tmp / "base", "change": tmp / "change"}
@@ -145,19 +159,28 @@ def main(argv=None) -> int:
                             for side, tree in trees.items()]
                     same = None not in csvs and csvs[0] == csvs[1]
                     print(f"{label}: {'identical' if same else 'DIFFERS'}", flush=True)
-                    if not same:
-                        differ.append(label)
-                    if not same and None not in csvs:
+                    if same:
+                        continue
+                    differ.append(label)
+                    largest = math.inf             # one side failed, or the rows differ
+                    if None not in csvs:
                         try:
                             moves = relative_moves(*csvs)
+                            largest = max(moves.values(), default=0.0)
                         except ValueError as e:
                             print(f"  {e}")
-                            continue
+                            moves = {}
                         for (est, col), rel in moves.items():
                             print(f"  {est} {col}: largest relative move {rel:.2e}")
+                    if args.rtol is not None and not largest <= args.rtol:
+                        beyond.append(label)
     print(f"{len(differ)} of {total} CSVs differ"
           + (": " + ", ".join(differ) if differ else ""))
-    return 1 if differ else 0
+    if args.rtol is None:
+        return 1 if differ else 0
+    print(f"{len(beyond)} move by more than {args.rtol:g}"
+          + (": " + ", ".join(beyond) if beyond else ""))
+    return 1 if beyond else 0
 
 
 if __name__ == "__main__":

@@ -69,17 +69,20 @@ class PilotSet:
     @cached_property
     def _full_rank(self) -> bool:
         """Whether every block has full rank, checked once per object.  A
-        vector block (one row or column) has it when some entry is nonzero,
-        matrix_rank's verdict on a finite vector, with no SVD."""
-        return all(np.all(p.any(axis=(1, 2)) if 1 in p.shape[1:] else
-                          np.linalg.matrix_rank(p) >= min(p.shape[1:])) for p, *_ in self.runs)
+        vector block (one row or column) has it when some entry is nonzero
+        (unit phases are), matrix_rank's verdict on a finite vector, with no SVD."""
+        return all("_unit_phase" in self.__dict__ or p.any((1, 2)).all() if 1 in p.shape[1:] else
+                   (np.linalg.matrix_rank(p) >= min(p.shape[1:])).all() for p, *_ in self.runs)
 
     def validate(self, partition: AntennaPartition) -> None:
-        if len(self.blocks) != partition.num_groups:
-            raise ValueError("one pilot block per group required")
-        for b, m, l in zip(self.blocks, partition.group_sizes, partition.pilot_lengths):
-            if b.shape != (m, l):
-                raise ValueError(f"pilot block shape {b.shape} != ({m}, {l})")
+        """ValueError unless the blocks fit partition; shapes are checked once per partition."""
+        if self.__dict__.get("_checked_partition") is not partition:
+            if len(self.blocks) != partition.num_groups:
+                raise ValueError("one pilot block per group required")
+            for b, m, l in zip(self.blocks, partition.group_sizes, partition.pilot_lengths):
+                if b.shape != (m, l):
+                    raise ValueError(f"pilot block shape {b.shape} != ({m}, {l})")
+            self.__dict__["_checked_partition"] = partition
         if not self._full_rank:
             raise ValueError("pilot block is rank deficient")
 
@@ -202,7 +205,7 @@ def default_pilots(partition: AntennaPartition, kind: str,
     runs = tuple((phases[e - p.size:e].reshape(p.shape), *index)
                  for e, (p, *index) in zip(ends, layout))
     pilots = PilotSet(tuple(b for p, *_ in runs for b in p))
-    pilots.__dict__["runs"] = runs          # PilotSet.runs, each P a view of the draw
+    pilots.__dict__.update(runs=runs, _checked_partition=partition, _unit_phase=True)
     return pilots
 
 

@@ -105,12 +105,13 @@ def column_projection(k: np.ndarray, w: np.ndarray, p2: np.ndarray) -> np.ndarra
     """AML's f-step of single-antenna groups, one per column of k = K, w = W =
     Y P^H and p2 = ||p_g||^2: the rows f_g K[a, g] p_g^T of Y[a, cols_g] are
     one column, so f_g = sum_a conj(K[a, g]) W[a, g] / (p2 sum_a |K[a, g]|^2)
-    (K[g, g] = W[g, g] = 0).  The norm is a chained hypot, so it cannot
-    overflow; lstsq's rank rule keeps every norm > 0, and f_g = 0 if K[:, g] = 0."""
-    s = np.hypot.reduce(np.abs(k), axis=0)
+    (K[g, g] = W[g, g] = 0).  The squared norms are one plain sum, accurate
+    to rounding for K's entries within 1e-150 to 1e150 in magnitude; lstsq's
+    rank rule keeps every norm > 0, and f_g = 0 if K[:, g] = 0."""
+    kc = np.conj(k)
+    s = np.add.reduce(kc * k).real
     s[s == 0] = 1.0                             # k = 0 there, so f_g = 0
-    kn = k / s
-    return np.einsum("ag,ag->g", np.conjugate(kn, out=kn), w) / (s * p2)
+    return np.add.reduce(kc * w) / (s * p2)
 
 
 def shape_factors(f: np.ndarray, pilots):

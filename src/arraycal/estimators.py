@@ -158,14 +158,14 @@ def _solve_fcc(sys: StackedSystem):
     Otherwise one eigendecomposition of B gives its pseudo-inverse, with the
     eigenvalues that lstsq's rank rule would drop left out: f stays the
     minimum-norm solution, and is exact in the noiseless (singular-A) case.
-    A solve with A squares cond(Y(P)); three refinement steps, with A f taken
-    from the residuals (StackedSystem.apply_gram), recover the accuracy of a
-    least-squares solve on Y(P).  They also refine the dropped eigenvectors,
-    which eigh tilts towards the kept ones by about eps ||B|| / lambda, and
-    then f's part in their span is removed.
+    A solve with A squares cond(Y(P)); three refinement steps, A x from the
+    residuals (StackedSystem.apply_gram), recover a least-squares solve's
+    accuracy.  After Cholesky the first reads A e_0 from A, and they stop
+    once a step moves f by at most 4 eps ||f||.  After eigh they also refine
+    the dropped eigenvectors (tilted by about eps ||B|| / lambda towards the
+    kept ones), and f's part in their span is removed.
     """
-    f = np.zeros(sys.m, dtype=complex)
-    f[0] = 1.0
+    f = np.eye(1, sys.m, dtype=complex)[0]    # e_0
     # B from A^H, Hermitian: cholesky and eigh read its lower triangle
     b = sys.gram[1:, 1:].conj().T
     li = _certified_inverse_factor(b)
@@ -178,11 +178,15 @@ def _solve_fcc(sys: StackedSystem):
         p, d, q = e[:, keep], 1.0 / w[keep], e[:, keep].conj().T
         null = [np.concatenate(([0.0], n)) for n in e[:, ~keep].T]         # [0, n]
 
-    def step(x):                              # x - [0, B^+ (A x)[1:]], A x from the residuals
-        return x - np.concatenate(([0.0], p @ (d * (q @ sys.apply_gram(x)[1:]))))
+    def step(x, ax=None):                     # x - [0, B^+ (A x)[1:]], A x from the residuals
+        ax = sys.apply_gram(x) if ax is None else ax
+        return x - np.concatenate(([0.0], p @ (d * (q @ ax[1:]))))
 
-    for _ in range(3):
-        f, null = step(f), [step(n) for n in null]
+    ax, rtol = (None, -1.0) if li is None else (sys.gram[:, 0], 4 * np.finfo(float).eps)
+    for _ in range(3):                        # after eigh, rtol < 0: all three steps
+        f, prev, null, ax = step(f, ax), f, [step(n) for n in null], None
+        if np.linalg.norm(f - prev) <= rtol * np.linalg.norm(f):
+            break
     if null:                                  # the minimum-norm f has no part in B's null space
         n = np.linalg.qr(np.stack(null, axis=1))[0]
         f = f - n @ (n.conj().T @ f)
@@ -423,20 +427,19 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     build_stacked), the normal equations K A^T conj(A) + A^H A K = Z
     decouple in the V_g bases, so K~ = V^H Z conj(V) o W_ab with the weights
     W_ab = 1 / (s_a^2 + s_b^2) of crb.pair_weights (0 where the pair's lstsq
-    rank rule drops s_a^2 + s_b^2), and K = V K~ V^T; with no multi-antenna
-    group, V = I and K = Z o W.  The f-step solves group g's rows B_a =
-    P_g^T diag(K[a, rows_g]) against Y[a, cols_g], a outside g: on all of K
-    and W for single antennas (crb.column_projection), by crb.lstsq_min_norm
-    on the gathered rows, batched by run of equal shape (PilotSet.runs), for
-    others.  The cost ||Y - K F P||_F^2 is formed after the last iteration.
+    rank rule drops s_a^2 + s_b^2), and K = V K~ V^T.  With single antennas
+    only it is one division, K = Z / (s_a^2 + s_b^2), s_a^2 = ||p_a||^2
+    |f_a|^2: the rule drops only the diagonal and s_a^2 + s_b^2 = 0, where Z
+    is 0.  The f-step solves g's rows P_g^T diag(K[a, rows_g]) against Y[a,
+    cols_g] (a outside g) by crb.column_projection, or per run of M_g > 1 by
+    crb.lstsq_min_norm.  The cost ||Y - K F P||_F^2 follows the last iteration.
     """
     require_aml_settings(tol, max_iter)
     require_full_slot(measurements, "AML")
-    f = np.ones(partition.num_antennas, dtype=complex) if init is None \
-        else np.asarray(init, dtype=complex).copy()
+    m, y = partition.num_antennas, measurements.received
+    f = np.ones(m, dtype=complex) if init is None else np.array(init, dtype=complex)
     if not np.any(f):
         raise ValueError("init must be nonzero")
-    m, y = partition.num_antennas, measurements.received
     yp = build_stacked(measurements, pilots).slots[0][2]      # W = Y P^H
     rule, _, first = _crb.rank_rule(partition)
     p2, runs = np.ones(m), []                   # ||p_g||^2 on single antennas
@@ -456,14 +459,17 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
         return z
 
     for it in range(1, max_iter + 1):          # max_iter >= 1: k and converged are set
-        s2, bases = _crb.shape_factors(f, pilots)
         k = yp * f.conj()
         k = k + k.T                             # Z, symmetric: Z^T is Z
-        if runs:                                # Z~ = V^H Z conj(V), in C order
+        if runs:                                # V (V^H Z conj(V) o W) V^T, in C order
+            s2, bases = _crb.shape_factors(f, pilots)
             k = rotate(rotate(k.T, bases, 0).T, bases, 0)
-        k *= _crb.pair_weights(s2, rule, first)
-        if runs:                                # the buffer is V K~ V^T
+            k *= _crb.pair_weights(s2, rule, first)
             k = rotate(rotate(k, bases, 1).T, bases, 1).T
+        else:                                   # Z / (s_a^2 + s_b^2), 0 where both are 0
+            s2 = p2 * np.abs(f) ** 2
+            den = s2[:, None] + s2
+            np.divide(k, den, out=k, where=den > 0)
         # every column's projection; the lstsq overwrites multi-antenna groups
         f_new = _crb.column_projection(k, yp, p2)
         for _, rows, k_at, pt, rhs in runs:

@@ -9,7 +9,7 @@ from dense_oracle import (aux_channel_blocks, build_f_perp, calibration_vector, 
                           pair_project, pair_solve, pairwise_aml, perp_projector, split_h,
                           stack_h, stacked, svd_pair_solve, vec_transpose_index, vec_transpose_perm)
 from arraycal import crb
-from arraycal.airlink import PilotSet, default_pilots, simulate_exchange
+from arraycal.airlink import MeasurementSet, PilotSet, default_pilots, simulate_exchange
 from arraycal.bench import parse_config, run_experiment
 from arraycal.crb import (
     UNIDENTIFIABLE_RTOL,
@@ -652,6 +652,56 @@ def test_pair_weights_equal_the_formula_entry_by_entry(case):
     rule, _, first = crb.rank_rule(part)
     assert (first is None) == (max(part.group_sizes) == 1)
     assert np.array_equal(crb.pair_weights(s2, rule, first), pair_weights(s2, part))
+
+
+@st.composite
+def _single_antenna_cases(draw):
+    """2-6 single-antenna groups with L_g in 1..3, random or ALL_ONES (L_g =
+    1) pilots, a seed for f as _weight_cases draws it, and maybe a silent
+    group, whose row and columns of Y are zero."""
+    g = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["UNIT_PHASE_RANDOM", "ALL_ONES"]))
+    lens = (1,) * g if kind == "ALL_ONES" else tuple(draw(st.integers(1, 3)) for _ in range(g))
+    return (AntennaPartition((1,) * g, lens), kind, draw(st.none() | st.integers(0, g - 1)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_single_antenna_cases())
+@example((make_scheme("SINGLETON", 16).partition, "ALL_ONES", None, 0))
+@example((AntennaPartition((1,) * 4, (2, 1, 3, 1)), "UNIT_PHASE_RANDOM", 2, 1))   # K[:, 2] = 0
+def test_single_antenna_h_step_is_one_division(case):
+    # with one antenna per group, AML's K = Z / (s_a^2 + s_b^2), s^2 = p2 |f|^2,
+    # is Z o pair_weights(s^2) to rounding, and exactly 0 where s_a^2 + s_b^2
+    # = 0; a zero column of K gives f_g = 0.  The closed form s^2 is
+    # shape_factors' to the rounding of the two (5.4 eps at most over 20,000
+    # draws of this test's cases)
+    part, kind, silent, seed = case
+    rng = np.random.default_rng(seed)
+    m = part.num_antennas
+    pilots, imp, chan, ms = _instance(part, rng, snr=20.0, kind=kind)
+    if silent is not None:
+        y = ms.received.copy()
+        y[silent], y[:, part.pilot_columns(silent)] = 0, 0
+        ms = MeasurementSet(y, part, ms.noise_variance, ms.plan)
+    f = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 10.0 ** rng.uniform(-20, 20, m)
+    f[rng.random(m) < 0.2] = 0
+    assume(f.any())
+    seen, real = [], crb.column_projection
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crb, "column_projection", lambda k, *a: seen.append(k.copy()) or real(k, *a))
+        rep = aml_estimate(ms, pilots, part, init=f, max_iter=1)
+    k = seen[0]
+    z = build_stacked(ms, pilots).slots[0][2] * f.conj()
+    s2, eps = np.array([np.sum(np.abs(b) ** 2) for b in pilots.blocks]) * np.abs(f) ** 2, \
+        np.finfo(float).eps
+    assert np.all(np.abs(s2 - crb.shape_factors(f, pilots)[0]) <= 10 * eps * s2)
+    ref = (z + z.T) * crb.pair_weights(s2, *crb.rank_rule(part)[::2])
+    assert np.all(np.abs(k - ref) <= 4 * eps * np.abs(ref))
+    assert np.all(k[(s2[:, None] + s2) == 0] == 0)
+    assert np.all(rep.f[~k.any(axis=0)] == 0)
+    if silent is not None:
+        assert not k[:, silent].any() and rep.f[silent] == 0
 
 
 def test_single_antenna_aml_and_crb_take_no_svd(monkeypatch):

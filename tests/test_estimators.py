@@ -33,7 +33,7 @@ from arraycal.model import (
 )
 from arraycal.bench import CONSTRAINTS, ESTIMATORS, ExperimentConfig, Trial, run_experiment
 from arraycal.grouping import make_scheme
-from arraycal.stacking import build_stacked, check_identifiability
+from arraycal.stacking import StackedSystem, build_stacked, check_identifiability
 
 CFG = ImpairmentConfig(0.5)
 
@@ -139,6 +139,30 @@ def _spy(monkeypatch, name, record):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, spied)
+
+
+@pytest.mark.parametrize("part, snr", [(make_scheme("SINGLETON", 16).partition, 40.0),
+                                       (AntennaPartition((3, 3), (1, 1)), np.inf)])   # singular B
+def test_fcc_refinement_stops_once_f_settles(monkeypatch, part, snr):
+    # after a certified Cholesky factor, the first step reads A e_0 from the
+    # Gram matrix and the next run while a step moves f by more than 4 eps
+    # ||f||: a well-conditioned solve takes at most 2 residual products A x.
+    # After eigh, f and each dropped eigenvector take 3 steps.  Either way f
+    # is the dense lstsq solution, as in test_linear_constrained_ls_equals_dense_lstsq
+    products, eighs, real = [], [], StackedSystem.apply_gram
+    monkeypatch.setattr(StackedSystem, "apply_gram",
+                        lambda self, x: products.append(x) or real(self, x))
+    _spy(monkeypatch, "eigh", eighs)
+    m = part.num_antennas
+    pilots, imp, chan, ms = _instance(part, np.random.default_rng(0), snr=snr,
+                                      kind="UNIT_PHASE_RANDOM")
+    rep = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc())
+    f_ref, rank = constrained_lstsq(dense_y(ms, pilots, part), np.eye(m)[0], 1.0 + 0.0j)
+    assert np.linalg.norm(rep.f - f_ref) <= 1e-8 * np.linalg.norm(f_ref)
+    if np.isfinite(snr):
+        assert rank == m - 1 and not eighs and 1 <= len(products) <= 2
+    else:
+        assert rank < m - 1 and len(eighs) == 1 and len(products) == 3 * (m - rank)
 
 
 def test_one_factorisation_per_system_and_constraint(monkeypatch):
