@@ -43,6 +43,7 @@ perfbench reports (nproc, BLAS threads, library versions) per side.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import statistics
@@ -115,8 +116,13 @@ def measure(tree: Path, repeat: int) -> dict:
     from arraycal.crb import compressed_information, context_from_model, crb_f
     from arraycal.estimators import ConstraintSpec, aml_estimate, argos_estimate, ls_estimate
     from arraycal.grouping import make_scheme
-    from arraycal.model import IID_RAYLEIGH, ImpairmentConfig, gen_channel, gen_impairments
+    from arraycal import model
+    from arraycal.model import IID_RAYLEIGH, gen_channel, gen_impairments
     from arraycal.stacking import build_stacked
+    # older revisions wrap delta in an ImpairmentConfig, and pass the pilots
+    # (and the partition) beside the measurements
+    delta = getattr(model, "ImpairmentConfig", float)(0.5)
+    old = "pilots" in inspect.signature(build_stacked).parameters
 
     def best(fn) -> float:
         timer = timeit.Timer(fn)
@@ -128,10 +134,11 @@ def measure(tree: Path, repeat: int) -> dict:
         part = make_scheme(scheme, m, g).partition
         rng = np.random.default_rng(0)
         pilots = default_pilots(part, kind, rng)
-        imp = gen_impairments(ImpairmentConfig(0.5), m, rng)
+        imp = gen_impairments(delta, m, rng)
         chan = gen_channel(m, IID_RAYLEIGH, rng)
         ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
-        system = build_stacked(ms, pilots)
+        beside = (pilots, part) if old else ()
+        system = build_stacked(ms, *beside[:1])
         fcc, npc = ConstraintSpec.fcc(), ConstraintSpec.npc(imp.tx_gains / imp.rx_gains)
         rep = ls_estimate(system, fcc)
         init = getattr(rep, "f_hat", rep).f     # older revisions wrap f in a CalibrationVector
@@ -139,14 +146,14 @@ def measure(tree: Path, repeat: int) -> dict:
 
         def stacked():
             ms.stacked = None
-            return build_stacked(ms, pilots)
+            return build_stacked(ms, *beside[:1])
 
         def ls(spec):
             system.solutions.clear()
             return ls_estimate(system, spec)
 
         def aml(n):
-            return aml_estimate(ms, pilots, part, init=init, tol=TOL, max_iter=n)
+            return aml_estimate(ms, *beside, init=init, tol=TOL, max_iter=n)
 
         def exchange():
             return simulate_exchange(part, pilots, imp, chan, snr, rng)
@@ -156,8 +163,8 @@ def measure(tree: Path, repeat: int) -> dict:
              "ls_estimate_fcc": best(lambda: ls(fcc)),
              "ls_estimate_npc": best(lambda: ls(npc))}
         try:
-            argos_estimate(ms, pilots, part)
-            t["argos_estimate"] = best(lambda: argos_estimate(ms, pilots, part))
+            argos_estimate(ms, *beside)
+            t["argos_estimate"] = best(lambda: argos_estimate(ms, *beside))
         except ValueError:
             t["argos_estimate"] = None
         its = [aml(n).iterations for n in ITERS]

@@ -6,7 +6,6 @@ from .model import (
     GEOMETRIC,
     GeometryConfig,
     IID_RAYLEIGH,
-    ImpairmentConfig,
     RfImpairments,
     gen_channel,
     gen_impairments,

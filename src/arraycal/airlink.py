@@ -5,10 +5,10 @@ group listens; the block received at group j is
 
     Y_{i->j} = R_j C_{i->j} T_i P_i + N_{i->j},   N ~ CN(0, sigma^2) per entry.
 
-A MeasurementSet holds one coherent slot as a single received matrix: row
-block j is what group j's antennas heard, column block i group i's L_i
-pilot channel uses.  For non-coherent operation, a fresh channel is drawn
-per slot while the hardware impairments stay fixed.
+A MeasurementSet holds one coherent slot as a single received matrix (row
+block j is what group j's antennas heard, column block i group i's L_i pilot
+channel uses) and the partition and pilots behind it.  Non-coherent
+operation draws a fresh channel per slot; the hardware impairments stay fixed.
 """
 
 from __future__ import annotations
@@ -106,19 +106,21 @@ class _PairBlocks(Mapping):
 
 @dataclass
 class MeasurementSet:
-    """One slot's received samples as a single M x sum(L_i) matrix.
+    """One slot's received samples as a single M x sum(L_i) matrix, with the
+    partition and pilots that produced them: all an estimator reads.
 
     Y_{i->j} = received[antennas of j, pilot columns of i] (M_j x L_i).  Self
     blocks and the rows and columns of inactive groups hold zeros, so every
     estimator reads the matrix whole.  plan is the slot's model.slot_plan.
-    build_stacked keeps its last result in stacked.
+    build_stacked keeps its result, the slot's StackedSystem, in stacked.
     """
 
     received: np.ndarray
     partition: AntennaPartition
+    pilots: PilotSet = field(repr=False)
     noise_variance: float
     plan: SlotPlan = field(repr=False)
-    stacked: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    stacked: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def groups(self) -> tuple:
@@ -279,7 +281,7 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
         noise *= np.sqrt(sigma2 / 2.0)
         received.view(float).reshape(plan.noise_index.shape)[...] += noise[plan.noise_index]
     received.flags.writeable = False
-    return MeasurementSet(received, partition, sigma2, plan)
+    return MeasurementSet(received, partition, pilots, sigma2, plan)
 
 
 def simulate_noncoherent(partition: AntennaPartition, schedule: NoncoherentSchedule,

@@ -24,7 +24,6 @@ from . import crb as crb_mod
 from .airlink import (
     UNIT_PHASE_RANDOM,
     NoncoherentSchedule,
-    PilotSet,
     default_pilots,
     noise_variance_from_snr,
     require_pilot_kind,
@@ -62,10 +61,10 @@ from .model import (
     AntennaPartition,
     GeometryConfig,
     IID_RAYLEIGH,
-    ImpairmentConfig,
     gen_channel,
     gen_impairments,
     permute_channel,
+    require_amplitude_spread,
 )
 from .stacking import (
     StackedSystem,
@@ -89,13 +88,11 @@ class Trial:
     config: ExperimentConfig
     spec: ConstraintSpec
     data: object
-    pilots: PilotSet
-    partition: AntennaPartition
 
     def system(self) -> StackedSystem:
         if self.config.slot_schedule is None:
-            return build_stacked(self.data, self.pilots)
-        return build_stacked_noncoherent(self.data, self.pilots)
+            return build_stacked(self.data)
+        return build_stacked_noncoherent(self.data)
 
 
 @dataclass(frozen=True)
@@ -110,24 +107,23 @@ class Estimator:
 
 
 def _aml(t: Trial):
-    cfg = t.config
-    init = None if cfg.aml_init == "ones" else \
-        ls_estimate(t.system(), ConstraintSpec.fcc()).f
-    return aml_estimate(t.data, t.pilots, t.partition, init=init, tol=cfg.aml_tol,
-                        max_iter=cfg.aml_max_iter, constraint=t.spec)
+    """AML from the FCC LS estimate of the trial's system."""
+    init = ls_estimate(t.system(), ConstraintSpec.fcc()).f
+    return aml_estimate(t.data, init=init, tol=t.config.aml_tol,
+                        max_iter=t.config.aml_max_iter, constraint=t.spec)
 
 
 # The calls go through this module's globals, so a wrapper put there (a
 # tracer, a test's monkeypatch) sees them.
 ESTIMATORS = {
     "ls": Estimator(lambda t: ls_estimate(t.system(), t.spec), noncoherent=True),
-    "argos": Estimator(lambda t: argos_estimate(t.data, t.pilots, t.partition, t.spec),
+    "argos": Estimator(lambda t: argos_estimate(t.data, t.spec),
                        partition=lambda p, who: require_tree(p, star(p), who)),
-    "rogalin": Estimator(lambda t: rogalin_estimate(t.data, t.pilots, t.partition, t.spec),
+    "rogalin": Estimator(lambda t: rogalin_estimate(t.data, t.spec),
                          partition=require_single_antenna_groups),
-    "daisy": Estimator(lambda t: daisy_chain_estimate(t.data, t.pilots, t.partition, t.spec),
+    "daisy": Estimator(lambda t: daisy_chain_estimate(t.data, t.spec),
                        partition=lambda p, who: require_tree(p, chain(p), who)),
-    "avalanche": Estimator(lambda t: avalanche_estimate(t.data, t.pilots, t.partition, t.spec),
+    "avalanche": Estimator(lambda t: avalanche_estimate(t.data, t.spec),
                            partition=require_avalanche_partition),
     "aml": Estimator(_aml),
 }
@@ -170,7 +166,6 @@ class ExperimentConfig:
     crb_known_h: bool = False
     aml_tol: float = 1e-6
     aml_max_iter: int = 100
-    aml_init: str = "ls"                   # ls | ones
     noncoherent_slots: tuple | None = None  # tuple of group tuples
     timing: bool = False
 
@@ -184,11 +179,9 @@ class ExperimentConfig:
             raise ValueError("channel must be iid or geometric")
         if self.channel == "geometric" and self.geometry().num_antennas != self.m:
             raise ValueError(f"a {self.rows} x {self.cols} grid does not hold m = {self.m}")
-        ImpairmentConfig(self.delta)               # delta in [0, 1)
+        require_amplitude_spread(self.delta)
         if self.constraint not in CONSTRAINTS:
             raise ValueError(f"unsupported experiment constraint {self.constraint!r}")
-        if self.aml_init not in ("ls", "ones"):
-            raise ValueError(f"aml_init must be ls or ones, not {self.aml_init!r}")
         require_aml_settings(self.aml_tol, self.aml_max_iter)
         if self.crb and self.crb_trials < 1:
             raise ValueError("crb = true needs crb_trials >= 1")
@@ -278,7 +271,7 @@ _CONVERTERS = {
     "snr_db": _tuple_of(float), "trials": int, "estimators": _tuple_of(str),
     "constraint": str, "seed": int, "pilots": str,
     "crb": _bool, "crb_trials": int, "crb_known_h": _bool,
-    "aml_tol": float, "aml_max_iter": int, "aml_init": str,
+    "aml_tol": float, "aml_max_iter": int,
     "noncoherent_slots": lambda s: tuple(tuple(int(x) for x in grp.split())
                                          for grp in s.split(";")),
     "timing": _bool,
@@ -341,7 +334,6 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     perm = scheme.permutation
     if np.array_equal(perm, np.arange(config.m)):
         perm = None
-    imp_cfg = ImpairmentConfig(config.delta)
     # ALL_ONES and IDENTITY pilots draw nothing: one set serves every trial
     fixed_pilots = None if config.pilots == UNIT_PHASE_RANDOM \
         else default_pilots(partition, config.pilots)
@@ -354,7 +346,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         crb_traces = []
         for trial in range(config.trials):
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, si, trial]))
-            imp = gen_impairments(imp_cfg, config.m, rng)
+            imp = gen_impairments(config.delta, config.m, rng)
             chan = permute_channel(gen_channel(config.m, model, rng, geometry), perm)
             pilots = fixed_pilots if fixed_pilots is not None \
                 else default_pilots(partition, config.pilots, rng)
@@ -365,7 +357,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                 data = simulate_exchange(partition, pilots, imp, chan, snr, rng)
             f_true = imp.tx_gains / imp.rx_gains
             spec = CONSTRAINTS[config.constraint](f_true)
-            inputs = Trial(config, spec, data, pilots, partition)
+            inputs = Trial(config, spec, data)
             for est in config.estimators:
                 t0 = time.perf_counter()
                 try:
@@ -412,6 +404,15 @@ def identifiability_summary(partition, schedule=None) -> str:
     if short:
         words.append("short_groups=" + ",".join(short))
     return " ".join(words + ["ok" if ident["ok"] else "not ok"])
+
+
+def _require_writable(path) -> None:
+    """cli_main's rule for --out, checked before any trial is drawn: an
+    existing file that may be written, or a new one in a writable directory."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent) or os.path.isdir(path) \
+            or not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ValueError(f"cannot write --out {path}")
 
 
 def emit_csv(table: ResultTable, path) -> None:
@@ -472,6 +473,8 @@ def cli_main(argv=None) -> int:
             return 2
         print(f"warning: {why}; crb_trace is nan", file=sys.stderr)
     try:
+        if args.out is not None:
+            _require_writable(args.out)
         table = run_experiment(cfg)
     except UnidentifiableError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,6 +1,8 @@
 """Calibration estimators: constrained LS, Argos, Rogalin, daisy chain, Avalanche, AML.
 
-Every estimator reads the slot's received matrix Y.  All but AML solve the
+Every estimator reads one record, a slot's MeasurementSet: its received
+matrix Y, with the partition and pilots that produced it (LS the
+StackedSystem stacking builds from such records).  All but AML solve the
 pair equations Y(P) f = 0 of stacking, on different pairs: LS and Rogalin
 (LS on single antennas) every pair jointly, from the Gram matrix built on Y;
 Argos and the daisy chain the trees {(0, c)} and {(c - 1, c)}, whose edges'
@@ -165,7 +167,7 @@ def _solve_fcc(sys: StackedSystem):
     the dropped eigenvectors (tilted by about eps ||B|| / lambda towards the
     kept ones), and f's part in their span is removed.
     """
-    f = np.eye(1, sys.m, dtype=complex)[0]    # e_0
+    f = np.eye(1, sys.gram.shape[0], dtype=complex)[0]    # e_0
     # B from A^H, Hermitian: cholesky and eigh read its lower triangle
     b = sys.gram[1:, 1:].conj().T
     li = _certified_inverse_factor(b)
@@ -215,7 +217,7 @@ def ls_estimate(sys: StackedSystem, constraint: ConstraintSpec) -> EstimationRep
         sys.solutions[kind] = _solve_fcc(sys) if kind == FCC else _smallest_eigvec(sys.gram)
     f, unique = sys.solutions[kind]
     f = f.copy() if kind == FCC else normalize_for_constraint(f, constraint)
-    return EstimationReport(f, converged=unique and sys.rows >= sys.m - 1)
+    return EstimationReport(f, converged=unique and sys.rows >= sys.gram.shape[0] - 1)
 
 
 def require_full_slot(measurements, who: str) -> None:
@@ -291,7 +293,7 @@ def _edge_transfers(b_p: np.ndarray, b_c: np.ndarray):
     return a[:, r:, n:], d2.min(axis=1) > (max(r, n) * np.finfo(float).eps) ** 2 * d2.max(axis=1)
 
 
-def tree_estimate(measurements, pilots, parent: np.ndarray,
+def tree_estimate(measurements, parent: np.ndarray,
                   constraint: ConstraintSpec | None = None) -> EstimationReport:
     """The pair equations of a spanning tree of groups, solved by substitution,
     from f_0 = 1 and then rescaled to the constraint.
@@ -306,7 +308,7 @@ def tree_estimate(measurements, pilots, parent: np.ndarray,
     T_c <- T_c T_a(c) and a(c) <- a(a(c)), so a path of G groups takes log2 G
     batched products (G K^3 work and G K^2 memory per round).
     """
-    partition = measurements.partition
+    partition, pilots = measurements.partition, measurements.pilots
     parent = np.asarray(parent)
     require_full_slot(measurements, "the tree solve")
     sizes = np.asarray(partition.group_sizes)
@@ -331,11 +333,10 @@ def tree_estimate(measurements, pilots, parent: np.ndarray,
     return EstimationReport(normalize_for_constraint(f, constraint))
 
 
-def argos_estimate(measurements, pilots, partition: AntennaPartition,
-                   constraint: ConstraintSpec | None = None) -> EstimationReport:
+def argos_estimate(measurements, constraint: ConstraintSpec | None = None) -> EstimationReport:
     """Argos (Shepard et al., MobiCom 2012): the tree solve on the star, each
     group from its exchange with the single-antenna reference group 0."""
-    return tree_estimate(measurements, pilots, star(partition), constraint)
+    return tree_estimate(measurements, star(measurements.partition), constraint)
 
 
 def require_single_antenna_groups(partition: AntennaPartition, who: str) -> None:
@@ -344,28 +345,27 @@ def require_single_antenna_groups(partition: AntennaPartition, who: str) -> None
         raise ValueError(f"{who} needs single-antenna groups")
 
 
-def rogalin_gram(measurements, pilots, partition: AntennaPartition) -> StackedSystem:
+def rogalin_gram(measurements) -> StackedSystem:
     """The stacked system of the all-singleton partition; with unit pilots its
     Gram matrix A = Y(P)^H Y(P) has
 
     A[i,i] = sum_{k != i} |y_{k->i}|^2,  A[i,j] = -conj(y_{j->i}) y_{i->j}.
     """
-    require_single_antenna_groups(partition, "rogalin")
-    return build_stacked(measurements, pilots)
+    require_single_antenna_groups(measurements.partition, "rogalin")
+    return build_stacked(measurements)
 
 
-def rogalin_estimate(measurements, pilots, partition: AntennaPartition,
-                     constraint: ConstraintSpec) -> EstimationReport:
+def rogalin_estimate(measurements, constraint: ConstraintSpec) -> EstimationReport:
     """Joint estimation from round-robin single-antenna broadcasts: the joint
     LS of ls_estimate on single-antenna groups."""
-    return ls_estimate(rogalin_gram(measurements, pilots, partition), constraint)
+    return ls_estimate(rogalin_gram(measurements), constraint)
 
 
-def daisy_chain_estimate(measurements, pilots, partition: AntennaPartition,
+def daisy_chain_estimate(measurements,
                          constraint: ConstraintSpec | None = None) -> EstimationReport:
     """The daisy chain: the tree solve on the path, each group from its
     exchange with the group before it."""
-    return tree_estimate(measurements, pilots, chain(partition), constraint)
+    return tree_estimate(measurements, chain(measurements.partition), constraint)
 
 
 def require_avalanche_partition(partition: AntennaPartition, who: str) -> None:
@@ -379,7 +379,7 @@ def require_avalanche_partition(partition: AntennaPartition, who: str) -> None:
             raise ValueError(f"{who}: group {g} has {sz} antennas > {g} calibrated equations")
 
 
-def avalanche_estimate(measurements, pilots, partition: AntennaPartition,
+def avalanche_estimate(measurements,
                        constraint: ConstraintSpec | None = None) -> EstimationReport:
     """Online recursion: each group is solved from already-calibrated groups,
     and f is then rescaled to the constraint.
@@ -390,9 +390,10 @@ def avalanche_estimate(measurements, pilots, partition: AntennaPartition,
     g's rows are Y[rows_g, :g]^T diag(p_g), and its right side the sums of
     p_a f_a Y[a, g] over each earlier group's antennas a.
     """
+    partition = measurements.partition
     require_avalanche_partition(partition, "avalanche")
     require_full_slot(measurements, "avalanche")
-    y, p = measurements.received, np.concatenate([b[:, 0] for b in pilots.blocks])
+    y, p = measurements.received, np.concatenate([b[:, 0] for b in measurements.pilots.blocks])
     f = np.ones(partition.num_antennas, dtype=complex)      # f_0 = 1
     for g in range(1, partition.num_groups):
         rows = partition.antennas_of(g)
@@ -411,8 +412,7 @@ def require_aml_settings(tol: float, max_iter: int) -> None:
         raise ValueError("AML needs max_iter >= 1")
 
 
-def aml_estimate(measurements, pilots, partition: AntennaPartition,
-                 init: np.ndarray | None = None, tol: float = 1e-6,
+def aml_estimate(measurements, init: np.ndarray | None = None, tol: float = 1e-6,
                  max_iter: int = 100,
                  constraint: ConstraintSpec | None = None) -> EstimationReport:
     """Alternating maximum likelihood on the bilinear model y = H(h) f = F(f) h.
@@ -436,11 +436,12 @@ def aml_estimate(measurements, pilots, partition: AntennaPartition,
     """
     require_aml_settings(tol, max_iter)
     require_full_slot(measurements, "AML")
-    m, y = partition.num_antennas, measurements.received
+    partition, pilots, y = measurements.partition, measurements.pilots, measurements.received
+    m = partition.num_antennas
     f = np.ones(m, dtype=complex) if init is None else np.array(init, dtype=complex)
     if not np.any(f):
         raise ValueError("init must be nonzero")
-    yp = build_stacked(measurements, pilots).slots[0][2]      # W = Y P^H
+    yp = build_stacked(measurements).slots[0][2]      # W = Y P^H
     rule, _, first = _crb.rank_rule(partition)
     p2, runs = np.ones(m), []                   # ||p_g||^2 on single antennas
     for key, (p, rows, cols, r, _) in enumerate(pilots.runs):

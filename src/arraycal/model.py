@@ -182,17 +182,6 @@ class GeometryConfig:
 
 
 @dataclass(frozen=True)
-class ImpairmentConfig:
-    """Amplitude spread delta in [0, 1); phases are always uniform in [-pi, pi]."""
-
-    amplitude_spread: float = 0.1
-
-    def __post_init__(self):
-        if not (0.0 <= self.amplitude_spread < 1.0):
-            raise ValueError("amplitude spread must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
 class ChannelRealization:
     """Reciprocal intra-array channel: c is symmetric (c = c^T, not Hermitian).
 
@@ -215,17 +204,24 @@ class ChannelRealization:
         return self.c.shape[0]
 
 
-def gen_impairments(config: ImpairmentConfig, m: int, rng: np.random.Generator) -> RfImpairments:
+def require_amplitude_spread(delta) -> None:
+    """gen_impairments' rule: the amplitude spread delta lies in [0, 1)."""
+    if not 0.0 <= delta < 1.0:
+        raise ValueError("amplitude spread must lie in [0, 1)")
+
+
+def gen_impairments(delta: float, m: int, rng: np.random.Generator) -> RfImpairments:
     """Draw Tx/Rx gains with amplitude uniform in [1-delta, 1+delta] and uniform phase.
 
     The first Rx gain is tied to the first Tx gain, so that f[0] = t_0 / r_0
     = 1 exactly (amplitudes stay in range), as the first-coefficient
     constraint's truth needs.
     """
+    require_amplitude_spread(delta)
     if m < 2:
         raise ValueError("need at least 2 antennas")
-    d = config.amplitude_spread
-    tx, rx = (rng.uniform(1.0 - d, 1.0 + d, m) * np.exp(1j * rng.uniform(-np.pi, np.pi, m))
+    tx, rx = (rng.uniform(1.0 - delta, 1.0 + delta, m)
+              * np.exp(1j * rng.uniform(-np.pi, np.pi, m))
               for _ in range(2))                # amplitudes, then phases; tx, then rx
     rx[0] = tx[0]
     return RfImpairments(tx, rx)

@@ -26,16 +26,14 @@ from .model import AntennaPartition
 class StackedSystem:
     """Y(P) through its slots' received matrices, with A = Y(P)^H Y(P).
 
-    slots holds each slot's received matrix Y, conj(Y) and W = Y P^H;
-    inactive groups' rows and columns of Y are zero.  solutions holds the
-    estimators' solves of this system, keyed by constraint.
+    slots holds each slot's received matrix Y, conj(Y), W = Y P^H and
+    pilots; inactive groups' rows and columns of Y are zero.  solutions
+    holds the estimators' solves of this system, keyed by constraint.
     """
 
     gram: np.ndarray          # M x M, Hermitian PSD
     rows: int                 # rows of Y(P)
-    m: int
-    slots: tuple              # ((Y, conj(Y), W), ...)
-    pilots: object
+    slots: tuple              # ((Y, conj(Y), W, pilots), ...)
     solutions: dict = field(default_factory=dict, repr=False, compare=False)
     _work: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -43,23 +41,23 @@ class StackedSystem:
         """A f, summed over the slots as (A f)_a = sum_{c in cols of g(a)}
         conj(P_ac) (E Y^H)_ca from the residuals E = S - S^T, S = P^T F Y:
         unlike gram @ f, its rounding error does not scale with cond(A).
-        Each run of groups of equal shape (PilotSet.runs) is a slice of Y's
-        rows and of S's.  For a single-antenna run, S's rows are a broadcast
-        product and (E Y^H)'s blocks row sums, with no per-group matrix
-        product; S and E are kept on the system for its next call."""
+        Each run of groups of equal shape (the slot's PilotSet.runs) is a
+        slice of Y's rows and of S's.  For a single-antenna run, S's rows are
+        a broadcast product and (E Y^H)'s blocks row sums, with no per-group
+        matrix product; S and E are kept on the system for its next call."""
         n_cols = self.slots[0][0].shape[1]
         if self._work is None:
             self._work = np.empty((2, n_cols, n_cols), dtype=complex)
         s, e = self._work
-        out = np.zeros(self.m, dtype=complex)
-        for y, y_conj, _ in self.slots:
-            for p, rows, _, r, c in self.pilots.runs:
+        out = np.zeros(self.gram.shape[0], dtype=complex)
+        for y, y_conj, _, pilots in self.slots:
+            for p, rows, _, r, c in pilots.runs:
                 n, m, l = p.shape
                 (np.multiply if m == 1 else np.matmul)(
                     (p * f[rows, None]).transpose(0, 2, 1), y[r].reshape(n, m, -1),
                     out=s[c].reshape(n, l, -1))
             np.subtract(s, s.T, out=e)
-            for p, rows, _, r, c in self.pilots.runs:
+            for p, rows, _, r, c in pilots.runs:
                 n, m, l = p.shape
                 if m == 1:
                     out[rows[:, 0]] += np.einsum("nl,nlk,nk->n", p[:, 0].conj(),
@@ -114,27 +112,26 @@ def received_gram(y: np.ndarray, pilots):
     return gram, y_conj, w
 
 
-def build_stacked(measurements, pilots) -> StackedSystem:
+def build_stacked(measurements) -> StackedSystem:
     """Stacked system of one slot's measurements (the pairs i < j of its
-    active groups), kept on the measurements and returned again to a call
-    with the same pilots object."""
-    kept = measurements.stacked
-    if kept is not None and kept[0] is pilots:
-        return kept[1]
-    y = measurements.received
-    gram, y_conj, w = received_gram(y, pilots)
-    system = StackedSystem(gram, measurements.plan.rows, y.shape[0], ((y, y_conj, w),), pilots)
-    measurements.stacked = (pilots, system)
-    return system
+    active groups, under its pilots), kept on the measurements and returned
+    again to the next call."""
+    if measurements.stacked is None:
+        y, pilots = measurements.received, measurements.pilots
+        gram, y_conj, w = received_gram(y, pilots)
+        measurements.stacked = StackedSystem(gram, measurements.plan.rows,
+                                             ((y, y_conj, w, pilots),))
+    return measurements.stacked
 
 
-def build_stacked_noncoherent(slot_measurements: list, pilots) -> StackedSystem:
-    """Sum of the per-slot Grams, each over its slot's active pairs."""
+def build_stacked_noncoherent(slot_measurements: list) -> StackedSystem:
+    """Sum of the per-slot Grams, each over its slot's active pairs and
+    under its slot's pilots."""
     if not slot_measurements:
         raise ValueError("no slots to stack")
-    systems = [build_stacked(ms, pilots) for ms in slot_measurements]
+    systems = [build_stacked(ms) for ms in slot_measurements]
     return StackedSystem(sum(s.gram for s in systems), sum(s.rows for s in systems),
-                         systems[0].m, tuple(x for s in systems for x in s.slots), pilots)
+                         tuple(x for s in systems for x in s.slots))
 
 
 def independent_equations(partition: AntennaPartition, schedule=None):

@@ -44,14 +44,13 @@ from arraycal.model import (
     GEOMETRIC,
     GeometryConfig,
     IID_RAYLEIGH,
-    ImpairmentConfig,
     gen_channel,
     gen_impairments,
     permute_channel,
 )
 from arraycal.stacking import build_stacked, build_stacked_noncoherent, check_identifiability
 
-CFG5 = ImpairmentConfig(0.5)
+DELTA = 0.5        # amplitude spread of the drawn impairments
 
 
 def _report(num, desc, ok):
@@ -61,7 +60,7 @@ def _report(num, desc, ok):
 
 def _simulate(part, rng, snr=np.inf, kind="UNIT_PHASE_RANDOM", delta=0.5):
     pilots = default_pilots(part, kind, rng)
-    imp = gen_impairments(ImpairmentConfig(delta), part.num_antennas, rng)
+    imp = gen_impairments(delta, part.num_antennas, rng)
     chan = gen_channel(part.num_antennas, IID_RAYLEIGH, rng)
     ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
     return pilots, imp, chan, ms
@@ -87,30 +86,30 @@ def test_acceptance_01_noiseless_exact_recovery():
 
     part = make_scheme("ARGOS", 16).partition
     pilots, imp, chan, ms = _simulate(part, rng, kind="IDENTITY")
-    errs["argos"] = _rel_err(argos_estimate(ms, pilots, part).f, calibration_vector(imp))
+    errs["argos"] = _rel_err(argos_estimate(ms).f, calibration_vector(imp))
 
     part = AntennaPartition.singleton(16)
     pilots, imp, chan, ms = _simulate(part, rng, kind="ALL_ONES")
     f_true = calibration_vector(imp)
     errs["rogalin"] = _rel_err(
-        rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f, f_true)
-    errs["daisy"] = _rel_err(daisy_chain_estimate(ms, pilots, part).f, f_true)
+        rogalin_estimate(ms, ConstraintSpec.fcc()).f, f_true)
+    errs["daisy"] = _rel_err(daisy_chain_estimate(ms).f, f_true)
 
     part = make_scheme("AVALANCHE", 22, 7).partition
     pilots, imp, chan, ms = _simulate(part, rng, kind="ALL_ONES")
-    errs["avalanche"] = _rel_err(avalanche_estimate(ms, pilots, part).f,
+    errs["avalanche"] = _rel_err(avalanche_estimate(ms).f,
                                  calibration_vector(imp))
 
     part = make_scheme("FC_II", 24, 8).partition
     pilots, imp, chan, ms = _simulate(part, rng)
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     errs["group ls"] = _rel_err(ls_estimate(ss, ConstraintSpec.fcc()).f,
                                 calibration_vector(imp))
 
     part = AntennaPartition.singleton(12)
     pilots, imp, chan, ms = _simulate(part, rng, kind="ALL_ONES")
-    init = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc()).f
-    rep = aml_estimate(ms, pilots, part, init=init, constraint=ConstraintSpec.fcc())
+    init = ls_estimate(build_stacked(ms), ConstraintSpec.fcc()).f
+    rep = aml_estimate(ms, init=init, constraint=ConstraintSpec.fcc())
     errs["aml"] = _rel_err(rep.f, calibration_vector(imp))
 
     elapsed = time.perf_counter() - t0
@@ -211,8 +210,8 @@ def test_acceptance_07_exactly_determined_m67():
     for trial in range(200):
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, trial]))
         pilots, imp, chan, ms = _simulate(part, rng, snr=30.0, kind="ALL_ONES")
-        f_av = avalanche_estimate(ms, pilots, part).f
-        rep = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc())
+        f_av = avalanche_estimate(ms).f
+        rep = ls_estimate(build_stacked(ms), ConstraintSpec.fcc())
         worst = max(worst, _rel_err(f_av, rep.f))
         # B's smallest eigenvalue ratio reaches 8.1e-14 here, above the rank
         # rule's 66 eps = 1.5e-14
@@ -279,7 +278,7 @@ def test_acceptance_09_interleaved_grouping_gain():
     bounds = np.empty((2, CRB_DRAWS))
     for k in range(CRB_DRAWS):
         rng = np.random.default_rng(np.random.SeedSequence([base["seed"], 0, k]))
-        imp = gen_impairments(CFG5, 64, rng)
+        imp = gen_impairments(DELTA, 64, rng)
         chan = gen_channel(64, GEOMETRIC, rng, geometry)
         pilots = default_pilots(part, "UNIT_PHASE_RANDOM", rng)
         sigma2 = noise_variance_from_snr(30.0, chan)
@@ -306,12 +305,12 @@ def test_acceptance_10_low_snr_saturation():
         errs = []
         for trial in range(200):
             rng = np.random.default_rng(np.random.SeedSequence([2100, si, trial]))
-            imp = gen_impairments(CFG5, 16, rng)
+            imp = gen_impairments(DELTA, 16, rng)
             chan = gen_channel(16, IID_RAYLEIGH, rng)
             ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
             f_true = calibration_vector(imp)
             spec = ConstraintSpec.npc(f_true)
-            f = ls_estimate(build_stacked(ms, pilots), spec).f
+            f = ls_estimate(build_stacked(ms), spec).f
             e = mse(f, f_true)
             bounded = bounded and e <= 4 * np.linalg.norm(f_true) ** 2 + 1e-9
             errs.append(e)
@@ -325,26 +324,26 @@ def test_acceptance_11_noncoherent_consistency():
     rng = np.random.default_rng(2111)
     part = AntennaPartition((1, 2, 3), (1, 2, 2))
     pilots = default_pilots(part, "UNIT_PHASE_RANDOM", rng)
-    imp = gen_impairments(CFG5, 6, rng)
+    imp = gen_impairments(DELTA, 6, rng)
     chan = gen_channel(6, IID_RAYLEIGH, rng)
     sched = NoncoherentSchedule((tuple(range(3)),) * 3)
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng,
                                  channels=[chan] * 3)
-    f_nc = ls_estimate(build_stacked_noncoherent(slots, pilots),
+    f_nc = ls_estimate(build_stacked_noncoherent(slots),
                        ConstraintSpec.fcc()).f
     coherent = simulate_exchange(part, pilots, imp, chan, np.inf, rng)
-    f_c = ls_estimate(build_stacked(coherent, pilots),
+    f_c = ls_estimate(build_stacked(coherent),
                       ConstraintSpec.fcc()).f
     same = np.max(np.abs(f_nc - f_c)) < 1e-10
 
     # independent channels, pairwise two-antenna slots: T*K(K-1)/2 = 21 >= 6
     part7 = AntennaPartition.singleton(7)
     pil7 = default_pilots(part7, "ALL_ONES", None)
-    imp7 = gen_impairments(CFG5, 7, rng)
+    imp7 = gen_impairments(DELTA, 7, rng)
     pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
     sched7 = NoncoherentSchedule(tuple(pairs))
     slots7 = simulate_noncoherent(part7, sched7, pil7, imp7, np.inf, rng)
-    f7 = ls_estimate(build_stacked_noncoherent(slots7, pil7),
+    f7 = ls_estimate(build_stacked_noncoherent(slots7),
                      ConstraintSpec.fcc()).f
     exact = _rel_err(f7, calibration_vector(imp7)) < 1e-10
     _report(11, "non-coherent stack: identical channels match coherent LS, "
@@ -360,7 +359,7 @@ def test_acceptance_12_compressed_cost_agreement():
         part = AntennaPartition(sizes, sizes)   # full-length pilots per group
         pilots = PilotSet(tuple(np.exp(1j * rng.uniform(-np.pi, np.pi, (m, m)))
                                 for m in sizes))
-        imp = gen_impairments(CFG5, part.num_antennas, rng)
+        imp = gen_impairments(DELTA, part.num_antennas, rng)
         chan = gen_channel(part.num_antennas, IID_RAYLEIGH, rng)
         snr = float(rng.uniform(0, 30))
         ms = simulate_exchange(part, pilots, imp, chan, snr, rng)

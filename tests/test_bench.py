@@ -78,6 +78,10 @@ def test_parse_config_errors():
         parse_config("m = 8\nestimators = ls, nope\n")
     with pytest.raises(ValueError):
         parse_config("m = 8\nchannel = rician\n")
+    # AML always starts from the FCC LS estimate: the ones start, unconverged
+    # on every trial of FC_II m = 24, g = 8 at 40 dB, is no longer a choice
+    with pytest.raises(ValueError, match=re.escape("unknown config keys: ['aml_init']")):
+        parse_config("m = 8\naml_init = ones\n")
 
 
 def test_parse_noncoherent_slots():
@@ -482,7 +486,7 @@ REJECT_BASE = dict(m=8, trials=2, snr_db=(30.0,))
     (dict(snr_db=(float("nan"),)), "snr_db must be finite or +inf"),
     # each ran to the end with a wrong or silently altered result
     (dict(estimators=("ls", "ls")), "listed twice"),              # two rows of 4 trials
-    (dict(estimators=("aml",), aml_init="foo"), "aml_init must be ls or ones"),  # ones start
+    (dict(delta=-0.1), "amplitude spread"),       # would draw amplitudes from [0.9, 1.1]
     (dict(estimators=("aml",), aml_max_iter=0), "max_iter >= 1"),  # start reported as AML
     (dict(m=9, scheme="CUSTOM", group_sizes=(2, 3)), "summing to m = 9"),  # ran with M = 5
     (dict(crb_trials=0), "crb = true needs crb_trials >= 1"),     # crb_trace = nan
@@ -507,6 +511,20 @@ def test_rules_fire_before_the_first_draw(tmp_path, capsys, changes, message):
     assert cli_main(["run", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing/r.csv", "."])
+def test_unwritable_out_exits_2_before_the_first_draw(tmp_path, capsys, monkeypatch, where):
+    # --out in a missing directory ran the whole sweep and then died in
+    # emit_csv with a FileNotFoundError traceback (exit 1)
+    def draw(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(bench, "gen_impairments", draw)
+    cfg = _write(tmp_path, "ok.cfg", SMALL_CONFIG)
+    out = str(tmp_path / where)
+    assert cli_main(["run", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: cannot write --out {out}\n"
 
 
 @pytest.mark.parametrize("constraint", ["LINEAR", "UNIT_NORM"])

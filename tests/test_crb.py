@@ -27,18 +27,17 @@ from arraycal.grouping import make_scheme
 from arraycal.model import (
     AntennaPartition,
     IID_RAYLEIGH,
-    ImpairmentConfig,
     gen_channel,
     gen_impairments,
 )
 from arraycal.stacking import build_stacked, check_identifiability
 
-CFG = ImpairmentConfig(0.5)
+DELTA = 0.5        # amplitude spread of the drawn impairments
 
 
 def _instance(part, rng, snr=np.inf, kind="UNIT_PHASE_RANDOM"):
     pilots = default_pilots(part, kind, rng)
-    imp = gen_impairments(CFG, part.num_antennas, rng)
+    imp = gen_impairments(DELTA, part.num_antennas, rng)
     chan = gen_channel(part.num_antennas, IID_RAYLEIGH, rng)
     ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
     return pilots, imp, chan, ms
@@ -194,7 +193,7 @@ def test_f_perp_completeness_full_pilots():
     rng = np.random.default_rng(10)
     part = AntennaPartition((2, 3, 2), (2, 3, 2))
     pilots = _square_pilots(part, rng)
-    imp = gen_impairments(CFG, part.num_antennas, rng)
+    imp = gen_impairments(DELTA, part.num_antennas, rng)
     f = calibration_vector(imp)
     hb = aux_channel_blocks(imp, gen_channel(7, IID_RAYLEIGH, rng), part)
     fm = build_f_composite(f, pilots, part)
@@ -214,7 +213,7 @@ def test_compressed_cost_zero_in_column_space():
     rng = np.random.default_rng(11)
     part = AntennaPartition((2, 2), (2, 2))
     pilots = _square_pilots(part, rng)
-    imp = gen_impairments(CFG, 4, rng)
+    imp = gen_impairments(DELTA, 4, rng)
     chan = gen_channel(4, IID_RAYLEIGH, rng)
     ms = simulate_exchange(part, pilots, imp, chan, np.inf, rng)
     y = stack_observations(ms, part)   # noiseless y = F h, in the column space
@@ -227,7 +226,7 @@ def test_compressed_cost_routes_agree_noisy():
     rng = np.random.default_rng(12)
     part = AntennaPartition((2, 3, 2), (2, 3, 2))
     pilots = _square_pilots(part, rng)
-    imp = gen_impairments(CFG, 7, rng)
+    imp = gen_impairments(DELTA, 7, rng)
     chan = gen_channel(7, IID_RAYLEIGH, rng)
     for snr in (20.0, 0.0):
         ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
@@ -280,7 +279,7 @@ def test_crb_fc2_below_fc1():
     sigma2 = 10 ** (-20 / 10)
     tr1 = tr2 = 0.0
     for _ in range(100):
-        imp = gen_impairments(CFG, 16, rng)
+        imp = gen_impairments(DELTA, 16, rng)
         chan = gen_channel(16, IID_RAYLEIGH, rng)
         p1 = default_pilots(fc1, "UNIT_PHASE_RANDOM", rng)
         p2 = default_pilots(fc2, "UNIT_PHASE_RANDOM", rng)
@@ -298,9 +297,9 @@ def test_aml_reaches_crb_at_high_snr():
     for _ in range(n):
         pilots, imp, chan, ms = _instance(part, rng, snr=40.0, kind="ALL_ONES")
         f_true = calibration_vector(imp)
-        init = ls_estimate(build_stacked(ms, pilots),
+        init = ls_estimate(build_stacked(ms),
                            ConstraintSpec.fcc()).f
-        rep = aml_estimate(ms, pilots, part, init=init,
+        rep = aml_estimate(ms, init=init,
                            constraint=ConstraintSpec.fcc(), max_iter=50)
         sq_err += mse(rep.f, f_true)
         sigma2 = 10 ** (-40 / 10)
@@ -378,7 +377,7 @@ def test_pair_blocks_equal_dense_oracle(case):
     h, *_ = np.linalg.lstsq(build_f_composite(f0, pilots, part), y, rcond=None)
     hm1 = build_h_composite(split_h(h, part), pilots, part)
     f1, *_ = np.linalg.lstsq(hm1, y, rcond=None)
-    rep = aml_estimate(ms, pilots, part, init=f0, max_iter=1)
+    rep = aml_estimate(ms, init=f0, max_iter=1)
     assert _rel(rep.f, f1) <= 1e-10
     cost = np.linalg.norm(y - hm1 @ f1) ** 2     # 0 up to rounding if exactly determined
     assert abs(rep.final_cost - cost) <= 1e-10 * max(cost, 1e-10 * np.vdot(y, y).real)
@@ -615,8 +614,8 @@ def test_aml_takes_the_pairwise_path(case):
     rng = np.random.default_rng(seed)
     pilots, imp, chan, ms = _instance(part, rng, snr=snr, kind=kind)
     init = None if start == "ones" else \
-        ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc()).f
-    rep = aml_estimate(ms, pilots, part, init=init)
+        ls_estimate(build_stacked(ms), ConstraintSpec.fcc()).f
+    rep = aml_estimate(ms, init=init)
     f, iterations, cost, converged = pairwise_aml(ms, pilots, part, init=init)
     assert (rep.iterations, rep.converged) == (iterations, converged)
     assert _rel(rep.f, f) <= 1e-10
@@ -683,16 +682,16 @@ def test_single_antenna_h_step_is_one_division(case):
     if silent is not None:
         y = ms.received.copy()
         y[silent], y[:, part.pilot_columns(silent)] = 0, 0
-        ms = MeasurementSet(y, part, ms.noise_variance, ms.plan)
+        ms = MeasurementSet(y, part, pilots, ms.noise_variance, ms.plan)
     f = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 10.0 ** rng.uniform(-20, 20, m)
     f[rng.random(m) < 0.2] = 0
     assume(f.any())
     seen, real = [], crb.column_projection
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(crb, "column_projection", lambda k, *a: seen.append(k.copy()) or real(k, *a))
-        rep = aml_estimate(ms, pilots, part, init=f, max_iter=1)
+        rep = aml_estimate(ms, init=f, max_iter=1)
     k = seen[0]
-    z = build_stacked(ms, pilots).slots[0][2] * f.conj()
+    z = build_stacked(ms).slots[0][2] * f.conj()
     s2, eps = np.array([np.sum(np.abs(b) ** 2) for b in pilots.blocks]) * np.abs(f) ** 2, \
         np.finfo(float).eps
     assert np.all(np.abs(s2 - crb.shape_factors(f, pilots)[0]) <= 10 * eps * s2)
@@ -717,11 +716,11 @@ def test_single_antenna_aml_and_crb_take_no_svd(monkeypatch):
                       (AntennaPartition((1, 2, 1, 3, 2), (1,) * 5), False)):
         pilots, imp, chan, ms = _instance(part, np.random.default_rng(5), snr=30.0)
         ctx = context_from_model(imp, chan, pilots, part, 1e-3)
-        init = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc()).f
+        init = ls_estimate(build_stacked(ms), ConstraintSpec.fcc()).f
         with monkeypatch.context() as mp:
             mp.setattr(np.linalg, "svd", no_svd)
             if aml:
-                rep = aml_estimate(ms, pilots, part, init=init)
+                rep = aml_estimate(ms, init=init)
                 assert rep.converged and np.all(np.isfinite(rep.f))
             assert all(np.isfinite(crb_f(ctx, c).trace) for c in ("FCC", "NPC"))
 

@@ -26,7 +26,6 @@ from arraycal.estimators import (
 from arraycal.model import (
     AntennaPartition,
     IID_RAYLEIGH,
-    ImpairmentConfig,
     RfImpairments,
     gen_channel,
     gen_impairments,
@@ -35,13 +34,13 @@ from arraycal.bench import CONSTRAINTS, ESTIMATORS, ExperimentConfig, Trial, run
 from arraycal.grouping import make_scheme
 from arraycal.stacking import StackedSystem, build_stacked, check_identifiability
 
-CFG = ImpairmentConfig(0.5)
+DELTA = 0.5        # amplitude spread of the drawn impairments
 
 
 def _instance(part, rng, snr=np.inf, kind="ALL_ONES", imp=None):
     pilots = default_pilots(part, kind, rng)
     if imp is None:
-        imp = gen_impairments(CFG, part.num_antennas, rng)
+        imp = gen_impairments(DELTA, part.num_antennas, rng)
     chan = gen_channel(part.num_antennas, IID_RAYLEIGH, rng)
     ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
     return pilots, imp, chan, ms
@@ -52,7 +51,7 @@ def test_ls_identity_impairments():
     part = AntennaPartition.singleton(6)
     imp = RfImpairments(np.ones(6), np.ones(6))
     pilots, imp, chan, ms = _instance(part, rng, imp=imp)
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     f = ls_estimate(ss, ConstraintSpec.fcc()).f
     assert np.max(np.abs(f - 1.0)) < 1e-10
 
@@ -61,7 +60,7 @@ def test_ls_matches_pairwise_ratio_oracle():
     rng = np.random.default_rng(1)
     part = AntennaPartition.singleton(4)
     pilots, imp, chan, ms = _instance(part, rng)
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     f = ls_estimate(ss, ConstraintSpec.fcc()).f
     oracle = np.array([1.0 + 0.0j] + [
         ms.block(i, 0).item() / ms.block(0, i).item() for i in range(1, 4)])
@@ -73,7 +72,7 @@ def test_ls_reports_unidentifiable():
     rng = np.random.default_rng(4)
     part = AntennaPartition((3, 3), (1, 1))   # 1 row for 5 unknown directions
     pilots, imp, chan, ms = _instance(part, rng)
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     rep = ls_estimate(ss, ConstraintSpec.fcc())
     assert not rep.converged
 
@@ -88,7 +87,7 @@ def test_ls_converged_follows_the_solve_rank(sizes, lens, snr, kind):
     # is singular with or without noise
     part = AntennaPartition(sizes, lens)
     pilots, imp, chan, ms = _instance(part, np.random.default_rng(0), snr=snr, kind=kind)
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     assert ss.rows >= part.num_antennas - 1
     assert not ls_estimate(ss, ConstraintSpec.fcc()).converged
     if np.isinf(snr):       # A's null space is two-dimensional
@@ -122,7 +121,7 @@ def test_linear_constrained_ls_equals_dense_lstsq(case):
     pilots, imp, chan, ms = _instance(part, rng, snr=snr, kind="UNIT_PHASE_RANDOM")
     m = part.num_antennas
     g, c = np.eye(m, dtype=complex)[0], 1.0 + 0.0j
-    rep = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc())
+    rep = ls_estimate(build_stacked(ms), ConstraintSpec.fcc())
     f_ref, rank = constrained_lstsq(dense_y(ms, pilots, part), g, c)
     f = rep.f
     assert rep.converged == (rank == m - 1)
@@ -156,7 +155,7 @@ def test_fcc_refinement_stops_once_f_settles(monkeypatch, part, snr):
     m = part.num_antennas
     pilots, imp, chan, ms = _instance(part, np.random.default_rng(0), snr=snr,
                                       kind="UNIT_PHASE_RANDOM")
-    rep = ls_estimate(build_stacked(ms, pilots), ConstraintSpec.fcc())
+    rep = ls_estimate(build_stacked(ms), ConstraintSpec.fcc())
     f_ref, rank = constrained_lstsq(dense_y(ms, pilots, part), np.eye(m)[0], 1.0 + 0.0j)
     assert np.linalg.norm(rep.f - f_ref) <= 1e-8 * np.linalg.norm(f_ref)
     if np.isfinite(snr):
@@ -178,9 +177,9 @@ def test_one_factorisation_per_system_and_constraint(monkeypatch):
     rng = np.random.default_rng(20)
     part = AntennaPartition.singleton(6)
     pilots, imp, chan, ms = _instance(part, rng, snr=20.0)
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     f_ls = ls_estimate(ss, ConstraintSpec.fcc()).f
-    f_rog = rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f
+    f_rog = rogalin_estimate(ms, ConstraintSpec.fcc()).f
     assert np.array_equal(f_ls, f_rog) and f_ls is not f_rog
     assert calls() == [(5, 5)]
     # NPC takes A's eigenvalues once, for its smallest eigenvector, whatever
@@ -213,7 +212,7 @@ def test_npc_eigenvector_by_inverse_iteration(monkeypatch, scheme, m, g, snr):
     for seed in range(3):
         pilots, imp, chan, ms = _instance(part, np.random.default_rng(seed), snr=snr,
                                           kind="UNIT_PHASE_RANDOM")
-        ss = build_stacked(ms, pilots)
+        ss = build_stacked(ms)
         a, spec = ss.gram, ConstraintSpec.npc(calibration_vector(imp))
         f = ls_estimate(ss, spec).f
         x, lam, (w, v) = f / np.linalg.norm(f), np.linalg.eigvalsh(a)[0], np.linalg.eigh(a)
@@ -239,7 +238,7 @@ def test_fcc_complement_gram_is_the_full_householder_route(monkeypatch, part, ki
     factored = []
     _spy(monkeypatch, "cholesky", factored)
     pilots, imp, chan, ms = _instance(part, np.random.default_rng(5), snr=30.0, kind=kind)
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     ls_estimate(ss, ConstraintSpec.fcc())
     u = np.zeros(part.num_antennas, dtype=complex)
     u[0] = 2.0
@@ -298,7 +297,7 @@ def test_certified_cholesky_solve_matches_eigh_solve(case):
     pilots, imp, chan, ms = _instance(part, rng, snr=snr, kind=kind)
     m = part.num_antennas
     spec = ConstraintSpec.fcc()
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     factored, decomposed = [], []
     with pytest.MonkeyPatch.context() as mp:
         _spy(mp, "cholesky", factored)
@@ -342,17 +341,17 @@ def test_certified_cholesky_solve_matches_eigh_solve(case):
 def test_argos_both_partition_flavors():
     rng = np.random.default_rng(5)
     m = 6
-    imp = gen_impairments(CFG, m, rng)
+    imp = gen_impairments(DELTA, m, rng)
     f_true = calibration_vector(imp)
     part2 = AntennaPartition((1, m - 1), (1, m - 1))
     pilots2 = default_pilots(part2, "IDENTITY", rng)
     chan = gen_channel(m, IID_RAYLEIGH, rng)
     ms2 = simulate_exchange(part2, pilots2, imp, chan, np.inf, rng)
-    f2 = argos_estimate(ms2, pilots2, part2).f
+    f2 = argos_estimate(ms2).f
     parts = AntennaPartition.singleton(m)
     pilotss = default_pilots(parts, "ALL_ONES", rng)
     mss = simulate_exchange(parts, pilotss, imp, chan, np.inf, rng)
-    fs = argos_estimate(mss, pilotss, parts).f
+    fs = argos_estimate(mss).f
     assert np.max(np.abs(f2 - f_true)) < 1e-10
     assert np.max(np.abs(fs - f_true)) < 1e-10
     # ratio structure, explicitly
@@ -364,7 +363,7 @@ def test_argos_rejects_general_partition():
     part = AntennaPartition((2, 2), (2, 2))
     pilots, imp, chan, ms = _instance(part, rng, kind="IDENTITY")
     with pytest.raises(ValueError, match="group 0 needs a single antenna"):
-        argos_estimate(ms, pilots, part)
+        argos_estimate(ms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -378,10 +377,10 @@ def test_tree_equals_ratio_oracles(m, snr, seed):
     pilots, imp, chan, ms = _instance(single, rng, snr=snr)
     argos = AntennaPartition((1, m - 1), (1, m - 1))
     pilots_a, _, _, ms_a = _instance(argos, rng, snr=snr, kind="IDENTITY")
-    for f, oracle in ((argos_estimate(ms, pilots, single), argos_ratios(ms, single)),
-                      (daisy_chain_estimate(ms, pilots, single), daisy_ratios(ms)),
-                      (argos_estimate(ms_a, pilots_a, argos), argos_ratios(ms_a, argos)),
-                      (daisy_chain_estimate(ms_a, pilots_a, argos), argos_ratios(ms_a, argos))):
+    for f, oracle in ((argos_estimate(ms), argos_ratios(ms, single)),
+                      (daisy_chain_estimate(ms), daisy_ratios(ms)),
+                      (argos_estimate(ms_a), argos_ratios(ms_a, argos)),
+                      (daisy_chain_estimate(ms_a), argos_ratios(ms_a, argos))):
         assert f.f[0] == 1
         assert np.max(np.abs(f.f - oracle) / np.abs(oracle)) <= 1e-12
 
@@ -444,10 +443,10 @@ def test_tree_equals_ls_on_the_tree_pairs(case, snr):
         for j in range(part.num_groups):
             if i != j and parent[i] != j and parent[j] != i:
                 tree_only[part.antennas_of(j), part.pilot_columns(i)] = 0.0
-    tree_system = build_stacked(MeasurementSet(tree_only, part, ms.noise_variance, ms.plan),
-                                pilots)
+    tree_system = build_stacked(MeasurementSet(tree_only, part, pilots, ms.noise_variance,
+                                               ms.plan))
     f_ls = ls_estimate(tree_system, ConstraintSpec.fcc()).f
-    f = tree_estimate(ms, pilots, parent).f
+    f = tree_estimate(ms, parent).f
     tol = max(1e-12, 4 * np.finfo(float).eps * np.linalg.cond(y[:, 1:]))
     assert np.linalg.norm(f - f_ls) <= tol * np.linalg.norm(f_ls)
 
@@ -466,7 +465,7 @@ def test_tree_recovers_f_where_the_rule_admits(case):
     rng = np.random.default_rng(seed)
     pilots, imp, chan, ms = _instance(part, rng, kind=kind)
     f_true = calibration_vector(imp)
-    f = tree_estimate(ms, pilots, parent).f
+    f = tree_estimate(ms, parent).f
     assert np.linalg.norm(f - f_true) <= 1e-10 * np.linalg.norm(f_true)
 
 
@@ -477,30 +476,30 @@ def test_tree_rejects_a_zeroed_edge(estimate):
     rng = np.random.default_rng(16)
     part = AntennaPartition.singleton(5)
     pilots, imp, chan, ms = _instance(part, rng, snr=30.0)
-    f = estimate(ms, pilots, part).f
+    f = estimate(ms).f
     parent = star(part) if estimate is argos_estimate else chain(part)
     for tx, rx in ((0, 2), (1, 2), (1, 3)):
         received = ms.received.copy()
         received[part.antennas_of(rx), part.pilot_columns(tx)] = 0.0
-        zeroed = MeasurementSet(received, part, ms.noise_variance, ms.plan)
+        zeroed = MeasurementSet(received, part, pilots, ms.noise_variance, ms.plan)
         if parent[rx] == tx:
             with pytest.raises(np.linalg.LinAlgError, match=f"tree edge {tx}-{rx}"):
-                estimate(zeroed, pilots, part)
+                estimate(zeroed)
         else:
-            assert np.array_equal(estimate(zeroed, pilots, part).f, f)
+            assert np.array_equal(estimate(zeroed).f, f)
 
 
 def test_rogalin_gram_entries():
     rng = np.random.default_rng(7)
     part = AntennaPartition.singleton(4)
     pilots, imp, chan, ms = _instance(part, rng, snr=10.0)
-    a = rogalin_gram(ms, pilots, part).gram
+    a = rogalin_gram(ms).gram
     d0 = sum(abs(ms.block(k, 0).item()) ** 2 for k in range(1, 4))
     assert abs(a[0, 0] - d0) < 1e-12
     expect = -np.conj(ms.block(2, 1).item()) * ms.block(1, 2).item()
     assert abs(a[1, 2] - expect) < 1e-12
     # it really is the Gram matrix of the stacked system
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     assert np.max(np.abs(a - ss.gram)) < 1e-12
 
 
@@ -509,9 +508,9 @@ def test_rogalin_equals_generic_ls():
     part = AntennaPartition.singleton(6)
     for kind in ("ALL_ONES", "UNIT_PHASE_RANDOM"):
         pilots, imp, chan, ms = _instance(part, rng, snr=20.0, kind=kind)
-        ss = build_stacked(ms, pilots)
+        ss = build_stacked(ms)
         for spec in (ConstraintSpec.fcc(), ConstraintSpec.npc(calibration_vector(imp))):
-            f_r = rogalin_estimate(ms, pilots, part, spec).f
+            f_r = rogalin_estimate(ms, spec).f
             f_ls = ls_estimate(ss, spec).f
             assert np.max(np.abs(f_r - f_ls)) < 1e-12
 
@@ -520,7 +519,7 @@ def test_daisy_chain_telescopes():
     rng = np.random.default_rng(9)
     part = AntennaPartition.singleton(5)
     pilots, imp, chan, ms = _instance(part, rng)
-    f = daisy_chain_estimate(ms, pilots, part).f
+    f = daisy_chain_estimate(ms).f
     assert np.max(np.abs(f - calibration_vector(imp))) < 1e-10
     prod = 1.0
     for i in range(1, 5):
@@ -535,8 +534,8 @@ def test_daisy_chain_noisier_than_rogalin():
     for _ in range(200):
         pilots, imp, chan, ms = _instance(part, rng, snr=20.0)
         f_true = calibration_vector(imp)
-        err_d += mse(daisy_chain_estimate(ms, pilots, part).f, f_true)
-        err_r += mse(rogalin_estimate(ms, pilots, part, ConstraintSpec.fcc()).f,
+        err_d += mse(daisy_chain_estimate(ms).f, f_true)
+        err_r += mse(rogalin_estimate(ms, ConstraintSpec.fcc()).f,
                      f_true)
     assert err_d >= err_r  # error accumulates along the chain
 
@@ -546,24 +545,21 @@ def test_avalanche_structure_and_recovery():
     part = AntennaPartition((1, 1, 2, 3), (1, 1, 1, 1))
     assert part.num_antennas == 7
     pilots, imp, chan, ms = _instance(part, rng)
-    f = avalanche_estimate(ms, pilots, part).f
+    f = avalanche_estimate(ms).f
     assert np.max(np.abs(f - calibration_vector(imp))) < 1e-10
 
 
 def test_avalanche_preconditions():
-    part = AntennaPartition((1, 1, 2), (1, 1, 2))
-    pilots = default_pilots(AntennaPartition((1, 1, 2), (1, 1, 1)), "ALL_ONES", None)
     rng = np.random.default_rng(12)
+    part = AntennaPartition((1, 1, 2), (1, 1, 2))       # L_i != 1
     with pytest.raises(ValueError):
-        avalanche_estimate(None, pilots, part)          # L_i != 1
+        avalanche_estimate(_instance(part, rng, kind="UNIT_PHASE_RANDOM")[3])
     part_big = AntennaPartition((1, 2, 1), (1, 1, 1))   # group 1 too large
-    pilots_b = default_pilots(part_big, "ALL_ONES", None)
     with pytest.raises(ValueError):
-        avalanche_estimate(None, pilots_b, part_big)
+        avalanche_estimate(_instance(part_big, rng)[3])
     part_seed = AntennaPartition((2, 2), (1, 1))        # first group not scalar
-    pilots_s = default_pilots(part_seed, "ALL_ONES", None)
     with pytest.raises(ValueError):
-        avalanche_estimate(None, pilots_s, part_seed)
+        avalanche_estimate(_instance(part_seed, rng)[3])
 
 
 def test_aml_fixed_point_and_monotone_cost():
@@ -571,12 +567,12 @@ def test_aml_fixed_point_and_monotone_cost():
     part = AntennaPartition.singleton(6)
     pilots, imp, chan, ms = _instance(part, rng)
     f_true = calibration_vector(imp)
-    rep = aml_estimate(ms, pilots, part, init=f_true, max_iter=5)
+    rep = aml_estimate(ms, init=f_true, max_iter=5)
     assert rep.converged and rep.iterations == 1
     assert rep.final_cost < 1e-20
     # noisy: the alternating cost never increases
     pilots, imp, chan, ms = _instance(part, rng, snr=5.0)
-    costs = [aml_estimate(ms, pilots, part, init=None, tol=1e-300, max_iter=k).final_cost
+    costs = [aml_estimate(ms, init=None, tol=1e-300, max_iter=k).final_cost
              for k in range(1, 7)]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
 
@@ -585,12 +581,12 @@ def test_aml_constraint_applied():
     rng = np.random.default_rng(14)
     part = AntennaPartition.singleton(5)
     pilots, imp, chan, ms = _instance(part, rng, snr=25.0)
-    rep = aml_estimate(ms, pilots, part, constraint=ConstraintSpec.fcc())
+    rep = aml_estimate(ms, constraint=ConstraintSpec.fcc())
     assert abs(rep.f[0] - 1.0) < 1e-12
     # a slot with an idle group has no rows for it: refused, not zero-filled
     some = simulate_exchange(part, pilots, imp, chan, 25.0, rng, groups=(0, 1, 2, 3))
     with pytest.raises(ValueError, match="every group"):
-        aml_estimate(some, pilots, part)
+        aml_estimate(some)
 
 
 @pytest.mark.parametrize("estimate, scheme", [(argos_estimate, "SINGLETON"),
@@ -607,8 +603,8 @@ def test_whole_slot_estimators_refuse_an_idle_group(estimate, scheme):
     pilots, imp, chan, ms = _instance(part, rng, snr=30.0)
     some = simulate_exchange(part, pilots, imp, chan, 30.0, rng, groups=(0, 1, 2, 3, 4))
     with pytest.raises(ValueError, match="needs a slot in which every group is active"):
-        estimate(some, pilots, part)
-    assert np.all(np.isfinite(estimate(ms, pilots, part).f))
+        estimate(some)
+    assert np.all(np.isfinite(estimate(ms).f))
 
 
 @st.composite
@@ -641,7 +637,7 @@ def test_every_estimator_returns_f_in_the_trials_constraint(case):
                                    kind="UNIT_PHASE_RANDOM")
     f_true = calibration_vector(imp)
     spec = CONSTRAINTS[kind](f_true)
-    f = ESTIMATORS[name].call(Trial(cfg, spec, ms, pilots, part)).f
+    f = ESTIMATORS[name].call(Trial(cfg, spec, ms)).f
     assert f.shape == f_true.shape
     if kind == "FCC":
         assert f[0] == 1

@@ -7,7 +7,6 @@ from arraycal.model import (
     GEOMETRIC,
     GeometryConfig,
     IID_RAYLEIGH,
-    ImpairmentConfig,
     RfImpairments,
     gen_channel,
     gen_impairments,
@@ -40,7 +39,7 @@ def test_singleton_partition():
 
 def test_impairments_zero_spread_unit_amplitude():
     rng = np.random.default_rng(0)
-    imp = gen_impairments(ImpairmentConfig(0.0), 16, rng)
+    imp = gen_impairments(0.0, 16, rng)
     assert np.allclose(np.abs(imp.tx_gains), 1.0)
     assert np.allclose(np.abs(imp.rx_gains), 1.0)
     # phases should actually vary
@@ -50,7 +49,7 @@ def test_impairments_zero_spread_unit_amplitude():
 def test_impairments_fix_first_and_ratio_bounds():
     rng = np.random.default_rng(1)
     d = 0.1
-    imp = gen_impairments(ImpairmentConfig(d), 64, rng)
+    imp = gen_impairments(d, 64, rng)
     f = calibration_vector(imp)
     assert f[0] == 1.0 + 0.0j
     lo, hi = (1 - d) / (1 + d), (1 + d) / (1 - d)
@@ -62,11 +61,17 @@ def test_impairments_amplitude_spread_empirical():
     rng = np.random.default_rng(2)
     amps = []
     for _ in range(10**4 // 16):
-        imp = gen_impairments(ImpairmentConfig(0.5), 16, rng)
+        imp = gen_impairments(0.5, 16, rng)
         amps.append(np.abs(imp.tx_gains))
     a = np.concatenate(amps)
     assert a.min() >= 0.5 and a.max() <= 1.5
     assert a.min() < 0.52 and a.max() > 1.48  # the range is actually exercised
+
+
+@pytest.mark.parametrize("delta", [-0.1, 1.0, float("nan")])
+def test_impairments_reject_a_spread_outside_0_1(delta):
+    with pytest.raises(ValueError, match=r"amplitude spread must lie in \[0, 1\)"):
+        gen_impairments(delta, 4, np.random.default_rng(0))
 
 
 def test_calibration_vector_trivia():
@@ -131,8 +136,8 @@ def test_reciprocity_identity():
     # H_{A->B} = F_B^{-T} H_{B->A}^T F_A for diagonal impairments
     rng = np.random.default_rng(6)
     na, nb = 3, 4
-    imp_a = gen_impairments(ImpairmentConfig(0.5), na, rng)
-    imp_b = gen_impairments(ImpairmentConfig(0.5), nb, rng)
+    imp_a = gen_impairments(0.5, na, rng)
+    imp_b = gen_impairments(0.5, nb, rng)
     c_ab = rng.standard_normal((nb, na)) + 1j * rng.standard_normal((nb, na))
     h_ab = compose_digital_channel(imp_a, imp_b, c_ab)
     h_ba = compose_digital_channel(imp_b, imp_a, c_ab.T)

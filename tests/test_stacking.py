@@ -3,16 +3,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import khatri_rao
 
-from dense_oracle import (calibration_vector, dense_y, dense_y_noncoherent, numerical_rank,
-                          row_blocks)
+from dense_oracle import (calibration_vector, constrained_lstsq, dense_y, dense_y_noncoherent,
+                          numerical_rank, row_blocks)
 from arraycal.airlink import NoncoherentSchedule, default_pilots, simulate_exchange, simulate_noncoherent
 from arraycal.model import (
     AntennaPartition,
     IID_RAYLEIGH,
-    ImpairmentConfig,
     gen_channel,
     gen_impairments,
 )
+from arraycal.estimators import ConstraintSpec, ls_estimate, normalize_for_constraint
 from arraycal.stacking import (
     build_stacked,
     build_stacked_noncoherent,
@@ -22,12 +22,12 @@ from arraycal.stacking import (
     pair_equation_block,
 )
 
-CFG = ImpairmentConfig(0.5)
+DELTA = 0.5        # amplitude spread of the drawn impairments
 
 
 def _instance(part, rng, snr=np.inf, kind="UNIT_PHASE_RANDOM"):
     pilots = default_pilots(part, kind, rng)
-    imp = gen_impairments(CFG, part.num_antennas, rng)
+    imp = gen_impairments(DELTA, part.num_antennas, rng)
     chan = gen_channel(part.num_antennas, IID_RAYLEIGH, rng)
     ms = simulate_exchange(part, pilots, imp, chan, snr, rng)
     return pilots, imp, chan, ms
@@ -37,7 +37,7 @@ def test_two_scalar_groups_single_row():
     rng = np.random.default_rng(0)
     part = AntennaPartition.singleton(2)
     pilots, imp, chan, ms = _instance(part, rng, kind="ALL_ONES")
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     y = dense_y(ms, pilots, part)
     assert y.shape == (1, 2) and ss.rows == 1
     y21 = ms.block(1, 0).item()
@@ -51,7 +51,7 @@ def test_null_space_contains_f():
     rng = np.random.default_rng(1)
     part = AntennaPartition((1, 2, 3, 2), (2, 2, 1, 2))
     pilots, imp, chan, ms = _instance(part, rng)
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     f = calibration_vector(imp)
     assert np.linalg.norm(dense_y(ms, pilots, part) @ f) / np.linalg.norm(f) < 1e-10
     assert (np.linalg.norm(ss.gram @ f)
@@ -65,13 +65,13 @@ def test_rank_of_stacked_matrix():
     part = AntennaPartition.singleton(5)
     _, _, _, ms = _instance(part, rng, kind="ALL_ONES")
     pilots = default_pilots(part, "ALL_ONES", rng)
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     assert ss.rows == 10
     assert numerical_rank(dense_y(ms, pilots, part)) == 4
     # underdetermined: full row rank on a generic draw
     part = AntennaPartition((4, 4), (2, 2))
     pilots, imp, chan, ms = _instance(part, rng)
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     assert ss.rows == 4
     assert numerical_rank(dense_y(ms, pilots, part)) == 4
 
@@ -80,7 +80,7 @@ def test_gram_matches_matrix():
     rng = np.random.default_rng(3)
     part = AntennaPartition.singleton(4)
     pilots, imp, chan, ms = _instance(part, rng, snr=10.0, kind="ALL_ONES")
-    ss = build_stacked(ms, pilots)
+    ss = build_stacked(ms)
     y = dense_y(ms, pilots, part)
     assert np.allclose(ss.gram, y.conj().T @ y)
 
@@ -89,11 +89,11 @@ def test_noncoherent_single_slot_equals_coherent():
     rng = np.random.default_rng(4)
     part = AntennaPartition.singleton(4)
     pilots = default_pilots(part, "ALL_ONES", rng)
-    imp = gen_impairments(CFG, 4, rng)
+    imp = gen_impairments(DELTA, 4, rng)
     sched = NoncoherentSchedule((tuple(range(4)),))
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng)
-    ss_nc = build_stacked_noncoherent(slots, pilots)
-    ss_c = build_stacked(slots[0], pilots)
+    ss_nc = build_stacked_noncoherent(slots)
+    ss_c = build_stacked(slots[0])
     assert np.array_equal(ss_nc.gram, ss_c.gram)
     assert ss_nc.rows == ss_c.rows
 
@@ -102,10 +102,10 @@ def test_noncoherent_row_counts_add_up():
     rng = np.random.default_rng(5)
     part = AntennaPartition.singleton(4)
     pilots = default_pilots(part, "ALL_ONES", rng)
-    imp = gen_impairments(CFG, 4, rng)
+    imp = gen_impairments(DELTA, 4, rng)
     sched = NoncoherentSchedule(((0, 1), (2, 3)))
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng)
-    ss = build_stacked_noncoherent(slots, pilots)
+    ss = build_stacked_noncoherent(slots)
     assert ss.rows == 2
     assert row_blocks(part, sched) == [(0, 0, 1), (1, 2, 3)]
     y = dense_y_noncoherent(slots, pilots, part, sched)
@@ -118,16 +118,51 @@ def test_noncoherent_pairwise_recovery_matches_ratios():
     rng = np.random.default_rng(6)
     part = AntennaPartition.singleton(3)
     pilots = default_pilots(part, "ALL_ONES", rng)
-    imp = gen_impairments(CFG, 3, rng)
+    imp = gen_impairments(DELTA, 3, rng)
     sched = NoncoherentSchedule(((0, 1), (0, 2), (1, 2)))
     slots = simulate_noncoherent(part, sched, pilots, imp, np.inf, rng)
-    ss = build_stacked_noncoherent(slots, pilots)
+    ss = build_stacked_noncoherent(slots)
     f = calibration_vector(imp)
     assert np.linalg.norm(dense_y_noncoherent(slots, pilots, part, sched) @ f) < 1e-10
     assert np.linalg.norm(ss.gram @ f) < 1e-10
     y01 = slots[0].block(0, 1).item()
     y10 = slots[0].block(1, 0).item()
     assert abs(f[1] / f[0] - y10 / y01) < 1e-12
+
+
+def test_noncoherent_slots_stack_each_with_its_own_pilots():
+    # three slots, each under its own draw of random pilots: the Gram, A f
+    # and the FCC and NPC solves equal those of the dense Y(P) summed over the
+    # slots, each slot's rows built with that slot's pilots
+    rng = np.random.default_rng(9)
+    part = AntennaPartition((1, 2, 1, 2), (2, 1, 2, 2))
+    imp = gen_impairments(DELTA, part.num_antennas, rng)
+    sched = NoncoherentSchedule(((0, 1, 2), (1, 2, 3), (0, 3)))
+    assert check_identifiability(part, sched)["ok"]
+    slots = [simulate_exchange(part, default_pilots(part, "UNIT_PHASE_RANDOM", rng), imp,
+                               gen_channel(part.num_antennas, IID_RAYLEIGH, rng), 20.0, rng,
+                               groups=groups) for groups in sched.slots]
+    ss = build_stacked_noncoherent(slots)
+    y = np.vstack([dense_y(slots[t], slots[t].pilots, part, [(i, j)])
+                   for t, i, j in row_blocks(part, sched)])
+    a = y.conj().T @ y
+    assert ss.rows == y.shape[0] == 20
+    assert np.max(np.abs(ss.gram - a)) <= 1e-13 * np.max(np.abs(a))
+    # one pilot set for every slot gives another Gram
+    a0 = dense_y_noncoherent(slots, slots[0].pilots, part, sched)
+    assert np.max(np.abs(a0.conj().T @ a0 - a)) > 0.1 * np.max(np.abs(a))
+    x = rng.standard_normal(part.num_antennas) + 1j * rng.standard_normal(part.num_antennas)
+    ax = y.conj().T @ (y @ x)
+    assert np.max(np.abs(ss.apply_gram(x) - ax)) <= 1e-13 * np.max(np.abs(ax))
+    e0 = np.eye(part.num_antennas)[0]
+    f_ref, rank = constrained_lstsq(y, e0, 1.0)
+    assert rank == part.num_antennas - 1
+    f = ls_estimate(ss, ConstraintSpec.fcc()).f
+    assert np.linalg.norm(f - f_ref) <= 1e-10 * np.linalg.norm(f_ref)
+    npc = ConstraintSpec.npc(calibration_vector(imp))
+    f_ref = normalize_for_constraint(np.linalg.svd(y)[2][-1].conj(), npc)
+    f = ls_estimate(ss, npc).f
+    assert np.linalg.norm(f - f_ref) <= 1e-10 * np.linalg.norm(f_ref)
 
 
 def test_identifiability_counting():
@@ -170,7 +205,7 @@ def test_empty_slot_list_rejected():
     part = AntennaPartition.singleton(3)
     pilots = default_pilots(part, "ALL_ONES", None)
     with pytest.raises(ValueError):
-        build_stacked_noncoherent([], pilots)
+        build_stacked_noncoherent([])
 
 
 def test_pair_equation_block_is_khatri_rao():
@@ -214,20 +249,20 @@ def test_gram_equals_dense_oracle(case):
     part, sched, seed = case
     rng = np.random.default_rng(seed)
     pilots = default_pilots(part, "UNIT_PHASE_RANDOM", rng)
-    imp = gen_impairments(CFG, part.num_antennas, rng)
+    imp = gen_impairments(DELTA, part.num_antennas, rng)
     if sched is None:
         chan = gen_channel(part.num_antennas, IID_RAYLEIGH, rng)
         ms = simulate_exchange(part, pilots, imp, chan, 10.0, rng)
-        ss = build_stacked(ms, pilots)
+        ss = build_stacked(ms)
         y = dense_y(ms, pilots, part)
     else:
         slots = simulate_noncoherent(part, sched, pilots, imp, 10.0, rng)
-        ss = build_stacked_noncoherent(slots, pilots)
+        ss = build_stacked_noncoherent(slots)
         y = dense_y_noncoherent(slots, pilots, part, sched)
     a = y.conj().T @ y
-    assert ss.rows == y.shape[0] and ss.m == part.num_antennas
+    assert ss.rows == y.shape[0] and ss.gram.shape == a.shape
     assert np.max(np.abs(ss.gram - a)) <= 1e-13 * np.max(np.abs(a))
-    x = rng.standard_normal(ss.m) + 1j * rng.standard_normal(ss.m)
+    x = rng.standard_normal(part.num_antennas) + 1j * rng.standard_normal(part.num_antennas)
     ax = y.conj().T @ (y @ x)
     assert np.max(np.abs(ss.apply_gram(x) - ax)) <= 1e-13 * np.max(np.abs(ax))
 
@@ -243,7 +278,7 @@ def test_identifiability_matches_numerical_rank(case):
     part, sched, seed = case
     rng = np.random.default_rng(seed)
     pilots = default_pilots(part, "UNIT_PHASE_RANDOM", rng)
-    imp = gen_impairments(CFG, part.num_antennas, rng)
+    imp = gen_impairments(DELTA, part.num_antennas, rng)
     if sched is None:
         chan = gen_channel(part.num_antennas, IID_RAYLEIGH, rng)
         y = dense_y(simulate_exchange(part, pilots, imp, chan, np.inf, rng), pilots, part)
