@@ -57,6 +57,12 @@ CONFIGS = {
                           "pilot_lengths = 2, 3, 1, 2, 2\n"
                           "noncoherent_slots = 0 1 2; 2 3 4; 4 0 1 3\ncrb = false\n"
                           "estimators = ls\nsnr_db = 20, 40\ntrials = 5\n",
+    # the bound of a schedule, its slots' information summed; revisions
+    # before it wrote crb_trace = nan from run and exited 2 from crb
+    "noncoherent-crb": "m = 12\nscheme = CUSTOM\ngroup_sizes = 2, 3, 3, 2, 2\n"
+                       "pilot_lengths = 2, 3, 1, 2, 2\n"
+                       "noncoherent_slots = 0 1 2; 2 3 4; 4 0 1 3\nconstraint = NPC\n"
+                       "estimators = ls\nsnr_db = 20, 40\ntrials = 5\ncrb_trials = 5\n",
     "argos-identity": "m = 8\nscheme = ARGOS\npilots = IDENTITY\nconstraint = FCC\n"
                       "estimators = ls, argos, aml\nsnr_db = 20, 40\ntrials = 4\n",
     "avalanche-6": "m = 16\nscheme = AVALANCHE\ng = 6\nconstraint = FCC\n"

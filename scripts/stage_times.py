@@ -119,10 +119,12 @@ def measure(tree: Path, repeat: int) -> dict:
     from arraycal import model
     from arraycal.model import IID_RAYLEIGH, gen_channel, gen_impairments
     from arraycal.stacking import build_stacked
-    # older revisions wrap delta in an ImpairmentConfig, and pass the pilots
-    # (and the partition) beside the measurements
+    # older revisions wrap delta in an ImpairmentConfig, pass the pilots (and
+    # the partition) beside the measurements, and build the bound's model from
+    # the channel, pilots and partition rather than from the slot records
     delta = getattr(model, "ImpairmentConfig", float)(0.5)
     old = "pilots" in inspect.signature(build_stacked).parameters
+    from_records = "slots" in inspect.signature(context_from_model).parameters
 
     def best(fn) -> float:
         timer = timeit.Timer(fn)
@@ -142,7 +144,9 @@ def measure(tree: Path, repeat: int) -> dict:
         fcc, npc = ConstraintSpec.fcc(), ConstraintSpec.npc(imp.tx_gains / imp.rx_gains)
         rep = ls_estimate(system, fcc)
         init = getattr(rep, "f_hat", rep).f     # older revisions wrap f in a CalibrationVector
-        ctx = context_from_model(imp, chan, pilots, part, ms.noise_variance)
+        ctx = context_from_model(imp, (ms,)) if from_records \
+            else context_from_model(imp, chan, pilots, part, ms.noise_variance)
+        k = ctx.k[0] if from_records else ctx.k
 
         def stacked():
             ms.stacked = None
@@ -171,7 +175,7 @@ def measure(tree: Path, repeat: int) -> dict:
         calls = [best(lambda n=n: aml(n)) for n in ITERS]
         t["aml_per_iteration"] = (calls[1] - calls[0]) / (its[1] - its[0])
         t["compressed_information"] = best(
-            lambda: compressed_information(ctx.f, ctx.k, pilots, part))
+            lambda: compressed_information(ctx.f, k, pilots, part))
         t["crb_f"] = best(lambda: crb_f(ctx, constraint))
         stages[case], iterations[case] = t, its
     return {"stages": stages, "aml_iterations": iterations, "cli_fixed_s": cli_fixed_cost(tree),

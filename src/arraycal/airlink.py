@@ -39,14 +39,15 @@ IDENTITY = "IDENTITY"
 
 @dataclass(frozen=True)
 class PilotSet:
-    """Per-group pilot matrices P_i of shape M_i x L_i."""
+    """Per-group pilot matrices P_i of shape M_i x L_i, held as read-only
+    copies: a caller's later edit reaches neither them nor their runs."""
 
     blocks: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "blocks", tuple(np.asarray(b, dtype=complex) for b in self.blocks)
-        )
+        object.__setattr__(self, "blocks", tuple(np.array(b, dtype=complex) for b in self.blocks))
+        for b in self.blocks:
+            b.flags.writeable = False
 
     def __getitem__(self, i: int) -> np.ndarray:
         return self.blocks[i]
@@ -62,6 +63,7 @@ class PilotSet:
         for gs in shape_runs(b.shape for b in self.blocks):
             (r0, c0), (r1, c1) = first[gs.start], first[gs.stop]
             p = np.stack(self.blocks[gs.start:gs.stop])
+            p.flags.writeable = False
             out.append((p, np.arange(r0, r1).reshape(len(gs), -1),
                         np.arange(c0, c1).reshape(len(gs), -1), slice(r0, r1), slice(c0, c1)))
         return tuple(out)
@@ -111,7 +113,8 @@ class MeasurementSet:
 
     Y_{i->j} = received[antennas of j, pilot columns of i] (M_j x L_i).  Self
     blocks and the rows and columns of inactive groups hold zeros, so every
-    estimator reads the matrix whole.  plan is the slot's model.slot_plan.
+    estimator reads the matrix whole.  plan is the slot's model.slot_plan;
+    channel is simulate_exchange's, the simulator's truth, for the bound only.
     build_stacked keeps its result, the slot's StackedSystem, in stacked.
     """
 
@@ -120,6 +123,7 @@ class MeasurementSet:
     pilots: PilotSet = field(repr=False)
     noise_variance: float
     plan: SlotPlan = field(repr=False)
+    channel: ChannelRealization | None = field(default=None, repr=False, compare=False)
     stacked: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -181,21 +185,18 @@ def require_pilot_kind(partition: AntennaPartition, kind: str) -> None:
 @lru_cache(maxsize=32)
 def _fixed_pilots(partition: AntennaPartition, kind: str) -> PilotSet:
     """The ALL_ONES or IDENTITY pilots of a partition, or for UNIT_PHASE_RANDOM
-    zero blocks, whose runs lay out every draw; built once, read-only."""
-    pilots = PilotSet(tuple(np.ones((m, 1)) if kind == ALL_ONES else np.identity(m)
-                            if kind == IDENTITY else np.zeros((m, l))
-                            for m, l in zip(partition.group_sizes, partition.pilot_lengths)))
-    for b in pilots.blocks:
-        b.flags.writeable = False
-    return pilots
+    zero blocks, whose runs lay out every draw; built once."""
+    return PilotSet(tuple(np.ones((m, 1)) if kind == ALL_ONES else np.identity(m)
+                          if kind == IDENTITY else np.zeros((m, l))
+                          for m, l in zip(partition.group_sizes, partition.pilot_lengths)))
 
 
 def default_pilots(partition: AntennaPartition, kind: str,
                    rng: np.random.Generator | None = None) -> PilotSet:
     """Standard pilot choices: unit-modulus random phases, all-ones columns,
-    identity (built once per partition).  The random phases are one draw,
-    laid out as the partition's zero blocks are: each run's P is a view of
-    it, and the values are those of one draw per group."""
+    identity (built once per partition).  The random phases are one read-only
+    draw, laid out as the partition's zero blocks: each run's P and each block
+    is a view of it, with the values of one draw per group."""
     require_pilot_kind(partition, kind)
     if kind != UNIT_PHASE_RANDOM:
         return _fixed_pilots(partition, kind)
@@ -204,10 +205,12 @@ def default_pilots(partition: AntennaPartition, kind: str,
     layout = _fixed_pilots(partition, kind).runs
     ends = np.cumsum([p.size for p, *_ in layout])
     phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=int(ends[-1])))
+    phases.flags.writeable = False
     runs = tuple((phases[e - p.size:e].reshape(p.shape), *index)
                  for e, (p, *index) in zip(ends, layout))
-    pilots = PilotSet(tuple(b for p, *_ in runs for b in p))
-    pilots.__dict__.update(runs=runs, _checked_partition=partition, _unit_phase=True)
+    pilots = object.__new__(PilotSet)      # its blocks are read-only views: not copied
+    pilots.__dict__.update(blocks=tuple(b for p, *_ in runs for b in p), runs=runs,
+                           _checked_partition=partition, _unit_phase=True)
     return pilots
 
 
@@ -281,7 +284,7 @@ def simulate_exchange(partition: AntennaPartition, pilots: PilotSet,
         noise *= np.sqrt(sigma2 / 2.0)
         received.view(float).reshape(plan.noise_index.shape)[...] += noise[plan.noise_index]
     received.flags.writeable = False
-    return MeasurementSet(received, partition, pilots, sigma2, plan)
+    return MeasurementSet(received, partition, pilots, sigma2, plan, chan)
 
 
 def simulate_noncoherent(partition: AntennaPartition, schedule: NoncoherentSchedule,
@@ -289,8 +292,8 @@ def simulate_noncoherent(partition: AntennaPartition, schedule: NoncoherentSched
                          rng: np.random.Generator, channel_model: str = IID_RAYLEIGH,
                          geometry: GeometryConfig | None = None,
                          channels: list | None = None,
-                         permutation: np.ndarray | None = None) -> list:
-    """Measurements over several coherent slots with a fresh channel per slot.
+                         permutation: np.ndarray | None = None) -> tuple:
+    """One record per coherent slot of a schedule, with a fresh channel per slot.
 
     Impairments are held constant across slots.  A caller may supply the list
     of per-slot ChannelRealization objects (e.g. to force equal channels);
@@ -308,4 +311,4 @@ def simulate_noncoherent(partition: AntennaPartition, schedule: NoncoherentSched
             gen_channel(partition.num_antennas, channel_model, rng, geometry)
         out.append(simulate_exchange(partition, pilots, imp, permute_channel(chan, permutation),
                                      snr_db, rng, plan=plan))
-    return out
+    return tuple(out)

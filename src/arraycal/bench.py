@@ -22,10 +22,8 @@ import numpy as np
 
 from . import crb as crb_mod
 from .airlink import (
-    UNIT_PHASE_RANDOM,
     NoncoherentSchedule,
     default_pilots,
-    noise_variance_from_snr,
     require_pilot_kind,
     require_snr_db,
     simulate_exchange,
@@ -82,24 +80,22 @@ class UnidentifiableError(ValueError):
 
 @dataclass
 class Trial:
-    """What every estimator of a trial sees; data is a MeasurementSet, or a list
-    of one per slot on a non-coherent schedule."""
+    """What every estimator of a trial sees: data holds one MeasurementSet per
+    slot, and system() stacks them (a single slot's system is its record's)."""
 
     config: ExperimentConfig
     spec: ConstraintSpec
-    data: object
+    data: tuple
 
     def system(self) -> StackedSystem:
-        if self.config.slot_schedule is None:
-            return build_stacked(self.data)
-        return build_stacked_noncoherent(self.data)
+        return build_stacked_noncoherent(self.data) if self.data[1:] else build_stacked(*self.data)
 
 
 @dataclass(frozen=True)
 class Estimator:
     """call(trial) gives an EstimationReport in the trial's constraint.
-    noncoherent: stacks a schedule's slots.  partition: its partition rule
-    (partition, who), raising ValueError."""
+    noncoherent: stacks a schedule's slots (the others read a trial's one
+    slot).  partition: its partition rule (partition, who), raising ValueError."""
 
     call: Callable
     noncoherent: bool = False
@@ -109,7 +105,7 @@ class Estimator:
 def _aml(t: Trial):
     """AML from the FCC LS estimate of the trial's system."""
     init = ls_estimate(t.system(), ConstraintSpec.fcc()).f
-    return aml_estimate(t.data, init=init, tol=t.config.aml_tol,
+    return aml_estimate(t.data[0], init=init, tol=t.config.aml_tol,
                         max_iter=t.config.aml_max_iter, constraint=t.spec)
 
 
@@ -117,13 +113,13 @@ def _aml(t: Trial):
 # tracer, a test's monkeypatch) sees them.
 ESTIMATORS = {
     "ls": Estimator(lambda t: ls_estimate(t.system(), t.spec), noncoherent=True),
-    "argos": Estimator(lambda t: argos_estimate(t.data, t.spec),
+    "argos": Estimator(lambda t: argos_estimate(t.data[0], t.spec),
                        partition=lambda p, who: require_tree(p, star(p), who)),
-    "rogalin": Estimator(lambda t: rogalin_estimate(t.data, t.spec),
+    "rogalin": Estimator(lambda t: rogalin_estimate(t.data[0], t.spec),
                          partition=require_single_antenna_groups),
-    "daisy": Estimator(lambda t: daisy_chain_estimate(t.data, t.spec),
+    "daisy": Estimator(lambda t: daisy_chain_estimate(t.data[0], t.spec),
                        partition=lambda p, who: require_tree(p, chain(p), who)),
-    "avalanche": Estimator(lambda t: avalanche_estimate(t.data, t.spec),
+    "avalanche": Estimator(lambda t: avalanche_estimate(t.data[0], t.spec),
                            partition=require_avalanche_partition),
     "aml": Estimator(_aml),
 }
@@ -319,10 +315,10 @@ def parse_config(text: str, seed: int | None = None, crb_sweep: bool = False) ->
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Per (snr, trial): fresh impairments, channel, pilots and noise; all
-    configured estimators see the same measurements.  The CRB is averaged over
-    the first crb_trials realizations of the same stream; it is not computed
-    for non-coherent schedules (crb_trace is nan).  A configuration whose CRB
-    finds f unidentifiable raises UnidentifiableError.
+    configured estimators see the same records, one per slot.  The CRB is
+    averaged over the first crb_trials realizations of the same stream, from
+    their records (on a schedule, from the slots' summed information).  A
+    configuration whose CRB finds f unidentifiable raises UnidentifiableError.
     """
     scheme, schedule = config.group_scheme, config.slot_schedule
     partition = scheme.partition
@@ -334,9 +330,6 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     perm = scheme.permutation
     if np.array_equal(perm, np.arange(config.m)):
         perm = None
-    # ALL_ONES and IDENTITY pilots draw nothing: one set serves every trial
-    fixed_pilots = None if config.pilots == UNIT_PHASE_RANDOM \
-        else default_pilots(partition, config.pilots)
 
     table = ResultTable()
     for si, snr in enumerate(config.snr_db):
@@ -347,14 +340,14 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         for trial in range(config.trials):
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, si, trial]))
             imp = gen_impairments(config.delta, config.m, rng)
+            # drawn on a schedule too, where it goes unused: it consumes the stream
             chan = permute_channel(gen_channel(config.m, model, rng, geometry), perm)
-            pilots = fixed_pilots if fixed_pilots is not None \
-                else default_pilots(partition, config.pilots, rng)
+            pilots = default_pilots(partition, config.pilots, rng)
             if schedule is not None:
                 data = simulate_noncoherent(partition, schedule, pilots, imp, snr,
                                             rng, model, geometry, permutation=perm)
             else:
-                data = simulate_exchange(partition, pilots, imp, chan, snr, rng)
+                data = (simulate_exchange(partition, pilots, imp, chan, snr, rng),)
             f_true = imp.tx_gains / imp.rx_gains
             spec = CONSTRAINTS[config.constraint](f_true)
             inputs = Trial(config, spec, data)
@@ -369,16 +362,14 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                     unconverged[est] += not out.converged
                 if config.timing:
                     wall[est] += time.perf_counter() - t0
-            if config.crb and schedule is None and trial < config.crb_trials:
-                sigma2 = noise_variance_from_snr(snr, chan)
-                if sigma2 > 0:
-                    ctx = crb_mod.context_from_model(imp, chan, pilots, partition, sigma2)
-                    try:
-                        bound = (crb_mod.crb_f_known_h if config.crb_known_h
-                                 else crb_mod.crb_f)(ctx, config.constraint)
-                    except np.linalg.LinAlgError as e:
-                        raise UnidentifiableError(str(e)) from e
-                    crb_traces.append(bound.trace)
+            if config.crb and trial < config.crb_trials and data[0].noise_variance > 0:
+                ctx = crb_mod.context_from_model(imp, data)
+                try:
+                    bound = (crb_mod.crb_f_known_h if config.crb_known_h
+                             else crb_mod.crb_f)(ctx, config.constraint)
+                except np.linalg.LinAlgError as e:
+                    raise UnidentifiableError(str(e)) from e
+                crb_traces.append(bound.trace)
         crb_mean = float(np.mean(crb_traces)) if crb_traces else float("nan")
         for est in config.estimators:
             errs = sq_err[est]
@@ -466,12 +457,6 @@ def cli_main(argv=None) -> int:
         print(identifiability_summary(partition, schedule))
         return 0 if check_identifiability(partition, schedule)["ok"] else 3
 
-    if cfg.noncoherent_slots is not None and (cfg.crb or args.command == "crb"):
-        why = "the CRB is not computed for non-coherent schedules"
-        if args.command == "crb":
-            print(f"error: {why}", file=sys.stderr)
-            return 2
-        print(f"warning: {why}; crb_trace is nan", file=sys.stderr)
     try:
         if args.out is not None:
             _require_writable(args.out)

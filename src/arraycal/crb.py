@@ -9,7 +9,8 @@ where the auxiliary (nuisance) channel per pair is the reciprocal
 Hc_{i->j} = R_j C_{i->j} R_i^T.  By reciprocity the Hc_{i->j} are the blocks
 of one symmetric K = R C R^T, and a slot's received matrix is Y = K F P off
 its self blocks (F = diag(f), P = blkdiag(P_g)).  The bound is computed from
-K through B = H^H P_F_perp H, the information on f with h profiled out.  The
+K through B = H^H P_F_perp H, the information on f with h profiled out; the
+slots of a non-coherent schedule add theirs, J = sum_t B_t / sigma_t^2.  The
 joint FIM is singular (scale ambiguity), so the CRB is computed under either
 the first-coefficient constraint or a norm-plus-phase constraint.
 
@@ -31,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import AntennaPartition, ChannelRealization, RfImpairments, batch_indices
+from .model import AntennaPartition, RfImpairments, batch_indices
 from .stacking import khatri_rao_t, received_gram
 
 # B's second-smallest eigenvalue relative to its largest, at or below which f
@@ -192,13 +193,14 @@ def pair_weights(s2: np.ndarray, rule: np.ndarray, first: np.ndarray | None) -> 
 
 @dataclass
 class CrbContext:
-    """The model Y = K F P (off its self blocks) at the true f and K = R C R^T."""
+    """The model of a trial's slots (MeasurementSets) at the true f: slot t's
+    Y_t = K_t F P_t off its self blocks, K_t = R C_t R^T with C_t its record's
+    channel, the simulator's truth.  noise_variance is the first slot's."""
 
     f: np.ndarray
     noise_variance: float
-    partition: AntennaPartition
-    pilots: object
-    k: np.ndarray
+    slots: tuple
+    k: tuple                  # K_t, per slot
 
     @cached_property
     def v_f(self) -> np.ndarray:
@@ -219,11 +221,21 @@ class CrbResult:
         return self._matrix()
 
 
-def context_from_model(imp: RfImpairments, chan: ChannelRealization, pilots,
-                       partition: AntennaPartition, noise_variance: float) -> CrbContext:
-    """The model at the true f = t / r and K = R C R^T."""
-    k = imp.rx_gains[:, None] * chan.c * imp.rx_gains[None, :]
-    return CrbContext(imp.tx_gains / imp.rx_gains, float(noise_variance), partition, pilots, k)
+def context_from_model(imp: RfImpairments, slots: tuple) -> CrbContext:
+    """f = t / r and, per slot record, K_t = R C_t R^T from its channel, idle groups zeroed."""
+    k = tuple(imp.rx_gains[:, None] * ms.channel.c * imp.rx_gains[None, :] for ms in slots)
+    for kt, ms in zip(k, slots):
+        for g in set(range(ms.partition.num_groups)) - set(ms.groups):
+            kt[ms.partition.antennas_of(g)] = kt[:, ms.partition.antennas_of(g)] = 0
+    return CrbContext(imp.tx_gains / imp.rx_gains, slots[0].noise_variance, tuple(slots), k)
+
+
+def _information(ctx: CrbContext, info: Callable) -> np.ndarray:
+    """sigma_0^2 J = sum_t info(f, K_t, P_t) sigma_0^2 / sigma_t^2; one slot's is its own."""
+    first, *rest = (info(ctx.f, k, ms.pilots, ms.partition) for k, ms in zip(ctx.k, ctx.slots))
+    s0 = ctx.noise_variance
+    return sum((b if ms.noise_variance == s0 else b * (s0 / ms.noise_variance)
+                for b, ms in zip(rest, ctx.slots[1:])), first)
 
 
 def known_h_information(k: np.ndarray, pilots, partition: AntennaPartition) -> np.ndarray:
@@ -237,7 +249,7 @@ def known_h_information(k: np.ndarray, pilots, partition: AntennaPartition) -> n
         ug = u[:, rows].transpose(1, 0, 2)                  # (n, M, M_g)
         b[rows[:, :, None], rows[:, None, :]] = (p.conj() @ p.transpose(0, 2, 1)) \
             * (ug.conj().transpose(0, 2, 1) @ ug)
-    return b
+    return (b + b.conj().T) / 2
 
 
 def compressed_information(f: np.ndarray, k: np.ndarray, pilots,
@@ -350,7 +362,7 @@ def crb_f(ctx: CrbContext, constraint: str = "FCC") -> CrbResult:
     """
     if constraint not in ("FCC", "NPC"):
         raise ValueError(f"unknown CRB constraint {constraint!r}")
-    b = compressed_information(ctx.f, ctx.k, ctx.pilots, ctx.partition)
+    b = _information(ctx, compressed_information)
     w = np.linalg.eigvalsh(b)
     if w[1] <= UNIDENTIFIABLE_RTOL * w[-1]:
         raise np.linalg.LinAlgError(
@@ -373,7 +385,6 @@ def crb_f_known_h(ctx: CrbContext, constraint: str = "FCC") -> CrbResult:
     Replaces the nuisance projector by identity (B = H^H H); this
     underestimates the achievable MSE of joint estimators.
     """
-    b = known_h_information(ctx.k, ctx.pilots, ctx.partition)
-    b = (b + b.conj().T) / 2
+    b = _information(ctx, lambda f, *model: known_h_information(*model))
     return _subspace_bound(b, None if constraint == "FCC" else ctx.v_f,
                            ctx.noise_variance, constraint)

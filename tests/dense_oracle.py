@@ -41,13 +41,14 @@ pair_count is the number of pair equations sum_{i<j} L_i L_j of a set of
 pilot lengths, optimal_group_sizes the allocation of K channel uses that
 maximizes it (K single-use groups), and brute_force_best_pair_count the
 exhaustive search that confirms it.
-calibration_vector is the true f of a trial's impairments, and
+calibration_vector is the true f of a trial's impairments, coherent_slot
+a coherent trial's records for crb.context_from_model, and
 compose_digital_channel a digital channel block R_B C T_A.
 scheme_to_text and scheme_from_text serialise a GroupScheme, and
 measurements_to_csv dumps a slot's blocks pair by pair as text.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
@@ -55,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import null_space, orth
 
-from arraycal.airlink import MeasurementSet, noise_variance_from_snr
+from arraycal.airlink import MeasurementSet, noise_variance_from_snr, simulate_exchange
 from arraycal.crb import complement_basis, stack_observations
 from arraycal.grouping import GroupScheme
 from arraycal.model import AntennaPartition, RfImpairments, batch_indices
@@ -645,6 +646,14 @@ def brute_force_best_pair_count(k):
 def calibration_vector(imp: RfImpairments) -> np.ndarray:
     """f_m = t_m / r_m, the diagonal case of R^{-T} T (RfImpairments has no zero gain)."""
     return imp.tx_gains / imp.rx_gains
+
+
+def coherent_slot(imp, chan, pilots, partition, noise_variance):
+    """A coherent trial's records, (MeasurementSet,), over chan with sigma^2 =
+    noise_variance, as crb.context_from_model reads them: the noiseless
+    exchange, so that no random draw is made."""
+    ms = simulate_exchange(partition, pilots, imp, chan, np.inf, None)
+    return (replace(ms, noise_variance=float(noise_variance)),)
 
 
 def compose_digital_channel(imp_tx: RfImpairments, imp_rx: RfImpairments,

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from dense_oracle import (aux_channel_blocks, brute_force_best_pair_count, build_f_perp,
-                          calibration_vector, dense_y, fim, ml_compressed_cost, pair_context, perp_projector,
+                          calibration_vector, coherent_slot, dense_y, fim, ml_compressed_cost, pair_context, perp_projector,
                           stack_h)
 from arraycal.airlink import (
     NoncoherentSchedule,
@@ -245,7 +245,7 @@ def test_acceptance_08_single_antenna_estimators_vs_crb():
     below = True
     for _ in range(20):
         pilots, imp, chan, _ = _simulate(part, rng, kind="ALL_ONES")
-        ctx = context_from_model(imp, chan, pilots, part, 1e-3)
+        ctx = context_from_model(imp, coherent_slot(imp, chan, pilots, part, 1e-3))
         below = below and crb_f_known_h(ctx, "FCC").trace < crb_f(ctx, "FCC").trace
     _report(8, f"AML<=Rogalin<=Argos at 10 dB, AML-CRB gap {max(gaps):.2f} dB, "
                "known-h CRB strictly lower",
@@ -283,8 +283,9 @@ def test_acceptance_09_interleaved_grouping_gain():
         pilots = default_pilots(part, "UNIT_PHASE_RANDOM", rng)
         sigma2 = noise_variance_from_snr(30.0, chan)
         for a, scheme in enumerate(schemes):
-            ctx = context_from_model(imp, permute_channel(chan, scheme.permutation),
-                                     pilots, part, sigma2)
+            slot = coherent_slot(imp, permute_channel(chan, scheme.permutation), pilots, part,
+                                 sigma2)
+            ctx = context_from_model(imp, slot)
             bounds[a, k] = crb_f(ctx, "NPC").trace
     lower_every_draw = bool(np.all(bounds[0] < bounds[1]))
     crb_gap = 10 * np.log10(bounds[1].sum() / bounds[0].sum())

@@ -161,6 +161,33 @@ def test_fixed_pilots_are_built_once_per_partition():
         is not default_pilots(part, "UNIT_PHASE_RANDOM", rng)
 
 
+def test_pilots_are_read_only_copies_of_what_the_caller_passed():
+    # PilotSet kept a caller's complex blocks: an edit after construction
+    # showed in the blocks (which Avalanche reads) but not in their cached
+    # runs (which the exchange, LS, AML and the bound read), and the rank
+    # verdict went stale.  The shared stacks of the fixed pilots were writeable
+    part = AntennaPartition((2, 1), (2, 1))
+    mine = [np.eye(2, dtype=complex), np.ones((1, 1), dtype=complex)]
+    pilots = PilotSet(tuple(mine))
+    pilots.validate(part)
+    mine[0][:] = 1.0                        # rank one
+    assert np.array_equal(pilots[0], np.eye(2))
+    pilots.validate(part)
+    imp = gen_impairments(DELTA, 3, np.random.default_rng(1))
+    chan = gen_channel(3, IID_RAYLEIGH, np.random.default_rng(2))
+    ref = simulate_exchange(part, PilotSet((np.eye(2), np.ones((1, 1)))), imp, chan, np.inf,
+                            None)
+    assert np.array_equal(simulate_exchange(part, pilots, imp, chan, np.inf, None).received,
+                          ref.received)
+    random = default_pilots(part, UNIT_PHASE_RANDOM, np.random.default_rng(3))
+    for p in (pilots, random, default_pilots(AntennaPartition.singleton(4), ALL_ONES),
+              default_pilots(part, IDENTITY)):
+        assert not any(b.flags.writeable for b in p.blocks)
+        assert not any(run[0].flags.writeable for run in p.runs)
+    with pytest.raises(ValueError):
+        default_pilots(AntennaPartition.singleton(4), ALL_ONES).runs[0][0][0] = 2.0
+
+
 def test_block_shapes_and_identity_case():
     part = AntennaPartition((2, 3), (2, 3))
     pilots = default_pilots(part, "IDENTITY", None)

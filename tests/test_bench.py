@@ -148,7 +148,8 @@ def test_crb_column_filled():
 
 @pytest.mark.parametrize("kind, draws", [("ALL_ONES", False), ("UNIT_PHASE_RANDOM", True)])
 def test_fixed_pilots_are_built_once_per_run(monkeypatch, kind, draws):
-    # pilots that draw nothing from the trial's stream serve every trial
+    # pilots that draw nothing from the trial's stream are one set, built once,
+    # that serves every trial; each trial asks for its own
     made = []
 
     def recording(*args):
@@ -162,8 +163,9 @@ def test_fixed_pilots_are_built_once_per_run(monkeypatch, kind, draws):
     monkeypatch.setattr(bench, "simulate_exchange",
                         lambda part, pilots, *a: seen.append(pilots) or real(part, pilots, *a))
     run_experiment(cfg)
-    assert len(made) == (6 if draws else 1)
-    assert [id(p) for p in seen] == [id(p) for p in (made if draws else made * 6)]
+    assert len(made) == 6
+    assert len({id(p) for p in made}) == (6 if draws else 1)
+    assert [id(p) for p in seen] == [id(p) for p in made]
 
 
 def test_noncoherent_experiment_runs():
@@ -402,21 +404,26 @@ NONCOHERENT_CONFIG = ("m = 6\nscheme = SINGLETON\npilots = ALL_ONES\nsnr_db = 20
                       "noncoherent_slots = 0 1 2; 2 3 4; 4 5 0\n")
 
 
-def test_cli_noncoherent_crb_is_not_reported(tmp_path, capsys):
+def test_cli_noncoherent_crb_is_reported(tmp_path, capsys):
+    # the bound of a schedule sums its slots' information: crb prints finite
+    # traces, and run writes them with no warning and the mse of crb = false
     with_crb = _write(tmp_path, "nc.cfg", NONCOHERENT_CONFIG + "crb = true\n")
-    assert cli_main(["crb", with_crb]) == 2
+    assert cli_main(["crb", with_crb]) == 0
     captured = capsys.readouterr()
-    assert "non-coherent" in captured.err and "crb_trace" not in captured.out
+    traces = [float(w.split("=")[1]) for w in captured.out.split() if w.startswith("crb_trace=")]
+    assert captured.err == "" and len(traces) == 1 and np.isfinite(traces[0]) and traces[0] > 0
 
-    out_crb, out_plain = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    assert cli_main(["run", with_crb, "--out", out_crb]) == 0
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("warning:")
-    without_crb = _write(tmp_path, "nc0.cfg", NONCOHERENT_CONFIG + "crb = false\n")
-    assert cli_main(["run", without_crb, "--out", out_plain]) == 0
+    out_crb, out_plain = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli_main(["run", with_crb, "--out", str(out_crb)]) == 0
     assert capsys.readouterr().err == ""
-    with open(out_crb, "rb") as a, open(out_plain, "rb") as b:
-        assert a.read() == b.read()
+    without_crb = _write(tmp_path, "nc0.cfg", NONCOHERENT_CONFIG + "crb = false\n")
+    assert cli_main(["run", without_crb, "--out", str(out_plain)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [[line.split(",") for line in out.read_text().splitlines()[1:]]
+            for out in (out_crb, out_plain)]
+    assert [r[3] for r in rows[0]] == [r[3] for r in rows[1]]            # mse
+    assert all(np.isfinite(float(r[4])) for r in rows[0])                # crb_trace
+    assert all(r[4] == "nan" for r in rows[1])
 
 
 @pytest.mark.parametrize("estimators", ["ls, aml", "rogalin", "ls, argos, daisy"])

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dense_oracle import (argos_ratios, calibration_vector, constrained_lstsq, daisy_ratios,
                           dense_y)
-from arraycal.airlink import MeasurementSet, default_pilots, require_pilot_kind, simulate_exchange
+from arraycal.airlink import (MeasurementSet, NoncoherentSchedule, default_pilots,
+                              require_pilot_kind, simulate_exchange, simulate_noncoherent)
 from arraycal.estimators import (
     CHOLESKY_MARGIN,
     ConstraintSpec,
@@ -637,7 +640,7 @@ def test_every_estimator_returns_f_in_the_trials_constraint(case):
                                    kind="UNIT_PHASE_RANDOM")
     f_true = calibration_vector(imp)
     spec = CONSTRAINTS[kind](f_true)
-    f = ESTIMATORS[name].call(Trial(cfg, spec, ms)).f
+    f = ESTIMATORS[name].call(Trial(cfg, spec, (ms,))).f
     assert f.shape == f_true.shape
     if kind == "FCC":
         assert f[0] == 1
@@ -681,3 +684,24 @@ def test_mse_values():
     assert abs(mse(f + e, f) - 1e-6) < 1e-18
     with pytest.raises(ValueError):
         mse(np.ones(3), np.ones(2))
+
+
+def test_no_estimator_reads_the_channel():
+    # the channel on a record is the simulator's truth, for the bound only:
+    # every estimator, and LS on a schedule's stack, gives the same f bit for
+    # bit from records that do not carry it
+    rng = np.random.default_rng(29)
+    part = AntennaPartition.singleton(6)
+    pilots, imp, _, ms = _instance(part, rng, snr=20.0)
+    spec = ConstraintSpec.fcc()
+    schedule = ((0, 1, 2), (2, 3, 4), (4, 5, 0))
+    slots = simulate_noncoherent(part, NoncoherentSchedule(schedule), pilots, imp, 20.0, rng)
+    cases = [(name, ExperimentConfig(m=6, pilots="ALL_ONES", estimators=(name,), crb=False),
+              (ms,)) for name in ("ls", "rogalin", "argos", "daisy", "avalanche", "aml")]
+    cases.append(("ls", ExperimentConfig(m=6, pilots="ALL_ONES", crb=False,
+                                         noncoherent_slots=schedule), slots))
+    for name, cfg, data in cases:
+        blind = tuple(replace(x, channel=None) for x in data)
+        assert all(x.channel is not None for x in data)
+        f = ESTIMATORS[name].call(Trial(cfg, spec, tuple(replace(x) for x in data))).f
+        assert ESTIMATORS[name].call(Trial(cfg, spec, blind)).f.tobytes() == f.tobytes(), name
