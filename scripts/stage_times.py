@@ -1,4 +1,4 @@
-"""Per-stage timings of one trial at M = 16, 64 and 256, for this working tree
+"""Per-stage timings of one trial at M = 16 to 256, for this working tree
 and optionally a base revision.
 
 Run from the repository root:
@@ -8,7 +8,9 @@ Run from the repository root:
 
 Each case draws one trial (generator seed 0): SINGLETON with ALL_ONES pilots
 at 10 dB under FCC, and FC_II (g = 6, 12, 24 at M = 16, 64, 256) with
-UNIT_PHASE_RANDOM pilots at 20 dB under NPC.  On it each stage is timed:
+UNIT_PHASE_RANDOM pilots at 20 dB under NPC, and FC_I (M, g = 29, 8 and 64,
+12, exactly determined shapes) with UNIT_PHASE_RANDOM pilots at 30 dB under
+FCC.  On it each stage is timed:
 ``simulate_exchange``; ``build_stacked``, its copy kept on the measurements
 dropped; ``ls_estimate`` under FCC and under NPC, the system's kept
 solutions dropped; ``argos_estimate``, where the partition admits it (else
@@ -18,6 +20,18 @@ starts from the FCC LS estimate with a tolerance no step meets, and its time
 per iteration is the difference of the calls with ITERS[1] and ITERS[0]
 iterations over the difference of their iteration counts.  A stage's time is
 the minimum, over --repeat runs, of timeit's autorange count of calls.
+
+Timeit's loops reuse warm buffers, so they hide the page faults of a trial
+that builds its records afresh.  The fresh-record stage runs FRESH trials
+(after WARMUP untimed ones) as ``run_experiment`` builds them, each from its
+own generator seeded [0, 0, trial], at FRESH_SNR_DB (singleton256-ls's SNR):
+impairments, channel, pilots, exchange, ``build_stacked`` and the FCC
+``ls_estimate``.  It reports the median seconds per trial and per FCC solve
+(``fresh_trial``, ``fresh_fcc_solve``), the mean minor faults
+(``getrusage``'s ru_minflt) per trial and per solve (``fresh_trial_minflt``,
+``fresh_fcc_minflt``), and the mean number of ``StackedSystem.apply_gram``
+calls per solve (``fresh_products_per_solve``); of --repeat such loops, the
+one with the least median trial time.
 
 Last, the CLI's fixed cost per call: for each workload of ``BENCHMARK.json``,
 its perfbench config is run through ``bench.cli_main(["run", cfg, "--out",
@@ -46,6 +60,7 @@ import argparse
 import inspect
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -60,11 +75,13 @@ from ab_bench import ROOT, copy_working_tree, export_revision, git, src_lines
 CASES = {f"{name}{m}": (scheme, m, g, pilots, constraint, snr)
          for name, scheme, pilots, constraint, snr, groups in (
              ("singleton", "SINGLETON", "ALL_ONES", "FCC", 10.0, {16: None, 64: None, 256: None}),
-             ("fc2-", "FC_II", "UNIT_PHASE_RANDOM", "NPC", 20.0, {16: 6, 64: 12, 256: 24}))
+             ("fc2-", "FC_II", "UNIT_PHASE_RANDOM", "NPC", 20.0, {16: 6, 64: 12, 256: 24}),
+             ("fc1-", "FC_I", "UNIT_PHASE_RANDOM", "FCC", 30.0, {29: 8, 64: 12}))
          for m, g in groups.items()}
 ITERS = (2, 12)
 TOL = 5e-324            # AML stops only on a step of exactly zero
 CALLS, WARMUP = 200, 5  # cli_main calls per workload in the fixed-cost measurement
+FRESH, FRESH_SNR_DB = 40, 30.0  # timed trials per fresh-record loop, and their SNR
 
 
 def cli_fixed_cost(tree: Path) -> dict:
@@ -104,6 +121,44 @@ def cli_fixed_cost(tree: Path) -> dict:
     finally:
         bench.run_experiment = real
     return fixed
+
+
+def fresh_records(stack, ls) -> dict:
+    """The fresh-record stage's figures over trials k = 0 .. WARMUP + FRESH -
+    1, the first WARMUP untimed: stack(k) builds trial k's records and
+    system, and ls(system) is its FCC solve."""
+    from arraycal.stacking import StackedSystem
+
+    products, real = [], StackedSystem.apply_gram
+
+    def counted(self, x):
+        products.append(1)
+        return real(self, x)
+
+    def minflt() -> int:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    runs = []
+    StackedSystem.apply_gram = counted
+    try:
+        for k in range(WARMUP + FRESH):
+            if k == WARMUP:
+                products.clear()
+            f0, t0 = minflt(), time.perf_counter()
+            system = stack(k)
+            f1, t1 = minflt(), time.perf_counter()
+            ls(system)
+            f2, t2 = minflt(), time.perf_counter()
+            if k >= WARMUP:
+                runs.append((t2 - t0, t2 - t1, f2 - f0, f2 - f1))
+    finally:
+        StackedSystem.apply_gram = real
+    trial_s, solve_s, trial_f, solve_f = zip(*runs)
+    return {"fresh_trial": statistics.median(trial_s),
+            "fresh_fcc_solve": statistics.median(solve_s),
+            "fresh_trial_minflt": statistics.mean(trial_f),
+            "fresh_fcc_minflt": statistics.mean(solve_f),
+            "fresh_products_per_solve": len(products) / FRESH}
 
 
 def measure(tree: Path, repeat: int) -> dict:
@@ -177,6 +232,16 @@ def measure(tree: Path, repeat: int) -> dict:
         t["compressed_information"] = best(
             lambda: compressed_information(ctx.f, k, pilots, part))
         t["crb_f"] = best(lambda: crb_f(ctx, constraint))
+
+        def fresh(trial):              # a trial's records, as run_experiment builds them
+            r = np.random.default_rng(np.random.SeedSequence([0, 0, trial]))
+            i, c = gen_impairments(delta, m, r), gen_channel(m, IID_RAYLEIGH, r)
+            p = default_pilots(part, kind, r)
+            record = simulate_exchange(part, p, i, c, FRESH_SNR_DB, r)
+            return build_stacked(record, *((p,) if old else ()))
+
+        t.update(min((fresh_records(fresh, lambda s: ls_estimate(s, fcc))
+                      for _ in range(repeat)), key=lambda r: r["fresh_trial"]))
         stages[case], iterations[case] = t, its
     return {"stages": stages, "aml_iterations": iterations, "cli_fixed_s": cli_fixed_cost(tree),
             "env": perfrun.environment()}
@@ -221,9 +286,15 @@ def main(argv=None) -> int:
             for side in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
                 runs[side].append(run_side(trees[side], args.repeat, args.threads))
                 aml = runs[side][-1]["stages"]["singleton16"]["aml_per_iteration"]
+                big = runs[side][-1]["stages"]["singleton256"]
                 fixed = runs[side][-1]["cli_fixed_s"]
                 print(f"round {k + 1}/{args.rounds} {side}: singleton16 AML "
-                      f"{aml * 1e6:.2f} us/iteration, CLI fixed cost " + ", ".join(
+                      f"{aml * 1e6:.2f} us/iteration, singleton256 fresh trial "
+                      f"{big['fresh_trial'] * 1e3:.2f} ms (FCC solve "
+                      f"{big['fresh_fcc_solve'] * 1e3:.2f} ms, "
+                      f"{big['fresh_trial_minflt']:.0f} faults, "
+                      f"{big['fresh_products_per_solve']:.2f} products/solve), "
+                      "CLI fixed cost " + ", ".join(
                           f"{name} {v * 1e3:.3f} ms" for name, v in fixed.items()), flush=True)
         result = {"base": git("rev-parse", args.base) if args.base else None,
                   "change": f"working tree on {git('rev-parse', 'HEAD')}",

@@ -223,6 +223,8 @@ class CrbResult:
 
 def context_from_model(imp: RfImpairments, slots: tuple) -> CrbContext:
     """f = t / r and, per slot record, K_t = R C_t R^T from its channel, idle groups zeroed."""
+    if bare := [t for t, ms in enumerate(slots) if ms.channel is None]:
+        raise ValueError(f"slot {bare[0]} has no channel: the bound needs every slot's channel")
     k = tuple(imp.rx_gains[:, None] * ms.channel.c * imp.rx_gains[None, :] for ms in slots)
     for kt, ms in zip(k, slots):
         for g in set(range(ms.partition.num_groups)) - set(ms.groups):

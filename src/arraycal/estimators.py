@@ -113,26 +113,24 @@ def _smallest_eigvec(a: np.ndarray):
 
 
 def _lower_inverse(l: np.ndarray) -> np.ndarray:
-    """L^{-1} of a lower-triangular L, by the block form [[A, 0], [C, D]]^{-1}
-    = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]].  np.linalg.inv, a general LU,
-    runs only on diagonal blocks of at most 32 rows; the rounding its row
-    pivoting leaves above their diagonal is dropped, so the upper triangle is
-    exactly zero."""
+    """L^{-1} of a lower-triangular L, in place of L, by the block form
+    [[A, 0], [C, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]].
+    np.linalg.inv, a general LU, runs only on diagonal blocks of at most 32
+    rows; the rounding its row pivoting leaves above their diagonal is
+    dropped, so the upper triangle is exactly zero."""
     n = l.shape[0]
     if n <= 32:
-        return np.tril(np.linalg.inv(l))
+        l[:] = np.tril(np.linalg.inv(l))
+        return l
     k = n // 2
     a, d = _lower_inverse(l[:k, :k]), _lower_inverse(l[k:, k:])
-    out = np.zeros_like(l)
-    out[:k, :k] = a
-    out[k:, k:] = d
-    out[k:, :k] = -d @ (l[k:, :k] @ a)
-    return out
+    np.negative(d @ (l[k:, :k] @ a), out=l[k:, :k])
+    return l
 
 
 def _certified_inverse_factor(b: np.ndarray):
-    """L^{-1} for B = L L^H when B is certified well enough conditioned that
-    lstsq's rank rule keeps all its eigenvalues; else None.
+    """(L^{-1}, c) for B = L L^H when B is certified well enough conditioned
+    that lstsq's rank rule keeps all its eigenvalues; else None.
 
     c = 1 / (tr(B) ||L^{-1}||_F^2) bounds lambda_min / lambda_max from below,
     since ||L^{-1}||_F^2 = tr(B^{-1}) >= 1 / lambda_min and tr(B) >= lambda_max.
@@ -145,8 +143,8 @@ def _certified_inverse_factor(b: np.ndarray):
         li = _lower_inverse(np.linalg.cholesky(b))
     except np.linalg.LinAlgError:
         return None
-    bound = 1.0 / (np.real(np.trace(b)) * np.real(np.vdot(li, li)))
-    return li if bound > CHOLESKY_MARGIN * b.shape[0] * np.finfo(float).eps else None
+    c = 1.0 / (np.real(np.trace(b)) * np.real(np.vdot(li, li)))
+    return (li, c) if c > CHOLESKY_MARGIN * b.shape[0] * np.finfo(float).eps else None
 
 
 def _solve_fcc(sys: StackedSystem):
@@ -160,34 +158,39 @@ def _solve_fcc(sys: StackedSystem):
     Otherwise one eigendecomposition of B gives its pseudo-inverse, with the
     eigenvalues that lstsq's rank rule would drop left out: f stays the
     minimum-norm solution, and is exact in the noiseless (singular-A) case.
-    A solve with A squares cond(Y(P)); three refinement steps, A x from the
-    residuals (StackedSystem.apply_gram), recover a least-squares solve's
-    accuracy.  After Cholesky the first reads A e_0 from A, and they stop
-    once a step moves f by at most 4 eps ||f||.  After eigh they also refine
-    the dropped eigenvectors (tilted by about eps ||B|| / lambda towards the
-    kept ones), and f's part in their span is removed.
+    A solve with A squares cond(Y(P)); up to three refinement steps, A x from
+    the residuals (StackedSystem.apply_gram), recover a least-squares solve's
+    accuracy (Higham 2002, ch. 12).  After Cholesky the first reads A e_0 from
+    A.  Each later step moves f by (I - B_c^{-1} B) times the last move, B_c
+    the matrix the factor inverts (||B_c - B|| about n eps ||B||): by at most
+    about rho = n eps / c times it, as kappa(B) <= 1 / c.  So from the second
+    step on they stop once rho ||f - prev|| <= 4 eps ||f||.  After eigh all
+    three run, also on the dropped eigenvectors (tilted by about eps ||B|| /
+    lambda towards the kept ones), and f's part in their span is removed.
     """
     f = np.eye(1, sys.gram.shape[0], dtype=complex)[0]    # e_0
     # B from A^H, Hermitian: cholesky and eigh read its lower triangle
     b = sys.gram[1:, 1:].conj().T
-    li = _certified_inverse_factor(b)
-    if li is not None:                        # B^{-1} = p diag(d) q
-        p, d, q, null = li.conj().T, 1.0, li, []
+    certified = _certified_inverse_factor(b)
+    if certified is not None:                 # B^{-1} = q^H diag(d) q
+        (q, c), d, null = certified, 1.0, []
+        # rho ||f - prev|| <= 4 eps ||f|| with rho = n eps / c; B is not read again
+        ax, rtol, b = sys.gram[:, 0], 4 * c / b.shape[0], None
     else:
         w, e = np.linalg.eigh(b)
         # B's rank is at most Y(P)'s row count, whatever rounding lifts above the rule
         keep = (np.abs(w) > _rank_tol(w)) & (np.arange(w.size) >= w.size - sys.rows)
-        p, d, q = e[:, keep], 1.0 / w[keep], e[:, keep].conj().T
+        d, q = 1.0 / w[keep], e[:, keep].conj().T
         null = [np.concatenate(([0.0], n)) for n in e[:, ~keep].T]         # [0, n]
+        ax, rtol = None, -1.0
 
     def step(x, ax=None):                     # x - [0, B^+ (A x)[1:]], A x from the residuals
         ax = sys.apply_gram(x) if ax is None else ax
-        return x - np.concatenate(([0.0], p @ (d * (q @ ax[1:]))))
+        return x - np.concatenate(([0.0], ((d * (q @ ax[1:])).conj() @ q).conj()))
 
-    ax, rtol = (None, -1.0) if li is None else (sys.gram[:, 0], 4 * np.finfo(float).eps)
-    for _ in range(3):                        # after eigh, rtol < 0: all three steps
+    for k in range(3):                        # after eigh, rtol < 0: all three steps
         f, prev, null, ax = step(f, ax), f, [step(n) for n in null], None
-        if np.linalg.norm(f - prev) <= rtol * np.linalg.norm(f):
+        if k and np.linalg.norm(f - prev) <= rtol * np.linalg.norm(f):
             break
     if null:                                  # the minimum-norm f has no part in B's null space
         n = np.linalg.qr(np.stack(null, axis=1))[0]

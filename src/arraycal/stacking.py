@@ -21,6 +21,8 @@ import numpy as np
 
 from .model import AntennaPartition
 
+TILE = 32      # rows of E = S - S^T that StackedSystem.apply_gram forms at a time
+
 
 @dataclass
 class StackedSystem:
@@ -35,7 +37,7 @@ class StackedSystem:
     rows: int                 # rows of Y(P)
     slots: tuple              # ((Y, conj(Y), W, pilots), ...)
     solutions: dict = field(default_factory=dict, repr=False, compare=False)
-    _work: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _s: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def apply_gram(self, f: np.ndarray) -> np.ndarray:
         """A f, summed over the slots as (A f)_a = sum_{c in cols of g(a)}
@@ -44,11 +46,12 @@ class StackedSystem:
         Each run of groups of equal shape (the slot's PilotSet.runs) is a
         slice of Y's rows and of S's.  For a single-antenna run, S's rows are
         a broadcast product and (E Y^H)'s blocks row sums, with no per-group
-        matrix product; S and E are kept on the system for its next call."""
+        matrix product.  S is kept for the next call; E is formed in blocks of
+        at least TILE rows, shared by short runs, and read a tile of groups at a time."""
         n_cols = self.slots[0][0].shape[1]
-        if self._work is None:
-            self._work = np.empty((2, n_cols, n_cols), dtype=complex)
-        s, e = self._work
+        if self._s is None:
+            self._s = np.empty((n_cols, n_cols), dtype=complex)
+        s = self._s
         out = np.zeros(self.gram.shape[0], dtype=complex)
         for y, y_conj, _, pilots in self.slots:
             for p, rows, _, r, c in pilots.runs:
@@ -56,15 +59,22 @@ class StackedSystem:
                 (np.multiply if m == 1 else np.matmul)(
                     (p * f[rows, None]).transpose(0, 2, 1), y[r].reshape(n, m, -1),
                     out=s[c].reshape(n, l, -1))
-            np.subtract(s, s.T, out=e)
+            top = 0                                    # e holds E's rows lo .. top - 1
             for p, rows, _, r, c in pilots.runs:
                 n, m, l = p.shape
-                if m == 1:
-                    out[rows[:, 0]] += np.einsum("nl,nlk,nk->n", p[:, 0].conj(),
-                                                 e[c].reshape(n, l, -1), y_conj[r])
-                else:
-                    out[rows] += np.einsum("nml,nlm->nm", p.conj(), e[c].reshape(n, l, -1)
-                                           @ y_conj[r].reshape(n, m, -1).transpose(0, 2, 1))
+                t = max(1, TILE // l)                  # groups per tile
+                for a in range(0, n, t):
+                    b = min(a + t, n)
+                    i, j = c.start + a * l, c.start + b * l
+                    if j > top:                        # E's next block, of at least TILE rows
+                        lo, top = i, max(j, i + TILE)
+                        e = s[lo:top] - s[:, lo:top].T
+                    et, yc = e[i - lo:j - lo].reshape(b - a, l, -1), y_conj[r][a * m:b * m]
+                    if m == 1:
+                        out[rows[a:b, 0]] += np.einsum("nl,nlk,nk->n", p[a:b, 0].conj(), et, yc)
+                    else:
+                        out[rows[a:b]] += np.einsum("nml,nlm->nm", p[a:b].conj(),
+                                                    et @ yc.reshape(b - a, m, -1).swapaxes(1, 2))
         return out
 
 

@@ -128,6 +128,18 @@ def test_crb_hermitian_psd_and_sigma_linearity():
         assert abs(crb_f(ctx2, kind).trace - 2 * r.trace) < 1e-8 * r.trace
 
 
+def test_context_names_a_missing_channel():
+    # a record without a channel (as measured samples come) cannot give K
+    rng = np.random.default_rng(4)
+    part = AntennaPartition.singleton(4)
+    pilots, imp, chan, _ = _instance(part, rng, kind="ALL_ONES")
+    (ms,) = coherent_slot(imp, chan, pilots, part, 1e-3)
+    bare = replace(ms, channel=None)
+    for slot, slots in enumerate(((bare,), (ms, bare))):
+        with pytest.raises(ValueError, match=f"slot {slot} has no channel"):
+            context_from_model(imp, slots)
+
+
 def test_npc_crb_annihilates_f():
     rng = np.random.default_rng(5)
     part = AntennaPartition((1, 2, 2), (2, 2, 1))

@@ -14,6 +14,7 @@ from arraycal.model import (
 )
 from arraycal.estimators import ConstraintSpec, ls_estimate, normalize_for_constraint
 from arraycal.stacking import (
+    TILE,
     build_stacked,
     build_stacked_noncoherent,
     check_identifiability,
@@ -244,6 +245,8 @@ def _partitions_and_schedules(draw):
 @example((AntennaPartition((2, 1, 3, 1, 2), (1, 2, 1, 3, 2)),
           NoncoherentSchedule(((0, 1, 2), (2, 3), (0, 3, 4))), 5))   # idle groups per slot
 @example((AntennaPartition((1, 2, 1, 1, 1), (2, 1, 3, 1, 2)), None, 6))   # shape order not Y's
+@example((AntennaPartition.singleton(2 * TILE + 6), None, 7))   # a last, partial tile
+@example((AntennaPartition((2,) * (TILE // 2 + 4), (2,) * (TILE // 2 + 4)), None, 8))  # 2 tiles
 def test_gram_equals_dense_oracle(case):
     # the pair-by-pair Gram and A f equal the products of the dense Y(P)
     part, sched, seed = case
